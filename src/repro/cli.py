@@ -13,13 +13,12 @@ Commands:
   resume a run crash-safely; see docs/observability.md and
   docs/robustness.md)
 * ``experiment``            — regenerate one paper table/figure by name
-  (``--jobs``/``--checkpoint``/``--resume`` shard the fleet-enabled
-  studies — ``cluster``, ``scalability``, ``fig5c``, ``fig8``,
-  ``ablations`` — across worker processes; see docs/scaling.md)
-* ``fleet``                 — the fleet execution surface: parallel
-  ``cluster``/``scalability``/``report`` runs, plus ``status`` to
-  inspect a checkpoint file (``--watch`` paints live fleet status to
-  stderr mid-run; ``--jsonl`` writes the merged telemetry log)
+  (``--jobs``/``--checkpoint``/``--resume`` shard the grid studies —
+  ``cluster``, ``scalability``, ``fig5c``, ``fig8``, ``ablations`` —
+  across worker processes, ``--watch`` paints live fleet status to
+  stderr mid-run and ``--jsonl`` writes the merged telemetry log; see
+  docs/scaling.md)
+* ``fleet status``          — inspect a fleet checkpoint file
 * ``fault-study``           — hardened vs unhardened control under the
   default fault scenarios (docs/robustness.md); fleet-sharded with
   mix-qualified unit ids, so ``--jobs``/``--checkpoint``/``--resume``/
@@ -87,6 +86,7 @@ from repro.experiments.harness import (
     reference_power_for_mix,
     run_policy,
 )
+from repro.fleet import CheckpointError, FleetError
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
 
@@ -113,6 +113,9 @@ EXPERIMENTS = (
     "fig9", "fig10", "table2", "flicker", "dvfs", "ablations",
     "scalability", "bandwidth", "churn", "multi-service", "area", "cluster",
 )
+
+#: Experiments that run as fleet grids and so take --jsonl/--watch.
+GRID_EXPERIMENTS = ("ablations", "cluster", "fig5c", "fig8", "scalability")
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
@@ -384,6 +387,16 @@ def _write_jsonl_records(path: str, records: Sequence[dict]) -> None:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
     print(f"wrote {path} ({len(records)} lines)")
+
+
+def _emit_grid(args: argparse.Namespace, text: str, merged, live) -> None:
+    """Print a grid verb's report after its last live repaint, then
+    write the merged ``--jsonl`` log if one was asked for."""
+    if live is not None:
+        live.repaint()
+    print(text)
+    if getattr(args, "jsonl", None):
+        _write_jsonl_records(args.jsonl, merged)
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -660,128 +673,129 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if code:
         return code
     name = args.name
+    if name not in GRID_EXPERIMENTS and (args.jsonl or args.watch):
+        print("error: --jsonl and --watch apply only to the grid "
+              f"experiments ({', '.join(GRID_EXPERIMENTS)})",
+              file=sys.stderr)
+        return 2
+    live = _watch_live(args)
+    merged = [] if args.jsonl else None
+    grid = {
+        "seed": args.seed, "jobs": args.jobs, "checkpoint": args.checkpoint,
+        "resume": args.resume, "merged_telemetry": merged, "live": live,
+    }
     if name == "fig1":
         from repro.experiments.fig1_characterization import (
             render_fig1, run_fig1,
         )
-        print(render_fig1(run_fig1()))
+        text = render_fig1(run_fig1())
     elif name == "fig5":
         from repro.experiments.fig5_accuracy import (
             render_fig5, run_fig5a, run_fig5b,
         )
-        print(render_fig5(run_fig5a(), run_fig5b()))
+        text = render_fig5(run_fig5a(), run_fig5b())
     elif name == "fig5c":
         from repro.experiments.fig5c_powercaps import (
             render_fig5c, run_fig5c,
         )
-        print(render_fig5c(run_fig5c(
-            n_slices=args.slices, seed=args.seed, jobs=args.jobs,
-            checkpoint=args.checkpoint, resume=args.resume,
-        )))
+        text = render_fig5c(run_fig5c(n_slices=args.slices, **grid))
     elif name == "fig7":
         from repro.experiments.fig7_timeline import render_fig7, run_fig7
-        print(render_fig7(run_fig7(n_slices=args.slices)))
+        text = render_fig7(run_fig7(n_slices=args.slices))
     elif name == "fig8":
         from repro.experiments.fig8_dynamic import (
             SCENARIOS, render_fig8, run_fig8_grid,
         )
-        traces = run_fig8_grid(
-            seed=args.seed, jobs=args.jobs,
-            checkpoint=args.checkpoint, resume=args.resume,
-        )
-        print("\n\n".join(
+        traces = run_fig8_grid(**grid)
+        text = "\n\n".join(
             render_fig8(traces[scenario]) for scenario in SCENARIOS
-        ))
+        )
     elif name in ("fig8a", "fig8b", "fig8c"):
         from repro.experiments import fig8_dynamic
         runner = getattr(fig8_dynamic, f"run_{name}")
-        print(fig8_dynamic.render_fig8(runner()))
+        text = fig8_dynamic.render_fig8(runner())
     elif name == "fig9":
         from repro.experiments.fig9_sgd_vs_rbf import render_fig9, run_fig9
-        print(render_fig9(run_fig9()))
+        text = render_fig9(run_fig9())
     elif name == "fig10":
         from repro.experiments.fig10_dds_vs_ga import (
             render_fig10, run_fig10a, run_fig10b,
         )
-        print(render_fig10(run_fig10a(), run_fig10b(n_slices=args.slices)))
+        text = render_fig10(run_fig10a(), run_fig10b(n_slices=args.slices))
     elif name == "table2":
         from repro.experiments.table2_overheads import (
             render_table2, run_table2, run_training_set_sensitivity,
         )
-        print(render_table2(run_table2(), run_training_set_sensitivity()))
+        text = render_table2(run_table2(), run_training_set_sensitivity())
     elif name == "flicker":
         from repro.experiments.flicker_comparison import (
             render_flicker, run_flicker_qos, run_flicker_throughput,
         )
-        print(render_flicker(run_flicker_qos(),
-                             run_flicker_throughput(n_slices=args.slices)))
+        text = render_flicker(
+            run_flicker_qos(), run_flicker_throughput(n_slices=args.slices)
+        )
     elif name == "dvfs":
         from repro.experiments.dvfs_comparison import (
             render_dvfs_comparison, run_dvfs_comparison,
         )
-        print("leakage x1.0:")
-        print(render_dvfs_comparison(run_dvfs_comparison()))
-        print("\nleakage x2.5:")
-        print(render_dvfs_comparison(run_dvfs_comparison(leakage_scale=2.5)))
+        text = (
+            "leakage x1.0:\n"
+            + render_dvfs_comparison(run_dvfs_comparison())
+            + "\n\nleakage x2.5:\n"
+            + render_dvfs_comparison(run_dvfs_comparison(leakage_scale=2.5))
+        )
     elif name == "bandwidth":
         from repro.experiments.bandwidth_study import (
             render_bandwidth_study, run_bandwidth_study,
         )
-        print(render_bandwidth_study(
+        text = render_bandwidth_study(
             run_bandwidth_study(n_slices=args.slices)
-        ))
+        )
     elif name == "cluster":
         from repro.experiments.cluster_study import (
             render_cluster_study, run_cluster_study,
         )
-        print(render_cluster_study(
-            run_cluster_study(
-                n_slices=args.slices * 2, seed=args.seed,
-                jobs=args.jobs, checkpoint=args.checkpoint,
-                resume=args.resume,
-            )
-        ))
+        text = render_cluster_study(
+            run_cluster_study(n_slices=args.slices * 2, **grid)
+        )
     elif name == "area":
         from repro.experiments.area_equivalence import (
             render_area_equivalence, run_area_equivalence,
         )
-        print(render_area_equivalence(
+        text = render_area_equivalence(
             run_area_equivalence(n_slices=args.slices)
-        ))
+        )
     elif name == "multi-service":
         from repro.experiments.multi_service import (
             render_multi_service, run_multi_service,
         )
-        print(render_multi_service(
+        text = render_multi_service(
             run_multi_service(n_slices=args.slices * 2)
-        ))
+        )
     elif name == "churn":
         from repro.experiments.churn_study import (
             render_churn_study, run_churn_study,
         )
-        print(render_churn_study(run_churn_study(n_slices=args.slices * 2)))
+        text = render_churn_study(run_churn_study(n_slices=args.slices * 2))
     elif name == "scalability":
         from repro.experiments.scalability import (
             render_scalability, run_scalability,
         )
-        print(render_scalability(
-            run_scalability(
-                n_slices=args.slices, seed=args.seed, jobs=args.jobs,
-                checkpoint=args.checkpoint, resume=args.resume,
-            ),
+        text = render_scalability(
+            run_scalability(n_slices=args.slices, **grid),
             include_timings=not args.no_timings,
-        ))
+        )
     elif name == "ablations":
         from repro.experiments.ablations import (
             render_ablation_matrix, run_ablation_matrix,
         )
-        print(render_ablation_matrix(run_ablation_matrix(
-            n_slices=args.slices, seed=args.seed, jobs=args.jobs,
-            checkpoint=args.checkpoint, resume=args.resume,
-        )))
+        text = render_ablation_matrix(
+            run_ablation_matrix(n_slices=args.slices, **grid)
+        )
     else:  # pragma: no cover - argparse choices prevent this
         print(f"unknown experiment {name!r}", file=sys.stderr)
         return 2
+    _emit_grid(args, text, merged, live)
     return 0
 
 
@@ -826,9 +840,7 @@ def _cmd_fault_study(args: argparse.Namespace) -> int:
         resume=args.resume,
         live=live,
     )
-    if live is not None:
-        live.repaint()
-    print(render_fault_study(outcomes))
+    _emit_grid(args, render_fault_study(outcomes), None, live)
     totals = study_totals(outcomes)
     hard = totals.get("hardened", {})
     if hard.get("aborted", 0):
@@ -875,7 +887,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
               "fall inside the run)", file=sys.stderr)
         return 2
     live = _watch_live(args)
-    merged = [] if (args.jsonl or live is not None) else None
+    merged = [] if args.jsonl else None
     outcomes = run_chaos_study(
         seeds=tuple(args.seeds),
         mix_indices=tuple(args.mixes),
@@ -891,11 +903,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         merged_telemetry=merged,
         live=live,
     )
-    if live is not None:
-        live.repaint()
-    print(render_chaos_study(outcomes))
-    if args.jsonl:
-        _write_jsonl_records(args.jsonl, merged or [])
+    _emit_grid(args, render_chaos_study(outcomes), merged, live)
     return 0 if all(o.ok for o in outcomes) else 1
 
 
@@ -1094,94 +1102,39 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import CheckpointError, FleetError, inspect_checkpoint
+    import json
 
-    code = _fleet_flags_error(args)
-    if code:
-        return code
-    try:
-        if args.fleet_command == "status":
-            import json
+    from repro.fleet import inspect_checkpoint
 
-            payload = inspect_checkpoint(args.checkpoint_file)
-            fingerprint = payload.get("fingerprint", {})
-            completed = payload.get("completed", {})
-            print(f"checkpoint: {args.checkpoint_file}")
-            print(f"schema:     {payload.get('schema')}")
-            print(f"fleet:      {fingerprint.get('fleet')}")
-            print(f"seed:       {fingerprint.get('seed')}")
-            print(f"context:    {json.dumps(fingerprint.get('context'), sort_keys=True)}")
-            stats = payload.get("stats")
-            if stats:
-                print(f"stats:      {json.dumps(stats, sort_keys=True)}")
-            units = fingerprint.get("units", [])
-            print(f"completed:  {len(completed)}/{len(units)} unit(s)")
-            # Checkpoints that predate `executed_ids` cannot tell a
-            # freshly executed unit from a restored one; fall back to
-            # the plain marker for those.
-            executed_ids = (
-                set(stats["executed_ids"])
-                if stats and "executed_ids" in stats else None
-            )
-            for unit_id in units:
-                if unit_id not in completed:
-                    marker = "todo"
-                elif executed_ids is not None and unit_id not in executed_ids:
-                    marker = "done (checkpoint)"
-                else:
-                    marker = "done"
-                print(f"  [{marker}] {unit_id}")
-            return 0
-        if args.fleet_command == "cluster":
-            from repro.experiments.cluster_study import (
-                render_cluster_study, run_cluster_study,
-            )
-            live = _watch_live(args)
-            # Collecting the merged log whenever --watch is on makes
-            # every watched run exercise the streaming-vs-post-hoc
-            # equivalence self-check inside run_cluster_study.
-            merged = [] if (args.jsonl or live is not None) else None
-            results = run_cluster_study(
-                n_slices=args.slices, seed=args.seed, jobs=args.jobs,
-                checkpoint=args.checkpoint, resume=args.resume,
-                merged_telemetry=merged, live=live,
-            )
-            if live is not None:
-                live.repaint()
-            print(render_cluster_study(results))
-            if args.jsonl:
-                _write_jsonl_records(args.jsonl, merged or [])
-            return 0
-        if args.fleet_command == "scalability":
-            from repro.experiments.scalability import (
-                render_scalability, run_scalability,
-            )
-            live = _watch_live(args)
-            merged = [] if (args.jsonl or live is not None) else None
-            points = run_scalability(
-                core_counts=tuple(args.cores), n_slices=args.slices,
-                seed=args.seed, jobs=args.jobs, checkpoint=args.checkpoint,
-                resume=args.resume, merged_telemetry=merged, live=live,
-            )
-            if live is not None:
-                live.repaint()
-            print(render_scalability(
-                points, include_timings=not args.no_timings
-            ))
-            if args.jsonl:
-                _write_jsonl_records(args.jsonl, merged or [])
-            return 0
-        if args.fleet_command == "report":
-            return _cmd_report(args)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FleetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    raise AssertionError(  # pragma: no cover - argparse prevents this
-        f"unknown fleet command {args.fleet_command!r}"
+    payload = inspect_checkpoint(args.checkpoint_file)
+    fingerprint = payload.get("fingerprint", {})
+    completed = payload.get("completed", {})
+    print(f"checkpoint: {args.checkpoint_file}")
+    print(f"schema:     {payload.get('schema')}")
+    print(f"fleet:      {fingerprint.get('fleet')}")
+    print(f"seed:       {fingerprint.get('seed')}")
+    print(f"context:    {json.dumps(fingerprint.get('context'), sort_keys=True)}")
+    stats = payload.get("stats")
+    if stats:
+        print(f"stats:      {json.dumps(stats, sort_keys=True)}")
+    units = fingerprint.get("units", [])
+    print(f"completed:  {len(completed)}/{len(units)} unit(s)")
+    # Checkpoints that predate `executed_ids` cannot tell a freshly
+    # executed unit from a restored one; fall back to the plain marker
+    # for those.
+    executed_ids = (
+        set(stats["executed_ids"])
+        if stats and "executed_ids" in stats else None
     )
+    for unit_id in units:
+        if unit_id not in completed:
+            marker = "todo"
+        elif executed_ids is not None and unit_id not in executed_ids:
+            marker = "done (checkpoint)"
+        else:
+            marker = "done"
+        print(f"  [{marker}] {unit_id}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1314,6 +1267,11 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--slices", type=int, default=8,
                             help="quanta for run-based experiments")
     add_fleet_flags(experiment)
+    add_watch_flag(experiment)
+    experiment.add_argument("--jsonl", default=None, metavar="PATH",
+                            help="grid experiments: write the per-unit "
+                            "telemetry, merged into one canonical JSONL "
+                            "session log")
     experiment.add_argument("--no-timings", action="store_true",
                             help="drop wall-clock columns from the "
                             "scalability table (byte-stable output)")
@@ -1331,48 +1289,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet",
-        help="deterministic parallel fleet runs (docs/scaling.md)",
+        help="inspect fleet checkpoints (docs/scaling.md)",
     )
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-
-    fleet_cluster = fleet_sub.add_parser(
-        "cluster", help="rack-level brokering study, sharded by scheme"
-    )
-    fleet_cluster.add_argument("--slices", type=int, default=8,
-                               help="decision quanta (default 8)")
-    fleet_cluster.add_argument("--jsonl", default=None, metavar="PATH",
-                               help="write the per-unit telemetry, merged "
-                               "into one canonical JSONL session log")
-    add_fleet_flags(fleet_cluster)
-    add_watch_flag(fleet_cluster)
-
-    fleet_scale = fleet_sub.add_parser(
-        "scalability", help="scaling grid, sharded by (cores, arm)"
-    )
-    fleet_scale.add_argument("--cores", type=int, nargs="+",
-                             default=[16, 32, 48],
-                             help="machine sizes (default: 16 32 48)")
-    fleet_scale.add_argument("--slices", type=int, default=8,
-                             help="decision quanta (default 8)")
-    fleet_scale.add_argument("--no-timings", action="store_true",
-                             help="drop the wall-clock decision (ms) "
-                             "column (byte-stable output)")
-    fleet_scale.add_argument("--jsonl", default=None, metavar="PATH",
-                             help="write the per-unit telemetry, merged "
-                             "into one canonical JSONL session log")
-    add_fleet_flags(fleet_scale)
-    add_watch_flag(fleet_scale)
-
-    fleet_report = fleet_sub.add_parser(
-        "report", help="full evaluation, sharded by section"
-    )
-    fleet_report.add_argument("--out", default="evaluation_report.md",
-                              help="output path")
-    fleet_report.add_argument("--slices", type=int, default=8,
-                              help="quanta for run-based experiments")
-    fleet_report.add_argument("--only", nargs="*", default=None,
-                              help="substring filters on section titles")
-    add_fleet_flags(fleet_report)
 
     fleet_status = fleet_sub.add_parser(
         "status", help="inspect a fleet checkpoint file"
@@ -1392,7 +1311,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(docs/observability.md)",
     )
     top.add_argument("log", help="JSONL log written by `run --jsonl` "
-                     "or `fleet ... --jsonl`")
+                     "or `experiment ... --jsonl`")
     top.add_argument("--follow", action="store_true",
                      help="re-read the log on an interval, like top(1)")
     top.add_argument("--interval", type=float, default=2.0,
@@ -1407,7 +1326,7 @@ def build_parser() -> argparse.ArgumentParser:
         "HTML dashboard",
     )
     dashboard.add_argument("log", help="JSONL log written by "
-                           "`run --jsonl` or `fleet ... --jsonl`")
+                           "`run --jsonl` or `experiment ... --jsonl`")
     dashboard.add_argument("-o", "--out", default="dashboard.html",
                            help="output path (default: dashboard.html)")
     dashboard.add_argument("--title", default="repro run dashboard",
@@ -1419,7 +1338,7 @@ def build_parser() -> argparse.ArgumentParser:
         "human-readable 'why' report (docs/observability.md)",
     )
     explain.add_argument("log", help="JSONL log written by `run --jsonl` "
-                         "or `fleet ... --jsonl`")
+                         "or `experiment ... --jsonl`")
     explain.add_argument("--quantum", type=int, default=None, metavar="N",
                          help="restrict to one quantum "
                          "(default: every recorded quantum)")
@@ -1638,7 +1557,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "submit": _cmd_submit,
         "status": _cmd_status,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FleetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

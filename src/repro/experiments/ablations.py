@@ -21,7 +21,7 @@ on useful work, QoS, and the power budget:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,14 +37,9 @@ from repro.experiments.harness import (
     run_policy,
 )
 from repro.experiments.reporting import format_table
-from repro.fleet import (
-    FleetParams,
-    FleetRun,
-    WorkUnit,
-    merge_unit_telemetry,
-    telemetry_records,
-)
+from repro.fleet import WorkUnit, run_grid, telemetry_records
 from repro.sim.coreconfig import N_JOINT_CONFIGS
+from repro.sim.machine import MachineParams
 from repro.telemetry.live import LiveAggregator
 from repro.workloads.batch import batch_profile, train_test_split
 from repro.workloads.loadgen import LoadTrace
@@ -70,13 +65,36 @@ def _run_cuttlesys(
     label: str,
     telemetry: Any = None,
     train_profiles: Optional[Sequence] = None,
+    machine_params: Optional[MachineParams] = None,
+) -> AblationRow:
+    mix = paper_mixes()[mix_index]
+    reference = reference_power_for_mix(mix, seed=seed)
+    machine = build_machine_for_mix(mix, seed=seed, params=machine_params)
+    policy = CuttleSysPolicy.for_machine(
+        machine, seed=seed, config=config, train_profiles=train_profiles
+    )
+    return _policy_row(
+        machine, policy, reference, cap, n_slices, label, telemetry
+    )
+
+
+def _run_oracle(
+    mix_index: int, cap: float, n_slices: int, seed: int, label: str,
+    telemetry: Any = None,
 ) -> AblationRow:
     mix = paper_mixes()[mix_index]
     reference = reference_power_for_mix(mix, seed=seed)
     machine = build_machine_for_mix(mix, seed=seed)
-    policy = CuttleSysPolicy.for_machine(
-        machine, seed=seed, config=config, train_profiles=train_profiles
+    return _policy_row(
+        machine, OracleReconfigPolicy(seed=seed), reference, cap, n_slices,
+        label, telemetry,
     )
+
+
+def _policy_row(
+    machine: Any, policy: Any, reference: float, cap: float,
+    n_slices: int, label: str, telemetry: Any,
+) -> AblationRow:
     run = run_policy(
         machine, policy, LoadTrace.constant(0.8),
         power_cap_fraction=cap, n_slices=n_slices, max_power_w=reference,
@@ -90,27 +108,138 @@ def _run_cuttlesys(
     )
 
 
+def _frozen_search_row(
+    mix_index: int,
+    cap: float,
+    seed: int,
+    label: str,
+    penalty_weight: Optional[float] = None,
+    max_iter: Optional[int] = None,
+) -> AblationRow:
+    """One frozen-problem DDS run (penalty-weight / dds-budget cells).
+
+    For ``penalty_weight`` cells the row carries the predicted
+    instructions + feasibility of the search result; for ``max_iter``
+    cells ``batch_instructions_b`` carries the achieved search
+    *objective* — the matrix keeps one row shape and the renderer
+    labels the difference.
+    """
+    mix = paper_mixes()[mix_index]
+    machine = build_machine_for_mix(mix, seed=seed)
+    budget = machine.reference_max_power() * cap * 0.6  # batch share
+    bips = throughput_rows(machine.batch_profiles, machine.perf)
+    power = power_rows(machine.batch_profiles, machine.power)
+    objective = SystemObjective(
+        bips=bips,
+        power=power,
+        max_power=budget,
+        max_ways=machine.params.llc_ways - 4.0,
+        **(
+            {"penalty_power": penalty_weight}
+            if penalty_weight is not None else {}
+        ),
+    )
+    params = (
+        DDSParams(max_iter=max_iter) if max_iter is not None else DDSParams()
+    )
+    result = DDSSearch(params).search(
+        objective, n_dims=bips.shape[0], n_confs=N_JOINT_CONFIGS,
+        rng=np.random.default_rng(seed),
+    )
+    if max_iter is not None:
+        return AblationRow(
+            label=label,
+            batch_instructions_b=result.best_objective,
+            qos_violations=0,
+            power_violations=0,
+        )
+    x = result.best_x
+    over = max(0.0, objective.total_power(x) - budget)
+    return AblationRow(
+        label=label,
+        batch_instructions_b=float(bips[np.arange(bips.shape[0]), x].sum()),
+        qos_violations=0,
+        power_violations=int(over > budget * 0.01),
+    )
+
+
+#: (label, ControllerConfig overrides) of the variants that only change
+#: the controller configuration.
+_CONFIG_VARIANTS: Dict[Tuple[str, str], Tuple[str, Dict[str, Any]]] = {
+    ("inference", "sgd"): ("cuttlesys (SGD inference)", {}),
+    ("guards", "on"): ("guards on (default)", {}),
+    ("guards", "off"): ("guards off", {
+        "qos_guard_sparse": 1e-6,
+        "qos_guard_medium": 1e-6,
+        "qos_guard_dense": 1e-6,
+    }),
+    ("variants", "default"): ("3 variants/service (default)", {}),
+    ("variants", "none"): (
+        "no variants", {"latency_variants_per_service": 0}
+    ),
+}
+
+
+def _ablation_row(
+    ablation: str,
+    value: Any,
+    mix_index: int,
+    cap: float,
+    n_slices: int,
+    seed: int,
+    telemetry: Any = None,
+) -> AblationRow:
+    """The one simulation of one (ablation, variant value).
+
+    ``value`` is typed per ablation: a training-set size (int), a
+    penalty weight (float), a transition cost in seconds (float), a DDS
+    iteration budget (int), or one of the variant names of
+    :data:`ABLATION_MATRIX` for the others.
+    """
+    if (ablation, value) == ("inference", "oracle"):
+        return _run_oracle(
+            mix_index, cap, n_slices, seed, "oracle inference",
+            telemetry=telemetry,
+        )
+    if (ablation, value) in _CONFIG_VARIANTS:
+        label, overrides = _CONFIG_VARIANTS[(ablation, value)]
+        return _run_cuttlesys(
+            mix_index, cap, n_slices, seed,
+            ControllerConfig(seed=seed, **overrides), label,
+            telemetry=telemetry,
+        )
+    if ablation == "training-size":
+        train_names, _ = train_test_split(n_train=value)
+        return _run_cuttlesys(
+            mix_index, cap, n_slices, seed, ControllerConfig(seed=seed),
+            f"{value} training apps", telemetry=telemetry,
+            train_profiles=[batch_profile(n) for n in train_names],
+        )
+    if ablation == "transition-cost":
+        return _run_cuttlesys(
+            mix_index, cap, n_slices, seed, ControllerConfig(seed=seed),
+            f"transition {value * 1e3:g} ms", telemetry=telemetry,
+            machine_params=MachineParams(reconfig_transition_s=value),
+        )
+    if ablation == "penalty-weight":
+        return _frozen_search_row(
+            mix_index, cap, seed, f"penalty={value:g}",
+            penalty_weight=value,
+        )
+    if ablation == "dds-budget":
+        return _frozen_search_row(
+            mix_index, cap, seed, f"maxIter={value}", max_iter=value
+        )
+    raise ValueError(f"unknown ablation variant {ablation}/{value!r}")
+
+
 def ablate_inference(
     mix_index: int = 0, cap: float = 0.6, n_slices: int = 10, seed: int = 7
 ) -> Tuple[AblationRow, AblationRow]:
     """SGD inference vs the perfect-inference oracle."""
-    sgd = _run_cuttlesys(
-        mix_index, cap, n_slices, seed, ControllerConfig(seed=seed),
-        "cuttlesys (SGD inference)",
-    )
-    mix = paper_mixes()[mix_index]
-    reference = reference_power_for_mix(mix, seed=seed)
-    machine = build_machine_for_mix(mix, seed=seed)
-    oracle = OracleReconfigPolicy(seed=seed)
-    run = run_policy(
-        machine, oracle, LoadTrace.constant(0.8),
-        power_cap_fraction=cap, n_slices=n_slices, max_power_w=reference,
-    )
-    return sgd, AblationRow(
-        label="oracle inference",
-        batch_instructions_b=run.total_batch_instructions() / 1e9,
-        qos_violations=run.qos_violations(),
-        power_violations=run.power_violations(),
+    return (
+        _ablation_row("inference", "sgd", mix_index, cap, n_slices, seed),
+        _ablation_row("inference", "oracle", mix_index, cap, n_slices, seed),
     )
 
 
@@ -118,37 +247,20 @@ def ablate_guards(
     mix_index: int = 0, cap: float = 0.7, n_slices: int = 10, seed: int = 7
 ) -> Tuple[AblationRow, AblationRow]:
     """QoS guardbands on (default) vs effectively off."""
-    with_guards = _run_cuttlesys(
-        mix_index, cap, n_slices, seed, ControllerConfig(seed=seed),
-        "guards on (default)",
+    return (
+        _ablation_row("guards", "on", mix_index, cap, n_slices, seed),
+        _ablation_row("guards", "off", mix_index, cap, n_slices, seed),
     )
-    no_guards = _run_cuttlesys(
-        mix_index, cap, n_slices, seed,
-        ControllerConfig(
-            seed=seed,
-            qos_guard_sparse=1e-6,
-            qos_guard_medium=1e-6,
-            qos_guard_dense=1e-6,
-        ),
-        "guards off",
-    )
-    return with_guards, no_guards
 
 
 def ablate_variants(
     mix_index: int = 0, cap: float = 0.7, n_slices: int = 10, seed: int = 7
 ) -> Tuple[AblationRow, AblationRow]:
     """Historical latency variants (default 3/service) vs none."""
-    with_variants = _run_cuttlesys(
-        mix_index, cap, n_slices, seed, ControllerConfig(seed=seed),
-        "3 variants/service (default)",
+    return (
+        _ablation_row("variants", "default", mix_index, cap, n_slices, seed),
+        _ablation_row("variants", "none", mix_index, cap, n_slices, seed),
     )
-    without = _run_cuttlesys(
-        mix_index, cap, n_slices, seed,
-        ControllerConfig(seed=seed, latency_variants_per_service=0),
-        "no variants",
-    )
-    return with_variants, without
 
 
 def ablate_training_size(
@@ -159,31 +271,10 @@ def ablate_training_size(
     seed: int = 7,
 ) -> Tuple[AblationRow, ...]:
     """End-to-end effect of the offline training-set size (§VIII-A2)."""
-    rows = []
-    mix = paper_mixes()[mix_index]
-    reference = reference_power_for_mix(mix, seed=seed)
-    for size in sizes:
-        train_names, _ = train_test_split(n_train=size)
-        machine = build_machine_for_mix(mix, seed=seed)
-        policy = CuttleSysPolicy.for_machine(
-            machine,
-            seed=seed,
-            config=ControllerConfig(seed=seed),
-            train_profiles=[batch_profile(n) for n in train_names],
-        )
-        run = run_policy(
-            machine, policy, LoadTrace.constant(0.8),
-            power_cap_fraction=cap, n_slices=n_slices, max_power_w=reference,
-        )
-        rows.append(
-            AblationRow(
-                label=f"{size} training apps",
-                batch_instructions_b=run.total_batch_instructions() / 1e9,
-                qos_violations=run.qos_violations(),
-                power_violations=run.power_violations(),
-            )
-        )
-    return tuple(rows)
+    return tuple(
+        _ablation_row("training-size", size, mix_index, cap, n_slices, seed)
+        for size in sizes
+    )
 
 
 def ablate_penalty_weight(
@@ -199,37 +290,12 @@ def ablate_penalty_weight(
     fixes the weight: we re-run the frozen search of Fig. 10a per
     weight and report predicted feasibility + throughput.
     """
-    mix = paper_mixes()[mix_index]
-    machine = build_machine_for_mix(mix, seed=seed)
-    budget = machine.reference_max_power() * cap * 0.6  # batch share
-    bips = throughput_rows(machine.batch_profiles, machine.perf)
-    power = power_rows(machine.batch_profiles, machine.power)
-    rows = []
-    for weight in weights:
-        objective = SystemObjective(
-            bips=bips,
-            power=power,
-            max_power=budget,
-            max_ways=machine.params.llc_ways - 4.0,
-            penalty_power=weight,
+    return tuple(
+        _ablation_row(
+            "penalty-weight", weight, mix_index, cap, n_slices, seed
         )
-        result = DDSSearch(DDSParams()).search(
-            objective, n_dims=bips.shape[0], n_confs=N_JOINT_CONFIGS,
-            rng=np.random.default_rng(seed),
-        )
-        x = result.best_x
-        over = max(0.0, objective.total_power(x) - budget)
-        rows.append(
-            AblationRow(
-                label=f"penalty={weight:g}",
-                batch_instructions_b=float(
-                    bips[np.arange(bips.shape[0]), x].sum()
-                ),
-                qos_violations=0,
-                power_violations=int(over > budget * 0.01),
-            )
-        )
-    return tuple(rows)
+        for weight in weights
+    )
 
 
 def ablate_transition_cost(
@@ -246,32 +312,12 @@ def ablate_transition_cost(
     the milliseconds regime to check how much CuttleSys's configuration
     churn would hurt on slower hardware.
     """
-    from repro.sim.machine import MachineParams
-
-    rows = []
-    mix = paper_mixes()[mix_index]
-    reference = reference_power_for_mix(mix, seed=seed)
-    for transition in transitions_s:
-        machine = build_machine_for_mix(
-            mix, seed=seed,
-            params=MachineParams(reconfig_transition_s=transition),
+    return tuple(
+        _ablation_row(
+            "transition-cost", transition, mix_index, cap, n_slices, seed
         )
-        policy = CuttleSysPolicy.for_machine(
-            machine, seed=seed, config=ControllerConfig(seed=seed)
-        )
-        run = run_policy(
-            machine, policy, LoadTrace.constant(0.8),
-            power_cap_fraction=cap, n_slices=n_slices, max_power_w=reference,
-        )
-        rows.append(
-            AblationRow(
-                label=f"transition {transition * 1e3:g} ms",
-                batch_instructions_b=run.total_batch_instructions() / 1e9,
-                qos_violations=run.qos_violations(),
-                power_violations=run.power_violations(),
-            )
-        )
-    return tuple(rows)
+        for transition in transitions_s
+    )
 
 
 def ablate_dds_budget(
@@ -281,25 +327,12 @@ def ablate_dds_budget(
     seed: int = 7,
 ) -> Dict[int, float]:
     """DDS maxIter vs achieved objective on a frozen problem."""
-    mix = paper_mixes()[mix_index]
-    machine = build_machine_for_mix(mix, seed=seed)
-    budget = machine.reference_max_power() * cap * 0.6
-    bips = throughput_rows(machine.batch_profiles, machine.perf)
-    power = power_rows(machine.batch_profiles, machine.power)
-    objective = SystemObjective(
-        bips=bips,
-        power=power,
-        max_power=budget,
-        max_ways=machine.params.llc_ways - 4.0,
-    )
-    out = {}
-    for max_iter in iterations:
-        result = DDSSearch(DDSParams(max_iter=max_iter)).search(
-            objective, n_dims=bips.shape[0], n_confs=N_JOINT_CONFIGS,
-            rng=np.random.default_rng(seed),
-        )
-        out[max_iter] = result.best_objective
-    return out
+    return {
+        max_iter: _ablation_row(
+            "dds-budget", max_iter, mix_index, cap, 0, seed
+        ).batch_instructions_b
+        for max_iter in iterations
+    }
 
 
 def render_ablation(title: str, rows: Sequence[AblationRow]) -> str:
@@ -350,80 +383,14 @@ _TRANSITION_SECONDS: Dict[str, float] = {
     "50us": 50e-6, "2ms": 2e-3, "10ms": 10e-3,
 }
 
-
-def _run_oracle(
-    mix_index: int, cap: float, n_slices: int, seed: int, label: str,
-    telemetry: Any = None,
-) -> AblationRow:
-    mix = paper_mixes()[mix_index]
-    reference = reference_power_for_mix(mix, seed=seed)
-    machine = build_machine_for_mix(mix, seed=seed)
-    run = run_policy(
-        machine, OracleReconfigPolicy(seed=seed), LoadTrace.constant(0.8),
-        power_cap_fraction=cap, n_slices=n_slices, max_power_w=reference,
-        telemetry=telemetry,
-    )
-    return AblationRow(
-        label=label,
-        batch_instructions_b=run.total_batch_instructions() / 1e9,
-        qos_violations=run.qos_violations(),
-        power_violations=run.power_violations(),
-    )
-
-
-def _frozen_search_row(
-    mix_index: int,
-    cap: float,
-    seed: int,
-    label: str,
-    penalty_weight: Optional[float] = None,
-    max_iter: Optional[int] = None,
-) -> AblationRow:
-    """One frozen-problem DDS run (penalty-weight / dds-budget cells).
-
-    For ``penalty_weight`` cells the row mirrors
-    :func:`ablate_penalty_weight` (predicted instructions + feasibility);
-    for ``max_iter`` cells ``batch_instructions_b`` carries the achieved
-    *objective* of :func:`ablate_dds_budget` — the matrix keeps one row
-    shape and the renderer labels the difference.
-    """
-    mix = paper_mixes()[mix_index]
-    machine = build_machine_for_mix(mix, seed=seed)
-    budget = machine.reference_max_power() * cap * 0.6  # batch share
-    bips = throughput_rows(machine.batch_profiles, machine.perf)
-    power = power_rows(machine.batch_profiles, machine.power)
-    objective = SystemObjective(
-        bips=bips,
-        power=power,
-        max_power=budget,
-        max_ways=machine.params.llc_ways - 4.0,
-        **(
-            {"penalty_power": penalty_weight}
-            if penalty_weight is not None else {}
-        ),
-    )
-    params = (
-        DDSParams(max_iter=max_iter) if max_iter is not None else DDSParams()
-    )
-    result = DDSSearch(params).search(
-        objective, n_dims=bips.shape[0], n_confs=N_JOINT_CONFIGS,
-        rng=np.random.default_rng(seed),
-    )
-    if max_iter is not None:
-        return AblationRow(
-            label=label,
-            batch_instructions_b=result.best_objective,
-            qos_violations=0,
-            power_violations=0,
-        )
-    x = result.best_x
-    over = max(0.0, objective.total_power(x) - budget)
-    return AblationRow(
-        label=label,
-        batch_instructions_b=float(bips[np.arange(bips.shape[0]), x].sum()),
-        qos_violations=0,
-        power_violations=int(over > budget * 0.01),
-    )
+#: Decoders from a matrix variant name to its :func:`_ablation_row`
+#: value; ablations not listed take the name itself.
+_VARIANT_VALUES: Dict[str, Callable[[str], Any]] = {
+    "training-size": int,
+    "penalty-weight": float,
+    "transition-cost": _TRANSITION_SECONDS.__getitem__,
+    "dds-budget": int,
+}
 
 
 def _ablation_cell(
@@ -435,94 +402,15 @@ def _ablation_cell(
     collect_telemetry: bool = False,
 ) -> Dict[str, Any]:
     """One (ablation, variant) simulation as a JSONable fleet unit."""
-    cap = _ABLATION_CAPS[ablation]
     session = None
     if collect_telemetry:
         from repro.telemetry import Telemetry
 
         session = Telemetry()
-    if ablation == "inference":
-        if variant == "sgd":
-            row = _run_cuttlesys(
-                mix_index, cap, n_slices, seed, ControllerConfig(seed=seed),
-                "cuttlesys (SGD inference)", telemetry=session,
-            )
-        else:
-            row = _run_oracle(
-                mix_index, cap, n_slices, seed, "oracle inference",
-                telemetry=session,
-            )
-    elif ablation == "guards":
-        config = (
-            ControllerConfig(seed=seed) if variant == "on"
-            else ControllerConfig(
-                seed=seed,
-                qos_guard_sparse=1e-6,
-                qos_guard_medium=1e-6,
-                qos_guard_dense=1e-6,
-            )
-        )
-        label = "guards on (default)" if variant == "on" else "guards off"
-        row = _run_cuttlesys(
-            mix_index, cap, n_slices, seed, config, label, telemetry=session
-        )
-    elif ablation == "variants":
-        config = (
-            ControllerConfig(seed=seed) if variant == "default"
-            else ControllerConfig(seed=seed, latency_variants_per_service=0)
-        )
-        label = (
-            "3 variants/service (default)" if variant == "default"
-            else "no variants"
-        )
-        row = _run_cuttlesys(
-            mix_index, cap, n_slices, seed, config, label, telemetry=session
-        )
-    elif ablation == "training-size":
-        size = int(variant)
-        train_names, _ = train_test_split(n_train=size)
-        row = _run_cuttlesys(
-            mix_index, cap, n_slices, seed, ControllerConfig(seed=seed),
-            f"{size} training apps", telemetry=session,
-            train_profiles=[batch_profile(n) for n in train_names],
-        )
-    elif ablation == "penalty-weight":
-        weight = float(variant)
-        row = _frozen_search_row(
-            mix_index, cap, seed, f"penalty={weight:g}",
-            penalty_weight=weight,
-        )
-    elif ablation == "transition-cost":
-        from repro.sim.machine import MachineParams
-
-        transition = _TRANSITION_SECONDS[variant]
-        mix = paper_mixes()[mix_index]
-        reference = reference_power_for_mix(mix, seed=seed)
-        machine = build_machine_for_mix(
-            mix, seed=seed,
-            params=MachineParams(reconfig_transition_s=transition),
-        )
-        policy = CuttleSysPolicy.for_machine(
-            machine, seed=seed, config=ControllerConfig(seed=seed)
-        )
-        run = run_policy(
-            machine, policy, LoadTrace.constant(0.8),
-            power_cap_fraction=cap, n_slices=n_slices,
-            max_power_w=reference, telemetry=session,
-        )
-        row = AblationRow(
-            label=f"transition {transition * 1e3:g} ms",
-            batch_instructions_b=run.total_batch_instructions() / 1e9,
-            qos_violations=run.qos_violations(),
-            power_violations=run.power_violations(),
-        )
-    elif ablation == "dds-budget":
-        row = _frozen_search_row(
-            mix_index, cap, seed, f"maxIter={int(variant)}",
-            max_iter=int(variant),
-        )
-    else:
-        raise ValueError(f"unknown ablation {ablation!r}")
+    row = _ablation_row(
+        ablation, _VARIANT_VALUES.get(ablation, str)(variant), mix_index,
+        _ABLATION_CAPS[ablation], n_slices, seed, telemetry=session,
+    )
     cell: Dict[str, Any] = {
         "ablation": ablation,
         "variant": variant,
@@ -591,36 +479,16 @@ def run_ablation_matrix(
 ) -> Dict[str, Tuple[AblationRow, ...]]:
     """Every ablation of :data:`ABLATION_MATRIX` as one sharded grid.
 
-    The fleet flags follow the same contract as
-    :func:`repro.experiments.scalability.run_scalability`.
+    The fleet and telemetry arguments follow
+    :func:`repro.fleet.run_grid`.
     """
-    fleet = FleetRun(
+    outcome = run_grid(
         "ablations",
-        ablation_units(
-            mix_index, n_slices, seed,
-            collect_telemetry=(
-                merged_telemetry is not None or live is not None
-            ),
-        ),
-        FleetParams(jobs=jobs, checkpoint=checkpoint, resume=resume),
-        seed=seed,
-        context={"mix_index": mix_index, "n_slices": n_slices},
-        telemetry=telemetry,
-        live=live,
+        lambda collect: ablation_units(mix_index, n_slices, seed, collect),
+        seed=seed, context={"mix_index": mix_index, "n_slices": n_slices},
+        jobs=jobs, checkpoint=checkpoint, resume=resume,
+        telemetry=telemetry, merged_telemetry=merged_telemetry, live=live,
     )
-    outcome = fleet.execute()
-    if merged_telemetry is not None:
-        posthoc = merge_unit_telemetry(outcome.results)
-        if live is not None:
-            streamed = live.merged_records()
-            if streamed != posthoc:
-                raise RuntimeError(
-                    "streaming incremental merge diverged from the "
-                    "post-hoc merge_jsonl merge"
-                )
-            merged_telemetry.extend(streamed)
-        else:
-            merged_telemetry.extend(posthoc)
     return rows_from_cells(outcome.values())
 
 

@@ -45,13 +45,7 @@ from repro.experiments.harness import (
 )
 from repro.experiments.reporting import format_table
 from repro.faults import FaultInjector, scenario_by_name
-from repro.fleet import (
-    FleetParams,
-    FleetRun,
-    WorkUnit,
-    merge_unit_telemetry,
-    telemetry_records,
-)
+from repro.fleet import WorkUnit, run_grid, telemetry_records
 from repro.logs import get_logger
 from repro.sim.machine import measurement_state
 from repro.telemetry import Telemetry
@@ -409,16 +403,12 @@ def run_chaos_study(
     output is byte-identical to serial, and one checkpoint file covers
     the full multi-seed, multi-mix soak.
     """
-    fleet = FleetRun(
+    outcome = run_grid(
         "chaos",
-        chaos_units(
+        lambda collect: chaos_units(
             seeds, mix_indices, scenarios, budgets, n_slices, cooldown,
-            load, cap,
-            collect_telemetry=(
-                merged_telemetry is not None or live is not None
-            ),
+            load, cap, collect_telemetry=collect,
         ),
-        FleetParams(jobs=jobs, checkpoint=checkpoint, resume=resume),
         seed=min(seeds) if seeds else 0,
         context={
             "seeds": list(seeds), "mix_indices": list(mix_indices),
@@ -427,22 +417,9 @@ def run_chaos_study(
             "n_slices": n_slices, "cooldown": cooldown,
             "load": load, "cap": cap,
         },
-        telemetry=telemetry,
-        live=live,
+        jobs=jobs, checkpoint=checkpoint, resume=resume,
+        telemetry=telemetry, merged_telemetry=merged_telemetry, live=live,
     )
-    outcome = fleet.execute()
-    if merged_telemetry is not None:
-        posthoc = merge_unit_telemetry(outcome.results)
-        if live is not None:
-            streamed = live.merged_records()
-            if streamed != posthoc:
-                raise RuntimeError(
-                    "streaming incremental merge diverged from the "
-                    "post-hoc merge_jsonl merge"
-                )
-            merged_telemetry.extend(streamed)
-        else:
-            merged_telemetry.extend(posthoc)
     return outcomes_from_cells(outcome.values())
 
 

@@ -25,13 +25,7 @@ from repro.core.broker import BrokerParams, PowerBroker, Socket
 from repro.core.runtime import CuttleSysPolicy
 from repro.experiments.harness import build_machine_for_mix
 from repro.experiments.reporting import format_table
-from repro.fleet import (
-    FleetParams,
-    FleetRun,
-    WorkUnit,
-    merge_unit_telemetry,
-    telemetry_records,
-)
+from repro.fleet import WorkUnit, run_grid, telemetry_records
 from repro.telemetry.live import LiveAggregator
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
@@ -171,40 +165,16 @@ def run_cluster_study(
 ) -> Dict[str, ClusterOutcome]:
     """Static 50/50 split vs dynamic brokering over two sockets.
 
-    ``merged_telemetry`` / ``live`` mirror
-    :func:`repro.experiments.scalability.run_scalability`: collect
-    per-unit telemetry into one merged session log, and optionally
-    stream it through a :class:`LiveAggregator` mid-run.  When both
-    are given, the merged log comes from the aggregator's incremental
-    merge *after* it is verified byte-identical to the post-hoc one.
+    The fleet and telemetry arguments follow
+    :func:`repro.fleet.run_grid`.
     """
-    fleet = FleetRun(
+    outcome = run_grid(
         "cluster_study",
-        cluster_units(
-            n_slices, seed,
-            collect_telemetry=(
-                merged_telemetry is not None or live is not None
-            ),
-        ),
-        FleetParams(jobs=jobs, checkpoint=checkpoint, resume=resume),
-        seed=seed,
-        context={"n_slices": n_slices},
-        telemetry=telemetry,
-        live=live,
+        lambda collect: cluster_units(n_slices, seed, collect),
+        seed=seed, context={"n_slices": n_slices}, jobs=jobs,
+        checkpoint=checkpoint, resume=resume, telemetry=telemetry,
+        merged_telemetry=merged_telemetry, live=live,
     )
-    outcome = fleet.execute()
-    if merged_telemetry is not None:
-        posthoc = merge_unit_telemetry(outcome.results)
-        if live is not None:
-            streamed = live.merged_records()
-            if streamed != posthoc:
-                raise RuntimeError(
-                    "streaming incremental merge diverged from the "
-                    "post-hoc merge_jsonl merge"
-                )
-            merged_telemetry.extend(streamed)
-        else:
-            merged_telemetry.extend(posthoc)
     return outcomes_from_cells(outcome.values())
 
 

@@ -32,12 +32,7 @@ from repro.experiments.harness import (
 )
 from repro.experiments.reporting import format_table
 from repro.faults import FaultInjector, FaultScenario, default_scenarios
-from repro.fleet import (
-    FleetParams,
-    FleetRun,
-    WorkUnit,
-    telemetry_records,
-)
+from repro.fleet import WorkUnit, run_grid, telemetry_records
 from repro.logs import get_logger
 from repro.telemetry import Telemetry
 from repro.telemetry.live import LiveAggregator
@@ -250,23 +245,22 @@ def run_fault_study(
         scenarios = default_scenarios(seed)
     if mix_indices is None:
         mix_indices = (mix_index,)
-    fleet = FleetRun(
+    outcome = run_grid(
         "fault_study",
-        fault_study_units(
+        lambda collect: fault_study_units(
             mix_indices, cap, load, n_slices, seed, scenarios,
-            collect_telemetry=live is not None,
+            collect_telemetry=collect,
         ),
-        FleetParams(jobs=jobs, checkpoint=checkpoint, resume=resume),
         seed=seed,
         context={
             "mix_indices": list(mix_indices), "cap": cap, "load": load,
             "n_slices": n_slices,
             "scenarios": [s.name for s in scenarios],
         },
-        telemetry=telemetry,
-        live=live,
+        jobs=jobs, checkpoint=checkpoint, resume=resume,
+        telemetry=telemetry, live=live,
     )
-    return outcomes_from_cells(fleet.execute().values())
+    return outcomes_from_cells(outcome.values())
 
 
 def study_totals(

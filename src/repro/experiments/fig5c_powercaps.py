@@ -39,13 +39,7 @@ from repro.experiments.harness import (
     run_policy,
 )
 from repro.experiments.reporting import format_table
-from repro.fleet import (
-    FleetParams,
-    FleetRun,
-    WorkUnit,
-    merge_unit_telemetry,
-    telemetry_records,
-)
+from repro.fleet import WorkUnit, run_grid, telemetry_records
 from repro.sim.machine import Machine
 from repro.telemetry.live import LiveAggregator
 from repro.workloads.loadgen import LoadTrace
@@ -205,39 +199,22 @@ def run_fig5c(
 
     The (cap, mix) grid executes as fleet work units: ``jobs`` shards
     it across worker processes, ``checkpoint``/``resume`` make the
-    sweep crash-safe, and ``merged_telemetry``/``live`` follow the
-    same contract as :func:`repro.experiments.scalability.run_scalability`.
+    sweep crash-safe, and ``merged_telemetry``/``live`` follow
+    :func:`repro.fleet.run_grid`.
     """
-    fleet = FleetRun(
+    outcome = run_grid(
         "fig5c",
-        fig5c_units(
-            mix_indices, caps, n_slices, load, seed,
-            collect_telemetry=(
-                merged_telemetry is not None or live is not None
-            ),
+        lambda collect: fig5c_units(
+            mix_indices, caps, n_slices, load, seed, collect
         ),
-        FleetParams(jobs=jobs, checkpoint=checkpoint, resume=resume),
         seed=seed,
         context={
             "mix_indices": list(mix_indices), "caps": list(caps),
             "n_slices": n_slices, "load": load,
         },
-        telemetry=telemetry,
-        live=live,
+        jobs=jobs, checkpoint=checkpoint, resume=resume,
+        telemetry=telemetry, merged_telemetry=merged_telemetry, live=live,
     )
-    outcome = fleet.execute()
-    if merged_telemetry is not None:
-        posthoc = merge_unit_telemetry(outcome.results)
-        if live is not None:
-            streamed = live.merged_records()
-            if streamed != posthoc:
-                raise RuntimeError(
-                    "streaming incremental merge diverged from the "
-                    "post-hoc merge_jsonl merge"
-                )
-            merged_telemetry.extend(streamed)
-        else:
-            merged_telemetry.extend(posthoc)
     policies = tuple(name for name, _, _ in policy_catalogue(seed))
     return result_from_cells(outcome.values(), tuple(caps), policies)
 

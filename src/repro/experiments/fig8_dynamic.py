@@ -28,13 +28,7 @@ from repro.experiments.harness import (
     run_policy,
 )
 from repro.experiments.reporting import format_table
-from repro.fleet import (
-    FleetParams,
-    FleetRun,
-    WorkUnit,
-    merge_unit_telemetry,
-    telemetry_records,
-)
+from repro.fleet import WorkUnit, run_grid, telemetry_records
 from repro.telemetry.live import LiveAggregator
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
@@ -247,39 +241,21 @@ def run_fig8_grid(
     """All three dynamic scenarios as a sharded fleet grid.
 
     Returns ``{scenario: trace}`` in ``scenarios`` order; the fleet
-    flags follow the same contract as
-    :func:`repro.experiments.scalability.run_scalability`.
+    and telemetry arguments follow :func:`repro.fleet.run_grid`.
     """
-    fleet = FleetRun(
+    outcome = run_grid(
         "fig8",
-        fig8_units(
-            scenarios, mix_index, n_slices, seed,
-            collect_telemetry=(
-                merged_telemetry is not None or live is not None
-            ),
+        lambda collect: fig8_units(
+            scenarios, mix_index, n_slices, seed, collect
         ),
-        FleetParams(jobs=jobs, checkpoint=checkpoint, resume=resume),
         seed=seed,
         context={
             "scenarios": list(scenarios), "mix_index": mix_index,
             "n_slices": n_slices,
         },
-        telemetry=telemetry,
-        live=live,
+        jobs=jobs, checkpoint=checkpoint, resume=resume,
+        telemetry=telemetry, merged_telemetry=merged_telemetry, live=live,
     )
-    outcome = fleet.execute()
-    if merged_telemetry is not None:
-        posthoc = merge_unit_telemetry(outcome.results)
-        if live is not None:
-            streamed = live.merged_records()
-            if streamed != posthoc:
-                raise RuntimeError(
-                    "streaming incremental merge diverged from the "
-                    "post-hoc merge_jsonl merge"
-                )
-            merged_telemetry.extend(streamed)
-        else:
-            merged_telemetry.extend(posthoc)
     return {
         cell["scenario"]: trace_from_cell(cell)
         for cell in outcome.values()

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.fleet import FleetParams, FleetRun, WorkUnit
+from repro.fleet import WorkUnit, run_grid
 from repro.logs import get_logger
 from repro.telemetry.tracer import Tracer
 
@@ -261,18 +261,9 @@ def run_full_evaluation(
     fleet-execution section.
     """
     sections = _selected_sections(n_slices, only)
-    if jobs <= 1 and checkpoint is None:
-        # Fast path: no sharding/snapshot machinery for the plain run.
-        if fleet_stats is not None:
-            fleet_stats.update({
-                "retries": 0,
-                "serial_fallbacks": 0,
-                "unit_attempts": {},
-            })
-        return [_section(title, fn) for title, fn in sections]
-    fleet = FleetRun(
+    outcome = run_grid(
         "full_eval",
-        [
+        lambda _collect: [
             WorkUnit(
                 unit_id=f"section/{title}",
                 fn=_section_cell,
@@ -280,12 +271,9 @@ def run_full_evaluation(
             )
             for title, _ in sections
         ],
-        FleetParams(jobs=jobs, checkpoint=checkpoint, resume=resume),
-        seed=0,
-        context={"n_slices": n_slices},
-        telemetry=telemetry,
+        seed=0, context={"n_slices": n_slices}, jobs=jobs,
+        checkpoint=checkpoint, resume=resume, telemetry=telemetry,
     )
-    outcome = fleet.execute()
     if fleet_stats is not None:
         fleet_stats.update({
             "retries": outcome.retries,

@@ -34,13 +34,7 @@ from repro.core.oracle import OracleReconfigPolicy
 from repro.core.runtime import CuttleSysPolicy
 from repro.experiments.harness import run_policy
 from repro.experiments.reporting import format_table
-from repro.fleet import (
-    FleetParams,
-    FleetRun,
-    WorkUnit,
-    merge_unit_telemetry,
-    telemetry_records,
-)
+from repro.fleet import WorkUnit, run_grid, telemetry_records
 from repro.sim.machine import Machine, MachineParams
 from repro.telemetry.live import LiveAggregator
 from repro.workloads.batch import batch_profile, train_test_split
@@ -195,46 +189,22 @@ def run_scalability(
 ) -> Tuple[ScalePoint, ...]:
     """CuttleSys and the oracle across machine sizes.
 
-    ``merged_telemetry``, when given a list, receives the per-unit
-    telemetry JSONL records merged into one canonical session log
-    (:func:`repro.fleet.merge_unit_telemetry`).
-
-    ``live``, when given a :class:`~repro.telemetry.live.LiveAggregator`,
-    streams worker events into it mid-run and switches the merged log
-    to the aggregator's *incremental* merge — byte-identical to the
-    post-hoc one (the streaming-equivalence tests and CI diff pin
-    this).
+    The fleet and telemetry arguments follow
+    :func:`repro.fleet.run_grid`.
     """
-    fleet = FleetRun(
+    outcome = run_grid(
         "scalability",
-        scalability_units(
-            core_counts, cap, load, n_slices, seed,
-            collect_telemetry=(
-                merged_telemetry is not None or live is not None
-            ),
+        lambda collect: scalability_units(
+            core_counts, cap, load, n_slices, seed, collect
         ),
-        FleetParams(jobs=jobs, checkpoint=checkpoint, resume=resume),
         seed=seed,
         context={
             "core_counts": list(core_counts), "cap": cap, "load": load,
             "n_slices": n_slices,
         },
-        telemetry=telemetry,
-        live=live,
+        jobs=jobs, checkpoint=checkpoint, resume=resume,
+        telemetry=telemetry, merged_telemetry=merged_telemetry, live=live,
     )
-    outcome = fleet.execute()
-    if merged_telemetry is not None:
-        posthoc = merge_unit_telemetry(outcome.results)
-        if live is not None:
-            streamed = live.merged_records()
-            if streamed != posthoc:
-                raise RuntimeError(
-                    "streaming incremental merge diverged from the "
-                    "post-hoc merge_jsonl merge"
-                )
-            merged_telemetry.extend(streamed)
-        else:
-            merged_telemetry.extend(posthoc)
     return points_from_cells(outcome.values())
 
 

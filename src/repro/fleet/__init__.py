@@ -20,7 +20,11 @@ The determinism contract (docs/scaling.md) has three legs:
    ``--jobs 1``, and a killed-then-``--resume``\\ d run all render the
    same bytes.
 
-Entry point: :class:`FleetRun` (or the ``repro fleet`` CLI).
+Entry points: :func:`run_grid` for experiment grids (the
+``--jobs``/``--checkpoint``/``--resume`` flags of ``repro experiment``,
+``report``, ``fault-study`` and ``chaos``), :class:`FleetRun` for a
+run on a caller-owned pool, and ``repro fleet status`` to inspect a
+checkpoint file.
 """
 
 from repro.fleet.checkpoint import (
@@ -40,6 +44,7 @@ from repro.fleet.runner import (
     FleetOutcome,
     FleetParams,
     FleetRun,
+    run_grid,
 )
 from repro.fleet.shard import (
     FROM_CHECKPOINT,
@@ -70,6 +75,7 @@ __all__ = [
     "inspect_checkpoint",
     "merge_results",
     "merge_unit_telemetry",
+    "run_grid",
     "telemetry_records",
     "unit_seed",
     "unit_telemetry",

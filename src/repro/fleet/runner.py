@@ -2,9 +2,11 @@
 
 One ``FleetRun`` drives one fleet of independent work units through a
 :class:`~repro.fleet.pool.FleetPool`, checkpointing completed units as
-results arrive and merging everything back in stable unit order.  This
-is the object the experiment grids (``cluster_study``, ``scalability``,
-``full_eval``) and the ``repro fleet`` CLI build.
+results arrive and merging everything back in stable unit order.  The
+experiment grids (cluster, scalability, fig5c, fig8, ablations, chaos,
+fault study and the full evaluation) all run through :func:`run_grid`;
+the daemon's what-if probes (``repro.server.whatif``) build a
+``FleetRun`` directly because they execute on a shared keep-alive pool.
 
 Telemetry: when a session is attached the runner publishes the
 ``fleet.*`` counters (units total/executed/resumed, retries, serial
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Dict,
     List,
     Mapping,
@@ -41,13 +44,16 @@ from repro.fleet.shard import (
     UnitResult,
     WorkUnit,
     merge_results,
+    merge_unit_telemetry,
 )
 from repro.logs import get_logger
 from repro.telemetry.live import LiveAggregator
 
 log = get_logger("fleet.runner")
 
-__all__ = ["FleetAborted", "FleetOutcome", "FleetParams", "FleetRun"]
+__all__ = [
+    "FleetAborted", "FleetOutcome", "FleetParams", "FleetRun", "run_grid",
+]
 
 
 class FleetAborted(RuntimeError):
@@ -343,3 +349,48 @@ class FleetRun:
             metrics.counter("live.dropped_events").inc(
                 self.live.dropped_events
             )
+
+
+def run_grid(
+    name: str,
+    units: Callable[[bool], Sequence[WorkUnit]],
+    seed: int,
+    context: Mapping[str, Any],
+    jobs: int = 1,
+    checkpoint: Optional[Union[str, Path]] = None,
+    resume: bool = False,
+    telemetry: Any = None,
+    merged_telemetry: Optional[List[Dict]] = None,
+    live: Optional[LiveAggregator] = None,
+) -> FleetOutcome:
+    """Execute one experiment grid as a fleet run.
+
+    ``units(collect_telemetry)`` builds the grid's work units; units
+    collect per-unit telemetry only when ``merged_telemetry`` or
+    ``live`` will consume it.  ``merged_telemetry``, when given a list,
+    receives the unit telemetry merged into one canonical session log
+    (:func:`~repro.fleet.shard.merge_unit_telemetry`).  ``live`` streams
+    worker events and telemetry shards into a :class:`LiveAggregator`
+    mid-run; its incremental merge must equal the post-hoc one, and a
+    divergence raises ``RuntimeError``.
+    """
+    collect = merged_telemetry is not None or live is not None
+    outcome = FleetRun(
+        name,
+        units(collect),
+        FleetParams(jobs=jobs, checkpoint=checkpoint, resume=resume),
+        seed=seed,
+        context=context,
+        telemetry=telemetry,
+        live=live,
+    ).execute()
+    if collect:
+        posthoc = merge_unit_telemetry(outcome.results)
+        if live is not None and live.merged_records() != posthoc:
+            raise RuntimeError(
+                "streaming incremental merge diverged from the "
+                "post-hoc merge_jsonl merge"
+            )
+        if merged_telemetry is not None:
+            merged_telemetry.extend(posthoc)
+    return outcome

@@ -16,7 +16,7 @@ long-running fleet studies with three pieces:
   :class:`RollingWindow` percentile sketches over quantum latency, QoS
   violations, power-cap headroom and prediction accuracy, alongside
   per-unit / per-worker health tallies — the state behind
-  ``repro fleet --watch`` and ``repro top``.
+  ``--watch`` on the grid verbs and ``repro top``.
 * **An incremental merge.**  :meth:`LiveAggregator.ingest` folds each
   unit's telemetry records in as the unit completes;
   :meth:`LiveAggregator.merged_records` is byte-identical to the

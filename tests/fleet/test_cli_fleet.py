@@ -1,8 +1,19 @@
-"""Tests for the ``repro fleet`` subcommand and the shared fleet flags."""
+"""Tests for ``repro fleet status``, the shared fleet flags, and the
+one-line error every verb gives for a bad ``--checkpoint``."""
+
+import json
 
 import pytest
 
 from repro.cli import build_parser, main
+
+#: One cheap invocation of every verb that takes --checkpoint.
+CHECKPOINT_VERBS = {
+    "experiment": ["experiment", "cluster", "--slices", "1"],
+    "report": ["report", "--only", "fig9"],
+    "fault-study": ["fault-study", "--slices", "2"],
+    "chaos": ["chaos", "--slices", "2"],
+}
 
 
 class TestParser:
@@ -21,19 +32,6 @@ class TestParser:
         assert args.checkpoint is None
         assert args.resume is False
 
-    def test_fleet_cluster_defaults(self):
-        args = build_parser().parse_args(["fleet", "cluster"])
-        assert args.fleet_command == "cluster"
-        assert args.slices == 8
-        assert args.jobs == 1
-
-    def test_fleet_scalability_cores(self):
-        args = build_parser().parse_args(
-            ["fleet", "scalability", "--cores", "16", "32", "--no-timings"]
-        )
-        assert args.cores == [16, 32]
-        assert args.no_timings is True
-
     def test_fleet_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet"])
@@ -46,7 +44,8 @@ class TestParser:
 class TestCommands:
     def test_fleet_cluster_runs_and_reports(self, capsys):
         code = main(
-            ["--seed", "7", "fleet", "cluster", "--slices", "2", "--jobs", "1"]
+            ["--seed", "7", "experiment", "cluster", "--slices", "1",
+             "--jobs", "1"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -56,7 +55,7 @@ class TestCommands:
     def test_fleet_status_reports_completed_units(self, tmp_path, capsys):
         ck = tmp_path / "ck.json"
         assert main(
-            ["--seed", "7", "fleet", "cluster", "--slices", "2",
+            ["--seed", "7", "experiment", "cluster", "--slices", "1",
              "--checkpoint", str(ck)]
         ) == 0
         capsys.readouterr()
@@ -93,7 +92,8 @@ class TestCommands:
 
     def test_resume_without_checkpoint_rejected(self, capsys):
         code = main(
-            ["--seed", "7", "fleet", "cluster", "--slices", "2", "--resume"]
+            ["--seed", "7", "experiment", "cluster", "--slices", "1",
+             "--resume"]
         )
         assert code != 0
 
@@ -107,7 +107,7 @@ class TestCommands:
         self, tmp_path, capsys
     ):
         ck = tmp_path / "ck.json"
-        base = ["--seed", "7", "fleet", "cluster", "--slices", "2",
+        base = ["--seed", "7", "experiment", "cluster", "--slices", "1",
                 "--checkpoint", str(ck)]
         assert main(base) == 0
         capsys.readouterr()
@@ -124,3 +124,30 @@ class TestCommands:
         second = capsys.readouterr().out
         assert second.count("[done (checkpoint)]") == 2
         assert "[todo]" not in second
+
+    @pytest.mark.parametrize("kind", ["zero-byte", "fingerprint-mismatch"])
+    @pytest.mark.parametrize("verb", sorted(CHECKPOINT_VERBS))
+    def test_bad_checkpoint_is_one_line_error(
+        self, tmp_path, capsys, verb, kind
+    ):
+        """An unusable --checkpoint exits 2 with one ``error:`` line on
+        every verb, never a traceback."""
+        ck = tmp_path / "ck.json"
+        if kind == "zero-byte":
+            ck.write_bytes(b"")
+        else:
+            ck.write_text(json.dumps({
+                "schema": 1,
+                "fingerprint": {"fleet": "some-other-run", "seed": 1},
+                "completed": {},
+            }))
+        argv = ["--seed", "7", *CHECKPOINT_VERBS[verb],
+                "--checkpoint", str(ck), "--resume"]
+        if verb == "report":
+            argv += ["--out", str(tmp_path / "report.md")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err

@@ -31,9 +31,10 @@ class TestParser:
 
     def test_watch_flag_on_fleet_commands(self):
         for argv in (
-            ["fleet", "cluster", "--watch"],
-            ["fleet", "scalability", "--watch"],
+            ["experiment", "cluster", "--watch"],
+            ["experiment", "scalability", "--watch"],
             ["fault-study", "--watch"],
+            ["chaos", "--watch"],
         ):
             assert build_parser().parse_args(argv).watch is True
 
@@ -44,9 +45,9 @@ class TestParser:
         assert args.jobs == 2
         assert args.checkpoint == "ck.json"
 
-    def test_fleet_cluster_gains_jsonl(self):
+    def test_experiment_gains_jsonl(self):
         args = build_parser().parse_args(
-            ["fleet", "cluster", "--jsonl", "log.jsonl"]
+            ["experiment", "cluster", "--jsonl", "log.jsonl"]
         )
         assert args.jsonl == "log.jsonl"
 
@@ -87,11 +88,11 @@ class TestDashboardCommand:
 class TestWatch:
     def test_watch_paints_stderr_keeps_stdout_identical(self, capsys):
         assert main(
-            ["--seed", "7", "fleet", "cluster", "--slices", "2"]
+            ["--seed", "7", "experiment", "cluster", "--slices", "1"]
         ) == 0
         plain = capsys.readouterr()
         assert main(
-            ["--seed", "7", "fleet", "cluster", "--slices", "2",
+            ["--seed", "7", "experiment", "cluster", "--slices", "1",
              "--watch"]
         ) == 0
         watched = capsys.readouterr()
@@ -102,14 +103,26 @@ class TestWatch:
     def test_watch_exercises_streaming_self_check(self, tmp_path, capsys):
         # --watch + --jsonl: the merged log written under streaming
         # passed the incremental-vs-post-hoc identity check inside
-        # run_cluster_study (it raises on divergence).
+        # run_grid (it raises on divergence).
         log = tmp_path / "run.jsonl"
         assert main(
-            ["--seed", "7", "fleet", "cluster", "--slices", "2",
+            ["--seed", "7", "experiment", "cluster", "--slices", "1",
              "--watch", "--jsonl", str(log)]
         ) == 0
         capsys.readouterr()
         assert log.exists() and log.read_text().strip()
+
+    @pytest.mark.parametrize(
+        "flag", [["--jsonl", "unused.jsonl"], ["--watch"]]
+    )
+    def test_stream_flags_rejected_on_non_grid_experiment(
+        self, capsys, flag
+    ):
+        code = main(["experiment", "fig1", *flag])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_fault_study_watch_and_jobs(self, capsys):
         code = main(
@@ -139,7 +152,7 @@ class TestStatusStats:
     def test_status_prints_run_stats(self, tmp_path, capsys):
         ck = tmp_path / "ck.json"
         assert main(
-            ["--seed", "7", "fleet", "cluster", "--slices", "2",
+            ["--seed", "7", "experiment", "cluster", "--slices", "1",
              "--checkpoint", str(ck)]
         ) == 0
         capsys.readouterr()

@@ -25,6 +25,7 @@ from repro.fleet import (
     WorkUnit,
     inspect_checkpoint,
     merge_unit_telemetry,
+    run_grid,
 )
 from repro.telemetry.live import LiveAggregator
 
@@ -202,3 +203,54 @@ class TestStudySelfCheck:
         assert live.merged_records()  # telemetry was collected
         states = {s["state"] for s in live.units.values()}
         assert states == {"done"}
+
+
+class DivergingAggregator(LiveAggregator):
+    """A live aggregator whose incremental merge disagrees with the
+    post-hoc one by an extra record."""
+
+    def merged_records(self):
+        return super().merged_records() + [
+            {"type": "counter", "name": "phantom", "value": 1}
+        ]
+
+
+class TestRunGrid:
+    @pytest.mark.parametrize("case", ["merged-only", "live-only", "both"])
+    def test_streamed_vs_posthoc_divergence(self, case):
+        merged = [] if case in ("merged-only", "both") else None
+        live = DivergingAggregator() if case != "merged-only" else None
+        collected = []
+
+        def units(collect):
+            collected.append(collect)
+            return make_units(3)
+
+        def run():
+            return run_grid(
+                "grid-test", units, seed=7, context={},
+                merged_telemetry=merged, live=live,
+            )
+
+        if live is None:
+            # Nothing streamed, so nothing to diverge: the merged log is
+            # the post-hoc merge.
+            outcome = run()
+            assert merged == merge_unit_telemetry(outcome.results)
+        else:
+            with pytest.raises(RuntimeError, match="diverged"):
+                run()
+            if merged is not None:
+                assert merged == []  # never extended with a bad log
+        assert collected == [True]
+
+    def test_no_consumer_skips_unit_telemetry(self):
+        collected = []
+
+        def units(collect):
+            collected.append(collect)
+            return make_units(2)
+
+        outcome = run_grid("grid-test", units, seed=7, context={})
+        assert collected == [False]
+        assert len(outcome.results) == 2
