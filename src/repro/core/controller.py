@@ -79,6 +79,10 @@ LOAD_GRID: Tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(1, 11))
 #: so anything this small is numerical residue, not a live signal.
 POWER_READING_EPS_W = 1e-9
 
+#: One ingest call's memo of known-row population statistics, keyed by
+#: (matrix identity, column); None marks too few known rows to test.
+PopulationStats = Dict[Tuple[int, int], Optional[Tuple[float, float]]]
+
 log = get_logger("core.controller")
 
 
@@ -636,7 +640,8 @@ class ResourceController:
     # ------------------------------------------------------------------
 
     def _sample_ok(self, matrix: ObservedMatrix, col: int,
-                   value: float, mad_check: bool = True) -> bool:
+                   value: float, mad_check: bool = True,
+                   stats: Optional[PopulationStats] = None) -> bool:
         """Whether a runtime observation is credible enough to ingest.
 
         Rejects non-finite and negative values outright, then applies a
@@ -652,30 +657,52 @@ class ResourceController:
         p99s tens of times above the historical median, and rejecting
         them would hide exactly the QoS violations the reclaim ladder
         must react to.
+
+        ``stats`` memoises each (matrix, column)'s ``(median, scale)``
+        across the samples of one ingest call.  Observations never write
+        the known rows, so the memo cannot go stale within the call.
         """
         if not np.isfinite(value) or value < 0:
             return False
         if not mad_check:
             return True
-        known = matrix.values[matrix.known_rows, col]
-        if known.size < 4:
+        if stats is None:
+            stats = {}
+        key = (id(matrix), col)
+        if key not in stats:
+            stats[key] = self._population_stats(matrix, col)
+        population = stats[key]
+        if population is None:
             return True
-        med = float(np.median(known))
-        mad_sigma = float(np.median(np.abs(known - med))) * 1.4826
-        scale = max(mad_sigma, abs(med) * 0.5, 1e-12)
+        med, scale = population
         return abs(value - med) <= self.config.outlier_mad_threshold * scale
 
+    @staticmethod
+    def _population_stats(
+        matrix: ObservedMatrix, col: int
+    ) -> Optional[Tuple[float, float]]:
+        """Median and outlier scale of the known rows at ``col``; None
+        when fewer than four rows are known."""
+        known = matrix.values[matrix.known_rows, col]
+        if known.size < 4:
+            return None
+        med = float(np.median(known))
+        mad_sigma = float(np.median(np.abs(known - med))) * 1.4826
+        return med, max(mad_sigma, abs(med) * 0.5, 1e-12)
+
     def _observe(self, matrix: ObservedMatrix, row: int, col: int,
-                 value: float, mad_check: bool = True) -> bool:
+                 value: float, mad_check: bool = True,
+                 stats: Optional[PopulationStats] = None) -> bool:
         """Ingest one runtime observation, sanitised when hardened.
 
         Returns True if the observation entered the matrix.  Unhardened
         controllers keep the original behaviour: the matrix itself
         raises on non-finite values (the failure mode the fault study's
-        unhardened arm exhibits).
+        unhardened arm exhibits).  ``stats`` is the calling ingest's
+        memo of population statistics (see :meth:`_sample_ok`).
         """
         if self.config.hardened and not self._sample_ok(
-            matrix, col, value, mad_check=mad_check
+            matrix, col, value, mad_check=mad_check, stats=stats
         ):
             self._rejections_this_quantum += 1
             self._count("faults.detected.bad_sample")
@@ -728,35 +755,38 @@ class ResourceController:
                 "power sensors returned bit-identical samples two quanta "
                 "running; discarding this quantum's power samples"
             )
+        stats: PopulationStats = {}
         for j in range(self.n_batch):
             row = self._batch_row(j)
             self._observe(self._bips_matrix, row, sample.hi_joint_index,
-                          sample.batch_bips_hi[j])
+                          sample.batch_bips_hi[j], stats=stats)
             self._observe(self._bips_matrix, row, sample.lo_joint_index,
-                          sample.batch_bips_lo[j])
+                          sample.batch_bips_lo[j], stats=stats)
             if power_ok:
                 self._observe(self._power_matrix, row,
                               sample.hi_joint_index,
-                              sample.batch_power_hi[j])
+                              sample.batch_power_hi[j], stats=stats)
                 self._observe(self._power_matrix, row,
                               sample.lo_joint_index,
-                              sample.batch_power_lo[j])
+                              sample.batch_power_lo[j], stats=stats)
         if power_ok:
             self._observe(self._power_matrix, self._lc_power_row(0),
-                          sample.hi_joint_index, sample.lc_power_hi)
+                          sample.hi_joint_index, sample.lc_power_hi,
+                          stats=stats)
             self._observe(self._power_matrix, self._lc_power_row(0),
-                          sample.lo_joint_index, sample.lc_power_lo)
+                          sample.lo_joint_index, sample.lc_power_lo,
+                          stats=stats)
             for idx, (hi, lo) in enumerate(
                 zip(sample.extra_lc_power_hi, sample.extra_lc_power_lo),
                 start=1,
             ):
                 self._observe(
                     self._power_matrix, self._lc_power_row(idx),
-                    sample.hi_joint_index, hi,
+                    sample.hi_joint_index, hi, stats=stats,
                 )
                 self._observe(
                     self._power_matrix, self._lc_power_row(idx),
-                    sample.lo_joint_index, lo,
+                    sample.lo_joint_index, lo, stats=stats,
                 )
 
     def _detect_failed_reconfigs(self, ran: Assignment) -> None:
@@ -836,6 +866,7 @@ class ResourceController:
         batch_cores = self.machine.params.n_cores - assignment.total_lc_cores
         active = assignment.active_batch_indices
         share = min(1.0, batch_cores / len(active)) if active else 0.0
+        stats: PopulationStats = {}
         for j in active:
             joint = assignment.batch_configs[j]
             if share <= 0:
@@ -844,9 +875,11 @@ class ResourceController:
             bips = measurement.batch_bips[j] / share
             power = measurement.batch_power[j] / share
             if bips > 0:
-                self._observe(self._bips_matrix, row, joint.index, bips)
+                self._observe(self._bips_matrix, row, joint.index, bips,
+                              stats=stats)
             if power > 0:
-                self._observe(self._power_matrix, row, joint.index, power)
+                self._observe(self._power_matrix, row, joint.index, power,
+                              stats=stats)
 
         lc_blocks = [
             (0, assignment.lc_cores, assignment.lc_config,
@@ -878,7 +911,7 @@ class ResourceController:
             if core_power > 0:
                 self._observe(
                     self._power_matrix, self._lc_power_row(idx),
-                    config.index, core_power,
+                    config.index, core_power, stats=stats,
                 )
 
     # ------------------------------------------------------------------

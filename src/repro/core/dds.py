@@ -15,16 +15,23 @@ equivalent of the paper's multi-threaded C++, and what keeps the search
 in the low-millisecond range of Table II.
 
 The decision vector has one dimension per batch job; each dimension's
-value is a joint-configuration index in ``[0, n_confs)``.  Out-of-range
-perturbations are *reflected* about the violated bound (Alg. 2 lines
-14-15).
+value is a joint-configuration index in ``[0, n_confs)``, and every
+dimension is searched (the LC service enters the objective as a
+reservation, not as a pinned dimension).  Out-of-range perturbations
+are *reflected* about the violated bound (Alg. 2 lines 14-15).
+
+The inner loop runs ``max_iter * points_per_iteration`` times per
+search, so each perturbation works in place on one float array, and
+draws the RNG in a fixed order and shape (dimension subset, forced
+dimensions when a thread chose none, steps): a given seed always
+yields the same search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -91,23 +98,21 @@ class DDSSearch:
         n_dims: int,
         n_confs: int,
         rng: np.random.Generator,
-        fixed: Optional[Sequence[Tuple[int, int]]] = None,
         initial: Optional[np.ndarray] = None,
         record_explored: bool = False,
     ) -> DDSResult:
         """Maximise ``objective`` over ``[0, n_confs)**n_dims``.
 
-        ``fixed`` pins (dimension, value) pairs — used to hold the LC
-        service's configuration constant while batch dimensions are
-        searched.  ``initial`` seeds one starting point (e.g. the
+        Every dimension is searched; the controller folds the LC
+        service into the objective as a reservation rather than pinning
+        a dimension.  ``initial`` seeds one starting point (e.g. the
         previous quantum's decision) alongside the random ones.
         """
         with self.tracer.span(
             "dds.search", category="dds", n_dims=n_dims
         ) as span:
             result = self._search(
-                objective, n_dims, n_confs, rng, fixed, initial,
-                record_explored,
+                objective, n_dims, n_confs, rng, initial, record_explored,
             )
             span.set(evaluations=result.evaluations)
             if self.budget is not None:
@@ -120,28 +125,17 @@ class DDSSearch:
         n_dims: int,
         n_confs: int,
         rng: np.random.Generator,
-        fixed: Optional[Sequence[Tuple[int, int]]] = None,
-        initial: Optional[np.ndarray] = None,
-        record_explored: bool = False,
+        initial: Optional[np.ndarray],
+        record_explored: bool,
     ) -> DDSResult:
         if n_dims <= 0:
             raise ValueError("n_dims must be positive")
         if n_confs <= 1:
             raise ValueError("n_confs must exceed 1")
         params = self.params
-        fixed = list(fixed or [])
-        fixed_dims = {d for d, _ in fixed}
-        free_dims = np.array(
-            [d for d in range(n_dims) if d not in fixed_dims], dtype=int
-        )
         result = DDSResult(best_x=np.zeros(n_dims, dtype=int),
                            best_objective=-np.inf)
         batch_eval = getattr(objective, "evaluate_batch", None)
-
-        def apply_fixed(xs: np.ndarray) -> np.ndarray:
-            for d, v in fixed:
-                xs[..., d] = v
-            return xs
 
         def evaluate_many(xs: np.ndarray) -> np.ndarray:
             if batch_eval is not None:
@@ -154,22 +148,14 @@ class DDSSearch:
                     result.explored.append((x.copy(), float(v)))
             return values
 
-        if free_dims.size == 0:
-            x = apply_fixed(np.zeros((1, n_dims), dtype=int))[0]
-            value = evaluate_many(x[None, :])[0]
-            return DDSResult(best_x=x, best_objective=float(value),
-                             history=[float(value)], evaluations=1)
-
         # Initial random population (Alg. 2 lines 5-6).
-        candidates = apply_fixed(
-            rng.integers(0, n_confs,
-                         size=(params.initial_random_points, n_dims))
+        candidates = rng.integers(
+            0, n_confs, size=(params.initial_random_points, n_dims)
         )
         if initial is not None:
-            seeded = apply_fixed(
-                np.asarray(initial, dtype=int).copy()[None, :]
+            candidates = np.vstack(
+                [candidates, np.asarray(initial, dtype=int)[None, :]]
             )
-            candidates = np.vstack([candidates, seeded])
         values = evaluate_many(candidates)
         best = int(np.argmax(values))
         best_x = candidates[best].copy()
@@ -184,22 +170,23 @@ class DDSSearch:
             ]
             for t in range(params.n_threads)
         ])
+        # Per-thread step scale of the perturbation (line 13).
+        scale = radii[:, None] * n_confs
 
         for iteration in range(1, params.max_iter + 1):
             # Perturbation probability shrinks with iteration (line 10).
             prob = 1.0 - math.log(iteration) / math.log(params.max_iter)
-            prob = max(prob, 1.0 / free_dims.size)
+            prob = max(prob, 1.0 / n_dims)
             local_x = np.repeat(best_x[None, :], params.n_threads, axis=0)
             local_val = np.full(params.n_threads, best_val)
             for _ in range(params.points_per_iteration):
                 new_x = self._perturb_batch(
-                    local_x, free_dims, prob, radii, n_confs, rng
+                    local_x, prob, scale, n_confs, rng
                 )
-                apply_fixed(new_x)
                 new_val = evaluate_many(new_x)
                 improved = new_val > local_val
-                local_x[improved] = new_x[improved]
-                local_val[improved] = new_val[improved]
+                np.copyto(local_x, new_x, where=improved[:, None])
+                np.copyto(local_val, new_val, where=improved)
             # Barrier: thread 0 aggregates (lines 18-21).
             top = int(np.argmax(local_val))
             if local_val[top] > best_val:
@@ -214,33 +201,32 @@ class DDSSearch:
     @staticmethod
     def _perturb_batch(
         local_x: np.ndarray,
-        free_dims: np.ndarray,
         prob: float,
-        radii: np.ndarray,
+        scale: np.ndarray,
         n_confs: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Perturb each thread's point on a random dimension subset.
 
-        Out-of-range values are reflected about the violated bound.
+        ``scale`` is each thread's step scale, ``radius * n_confs``, as
+        a column.  Out-of-range values are reflected about the violated
+        bound.  The RNG is drawn in a fixed order: the dimension subset,
+        then (only when some thread chose no dimension) the forced
+        dimensions, then the steps.
         """
-        n_threads = local_x.shape[0]
-        new_x = local_x.copy()
-        chosen = rng.random((n_threads, free_dims.size)) < prob
+        shape = local_x.shape
+        chosen = rng.random(shape) < prob
         # Every thread must perturb at least one dimension (Alg. 2).
-        empty = ~chosen.any(axis=1)
-        if empty.any():
-            forced = rng.integers(0, free_dims.size, size=int(empty.sum()))
-            chosen[np.nonzero(empty)[0], forced] = True
-        steps = (
-            radii[:, None] * n_confs
-            * rng.standard_normal((n_threads, free_dims.size))
-        )
-        values = new_x[:, free_dims].astype(float)
-        values = np.where(chosen, values + steps, values)
+        empty = np.flatnonzero(~chosen.any(axis=1))
+        if empty.size:
+            chosen[empty, rng.integers(0, shape[1], size=empty.size)] = True
+        # Unchosen steps become (signed) zeros, which leave x unchanged.
+        values = scale * rng.standard_normal(shape)
+        values *= chosen
+        values += local_x
         upper = n_confs - 1
-        values = np.where(values < 0, -values, values)
-        values = np.where(values > upper, 2 * upper - values, values)
-        values = np.clip(values, 0, upper)
-        new_x[:, free_dims] = np.rint(values).astype(int)
-        return new_x
+        np.abs(values, out=values)
+        np.subtract(2 * upper, values, out=values, where=values > upper)
+        np.clip(values, 0, upper, out=values)
+        np.rint(values, out=values)
+        return values.astype(int)

@@ -11,7 +11,7 @@ so the two explorers are interchangeable in the controller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class GeneticSearch:
         n_dims: int,
         n_confs: int,
         rng: np.random.Generator,
-        fixed: Optional[Sequence[Tuple[int, int]]] = None,
         initial: Optional[np.ndarray] = None,
         record_explored: bool = False,
     ) -> GAResult:
@@ -87,16 +86,9 @@ class GeneticSearch:
         if n_confs <= 1:
             raise ValueError("n_confs must exceed 1")
         params = self.params
-        fixed = list(fixed or [])
-
         result = GAResult(best_x=np.zeros(n_dims, dtype=int),
                           best_objective=-np.inf)
         batch_eval = getattr(objective, "evaluate_batch", None)
-
-        def apply_fixed(x: np.ndarray) -> np.ndarray:
-            for d, v in fixed:
-                x[d] = v
-            return x
 
         def evaluate_all(xs: List[np.ndarray]) -> np.ndarray:
             stacked = np.vstack(xs)
@@ -111,11 +103,11 @@ class GeneticSearch:
             return values
 
         population = [
-            apply_fixed(rng.integers(0, n_confs, size=n_dims))
+            rng.integers(0, n_confs, size=n_dims)
             for _ in range(params.population)
         ]
         if initial is not None:
-            population[0] = apply_fixed(np.asarray(initial, dtype=int).copy())
+            population[0] = np.asarray(initial, dtype=int).copy()
         fitness = evaluate_all(population)
 
         for _ in range(params.generations):
@@ -128,7 +120,7 @@ class GeneticSearch:
                 parent_b = self._tournament(population, fitness, rng)
                 child = self._crossover(parent_a, parent_b, rng)
                 child = self._mutate(child, n_confs, rng)
-                next_pop.append(apply_fixed(child))
+                next_pop.append(child)
             population = next_pop
             fitness = evaluate_all(population)
             result.history.append(float(fitness.max()))

@@ -17,11 +17,19 @@ evident intent.)
 The decision vector ``x`` assigns each batch job a joint-configuration
 index in ``[0, 108)``; the LC service's contribution (cores, power,
 ways) is folded in as a fixed reservation.
+
+``__call__`` evaluates one vector term by term and is the reference.
+The searchers call :meth:`SystemObjective.evaluate_batch`, which
+gathers all four per-job terms (log throughput, power, whole ways,
+half-way flag) from one table built at construction and sums them in
+one reduction, with results bit-identical to gathering each metric on
+its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Tuple
 
 import numpy as np
 
@@ -58,6 +66,11 @@ class SystemObjective:
     #: mapping.  Pass an explicit array (or zeros) for searches over a
     #: different alphabet, e.g. Flicker's 27 core-only configurations.
     ways_by_config: np.ndarray = None
+    #: Stacked per-element terms of evaluate_batch, shape
+    #: [4, n_jobs * n_confs]; built by ``__post_init__``.
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``j * n_confs`` per job j: a row's flat offset into ``_table``.
+    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.bips.shape != self.power.shape:
@@ -85,6 +98,22 @@ class SystemObjective:
                 raise ValueError(
                     "ways_by_config must have one entry per configuration"
                 )
+        # The per-element terms of evaluate_batch, computed once: entry
+        # j * n_confs + c of each row belongs to job j at configuration
+        # c, so a batch gathers all four terms with one ``take`` and
+        # sums them with one reduction.
+        n_jobs, n_confs = self.bips.shape
+        ways = self.ways_by_config
+        # 0.5 is the exact half-way sentinel from the config table,
+        # never the result of arithmetic.
+        half = ways == 0.5  # repro: noqa[UNIT301]
+        table = np.empty((4, n_jobs, n_confs))
+        table[0] = np.log(np.maximum(self.bips * self.time_share, 1e-12))
+        table[1] = self.power
+        table[2] = np.where(half, 0.0, ways)
+        table[3] = half
+        object.__setattr__(self, "_table", table.reshape(4, -1))
+        object.__setattr__(self, "_offsets", np.arange(n_jobs) * n_confs)
 
     @property
     def n_jobs(self) -> int:
@@ -133,6 +162,43 @@ class SystemObjective:
             - self.penalty_cache * excess_ways
         )
 
+    def _column_sums(self, xs: np.ndarray) -> np.ndarray:
+        """Per-row sums of the four table terms, shape [4, k].
+
+        Each row still sums a contiguous run of ``n_jobs`` values, so
+        the sums are bit-identical to summing the gathered metric rows
+        one term at a time.
+        """
+        xs = np.asarray(xs, dtype=np.int64)
+        if xs.ndim != 2 or xs.shape[1] != self.n_jobs:
+            raise ValueError(
+                f"batch must be [k x {self.n_jobs}], got {xs.shape}"
+            )
+        # An index out of range would read another job's entry.  Viewed
+        # as unsigned, a negative index is huge, so one max bounds both.
+        if xs.size and xs.view(np.uint64).max() >= self.n_confs:
+            raise IndexError(
+                f"configuration indices must be in [0, {self.n_confs})"
+            )
+        return np.add.reduce(self._table.take(xs + self._offsets, axis=1),
+                             axis=2)
+
+    def _totals(self, sums: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Power and way totals from :meth:`_column_sums`' output."""
+        power = sums[1] + self.reserved_power
+        total_ways = sums[2] + np.ceil(sums[3] / 2.0) + self.reserved_ways
+        return power, total_ways
+
+    def constraint_totals(
+        self, xs: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Chip power and physical LLC ways of each row of ``xs``.
+
+        Both include the reservations; half-way holders pair up as in
+        :meth:`total_ways`.  Returns ``(power_w, total_ways)``.
+        """
+        return self._totals(self._column_sums(xs))
+
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         """Vectorised objective over ``xs`` of shape [k, n_jobs].
 
@@ -140,20 +206,9 @@ class SystemObjective:
         this is what makes the Python DDS/GA loops run in the
         millisecond range the paper reports for its parallel C++.
         """
-        xs = np.asarray(xs, dtype=int)
-        if xs.ndim != 2 or xs.shape[1] != self.n_jobs:
-            raise ValueError(
-                f"batch must be [k x {self.n_jobs}], got {xs.shape}"
-            )
-        cols = np.arange(self.n_jobs)[None, :]
-        bips = self.bips[cols, xs] * self.time_share
-        gmean = np.exp(np.mean(np.log(np.maximum(bips, 1e-12)), axis=1))
-        power = np.sum(self.power[cols, xs], axis=1) + self.reserved_power
-        ways = self.ways_by_config[xs]
-        # Exact half-way sentinel, as in total_ways above.
-        halves = np.sum(ways == 0.5, axis=1)  # repro: noqa[UNIT301]
-        whole = np.sum(np.where(ways == 0.5, 0.0, ways), axis=1)  # repro: noqa[UNIT301]
-        total_ways = whole + np.ceil(halves / 2.0) + self.reserved_ways
+        sums = self._column_sums(xs)
+        power, total_ways = self._totals(sums)
+        gmean = np.exp(sums[0] / self.n_jobs)
         return (
             gmean
             - self.penalty_power * np.maximum(0.0, power - self.max_power)

@@ -103,19 +103,13 @@ def classify_candidates(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised feasibility classification of decision vectors.
 
-    Mirrors :meth:`repro.core.objective.SystemObjective.evaluate_batch`'s
-    power/way arithmetic (including the 0.5 half-way pairing) over a
-    ``(n, n_dims)`` batch, duck-typed on the objective's public arrays
+    Takes the power and way totals of a ``(n, n_dims)`` batch from the
+    objective's own ``constraint_totals`` (the same arithmetic as its
+    ``evaluate_batch``, including the 0.5 half-way pairing), duck-typed
     so the telemetry layer needs no ``repro.core`` import.  Returns
     ``(power_w, total_ways, over_power, over_ways)``.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=int))
-    cols = np.arange(xs.shape[1])[None, :]
-    power = np.sum(objective.power[cols, xs], axis=1) + objective.reserved_power
-    ways = objective.ways_by_config[xs]
-    halves = np.sum(ways == 0.5, axis=1)  # repro: noqa[UNIT301]
-    whole = np.sum(np.where(ways == 0.5, 0.0, ways), axis=1)  # repro: noqa[UNIT301]
-    total_ways = whole + np.ceil(halves / 2.0) + objective.reserved_ways
+    power, total_ways = objective.constraint_totals(np.atleast_2d(xs))
     over_power = power > objective.max_power
     over_ways = total_ways > objective.max_ways + 1e-9
     return power, total_ways, over_power, over_ways

@@ -55,29 +55,6 @@ class TestSearchQuality:
 
 
 class TestContract:
-    def test_fixed_dimensions_respected(self):
-        objective = SeparableObjective(np.zeros(4, dtype=int), 108)
-        result = DDSSearch().search(
-            objective,
-            n_dims=4,
-            n_confs=108,
-            rng=np.random.default_rng(0),
-            fixed=[(1, 42), (3, 7)],
-        )
-        assert result.best_x[1] == 42
-        assert result.best_x[3] == 7
-
-    def test_all_dimensions_fixed(self):
-        objective = SeparableObjective(np.zeros(2, dtype=int), 108)
-        result = DDSSearch().search(
-            objective,
-            n_dims=2,
-            n_confs=108,
-            rng=np.random.default_rng(0),
-            fixed=[(0, 5), (1, 6)],
-        )
-        assert list(result.best_x) == [5, 6]
-
     def test_initial_seed_point_used(self):
         targets = np.array([50, 60, 70, 80])
         objective = SeparableObjective(targets, 108)

@@ -1,0 +1,201 @@
+"""Differential tests: the DDS fast paths against the arithmetic they replaced.
+
+``SystemObjective.evaluate_batch`` gathers from one stacked table and
+``DDSSearch._perturb_batch`` perturbs in place.  Both must give the
+same bits (``np.array_equal``, not ``allclose``) and leave the RNG in
+the same state as the straightforward versions kept here as reference
+oracles, or a seeded run would decide differently.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.dds import DDSSearch
+from repro.core.objective import SystemObjective
+from repro.sim.coreconfig import N_CORE_CONFIGS, N_JOINT_CONFIGS
+from repro.telemetry.provenance import classify_candidates
+
+
+def reference_constraint_totals(obj, xs):
+    """Power and way totals, gathering each metric on its own."""
+    cols = np.arange(obj.n_jobs)[None, :]
+    power = np.sum(obj.power[cols, xs], axis=1) + obj.reserved_power
+    ways = obj.ways_by_config[xs]
+    halves = np.sum(ways == 0.5, axis=1)
+    whole = np.sum(np.where(ways == 0.5, 0.0, ways), axis=1)
+    return power, whole + np.ceil(halves / 2.0) + obj.reserved_ways
+
+
+def reference_evaluate_batch(obj, xs):
+    """The batch objective computed term by term from the metric tables."""
+    cols = np.arange(obj.n_jobs)[None, :]
+    bips = obj.bips[cols, xs] * obj.time_share
+    gmean = np.exp(np.mean(np.log(np.maximum(bips, 1e-12)), axis=1))
+    power, total_ways = reference_constraint_totals(obj, xs)
+    return (
+        gmean
+        - obj.penalty_power * np.maximum(0.0, power - obj.max_power)
+        - obj.penalty_cache * np.maximum(0.0, total_ways - obj.max_ways)
+    )
+
+
+def reference_perturb_batch(local_x, prob, radii, n_confs, rng):
+    """Perturbation with fresh arrays and ``np.where`` at every step."""
+    n_threads, n_dims = local_x.shape
+    new_x = local_x.copy()
+    chosen = rng.random((n_threads, n_dims)) < prob
+    empty = ~chosen.any(axis=1)
+    if empty.any():
+        forced = rng.integers(0, n_dims, size=int(empty.sum()))
+        chosen[np.nonzero(empty)[0], forced] = True
+    steps = radii[:, None] * n_confs * rng.standard_normal((n_threads, n_dims))
+    values = new_x.astype(float)
+    values = np.where(chosen, values + steps, values)
+    upper = n_confs - 1
+    values = np.where(values < 0, -values, values)
+    values = np.where(values > upper, 2 * upper - values, values)
+    values = np.clip(values, 0, upper)
+    return np.rint(values).astype(int)
+
+
+@st.composite
+def objectives(draw):
+    """Random objectives over the three alphabets the searchers use."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_jobs = draw(st.integers(1, 20))
+    alphabet = draw(st.sampled_from(["joint", "flicker", "custom"]))
+    rng = np.random.default_rng(seed)
+    ways_by_config = None
+    n_confs = N_JOINT_CONFIGS
+    if alphabet == "flicker":
+        n_confs = N_CORE_CONFIGS
+        ways_by_config = np.zeros(N_CORE_CONFIGS)
+    elif alphabet == "custom":
+        n_confs = draw(st.integers(2, 40))
+        ways_by_config = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 4.0], n_confs)
+    bips = rng.uniform(0.0, 6.0, (n_jobs, n_confs))
+    # Zero throughput exercises the 1e-12 floor under the log.
+    bips[rng.random((n_jobs, n_confs)) < 0.05] = 0.0
+    power = rng.uniform(0.5, 6.0, (n_jobs, n_confs))
+    return SystemObjective(
+        bips=bips,
+        power=power,
+        max_power=draw(st.floats(1.0, 150.0)),
+        max_ways=draw(st.floats(1.0, 40.0)),
+        reserved_power=draw(st.floats(0.0, 40.0)),
+        reserved_ways=draw(st.floats(0.0, 8.0)),
+        penalty_power=draw(st.floats(0.0, 5.0)),
+        penalty_cache=draw(st.floats(0.0, 5.0)),
+        time_share=draw(st.floats(0.01, 1.0)),
+        ways_by_config=ways_by_config,
+    )
+
+
+class TestObjectiveTable:
+    @given(objectives(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_batch_bit_identical_to_reference(self, obj, k, seed):
+        xs = np.random.default_rng(seed).integers(
+            0, obj.n_confs, (k, obj.n_jobs)
+        )
+        assert np.array_equal(
+            obj.evaluate_batch(xs), reference_evaluate_batch(obj, xs)
+        )
+
+    @given(objectives(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_constraint_totals_bit_identical(self, obj, k, seed):
+        xs = np.random.default_rng(seed).integers(
+            0, obj.n_confs, (k, obj.n_jobs)
+        )
+        power, ways = obj.constraint_totals(xs)
+        ref_power, ref_ways = reference_constraint_totals(obj, xs)
+        assert np.array_equal(power, ref_power)
+        assert np.array_equal(ways, ref_ways)
+        classified = classify_candidates(obj, xs)
+        assert np.array_equal(classified[0], ref_power)
+        assert np.array_equal(classified[1], ref_ways)
+
+    @pytest.mark.parametrize("bad", [N_JOINT_CONFIGS, -1])
+    def test_out_of_range_index_rejected(self, bad):
+        rng = np.random.default_rng(0)
+        obj = SystemObjective(
+            bips=rng.uniform(1, 2, (3, N_JOINT_CONFIGS)),
+            power=rng.uniform(1, 2, (3, N_JOINT_CONFIGS)),
+            max_power=10.0, max_ways=32.0,
+        )
+        # Flattened, either index would silently read a neighbouring job.
+        xs = np.zeros((2, 3), dtype=int)
+        xs[1, 1] = bad
+        with pytest.raises(IndexError):
+            obj.evaluate_batch(xs)
+
+
+class TestPerturbation:
+    @given(
+        st.integers(1, 20), st.integers(1, 20), st.integers(2, 200),
+        st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_output_and_rng_state(
+        self, n_threads, n_dims, n_confs, prob, seed
+    ):
+        setup = np.random.default_rng(seed)
+        local_x = setup.integers(0, n_confs, (n_threads, n_dims))
+        radii = setup.choice([0.2, 0.3, 0.4, 0.5, 2.0], n_threads)
+        rng_new = np.random.default_rng(seed + 1)
+        rng_ref = np.random.default_rng(seed + 1)
+        got = DDSSearch._perturb_batch(
+            local_x, prob, radii[:, None] * n_confs, n_confs, rng_new
+        )
+        want = reference_perturb_batch(local_x, prob, radii, n_confs, rng_ref)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def controller_objective():
+    """A 16 x 108 objective shaped like the controller's, constraints binding."""
+    rng = np.random.default_rng(2020)
+    bips = rng.uniform(0.3, 6.0, (16, N_JOINT_CONFIGS))
+    power = rng.uniform(0.8, 5.5, (16, N_JOINT_CONFIGS))
+    return SystemObjective(
+        bips=bips, power=power * 0.75, max_power=60.0, max_ways=32.0,
+        reserved_power=20.0, reserved_ways=4.0, time_share=0.75,
+    )
+
+
+#: Expected searches, recorded before the fast paths replaced the
+#: reference arithmetic: (seed, best_x, best_objective, evaluations,
+#: sha256 of the float64 history bytes).
+PINNED_SEARCHES = [
+    (0, [42, 9, 73, 88, 7, 72, 85, 54, 68, 12, 81, 70, 35, 46, 5, 60],
+     4.4188109757483245, 6450,
+     "d29d006e51af80c84c05f4c88632a0f0f98a7ecfd93be7b138e8b22ec74942a3"),
+    (1, [47, 24, 21, 65, 36, 92, 52, 55, 74, 20, 53, 70, 55, 81, 5, 60],
+     4.42434996744094, 6450,
+     "eb2549ba6b80effba864844751fb2c2fc6585059e34aa54c6f3c31ee676086d0"),
+    (2, [57, 24, 65, 65, 95, 72, 9, 34, 74, 20, 53, 72, 70, 46, 62, 60],
+     4.440276262360099, 6450,
+     "06e26483b5a22aa42eb72abe75bccac623550e591924a3dd1b599be61f9b5779"),
+]
+
+
+def test_pinned_controller_shaped_searches():
+    objective = controller_objective()
+    for seed, best_x, best_objective, evaluations, history in PINNED_SEARCHES:
+        result = DDSSearch().search(
+            objective, n_dims=16, n_confs=N_JOINT_CONFIGS,
+            rng=np.random.default_rng(seed),
+        )
+        assert [int(v) for v in result.best_x] == best_x
+        assert result.best_objective == best_objective
+        assert result.evaluations == evaluations
+        digest = hashlib.sha256(
+            np.asarray(result.history, dtype=float).tobytes()
+        ).hexdigest()
+        assert digest == history

@@ -38,16 +38,6 @@ class TestSearchQuality:
 
 
 class TestContract:
-    def test_fixed_dimensions_respected(self):
-        result = GeneticSearch().search(
-            SeparableObjective(np.zeros(4, dtype=int)),
-            n_dims=4,
-            n_confs=108,
-            rng=np.random.default_rng(0),
-            fixed=[(2, 99)],
-        )
-        assert result.best_x[2] == 99
-
     def test_initial_seed_point(self):
         targets = np.array([10, 20, 30])
         result = GeneticSearch(GAParams(generations=1)).search(
