@@ -1,29 +1,25 @@
 """Snapshot-completeness rule (whole-program).
 
-PR 7's crash-safe resume promises that ``snapshot()`` → kill →
-``restore()`` → continue is byte-identical to an uninterrupted run.
-That promise is only as strong as snapshot *coverage*: a new
-``self.<attr>`` added to the controller, machine, injector, budget
-meter, or harness state that is mutated mid-run but never serialized
-resumes at its constructor default — a divergence no unit test sees
-until a chaos soak happens to kill at the wrong quantum.  SNAP701
-closes that gap statically: in any class defining a capture/restore
-method pair, every attribute mutated outside ``__init__`` must be
-mentioned by the pair (captured, restored, or deliberately reset).
+Crash-safe resume is byte-identical only if every field mutated
+mid-run round-trips through the snapshot; a forgotten one resumes at
+its constructor default — a divergence no unit test sees until a chaos
+soak happens to kill at the wrong quantum.  Stateful classes declare
+their fields once, in ``SNAPSHOT_FIELDS`` on a
+:class:`repro.snapshot.Snapshottable`, so SNAP701 checks that
+declaration: every attribute a declaring class mutates outside
+``__init__`` must be a key.  A class that hand-writes its own
+capture/restore pair bypasses the declaration and is flagged too.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set
+from typing import Iterator, Optional, Set
 
 from repro.analysis.engine import ProgramRule, Violation, register
-from repro.analysis.program import AttrWrite, ClassInfo, ProgramContext
+from repro.analysis.program import ClassInfo, ProgramContext
 
-#: Method names that capture state.  ``state()`` joins the canonical
-#: ``snapshot()`` because DecisionBudget uses the ``state``/``restore``
-#: spelling; a class only qualifies when it defines BOTH halves, so a
-#: lone ``state()`` accessor never drags a class into scope.
+#: Method names that capture / restore state.
 CAPTURE_METHODS = frozenset({"snapshot", "to_snapshot", "state"})
 RESTORE_METHODS = frozenset({"restore", "from_snapshot"})
 
@@ -32,29 +28,32 @@ RESTORE_METHODS = frozenset({"restore", "from_snapshot"})
 _INIT_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 
 
-def _mentioned_attrs(fn: ast.AST) -> Set[str]:
-    """Every ``self.<attr>`` touched (read or written) inside ``fn``."""
-    out: Set[str] = set()
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            out.add(node.attr)
-    return out
+def _declared_fields(cls: ClassInfo) -> Optional[Set[str]]:
+    """String keys of the class body's ``SNAPSHOT_FIELDS`` literal
+    (None when the class declares none)."""
+    for stmt in cls.node.body:
+        target = stmt.targets[0] if isinstance(stmt, ast.Assign) else (
+            stmt.target if isinstance(stmt, ast.AnnAssign) else None
+        )
+        if isinstance(target, ast.Name) and target.id == "SNAPSHOT_FIELDS":
+            keys = getattr(stmt.value, "keys", [])
+            return {
+                k.value for k in keys
+                if isinstance(k, ast.Constant) and isinstance(k.value, str)
+            }
+    return None
 
 
 @register
 class SnapshotCompletenessRule(ProgramRule):
     id = "SNAP701"
-    title = "mutated attribute missing from the snapshot/restore pair"
+    title = "mutated attribute missing from SNAPSHOT_FIELDS"
     rationale = (
         "Crash-safe resume (docs/robustness.md) is byte-identical only "
-        "if every mid-run mutation round-trips through the class's "
-        "snapshot/restore pair; a field the pair never mentions resumes "
-        "at its constructor default and silently diverges after the "
-        "first kill."
+        "if every mid-run mutation round-trips through the snapshot; a "
+        "field SNAPSHOT_FIELDS omits resumes at its constructor default "
+        "and silently diverges after the first kill, and a hand-written "
+        "snapshot/restore pair has no declaration to check."
     )
 
     def check_program(self, program: ProgramContext) -> Iterator[Violation]:
@@ -62,52 +61,40 @@ class SnapshotCompletenessRule(ProgramRule):
             cls = program.classes[qual]
             capture = sorted(set(cls.methods) & CAPTURE_METHODS)
             restore = sorted(set(cls.methods) & RESTORE_METHODS)
-            if not capture or not restore:
-                continue
-            yield from self._check_class(program, cls, capture, restore)
-
-    def _check_class(
-        self,
-        program: ProgramContext,
-        cls: ClassInfo,
-        capture: List[str],
-        restore: List[str],
-    ) -> Iterator[Violation]:
-        pair_methods = set(capture) | set(restore)
-        covered: Set[str] = set()
-        for method in sorted(pair_methods):
-            fn = program.functions[cls.methods[method]]
-            covered |= _mentioned_attrs(fn.node)
-        exempt = pair_methods | _INIT_METHODS
-        mutated: Dict[str, AttrWrite] = {}
-        for attr in sorted(cls.attr_writes):
-            if attr in covered:
-                continue
-            for write in cls.attr_writes[attr]:
-                method_name = (
-                    write.method.rsplit(".", 1)[-1]
-                    if write.method is not None else ""
+            is_base = (cls.module, cls.name) == ("repro.snapshot", "Snapshottable")
+            if capture and restore and not is_base:
+                yield Violation(
+                    path=cls.path, line=cls.line, col=0, rule=self.id,
+                    message=(
+                        f"{cls.name} hand-writes {capture[0]}()/"
+                        f"{restore[0]}(); subclass repro.snapshot."
+                        "Snapshottable and declare SNAPSHOT_FIELDS instead"
+                    ),
                 )
-                if write.kind != "external" and method_name in exempt:
+            declared = _declared_fields(cls)
+            if declared is not None:
+                yield from self._check_declaration(cls, declared)
+
+    def _check_declaration(
+        self, cls: ClassInfo, declared: Set[str]
+    ) -> Iterator[Violation]:
+        for attr in sorted(set(cls.attr_writes) - declared):
+            for write in cls.attr_writes[attr]:
+                method_name = (write.method or "").rsplit(".", 1)[-1]
+                if write.kind != "external" and method_name in _INIT_METHODS:
                     continue
-                mutated.setdefault(attr, write)
+                where = (
+                    f"in {write.method}" if write.method is not None
+                    else "at class scope"
+                )
+                yield Violation(
+                    path=write.path, line=write.line, col=write.col,
+                    rule=self.id,
+                    message=(
+                        f"{cls.name}.{attr} is mutated {where} but missing "
+                        f"from {cls.name}.SNAPSHOT_FIELDS; a crash-resume "
+                        "silently resets it — declare it (Transient() if "
+                        "restore should reset it)"
+                    ),
+                )
                 break
-        pair_label = f"{capture[0]}()/{restore[0]}()"
-        for attr in sorted(mutated):
-            write = mutated[attr]
-            where = (
-                f"in {write.method}" if write.method is not None
-                else "at class scope"
-            )
-            yield Violation(
-                path=write.path,
-                line=write.line,
-                col=write.col,
-                rule=self.id,
-                message=(
-                    f"{cls.name}.{attr} is mutated {where} but never "
-                    f"mentioned by {cls.name}.{pair_label}; a crash-"
-                    "resume silently resets it — capture it, restore "
-                    "it, or reset it explicitly in restore()"
-                ),
-            )

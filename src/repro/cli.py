@@ -87,6 +87,7 @@ from repro.experiments.harness import (
     run_policy,
 )
 from repro.fleet import CheckpointError, FleetError
+from repro.snapshot import SnapshotError
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
 
@@ -227,16 +228,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         import json
-        import os
 
-        tmp = args.save_state + ".tmp"
+        from repro.snapshot import atomic_write_text
+
         try:
-            with open(tmp, "w") as handle:
-                json.dump(run.resume_state, handle, sort_keys=True)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, args.save_state)
+            atomic_write_text(
+                args.save_state,
+                json.dumps(run.resume_state, sort_keys=True) + "\n",
+            )
         except OSError as exc:
             print(f"error: cannot write {args.save_state}: {exc}",
                   file=sys.stderr)
@@ -1559,7 +1558,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except CheckpointError as exc:
+    except (CheckpointError, SnapshotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FleetError as exc:

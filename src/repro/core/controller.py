@@ -46,6 +46,7 @@ from repro.telemetry.provenance import (
 )
 from repro.telemetry.tracer import Tracer, tracer_of
 from repro.core.matrices import (
+    MATRIX,
     ObservedMatrix,
     latency_training_rows,
     power_rows,
@@ -64,11 +65,15 @@ from repro.sim.machine import (
     LCAllocation,
     Machine,
     ProfilingSample,
+    ASSIGNMENT,
+    JOINT,
     SliceMeasurement,
-    assignment_from_state,
-    assignment_state,
 )
 from repro.sim.perf import AppProfile
+from repro.snapshot import (
+    BOOL, FLOAT, INT, RNG, Array, Map, Nested, Opt, Seq, Snapshottable,
+    Transient, Tup,
+)
 from repro.workloads.latency_critical import LC_SERVICE_NAMES, service_variants
 
 #: Load grid used to bucket latency observations and training rows.
@@ -266,41 +271,42 @@ class ReconstructionSnapshot:
     lc: Tuple[LCRegimeSnapshot, ...]
 
 
-def _matrix_state(matrix: ObservedMatrix) -> Dict[str, Any]:
-    """JSONable form of an :class:`ObservedMatrix` for snapshots.
+#: A latency regime key: (service, load bucket, cores).
+REGIME = Tup(INT, FLOAT, INT)
 
-    Values travel as nested lists; float ``repr`` round-trips exactly
-    through JSON, so a restored matrix reconstructs bit-identically.
+
+class ResourceController(Snapshottable):
+    """Online decision maker for one machine's jobs.
+
+    Snapshots carry all state that shapes future decisions; wall-clock
+    ``timings`` sit outside the determinism contract, and a completed
+    quantum's prediction is never read again, so restore resets it.
     """
-    return {
-        "n_rows": matrix.n_rows,
-        "n_cols": matrix.n_cols,
-        "values": matrix.values.tolist(),
-        "mask": matrix.mask.tolist(),
-        "age": matrix.age.tolist(),
-        "known_rows": matrix.known_rows.tolist(),
+
+    SNAPSHOT_FIELDS = {
+        "_rng": RNG,
+        "lc_cores_by_service": Seq(INT),
+        "_last_assignment": Opt(ASSIGNMENT),
+        "last_good_assignment": Opt(ASSIGNMENT),
+        "_last_x": Opt(Array(int)),
+        "_rejections_this_quantum": INT,
+        "_bad_quanta_streak": INT,
+        "_safe_mode_remaining": INT,
+        "_last_profile_powers": Opt(Seq(FLOAT, tuple)),
+        "_reconfig_fail_streak": Array(int),
+        "_quarantine": Array(int),
+        "_quarantine_config": Seq(Opt(JOINT)),
+        "_job_active": Seq(BOOL),
+        "_bips_matrix": MATRIX,
+        "_power_matrix": MATRIX,
+        "_latency_matrices": Map(MATRIX, key=REGIME),
+        "_latency_evidence": Map(Seq(INT, set), key=REGIME),
+        "budget": Nested(),
+        "deadline_degraded_quantum": BOOL,
+        "last_prediction": Transient(),
+        "last_reconstruction": Transient(),
+        "_rungs_this_quantum": Transient(list),
     }
-
-
-def _restore_matrix(matrix: ObservedMatrix, state: Dict[str, Any]) -> None:
-    """Overwrite ``matrix`` in place from :func:`_matrix_state` output."""
-    if (matrix.n_rows, matrix.n_cols) != (
-        int(state["n_rows"]), int(state["n_cols"])
-    ):
-        raise ValueError("matrix shape mismatch in controller snapshot")
-    matrix.values = np.asarray(state["values"], dtype=float)
-    matrix.mask = np.asarray(state["mask"], dtype=bool)
-    matrix.age = np.asarray(state["age"], dtype=int)
-    matrix.known_rows = np.asarray(state["known_rows"], dtype=bool)
-
-
-def _regime_key(raw: Sequence[Any]) -> Tuple[int, float, int]:
-    """A latency-regime key (service, load bucket, cores) from JSON."""
-    return int(raw[0]), float(raw[1]), int(raw[2])
-
-
-class ResourceController:
-    """Online decision maker for one machine's jobs."""
 
     def __init__(
         self,
@@ -946,7 +952,7 @@ class ResourceController:
             self._tick_quarantine()
             if self._update_safe_mode():
                 assignment = self._apply_job_mask(
-                    self._safe_mode_assignment()
+                    self._conservative_assignment(CACHE_ALLOCS[0])
                 )
                 self._emit_provenance({
                     "mode": "safe_mode",
@@ -1066,8 +1072,9 @@ class ResourceController:
                     })
                     return assignment
                 else:
+                    self._degradation_rung("fair_share")
                     assignment = self._apply_job_mask(
-                        self._deadline_fair_share_assignment()
+                        self._conservative_assignment(None)
                     )
                     self._emit_provenance({
                         "mode": "fair_share",
@@ -1275,29 +1282,43 @@ class ResourceController:
         """Whether the controller is currently serving safe mode."""
         return self._safe_mode_remaining > 0
 
-    def _safe_mode_assignment(self) -> Assignment:
-        """The distrust-everything fallback decision.
+    def _conservative_assignment(
+        self, batch_ways: Optional[float]
+    ) -> Assignment:
+        """The no-prediction fallback of safe mode and deadline rung 3.
 
-        QoS priority: every LC service keeps its current cores on the
-        conservative widest configuration with the full cache
-        allocation; batch jobs run the narrowest core with the minimum
-        cache share (lowest power draw without gating work outright).
-        If the LLC cannot cover every allocation, batch jobs are gated
-        from the tail until it can.
+        QoS priority: every LC service keeps its cores on the widest
+        configuration with the full cache allocation; batch jobs run the
+        narrowest core with ``batch_ways`` each — safe mode passes the
+        minimum share (lowest power without gating work outright), rung
+        3 passes None to split the ways left after the LC reservation
+        evenly.  Batch jobs are gated from the tail until the LLC covers
+        every allocation.
         """
         p = self.machine.params
         conservative = JointConfig(CoreConfig.widest(), CACHE_ALLOCS[-1])
-        narrow = JointConfig(CoreConfig.narrowest(), CACHE_ALLOCS[0])
-        lc_cores = self.lc_cores_by_service[0]
         lc_ways = conservative.cache_ways * sum(
             1 for c in self.lc_cores_by_service if c > 0
         )
-        # Two half-way batch jobs share one physical way.
-        budget_jobs = max(0, int((p.llc_ways - lc_ways) * 2))
+        free_ways = max(0.0, p.llc_ways - lc_ways)
+        if batch_ways is None:
+            share = free_ways / max(1, self.n_batch)
+            batch_ways = CACHE_ALLOCS[0]
+            for candidate in CACHE_ALLOCS:
+                if candidate <= share:
+                    batch_ways = max(batch_ways, candidate)
+        batch = JointConfig(CoreConfig.narrowest(), batch_ways)
+        # Half-way shares are the exact sentinel 0.5, never computed;
+        # two half-way holders share one physical way.
+        if batch.cache_ways == 0.5:  # repro: noqa[UNIT301]
+            budget_jobs = int(free_ways * 2)
+        else:
+            budget_jobs = int(free_ways // batch.cache_ways)
         configs: List[Optional[JointConfig]] = [
-            narrow if j < budget_jobs else None
+            batch if j < budget_jobs else None
             for j in range(self.n_batch)
         ]
+        lc_cores = self.lc_cores_by_service[0]
         assignment = Assignment(
             lc_cores=lc_cores,
             lc_config=conservative if lc_cores > 0 else None,
@@ -1351,55 +1372,6 @@ class ResourceController:
         self.lc_cores_by_service = [
             cores for cores, _ in assignment.lc_allocations()
         ]
-        return assignment
-
-    def _deadline_fair_share_assignment(self) -> Assignment:
-        """Degradation rung 3: a static fair-share assignment.
-
-        Taken when the budget cannot even fund the reduced search and
-        no previous assignment exists (cold start under extreme
-        pressure).  Every LC service keeps its cores on the
-        conservative widest configuration; the LLC ways left after the
-        LC reservation are split evenly across the batch jobs on the
-        narrowest core, gating the tail if the cache cannot cover
-        everyone.
-        """
-        self._degradation_rung("fair_share")
-        p = self.machine.params
-        conservative = JointConfig(CoreConfig.widest(), CACHE_ALLOCS[-1])
-        lc_ways = conservative.cache_ways * sum(
-            1 for c in self.lc_cores_by_service if c > 0
-        )
-        free_ways = max(0.0, p.llc_ways - lc_ways)
-        share = free_ways / max(1, self.n_batch)
-        fair_ways = CACHE_ALLOCS[0]
-        for candidate in CACHE_ALLOCS:
-            if candidate <= share:
-                fair_ways = max(fair_ways, candidate)
-        fair = JointConfig(CoreConfig.narrowest(), fair_ways)
-        # Half-way shares are the exact sentinel 0.5, never computed;
-        # two half-way holders share one physical way.
-        if fair.cache_ways == 0.5:  # repro: noqa[UNIT301]
-            budget_jobs = int(free_ways * 2)
-        else:
-            budget_jobs = int(free_ways // fair.cache_ways)
-        configs: List[Optional[JointConfig]] = [
-            fair if j < budget_jobs else None
-            for j in range(self.n_batch)
-        ]
-        lc_cores = self.lc_cores_by_service[0]
-        assignment = Assignment(
-            lc_cores=lc_cores,
-            lc_config=conservative if lc_cores > 0 else None,
-            batch_configs=tuple(configs),
-            extra_lc=tuple(
-                LCAllocation(cores=cores, config=conservative)
-                for cores in self.lc_cores_by_service[1:]
-            ),
-        )
-        self.last_prediction = None
-        self.last_reconstruction = None
-        self._last_assignment = assignment
         return assignment
 
     def _predict_assignment(
@@ -1701,146 +1673,3 @@ class ResourceController:
             )
             configs[hungriest] = None
         return configs
-
-    # ------------------------------------------------------------------
-    # Crash-safe snapshots (docs/robustness.md).
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSONable mutable state for crash-safe checkpoints.
-
-        Captures every piece of state that shapes future decisions:
-        the sampled metric matrices, the latency-evidence ledger, the
-        RNG stream, the safe-mode and quarantine machines, the
-        last-known-good cache and the deadline meter.  Wall-clock
-        ``timings`` and the per-quantum prediction snapshots are
-        excluded: timings sit outside the determinism contract, and a
-        completed quantum's prediction/reconstruction is never read
-        again once the next decision starts.  Restoring into a freshly
-        constructed controller replays the run bit-exactly.
-        """
-        return {
-            "version": 1,
-            "rng": self._rng.bit_generator.state,
-            "lc_cores_by_service": list(self.lc_cores_by_service),
-            "last_assignment": assignment_state(self._last_assignment),
-            "last_good_assignment": assignment_state(
-                self.last_good_assignment
-            ),
-            "last_x": (
-                [int(v) for v in self._last_x]
-                if self._last_x is not None
-                else None
-            ),
-            "rejections_this_quantum": int(self._rejections_this_quantum),
-            "bad_quanta_streak": int(self._bad_quanta_streak),
-            "safe_mode_remaining": int(self._safe_mode_remaining),
-            "last_profile_powers": (
-                list(self._last_profile_powers)
-                if self._last_profile_powers is not None
-                else None
-            ),
-            "reconfig_fail_streak": [
-                int(v) for v in self._reconfig_fail_streak
-            ],
-            "quarantine": [int(v) for v in self._quarantine],
-            "quarantine_config": [
-                cfg.index if cfg is not None else None
-                for cfg in self._quarantine_config
-            ],
-            "job_active": [bool(v) for v in self._job_active],
-            "bips_matrix": _matrix_state(self._bips_matrix),
-            "power_matrix": _matrix_state(self._power_matrix),
-            "latency_matrices": [
-                {
-                    "key": list(key),
-                    "matrix": _matrix_state(self._latency_matrices[key]),
-                }
-                for key in sorted(self._latency_matrices)
-            ],
-            "latency_evidence": [
-                {
-                    "key": list(key),
-                    "configs": sorted(
-                        int(c) for c in self._latency_evidence[key]
-                    ),
-                }
-                for key in sorted(self._latency_evidence)
-            ],
-            "budget": self.budget.state(),
-            "deadline_degraded_quantum": bool(self.deadline_degraded_quantum),
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Restore the state captured by :meth:`snapshot`.
-
-        The controller must have been constructed against the same
-        machine, training set, and configuration as the snapshotted one
-        (that part of its state is deterministic); only the mutable
-        runtime state is overwritten.
-        """
-        if state.get("version") != 1:
-            raise ValueError(
-                "unsupported controller snapshot version "
-                f"{state.get('version')!r}"
-            )
-        self._rng.bit_generator.state = state["rng"]
-        self.lc_cores_by_service = [
-            int(v) for v in state["lc_cores_by_service"]
-        ]
-        self._last_assignment = assignment_from_state(
-            state["last_assignment"]
-        )
-        self.last_good_assignment = assignment_from_state(
-            state["last_good_assignment"]
-        )
-        last_x = state["last_x"]
-        self._last_x = (
-            np.asarray(last_x, dtype=int) if last_x is not None else None
-        )
-        self._rejections_this_quantum = int(state["rejections_this_quantum"])
-        self._bad_quanta_streak = int(state["bad_quanta_streak"])
-        self._safe_mode_remaining = int(state["safe_mode_remaining"])
-        powers = state["last_profile_powers"]
-        self._last_profile_powers = (
-            tuple(float(v) for v in powers) if powers is not None else None
-        )
-        self._reconfig_fail_streak = np.asarray(
-            state["reconfig_fail_streak"], dtype=int
-        )
-        self._quarantine = np.asarray(state["quarantine"], dtype=int)
-        self._quarantine_config = [
-            JointConfig.from_index(int(i)) if i is not None else None
-            for i in state["quarantine_config"]
-        ]
-        # Pre-occupancy snapshots (before live job add/remove existed)
-        # carry no mask: every slot was live by construction.
-        self._job_active = [
-            bool(v)
-            for v in state.get("job_active", [True] * self.n_batch)
-        ]
-        _restore_matrix(self._bips_matrix, state["bips_matrix"])
-        _restore_matrix(self._power_matrix, state["power_matrix"])
-        self._latency_matrices = {}
-        for entry in state["latency_matrices"]:
-            shape = entry["matrix"]
-            matrix = ObservedMatrix(
-                int(shape["n_rows"]), int(shape["n_cols"])
-            )
-            _restore_matrix(matrix, entry["matrix"])
-            self._latency_matrices[_regime_key(entry["key"])] = matrix
-        self._latency_evidence = {
-            _regime_key(entry["key"]): {int(c) for c in entry["configs"]}
-            for entry in state["latency_evidence"]
-        }
-        self.budget.restore(state["budget"])
-        self.deadline_degraded_quantum = bool(
-            state["deadline_degraded_quantum"]
-        )
-        # A completed quantum's prediction snapshots are never read
-        # after the next decide() begins; a resumed run starts at a
-        # quantum boundary, so they restart empty — as does the
-        # per-decision provenance rung trail (no decision in flight).
-        self.last_prediction = None
-        self.last_reconstruction = None
-        self._rungs_this_quantum = []

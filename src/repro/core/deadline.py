@@ -18,13 +18,15 @@ auditor as the ``deadline_degraded`` QoS-violation cause.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
+
+from repro.snapshot import INT, Map, Match, Snapshottable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.dds import DDSParams
 
 
-class DecisionBudget:
+class DecisionBudget(Snapshottable):
     """Per-quantum operation budget for one controller's decision loop.
 
     ``limit`` is the number of metered operations (SGD iterations plus
@@ -33,8 +35,18 @@ class DecisionBudget:
     reconstructor and the searcher through their ``budget`` hook — the
     same wiring pattern as their telemetry ``tracer`` — so nested uses
     (e.g. latency reconstructions inside the LC scan) are captured
-    without the controller enumerating call sites.
+    without the controller enumerating call sites.  The limit comes
+    from the controller's configuration; a snapshot taken under another
+    limit is rejected.
     """
+
+    SNAPSHOT_FIELDS = {
+        "limit": Match("decision budget"),
+        "spent": INT,
+        "total_spent": INT,
+        "quanta": INT,
+        "spent_by_phase": Map(INT),
+    }
 
     def __init__(self, limit: Optional[int] = None) -> None:
         if limit is not None and limit < 1:
@@ -88,32 +100,6 @@ class DecisionBudget:
         if self.limit is None:
             return None
         return max(0, self.limit - self.spent)
-
-    def state(self) -> Dict[str, Any]:
-        """JSONable meter state for controller snapshots."""
-        return {
-            "spent": self.spent,
-            "total_spent": self.total_spent,
-            "quanta": self.quanta,
-            "by_phase": {
-                phase: self.spent_by_phase[phase]
-                for phase in sorted(self.spent_by_phase)
-            },
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Restore the meter from :meth:`state` (limit comes from config).
-
-        ``by_phase`` is tolerated as absent so pre-phase snapshots stay
-        loadable.
-        """
-        self.spent = int(state["spent"])
-        self.total_spent = int(state["total_spent"])
-        self.quanta = int(state["quanta"])
-        self.spent_by_phase = {
-            str(phase): int(units)
-            for phase, units in dict(state.get("by_phase", {})).items()
-        }
 
 
 def dds_search_cost(params: "DDSParams", seeded: bool) -> int:

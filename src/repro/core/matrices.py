@@ -21,6 +21,7 @@ import numpy as np
 from repro.sim.coreconfig import N_JOINT_CONFIGS, JointConfig
 from repro.sim.perf import AppProfile, PerformanceModel
 from repro.sim.power import PowerModel
+from repro.snapshot import ARRAY, Array, Match, Record
 from repro.workloads.latency_critical import LCService
 
 
@@ -112,6 +113,19 @@ class ObservedMatrix:
         out.age = self.age.copy()
         out.known_rows = self.known_rows.copy()
         return out
+
+
+#: Snapshot codec of an :class:`ObservedMatrix`; restoring into an
+#: existing matrix rejects a snapshot of another shape.
+MATRIX = Record(
+    ObservedMatrix,
+    n_rows=Match("matrix rows"),
+    n_cols=Match("matrix columns"),
+    values=ARRAY,
+    mask=Array(bool),
+    age=Array(int),
+    known_rows=Array(bool),
+)
 
 
 def throughput_rows(

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
-    Any,
-    Dict,
     Optional,
     Protocol,
     Sequence,
@@ -27,6 +25,7 @@ from repro.core.controller import (
     ResourceController,
 )
 from repro.sim.machine import Assignment, Machine, SliceMeasurement
+from repro.snapshot import Nested, Snapshottable
 from repro.workloads.batch import batch_profile, train_test_split
 from repro.workloads.latency_critical import make_services
 
@@ -55,17 +54,20 @@ class Policy(Protocol):
         ...
 
 
-class CuttleSysPolicy:
+class CuttleSysPolicy(Snapshottable):
     """The paper's system: SGD reconstruction + DDS search per quantum.
 
     Overhead accounting: 2 ms of profiling per 100 ms quantum (the jobs
     keep running, but in the two extreme sampling configurations) plus
     the reconfiguration transient — about 2 % of batch throughput,
-    consistent with Table II.
+    consistent with Table II.  Its snapshot is the controller's, so a
+    paused run resumes byte-identically.
     """
 
     name = "cuttlesys"
     overhead_fraction = 0.021
+
+    SNAPSHOT_FIELDS = {"controller": Nested()}
 
     def __init__(self, controller: ResourceController) -> None:
         self.controller = controller
@@ -143,17 +145,6 @@ class CuttleSysPolicy:
     def on_job_replaced(self, job: int) -> None:
         """A batch job completed; treat its replacement as unseen (§V)."""
         self.controller.reset_job(job)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Serialize the policy's mutable state (controller matrices,
-        RNG, guard streaks, budget meter) for crash-safe resume."""
-        return {"controller": self.controller.snapshot()}
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Restore state captured by :meth:`snapshot` at a quantum
-        boundary; the resumed run is byte-identical to an
-        uninterrupted one."""
-        self.controller.restore(state["controller"])
 
     def run(
         self,

@@ -47,7 +47,6 @@ from repro.experiments.reporting import format_table
 from repro.faults import FaultInjector, scenario_by_name
 from repro.fleet import WorkUnit, run_grid, telemetry_records
 from repro.logs import get_logger
-from repro.sim.machine import measurement_state
 from repro.telemetry import Telemetry
 from repro.telemetry.live import LiveAggregator
 from repro.workloads.loadgen import LoadTrace
@@ -101,23 +100,12 @@ class ChaosOutcome:
 
 
 def _run_canonical_bytes(run: PolicyRun) -> str:
-    """Canonical JSON of everything a run measured.
+    """Canonical JSON of everything a run measured (its snapshot).
 
     Shortest-repr float serialisation round-trips exactly, so two runs
     agree on this string iff they agree on every measurement bit.
     """
-    return json.dumps(
-        {
-            "measurements": [
-                measurement_state(m) for m in run.measurements
-            ],
-            "loads": list(run.loads),
-            "budgets": list(run.budgets),
-            "degraded_quanta": run.degraded_quanta,
-            "churn_events": [list(e) for e in run.churn_events],
-        },
-        sort_keys=True,
-    )
+    return json.dumps(run.snapshot(), sort_keys=True)
 
 
 def _walk_nonfinite(value: Any, path: str, bad: List[str]) -> None:
@@ -273,6 +261,11 @@ def _chaos_cell(
         resumed_identical = False
     else:
         paused_meter = paused.resume_state["policy"]["controller"]["budget"]
+        # The killed process is gone: resume into a run rebuilt from
+        # the same arguments, as a restarted process would.
+        machine2, policy2, faults2 = _build_arm(
+            mix, seed, budget, scenario_name, None
+        )
         resumed = run_policy(
             machine2, policy2, trace,
             power_cap_fraction=cap, n_slices=n_slices,

@@ -8,6 +8,8 @@ accounts the policy's scheduling overheads against batch throughput.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -16,14 +18,16 @@ import numpy as np
 
 from repro.logs import get_logger
 from repro.sim.machine import (
+    MEASUREMENT,
     Machine,
     MachineParams,
     SliceMeasurement,
-    measurement_from_state,
-    measurement_state,
 )
 from repro.sim.perf import PerformanceModel
 from repro.sim.power import PowerModel
+from repro.snapshot import (
+    FLOAT, INT, RNG, STR, Match, Nested, Seq, Snapshottable, Tup,
+)
 from repro.telemetry.live import current_emitter
 from repro.telemetry.metrics import DecisionRecord
 from repro.telemetry.tracer import tracer_of
@@ -82,8 +86,17 @@ def reference_power_for_mix(
 
 
 @dataclass
-class PolicyRun:
-    """Everything measured over one policy execution."""
+class PolicyRun(Snapshottable):
+    """Everything measured over one policy execution (the snapshot
+    carries what the quantum loop appends to)."""
+
+    SNAPSHOT_FIELDS = {
+        "degraded_quanta": INT,
+        "churn_events": Seq(Tup(INT, INT, STR)),
+        "loads": Seq(FLOAT),
+        "budgets": Seq(FLOAT),
+        "measurements": Seq(MEASUREMENT),
+    }
 
     policy_name: str
     power_budget_w: float
@@ -298,86 +311,7 @@ def _record_decision(telemetry, quantum: int, policy,
     ))
 
 
-def _capture_harness_state(
-    machine: Machine,
-    policy,
-    run: PolicyRun,
-    next_slice: int,
-    load_estimate: float,
-    extra_estimates: Tuple[float, ...],
-    churn_rng: np.random.Generator,
-    faults,
-) -> Dict[str, Any]:
-    """Everything needed to resume the quantum loop at ``next_slice``.
-
-    The machine may be a :class:`~repro.faults.injector.FaultyMachine`;
-    ``snapshot`` delegates to the wrapped machine, and the injector's
-    own state travels under ``"faults"``.
-    """
-    return {
-        "version": 1,
-        "next_slice": next_slice,
-        "load_estimate": load_estimate,
-        "extra_estimates": list(extra_estimates),
-        "churn_rng": churn_rng.bit_generator.state,
-        "machine": machine.snapshot(),
-        "policy": policy.snapshot(),
-        "faults": faults.snapshot() if faults is not None else None,
-        "run": {
-            "degraded_quanta": run.degraded_quanta,
-            "churn_events": [list(event) for event in run.churn_events],
-            "loads": list(run.loads),
-            "budgets": list(run.budgets),
-            "measurements": [
-                measurement_state(m) for m in run.measurements
-            ],
-        },
-    }
-
-
-def _restore_harness_state(
-    state: Dict[str, Any],
-    machine: Machine,
-    policy,
-    run: PolicyRun,
-    churn_rng: np.random.Generator,
-    faults,
-) -> Tuple[int, float, Tuple[float, ...]]:
-    """Inverse of :func:`_capture_harness_state`.
-
-    Returns ``(next_slice, load_estimate, extra_estimates)``.
-    """
-    if state.get("version") != 1:
-        raise ValueError(
-            f"unsupported harness resume-state version: "
-            f"{state.get('version')!r}"
-        )
-    machine.restore(state["machine"])
-    policy.restore(state["policy"])
-    if state["faults"] is not None:
-        if faults is None:
-            raise ValueError(
-                "resume state carries fault-injector state but no "
-                "injector was passed"
-            )
-        faults.restore(state["faults"])
-    churn_rng.bit_generator.state = state["churn_rng"]
-    saved = state["run"]
-    run.degraded_quanta = int(saved["degraded_quanta"])
-    run.churn_events = [tuple(event) for event in saved["churn_events"]]
-    run.loads = [float(v) for v in saved["loads"]]
-    run.budgets = [float(v) for v in saved["budgets"]]
-    run.measurements = [
-        measurement_from_state(m) for m in saved["measurements"]
-    ]
-    return (
-        int(state["next_slice"]),
-        float(state["load_estimate"]),
-        tuple(float(v) for v in state["extra_estimates"]),
-    )
-
-
-class QuantumStepper:
+class QuantumStepper(Snapshottable):
     """Resumable stepwise iterator over the decision-quantum loop.
 
     One :meth:`step` call executes exactly one decision quantum —
@@ -387,10 +321,24 @@ class QuantumStepper:
     ``repro.server`` daemon) instead hold a stepper and tick it one
     quantum at a time, interleaving job submissions between steps.
 
-    ``snapshot``/``restore`` wrap the harness's crash-safe state
-    capture: a stepper restored from a snapshot continues the quantum
-    sequence byte-identically to one that was never paused.
+    A stepper restored from a snapshot continues the quantum sequence
+    byte-identically to one that was never paused.  Each snapshot
+    carries the ``origin``, the sha256 of the stepper's canonical
+    snapshot at construction, so a snapshot restored into a stepper
+    built from other arguments (mix, seed, load, faults) is rejected.
     """
+
+    SNAPSHOT_FIELDS = {
+        "origin": Match("run origin"),
+        "next_slice": INT,
+        "load_estimate": FLOAT,
+        "extra_estimates": Seq(FLOAT, tuple),
+        "churn_rng": RNG,
+        "machine": Nested(),
+        "policy": Nested(),
+        "faults": Nested(),
+        "run": Nested(),
+    }
 
     def __init__(
         self,
@@ -483,35 +431,19 @@ class QuantumStepper:
             t.load_at(0.0) for t in self.extra_traces
         )
         self.next_slice = 0
+        #: Digest of this stepper's fresh state (None for policies
+        #: without snapshots, which cannot pause either).
+        self.origin: Optional[str] = None
+        if isinstance(policy, Snapshottable):
+            canonical = json.dumps(
+                self.snapshot(), sort_keys=True, separators=(",", ":")
+            )
+            self.origin = hashlib.sha256(canonical.encode()).hexdigest()
 
     @property
     def done(self) -> bool:
         """True once every quantum has executed."""
         return self.next_slice >= self.n_slices
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSONable state resuming the loop at ``next_slice``.
-
-        Covers ``next_slice``, ``load_estimate`` and
-        ``extra_estimates`` alongside the machine/policy/fault-injector
-        snapshots and the accumulated ``run`` measurements.
-        """
-        return _capture_harness_state(
-            self.machine, self.policy, self.run, self.next_slice,
-            self.load_estimate, self.extra_estimates, self.churn_rng,
-            self.faults,
-        )
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Inverse of :meth:`snapshot` (same construction arguments)."""
-        (
-            self.next_slice,
-            self.load_estimate,
-            self.extra_estimates,
-        ) = _restore_harness_state(
-            state, self.machine, self.policy, self.run, self.churn_rng,
-            self.faults,
-        )
 
     def step(self) -> SliceMeasurement:
         """Execute exactly one decision quantum; returns its measurement."""
@@ -797,18 +729,18 @@ def run_policy(
     executes quanta ``0..k-1``, captures the full loop state (machine,
     policy, fault injector, churn RNG, accumulated measurements) in the
     returned run's :attr:`PolicyRun.resume_state`, and returns early.
-    Passing that dict back via ``resume_state=`` — with the *same*
-    machine/policy/trace arguments — continues at quantum ``k``; the
-    completed resumed run is byte-identical to an uninterrupted one.
-    Both require a policy exposing ``snapshot``/``restore``
-    (:class:`repro.core.runtime.CuttleSysPolicy` does).
+    Passing that dict back via ``resume_state=`` to a run freshly built
+    from the *same* machine/policy/trace/fault arguments continues at
+    quantum ``k``; the completed resumed run is byte-identical to an
+    uninterrupted one.  A state from a run built otherwise raises
+    :class:`repro.snapshot.SnapshotError`.  Both require a
+    :class:`~repro.snapshot.Snapshottable` policy
+    (:class:`repro.core.runtime.CuttleSysPolicy` is one).
     """
     if stop_after is not None and stop_after <= 0:
         raise ValueError("stop_after must be positive")
     if stop_after is not None or resume_state is not None:
-        if getattr(policy, "snapshot", None) is None or (
-            getattr(policy, "restore", None) is None
-        ):
+        if not isinstance(policy, Snapshottable):
             raise ValueError(
                 f"policy {policy.name!r} does not support "
                 f"snapshot/restore; stop_after/resume_state need both"

@@ -21,7 +21,7 @@ how the fault study proves faults actually fired.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,23 +29,42 @@ from repro.faults.spec import FaultScenario, FaultSpec
 from repro.logs import get_logger
 from repro.sim.coreconfig import CoreConfig, JointConfig
 from repro.sim.machine import (
+    JOINT,
     Assignment,
     Machine,
     ProfilingSample,
     SliceMeasurement,
 )
+from repro.snapshot import (
+    ARRAY, FLOAT, INT, RNG, Indexed, Map, Match, Opt, Seq, Snapshottable,
+    Tup,
+)
 
 log = get_logger("faults.injector")
 
 
-class FaultInjector:
+class FaultInjector(Snapshottable):
     """Owns a scenario's fault state, RNG streams, and tallies.
 
     One injector drives one run: construct it, hand it to
     :func:`repro.experiments.harness.run_policy` via ``faults=``, and
     the harness wraps the machine with :class:`FaultyMachine` and
     consults the injector each quantum for budget/load/churn faults.
+    Snapshots carry the per-spec RNG streams, tallies, frozen-sensor
+    readings and standing reconfiguration pins, so a killed run resumed
+    mid-scenario replays injection-for-injection.
     """
+
+    SNAPSHOT_FIELDS = {
+        "spec_count": Match("fault spec count"),
+        "quantum": INT,
+        "_rngs": Seq(RNG),
+        "injected": Map(INT),
+        "_frozen_profile": Map(Tup(ARRAY, ARRAY, FLOAT, FLOAT), key=INT),
+        "_frozen_power": Map(Tup(ARRAY, FLOAT, FLOAT), key=INT),
+        "_pins": Map(Tup(Indexed(CoreConfig), INT), key=INT),
+        "_previous_batch_configs": Opt(Seq(Opt(JOINT), tuple)),
+    }
 
     def __init__(
         self,
@@ -74,6 +93,13 @@ class FaultInjector:
         self._frozen_power: Dict[int, tuple] = {}
         # failed_reconfig pins: job -> (old core config, expiry quantum).
         self._pins: Dict[int, Tuple[object, int]] = {}
+        # Batch configurations that actually ran last quantum.
+        self._previous_batch_configs: Optional[Tuple[Optional[JointConfig], ...]] = None
+
+    @property
+    def spec_count(self) -> int:
+        """Number of fault specs (one RNG stream each)."""
+        return len(self.specs)
 
     @classmethod
     def from_scenario(
@@ -152,107 +178,6 @@ class FaultInjector:
                         self.quantum, slot,
                     )
         return slots
-
-    # ------------------------------------------------------------------
-    # Crash-safe snapshots (docs/robustness.md).
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSONable form of the injector's mutable state.
-
-        Captures the per-spec RNG streams, tallies, frozen-sensor
-        snapshots and standing reconfiguration pins, so a killed run
-        resumed mid-scenario replays injection-for-injection.
-        """
-        previous = getattr(self, "_previous_batch_configs", None)
-        return {
-            "quantum": self.quantum,
-            "rngs": [rng.bit_generator.state for rng in self._rngs],
-            "injected": dict(self.injected),
-            "frozen_profile": [
-                {
-                    "spec": i,
-                    "pow_hi": hi.tolist(),
-                    "pow_lo": lo.tolist(),
-                    "lc_hi": lc_hi,
-                    "lc_lo": lc_lo,
-                }
-                for i, (hi, lo, lc_hi, lc_lo) in sorted(
-                    self._frozen_profile.items()
-                )
-            ],
-            "frozen_power": [
-                {
-                    "spec": i,
-                    "batch_power": batch.tolist(),
-                    "total_power": total,
-                    "lc_core_power": lc,
-                }
-                for i, (batch, total, lc) in sorted(
-                    self._frozen_power.items()
-                )
-            ],
-            "pins": [
-                {"job": job, "core": core.index, "expiry": expiry}
-                for job, (core, expiry) in sorted(self._pins.items())
-            ],
-            "previous_batch_configs": (
-                None
-                if previous is None
-                else [
-                    cfg.index if cfg is not None else None
-                    for cfg in previous
-                ]
-            ),
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Restore state captured by :meth:`snapshot`."""
-        if len(state["rngs"]) != len(self._rngs):
-            raise ValueError(
-                "fault snapshot spec count does not match this injector"
-            )
-        self.quantum = int(state["quantum"])
-        for rng, rng_state in zip(self._rngs, state["rngs"]):
-            rng.bit_generator.state = rng_state
-        self.injected = {
-            str(k): int(v) for k, v in state["injected"].items()
-        }
-        self._frozen_profile = {
-            int(entry["spec"]): (
-                np.asarray(entry["pow_hi"], dtype=float),
-                np.asarray(entry["pow_lo"], dtype=float),
-                float(entry["lc_hi"]),
-                float(entry["lc_lo"]),
-            )
-            for entry in state["frozen_profile"]
-        }
-        self._frozen_power = {
-            int(entry["spec"]): (
-                np.asarray(entry["batch_power"], dtype=float),
-                float(entry["total_power"]),
-                float(entry["lc_core_power"]),
-            )
-            for entry in state["frozen_power"]
-        }
-        self._pins = {
-            int(entry["job"]): (
-                CoreConfig.from_index(int(entry["core"])),
-                int(entry["expiry"]),
-            )
-            for entry in state["pins"]
-        }
-        previous: Optional[Tuple[Optional[JointConfig], ...]]
-        if state["previous_batch_configs"] is None:
-            previous = None
-        else:
-            previous = tuple(
-                JointConfig.from_index(int(index))
-                if index is not None
-                else None
-                for index in state["previous_batch_configs"]
-            )
-        self._previous_batch_configs = previous
 
     # ------------------------------------------------------------------
     # Machine-facing faults (sensors and actuators).
@@ -343,7 +268,7 @@ class FaultInjector:
         Returns the assignment that actually runs; the controller can
         detect the fault by diffing it against what it requested.
         """
-        previous = getattr(self, "_previous_batch_configs", None)
+        previous = self._previous_batch_configs
         configs = list(assignment.batch_configs)
         changed = False
 

@@ -9,7 +9,7 @@ The checkpoint file is a single JSON document::
       "completed": {"<unit id>": <JSON value>, ...}
     }
 
-Writes are atomic (temp file + fsync + ``os.replace``), so a run
+Writes are atomic (:func:`repro.snapshot.atomic_write_text`), so a run
 killed mid-write leaves either the previous snapshot or the new one —
 never a torn file.  The fingerprint pins the run configuration: a
 ``--resume`` against a checkpoint written by a different fleet, seed,
@@ -23,11 +23,11 @@ uninterrupted one — the property the checkpoint tests assert.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.logs import get_logger
+from repro.snapshot import atomic_write_text
 
 log = get_logger("fleet.checkpoint")
 
@@ -138,20 +138,14 @@ class CheckpointStore:
         }
         if stats is not None:
             payload["stats"] = dict(stats)
-        tmp = self.path.with_name(self.path.name + ".tmp")
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         except TypeError as exc:
-            tmp.unlink(missing_ok=True)
             raise CheckpointError(
                 "checkpointed unit values must be JSON-serializable: "
                 f"{exc}"
             ) from exc
+        atomic_write_text(self.path, text)
         log.debug(
             "checkpointed %d unit(s) to %s", len(completed), self.path
         )

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.logs import get_logger
+from repro.snapshot import INT, JSON, STR, Map, Record, Seq, Snapshottable
 
 log = get_logger("server.admission")
 
@@ -70,55 +71,33 @@ class JobSpec:
     #: LC only: offered arrival rate, queries per second.
     rps: Optional[float] = None
 
-    def state(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "tenant": self.tenant,
-            "priority": int(self.priority),
-            "qos_ms": self.qos_ms,
-            "rps": self.rps,
-        }
 
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "JobSpec":
-        return cls(
-            kind=str(state["kind"]),
-            name=str(state["name"]),
-            tenant=str(state["tenant"]),
-            priority=int(state["priority"]),
-            qos_ms=state["qos_ms"],
-            rps=state["rps"],
-        )
-
-
+@dataclass(eq=False)
 class Job:
-    """One submission's lifecycle record."""
+    """One submission's lifecycle record.
 
-    #: queued -> running -> (cancelled | finished); queued may also go
-    #: straight to rejected (static validation or wait timeout).
-    __slots__ = (
-        "job_id", "seq", "spec", "state", "slot", "submitted_tick",
-        "admitted_tick", "finished_tick", "waited_quanta", "reason",
-        "rps",
-    )
+    queued -> running -> (cancelled | finished); queued may also go
+    straight to rejected (static validation or wait timeout).
+    """
 
-    def __init__(self, job_id: str, seq: int, spec: JobSpec,
-                 submitted_tick: int) -> None:
-        self.job_id = job_id
-        self.seq = seq
-        self.spec = spec
-        self.state = "queued"
-        #: Batch slot index or LC service name once running.
-        self.slot: Optional[Any] = None
-        self.submitted_tick = submitted_tick
-        self.admitted_tick: Optional[int] = None
-        self.finished_tick: Optional[int] = None
-        self.waited_quanta = 0
-        #: Rejection code, when ``state == "rejected"``.
-        self.reason: Optional[str] = None
-        #: Current arrival rate (LC; mutable via ``set_rps``).
-        self.rps: Optional[float] = spec.rps
+    job_id: str
+    seq: int
+    spec: JobSpec
+    submitted_tick: int
+    state: str = "queued"
+    #: Batch slot index or LC service name once running.
+    slot: Optional[Any] = None
+    admitted_tick: Optional[int] = None
+    finished_tick: Optional[int] = None
+    waited_quanta: int = 0
+    #: Rejection code, when ``state == "rejected"``.
+    reason: Optional[str] = None
+    #: Current arrival rate (LC; mutable via ``set_rps``).
+    rps: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.rps is None:
+            self.rps = self.spec.rps
 
     def describe(self) -> Dict[str, Any]:
         """JSONable view for the ``jobs`` and ``status`` responses."""
@@ -139,39 +118,17 @@ class Job:
             "rps": self.rps,
         }
 
-    def to_state(self) -> Dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "seq": self.seq,
-            "spec": self.spec.state(),
-            "state": self.state,
-            "slot": self.slot,
-            "submitted_tick": self.submitted_tick,
-            "admitted_tick": self.admitted_tick,
-            "finished_tick": self.finished_tick,
-            "waited_quanta": self.waited_quanta,
-            "reason": self.reason,
-            "rps": self.rps,
-        }
 
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "Job":
-        job = cls(
-            str(state["job_id"]), int(state["seq"]),
-            JobSpec.from_state(state["spec"]),
-            int(state["submitted_tick"]),
-        )
-        job.state = str(state["state"])
-        job.slot = state["slot"]
-        job.admitted_tick = state["admitted_tick"]
-        job.finished_tick = state["finished_tick"]
-        job.waited_quanta = int(state["waited_quanta"])
-        job.reason = state["reason"]
-        job.rps = state["rps"]
-        return job
+#: Snapshot codec of a :class:`Job`; the optional numbers travel
+#: exactly as the client sent them.
+JOB = Record(
+    Job, JSON, job_id=STR, seq=INT, submitted_tick=INT, state=STR,
+    waited_quanta=INT,
+    spec=Record(JobSpec, JSON, kind=STR, name=STR, tenant=STR, priority=INT),
+)
 
 
-class JobQueueManager:
+class JobQueueManager(Snapshottable):
     """Admission ledger: validate, queue, and admit jobs per tick.
 
     Capacity model (checked at every drain, per candidate):
@@ -185,8 +142,25 @@ class JobQueueManager:
       budget times ``AdmissionLimits.power_fill_fraction``.
 
     Jobs failing a *capacity* check stay queued (and may time out);
-    jobs failing a *static* check are rejected immediately.
+    jobs failing a *static* check are rejected immediately.  Snapshots
+    carry the whole ledger; the capacity model and limits are rebuilt
+    from the daemon's configuration.
     """
+
+    SNAPSHOT_FIELDS = {
+        "jobs": Map(JOB),
+        "queue": Seq(STR),
+        "batch_slot_job": Seq(JSON),
+        "lc_slot_job": Map(JSON),
+        "next_seq": INT,
+        "submitted": INT,
+        "admitted": INT,
+        "rejected": INT,
+        "cancelled": INT,
+        "timed_out": INT,
+        "total_wait_quanta": INT,
+        "max_wait_quanta_seen": INT,
+    }
 
     def __init__(
         self,
@@ -503,54 +477,3 @@ class JobQueueManager:
                 "power_fill_fraction": self.limits.power_fill_fraction,
             },
         }
-
-    # ------------------------------------------------------------------
-    # Crash-safe snapshots.
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSONable ledger state: ``jobs``, ``queue``, slot bindings
-        (``batch_slot_job``/``lc_slot_job``), ``next_seq``, and every
-        counter (``submitted``/``admitted``/``rejected``/``cancelled``/
-        ``timed_out``/``total_wait_quanta``/``max_wait_quanta_seen``).
-        """
-        return {
-            "version": 1,
-            "jobs": [
-                self.jobs[jid].to_state() for jid in sorted(self.jobs)
-            ],
-            "queue": list(self.queue),
-            "batch_slot_job": list(self.batch_slot_job),
-            "lc_slot_job": dict(self.lc_slot_job),
-            "next_seq": self.next_seq,
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "cancelled": self.cancelled,
-            "timed_out": self.timed_out,
-            "total_wait_quanta": self.total_wait_quanta,
-            "max_wait_quanta_seen": self.max_wait_quanta_seen,
-        }
-
-    def restore(self, state: Mapping[str, Any]) -> None:
-        """Restore the ledger captured by :meth:`snapshot`."""
-        if state.get("version") != 1:
-            raise ValueError(
-                "unsupported admission snapshot version "
-                f"{state.get('version')!r}"
-            )
-        self.jobs = {
-            entry["job_id"]: Job.from_state(entry)
-            for entry in state["jobs"]
-        }
-        self.queue = [str(jid) for jid in state["queue"]]
-        self.batch_slot_job = list(state["batch_slot_job"])
-        self.lc_slot_job = dict(state["lc_slot_job"])
-        self.next_seq = int(state["next_seq"])
-        self.submitted = int(state["submitted"])
-        self.admitted = int(state["admitted"])
-        self.rejected = int(state["rejected"])
-        self.cancelled = int(state["cancelled"])
-        self.timed_out = int(state["timed_out"])
-        self.total_wait_quanta = int(state["total_wait_quanta"])
-        self.max_wait_quanta_seen = int(state["max_wait_quanta_seen"])

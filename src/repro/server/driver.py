@@ -36,22 +36,22 @@ from repro.experiments.harness import (
 )
 from repro.logs import get_logger
 from repro.server.admission import AdmissionLimits, JobQueueManager
+from repro.snapshot import (
+    FLOAT, INT, STR, Match, Nested, Seq, Snapshottable, Transient,
+    atomic_write_text,
+)
 from repro.telemetry.live import CallbackSink, LiveEmitter, install_emitter
 from repro.workloads.batch import SPEC_APPS, batch_profile
 from repro.workloads.mixes import paper_mixes
 
 log = get_logger("server.driver")
 
-__all__ = ["STATE_VERSION", "QuantumDriver", "ServerConfig", "SlotLoad"]
+__all__ = ["QuantumDriver", "ServerConfig", "SlotLoad"]
 
 #: Load fraction an unbound LC slot idles at: low enough to be
 #: negligible, high enough that the queueing model never divides by a
 #: zero arrival rate.
 IDLE_LC_LOAD = 0.05
-
-#: Snapshot file schema; bumped on incompatible layout changes.
-STATE_VERSION = 1
-
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -93,23 +93,16 @@ class ServerConfig:
         if self.quantum_s <= 0:
             raise ValueError("quantum_s must be positive")
 
-    def fingerprint(self) -> Dict[str, Any]:
-        """What must match for a snapshot to be resumable."""
-        return {
-            "mix": self.mix,
-            "seed": self.seed,
-            "power_cap_fraction": self.power_cap_fraction,
-            "max_quanta": self.max_quanta,
-        }
 
-
-class SlotLoad:
+class SlotLoad(Snapshottable):
     """A mutable load source shaped like a :class:`LoadTrace`.
 
     The stepper calls ``load_at(t)`` each quantum; the control plane
     moves ``level`` between quanta.  Time-independent by design: the
     *schedule* of level changes is what the snapshot reproduces.
     """
+
+    SNAPSHOT_FIELDS = {"level": FLOAT}
 
     def __init__(self, level: float = IDLE_LC_LOAD) -> None:
         self.level = level
@@ -118,8 +111,22 @@ class SlotLoad:
         return self.level
 
 
-class QuantumDriver:
-    """Runs the quantum loop incrementally under control-plane input."""
+class QuantumDriver(Snapshottable):
+    """Runs the quantum loop incrementally under control-plane input.
+
+    Its snapshot is everything a resume needs; a configuration
+    fingerprint mismatch names the setting that changed.
+    """
+
+    SNAPSHOT_FIELDS = {
+        "fingerprint": Match("server configuration"),
+        "stepper": Nested(),
+        "admission": Nested(),
+        "lc_loads": Seq(Nested()),
+        "decision_count": INT,
+        "_decision_tail": Seq(STR),
+        "snapshots_written": Transient(int),
+    }
 
     def __init__(
         self,
@@ -441,29 +448,27 @@ class QuantumDriver:
     # Crash-safe snapshot / resume.
     # ------------------------------------------------------------------
 
+    @property
+    def fingerprint(self) -> Dict[str, Any]:
+        """The settings a snapshot must share to be resumable."""
+        config = self.config
+        return {
+            "mix": config.mix,
+            "seed": config.seed,
+            "power_cap_fraction": config.power_cap_fraction,
+            "max_quanta": config.max_quanta,
+        }
+
     def write_snapshot(self) -> None:
         """Atomically persist everything a resume needs."""
         path = self.config.state_path
         if path is None:
             return
-        state = {
-            "version": STATE_VERSION,
-            "fingerprint": self.config.fingerprint(),
-            "stepper": self.stepper.snapshot(),
-            "admission": self.admission.snapshot(),
-            "lc_levels": [load.level for load in self.lc_loads],
-            "decision_count": self.decision_count,
-            "decision_tail": list(self._decision_tail),
-        }
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(target.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(state, handle, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
+        atomic_write_text(
+            target, json.dumps(self.snapshot(), sort_keys=True) + "\n"
+        )
         self.snapshots_written += 1
         if self.telemetry is not None:
             self.telemetry.metrics.counter("server.snapshots").inc()
@@ -478,29 +483,7 @@ class QuantumDriver:
         lines land byte-identically.
         """
         with open(path, "r", encoding="utf-8") as handle:
-            state = json.load(handle)
-        if state.get("version") != STATE_VERSION:
-            raise ValueError(
-                f"unsupported server snapshot version "
-                f"{state.get('version')!r}"
-            )
-        if state.get("fingerprint") != self.config.fingerprint():
-            raise ValueError(
-                "snapshot was written by a different server "
-                "configuration (mix/seed/cap/max_quanta changed)"
-            )
-        self.stepper.restore(state["stepper"])
-        self.admission.restore(state["admission"])
-        for load, level in zip(self.lc_loads, state["lc_levels"]):
-            load.level = float(level)
-        # Rebind machine-side state the stepper snapshot does not own:
-        # the controller mask travels in the policy snapshot, but the
-        # running jobs' profiles must be re-applied to the machine...
-        # they already are: Machine.snapshot captures batch_profiles.
-        self.decision_count = int(state["decision_count"])
-        self._decision_tail = [
-            str(line) for line in state["decision_tail"]
-        ]
+            self.restore(json.load(handle))
         if self.config.decisions_path is not None:
             self._truncate_decisions(self.config.decisions_path)
         log.info(
@@ -521,10 +504,4 @@ class QuantumDriver:
                 "(crash landed between append and snapshot)",
                 path, len(lines), len(kept),
             )
-        tmp = target.with_name(target.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for line in kept:
-                handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
+        atomic_write_text(target, "".join(line + "\n" for line in kept))

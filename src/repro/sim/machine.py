@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,10 @@ from repro.sim.coreconfig import N_JOINT_CONFIGS, CoreConfig, JointConfig
 from repro.sim.memory import MemoryDemand, MemorySystem
 from repro.sim.perf import AppProfile, PerformanceModel
 from repro.sim.power import PowerModel
+from repro.snapshot import (
+    ARRAY, BOOL, FLOAT, INT, RNG, STR, Indexed, Opt, Record, Seq,
+    Snapshottable,
+)
 from repro.telemetry.tracer import NULL_TRACER, tracer_of
 from repro.workloads.latency_critical import LCService
 
@@ -251,168 +255,52 @@ class SliceMeasurement:
         return float(np.sum(self.batch_instructions))
 
 
-def assignment_state(
-    assignment: Optional[Assignment],
-) -> Optional[Dict[str, Any]]:
-    """JSONable form of an :class:`Assignment` (crash-safe snapshots).
+#: Snapshot codecs of the machine's value types.  Configurations
+#: travel as joint-configuration indices and profiles by value (fault
+#: injection and job churn install profiles no registry holds).
+JOINT = Indexed(JointConfig)
+ASSIGNMENT = Record(
+    Assignment,
+    lc_cores=INT,
+    lc_config=Opt(JOINT),
+    batch_configs=Seq(Opt(JOINT), tuple),
+    shared_llc=BOOL,
+    extra_lc=Seq(Record(LCAllocation, cores=INT, config=JOINT), tuple),
+)
+PROFILE = Record(
+    AppProfile, FLOAT, name=STR, miss_curve=Record(MissRateCurve, FLOAT)
+)
+MEASUREMENT = Record(
+    SliceMeasurement,
+    FLOAT,
+    assignment=ASSIGNMENT,
+    batch_bips=ARRAY,
+    batch_instructions=ARRAY,
+    batch_power=ARRAY,
+    reconfigurations=INT,
+    extra_lc_p99=Seq(FLOAT, tuple),
+    extra_lc_core_power=Seq(FLOAT, tuple),
+    extra_lc_instructions=Seq(FLOAT, tuple),
+    extra_lc_loads=Seq(FLOAT, tuple),
+)
+#: JSONable form of a :class:`SliceMeasurement` (canonical run digests).
+measurement_state = MEASUREMENT.encode
 
-    Configurations travel as joint-configuration indices, whose
-    integer round-trip through JSON is exact; ``None`` stays ``None``
-    so gated jobs and absent assignments survive unchanged.
+
+class Machine(Snapshottable):
+    """A 32-core reconfigurable multicore hosting one LC + batch jobs.
+
+    Snapshots carry what :meth:`run_slice` and :meth:`profile` mutate;
+    a resumed run rebuilds the static structure before it restores.
     """
-    if assignment is None:
-        return None
-    return {
-        "lc_cores": assignment.lc_cores,
-        "lc_config": (
-            assignment.lc_config.index
-            if assignment.lc_config is not None
-            else None
-        ),
-        "batch_configs": [
-            cfg.index if cfg is not None else None
-            for cfg in assignment.batch_configs
-        ],
-        "shared_llc": assignment.shared_llc,
-        "extra_lc": [
-            {"cores": alloc.cores, "config": alloc.config.index}
-            for alloc in assignment.extra_lc
-        ],
+
+    SNAPSHOT_FIELDS = {
+        "time_s": FLOAT,
+        "_rng": RNG,
+        "_log_phase": ARRAY,
+        "batch_profiles": Seq(PROFILE),
+        "_previous_assignment": Opt(ASSIGNMENT),
     }
-
-
-def assignment_from_state(
-    state: Optional[Dict[str, Any]],
-) -> Optional[Assignment]:
-    """Inverse of :func:`assignment_state`."""
-    if state is None:
-        return None
-    return Assignment(
-        lc_cores=int(state["lc_cores"]),
-        lc_config=(
-            JointConfig.from_index(int(state["lc_config"]))
-            if state["lc_config"] is not None
-            else None
-        ),
-        batch_configs=tuple(
-            JointConfig.from_index(int(index)) if index is not None else None
-            for index in state["batch_configs"]
-        ),
-        shared_llc=bool(state["shared_llc"]),
-        extra_lc=tuple(
-            LCAllocation(
-                cores=int(alloc["cores"]),
-                config=JointConfig.from_index(int(alloc["config"])),
-            )
-            for alloc in state["extra_lc"]
-        ),
-    )
-
-
-def profile_state(profile: AppProfile) -> Dict[str, Any]:
-    """JSONable form of an :class:`~repro.sim.perf.AppProfile`.
-
-    Serialized by value rather than by name: fault injection and job
-    churn can install profiles that exist in no registry, and float
-    ``repr`` round-trips exactly through JSON.
-    """
-    return {
-        "name": profile.name,
-        "base_cpi": profile.base_cpi,
-        "fe_sens": profile.fe_sens,
-        "be_sens": profile.be_sens,
-        "ls_sens": profile.ls_sens,
-        "miss_curve": {
-            "peak": profile.miss_curve.peak,
-            "floor": profile.miss_curve.floor,
-            "half_ways": profile.miss_curve.half_ways,
-        },
-        "mem_blocking": profile.mem_blocking,
-        "ls_mlp_sens": profile.ls_mlp_sens,
-        "activity": profile.activity,
-    }
-
-
-def profile_from_state(state: Dict[str, Any]) -> AppProfile:
-    """Inverse of :func:`profile_state`."""
-    curve = state["miss_curve"]
-    return AppProfile(
-        name=str(state["name"]),
-        base_cpi=float(state["base_cpi"]),
-        fe_sens=float(state["fe_sens"]),
-        be_sens=float(state["be_sens"]),
-        ls_sens=float(state["ls_sens"]),
-        miss_curve=MissRateCurve(
-            peak=float(curve["peak"]),
-            floor=float(curve["floor"]),
-            half_ways=float(curve["half_ways"]),
-        ),
-        mem_blocking=float(state["mem_blocking"]),
-        ls_mlp_sens=float(state["ls_mlp_sens"]),
-        activity=float(state["activity"]),
-    )
-
-
-def measurement_state(measurement: SliceMeasurement) -> Dict[str, Any]:
-    """JSONable form of a :class:`SliceMeasurement`.
-
-    Floats survive JSON via shortest-``repr`` round-trip, so a resumed
-    run's accumulated measurements are bit-equal to the originals.
-    """
-    return {
-        "assignment": assignment_state(measurement.assignment),
-        "batch_bips": measurement.batch_bips.tolist(),
-        "batch_instructions": measurement.batch_instructions.tolist(),
-        "batch_power": measurement.batch_power.tolist(),
-        "lc_p99": measurement.lc_p99,
-        "lc_queries_served": measurement.lc_queries_served,
-        "lc_instructions": measurement.lc_instructions,
-        "lc_utilization": measurement.lc_utilization,
-        "lc_core_power": measurement.lc_core_power,
-        "total_power": measurement.total_power,
-        "lc_load": measurement.lc_load,
-        "memory_stall_multiplier": measurement.memory_stall_multiplier,
-        "reconfigurations": measurement.reconfigurations,
-        "extra_lc_p99": list(measurement.extra_lc_p99),
-        "extra_lc_core_power": list(measurement.extra_lc_core_power),
-        "extra_lc_instructions": list(measurement.extra_lc_instructions),
-        "extra_lc_loads": list(measurement.extra_lc_loads),
-    }
-
-
-def measurement_from_state(state: Dict[str, Any]) -> SliceMeasurement:
-    """Inverse of :func:`measurement_state`."""
-    assignment = assignment_from_state(state["assignment"])
-    assert assignment is not None  # a measurement always has one
-    return SliceMeasurement(
-        assignment=assignment,
-        batch_bips=np.asarray(state["batch_bips"], dtype=float),
-        batch_instructions=np.asarray(
-            state["batch_instructions"], dtype=float
-        ),
-        batch_power=np.asarray(state["batch_power"], dtype=float),
-        lc_p99=float(state["lc_p99"]),
-        lc_queries_served=float(state["lc_queries_served"]),
-        lc_instructions=float(state["lc_instructions"]),
-        lc_utilization=float(state["lc_utilization"]),
-        lc_core_power=float(state["lc_core_power"]),
-        total_power=float(state["total_power"]),
-        lc_load=float(state["lc_load"]),
-        memory_stall_multiplier=float(state["memory_stall_multiplier"]),
-        reconfigurations=int(state["reconfigurations"]),
-        extra_lc_p99=tuple(float(v) for v in state["extra_lc_p99"]),
-        extra_lc_core_power=tuple(
-            float(v) for v in state["extra_lc_core_power"]
-        ),
-        extra_lc_instructions=tuple(
-            float(v) for v in state["extra_lc_instructions"]
-        ),
-        extra_lc_loads=tuple(float(v) for v in state["extra_lc_loads"]),
-    )
-
-
-class Machine:
-    """A 32-core reconfigurable multicore hosting one LC + batch jobs."""
 
     #: Telemetry tracer; the shared no-op unless a session attaches one.
     trace = NULL_TRACER
@@ -455,41 +343,6 @@ class Machine:
         # Session plumbing re-attached after restore(); deliberately
         # outside the snapshot contract.
         self.trace = tracer_of(telemetry)  # repro: noqa[SNAP701]
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSONable mutable state for crash-safe checkpoints.
-
-        Captures everything :meth:`run_slice` and :meth:`profile`
-        mutate — the RNG stream, per-job phase state, simulated time,
-        the previously-run assignment (reconfiguration accounting) and
-        the batch profiles themselves (replaced wholesale by job churn
-        and fault injection).  Static structure (services, params,
-        models) is deliberately excluded: a resumed run reconstructs
-        the machine deterministically and then calls :meth:`restore`.
-        """
-        return {
-            "time_s": self.time_s,
-            "rng": self._rng.bit_generator.state,
-            "log_phase": [float(v) for v in self._log_phase],
-            "batch_profiles": [
-                profile_state(p) for p in self.batch_profiles
-            ],
-            "previous_assignment": assignment_state(
-                getattr(self, "_previous_assignment", None)
-            ),
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Restore the mutable state captured by :meth:`snapshot`."""
-        self.time_s = float(state["time_s"])
-        self._rng.bit_generator.state = state["rng"]
-        self._log_phase = np.asarray(state["log_phase"], dtype=float)
-        self.batch_profiles = [
-            profile_from_state(p) for p in state["batch_profiles"]
-        ]
-        self._previous_assignment = assignment_from_state(
-            state["previous_assignment"]
-        )
 
     # ------------------------------------------------------------------
     # Ground truth (no noise): what the oracle and matrices are built on.

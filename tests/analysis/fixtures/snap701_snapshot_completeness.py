@@ -1,9 +1,19 @@
-"""SNAP701: every attribute mutated mid-run must round-trip through
-the class's snapshot/restore pair (or be explicitly reset there)."""
+"""SNAP701: every attribute mutated mid-run must be declared in the
+class's SNAPSHOT_FIELDS (transient state included)."""
+
+from repro.snapshot import INT, Seq, Snapshottable, Transient
 
 
-class CoveredController:
-    """Every mutated field is mentioned by the pair — clean."""
+class CoveredController(Snapshottable):
+    """Every mutated field is declared — clean."""
+
+    SNAPSHOT_FIELDS = {
+        "counter": INT,
+        "history": Seq(INT),
+        # A declared reset still counts as coverage: restore accounts
+        # for the field.
+        "scratch": Transient(),
+    }
 
     def __init__(self):
         self.counter = 0
@@ -15,19 +25,11 @@ class CoveredController:
         self.scratch = value
         self.history.append(value)
 
-    def snapshot(self):
-        return {"counter": self.counter, "history": list(self.history)}
 
-    def restore(self, state):
-        self.counter = state["counter"]
-        self.history = list(state["history"])
-        # Deliberate reset still counts as coverage: the pair has
-        # accounted for the field.
-        self.scratch = None
+class LeakyController(Snapshottable):
+    """Fields mutated in step() that the declaration omits."""
 
-
-class LeakyController:
-    """Fields mutated in step() that the pair never mentions."""
+    SNAPSHOT_FIELDS = {"counter": INT}
 
     def __init__(self):
         self.counter = 0
@@ -39,33 +41,9 @@ class LeakyController:
         self.missing += 1  # expect: SNAP701
         self.log.append(value)  # expect: SNAP701
 
-    def snapshot(self):
-        return {"counter": self.counter}
-
-    def restore(self, state):
-        self.counter = state["counter"]
-
-
-class BudgetMeter:
-    """state()/restore() spelling qualifies a class too."""
-
-    def __init__(self):
-        self.spent = 0.0
-        self.quanta = 0
-
-    def charge(self, amount):
-        self.spent += amount
-        self.quanta += 1  # expect: SNAP701
-
-    def state(self):
-        return {"spent": self.spent}
-
-    def restore(self, state):
-        self.spent = state["spent"]
-
 
 class PlainAccumulator:
-    """No capture/restore pair: mutations are out of scope."""
+    """No declaration and no capture/restore pair: out of scope."""
 
     def __init__(self):
         self.total = 0

@@ -4,7 +4,7 @@ Covers the interprocedural machinery itself (module/class/function
 resolution, call-edge tiers, reachability) plus the behaviours only a
 cross-file pass can deliver: rng_for collisions spanning two modules
 and the SNAP701 mutation test — delete a field from a fixture
-controller's snapshot and the rule must fire.
+controller's SNAPSHOT_FIELDS declaration and the rule must fire.
 """
 
 from pathlib import Path
@@ -224,19 +224,16 @@ def covered_controller_source():
 
 def test_complete_snapshot_is_clean():
     source = covered_controller_source()
-    assert '"counter": self.counter' in source
+    assert '"counter": INT' in source
     assert [v.rule for v in lint_source(source)] == []
 
 
 def test_snap701_fires_when_a_snapshot_field_is_deleted():
-    """Mutation test: drop one field from the snapshot/restore pair
-    and the completeness rule must catch it."""
+    """Mutation test: drop one field from the declaration and the
+    completeness rule must catch it."""
     source = covered_controller_source()
-    mutated = (
-        source
-        .replace('"history": list(self.history)', '"_": None')
-        .replace("self.history = list(state[\"history\"])\n", "")
-    )
+    mutated = source.replace('        "history": Seq(INT),\n', "")
+    assert mutated != source
     assert "self.history.append" in mutated  # the mutation site survives
     violations = lint_source(mutated)
     assert [v.rule for v in violations] == ["SNAP701"]
@@ -245,17 +242,14 @@ def test_snap701_fires_when_a_snapshot_field_is_deleted():
 
 def test_snap701_fires_per_forgotten_field():
     source = (
-        "class S:\n"
+        "class S(Snapshottable):\n"
+        "    SNAPSHOT_FIELDS = {}\n"
         "    def __init__(self):\n"
         "        self.a = 0\n"
         "        self.b = 0\n"
         "    def tick(self):\n"
         "        self.a += 1\n"
         "        self.b += 1\n"
-        "    def snapshot(self):\n"
-        "        return {}\n"
-        "    def restore(self, state):\n"
-        "        pass\n"
     )
     violations = lint_source(source)
     assert [v.rule for v in violations] == ["SNAP701", "SNAP701"]
@@ -265,13 +259,10 @@ def test_snap701_fires_per_forgotten_field():
 
 def test_snap701_counts_external_writes():
     source = (
-        "class S:\n"
+        "class S(Snapshottable):\n"
+        "    SNAPSHOT_FIELDS = {}\n"
         "    def __init__(self):\n"
         "        self.a = 0\n"
-        "    def snapshot(self):\n"
-        "        return {}\n"
-        "    def restore(self, state):\n"
-        "        pass\n"
         "\n"
         "def poke(s: S):\n"
         "    s.a = 5\n"
@@ -283,16 +274,32 @@ def test_snap701_counts_external_writes():
 
 def test_deep_attribute_writes_root_at_the_field():
     source = (
-        "class S:\n"
+        "class S(Snapshottable):\n"
+        "    SNAPSHOT_FIELDS = {}\n"
         "    def __init__(self):\n"
         "        self.rng = None\n"
         "    def reseed(self):\n"
         "        self.rng.bit_generator.state = {}\n"
-        "    def snapshot(self):\n"
-        "        return {}\n"
-        "    def restore(self, state):\n"
-        "        pass\n"
     )
     violations = lint_source(source)
     assert [v.rule for v in violations] == ["SNAP701"]
     assert "S.rng" in violations[0].message
+
+
+def test_snap701_flags_a_bespoke_pair_even_when_complete():
+    """Mentioning every field is not enough: only the declaration
+    counts, so a hand-written pair is flagged outright."""
+    source = (
+        "class S:\n"
+        "    def __init__(self):\n"
+        "        self.a = 0\n"
+        "    def tick(self):\n"
+        "        self.a += 1\n"
+        "    def snapshot(self):\n"
+        "        return {'a': self.a}\n"
+        "    def restore(self, state):\n"
+        "        self.a = state['a']\n"
+    )
+    violations = lint_source(source)
+    assert [v.rule for v in violations] == ["SNAP701"]
+    assert "SNAPSHOT_FIELDS" in violations[0].message

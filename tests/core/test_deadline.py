@@ -23,6 +23,7 @@ from repro.experiments.harness import (
     reference_power_for_mix,
     run_policy,
 )
+from repro.snapshot import SnapshotError
 from repro.telemetry import Telemetry
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
@@ -90,7 +91,7 @@ class TestDecisionBudget:
         budget.begin_quantum()
         budget.charge(42)
         clone = DecisionBudget(100)
-        clone.restore(budget.state())
+        clone.restore(budget.snapshot())
         assert clone.spent == 42
         assert clone.total_spent == 42
         assert clone.quanta == 1
@@ -114,15 +115,23 @@ class TestDecisionBudget:
         budget = DecisionBudget(100)
         budget.begin_quantum()
         budget.charge(7, phase="mgk.latency")
-        state = budget.state()
-        assert state["by_phase"] == {"mgk.latency": 7}
+        state = budget.snapshot()
+        assert state["spent_by_phase"] == {"mgk.latency": 7}
         clone = DecisionBudget(100)
         clone.restore(state)
         assert clone.spent_by_phase == {"mgk.latency": 7}
-        # Pre-phase snapshots (no by_phase key) stay loadable.
+        # Version-1 snapshots (and any without the phase tally) are
+        # rejected rather than defaulted.
         legacy = DecisionBudget(100)
-        legacy.restore({"spent": 1, "total_spent": 1, "quanta": 1})
-        assert legacy.spent_by_phase == {}
+        with pytest.raises(SnapshotError, match="version"):
+            legacy.restore({"spent": 1, "total_spent": 1, "quanta": 1,
+                            "version": 1})
+        with pytest.raises(SnapshotError, match="spent_by_phase"):
+            legacy.restore({"limit": 100, "spent": 1, "total_spent": 1,
+                            "quanta": 1, "version": 2})
+        # A meter from a run under another limit is rejected too.
+        with pytest.raises(SnapshotError, match="decision budget"):
+            DecisionBudget(50).restore(state)
 
 
 class TestSearchCost:

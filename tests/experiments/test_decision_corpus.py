@@ -29,7 +29,7 @@ from repro.experiments.harness import (
     reference_power_for_mix,
 )
 from repro.faults import FaultInjector, parse_fault_spec
-from repro.sim.machine import assignment_state
+from repro.sim.machine import ASSIGNMENT
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
 
@@ -95,7 +95,7 @@ def decision_corpus() -> List[str]:
                     "p99_s": _finite(prediction.p99_s),
                     "power_w": _finite(prediction.power_w),
                 },
-                "assignment": assignment_state(measurement.assignment),
+                "assignment": ASSIGNMENT.encode(measurement.assignment),
                 "lc_p99": measurement.lc_p99,
                 "total_power": measurement.total_power,
             }

@@ -15,12 +15,14 @@ from repro.core.controller import ControllerConfig
 from repro.core.runtime import CuttleSysPolicy
 from repro.baselines import CoreGatingPolicy
 from repro.experiments.harness import (
+    QuantumStepper,
     build_machine_for_mix,
     reference_power_for_mix,
     run_policy,
 )
 from repro.faults import FaultInjector, scenario_by_name
 from repro.sim.machine import measurement_state
+from repro.snapshot import SnapshotError
 from repro.workloads.batch import batch_profile, train_test_split
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
@@ -87,6 +89,8 @@ class TestResumeByteIdentity:
         assert len(paused.measurements) == KILL_AT
         # The state is plain JSON: it survives serialisation.
         state = json.loads(json.dumps(paused.resume_state))
+        # A killed process resumes into a run rebuilt from scratch.
+        machine2, policy2, _, _ = _arm(mix_index)
         resumed = run_policy(
             machine2, policy2, LoadTrace.constant(0.7),
             **_run_kwargs(reference, resume_state=state),
@@ -104,6 +108,7 @@ class TestResumeByteIdentity:
             machine2, policy2, LoadTrace.constant(0.7),
             **_run_kwargs(reference, stop_after=KILL_AT),
         )
+        machine2, policy2, _, _ = _arm(0, budget=2000)
         resumed = run_policy(
             machine2, policy2, LoadTrace.constant(0.7),
             **_run_kwargs(reference, resume_state=paused.resume_state),
@@ -129,6 +134,7 @@ class TestResumeByteIdentity:
             machine2, policy2, LoadTrace.constant(0.7),
             **_run_kwargs(reference, faults=faults2, stop_after=KILL_AT),
         )
+        machine2, policy2, faults2, _ = _arm(0, scenario="sensor-noise")
         resumed = run_policy(
             machine2, policy2, LoadTrace.constant(0.7),
             **_run_kwargs(reference, faults=faults2,
@@ -152,6 +158,7 @@ class TestResumeByteIdentity:
             machine2, policy2, LoadTrace.constant(0.7),
             **_run_kwargs(reference, stop_after=KILL_AT, **churn),
         )
+        machine2, policy2, _, _ = _arm(0)
         resumed = run_policy(
             machine2, policy2, LoadTrace.constant(0.7),
             **_run_kwargs(reference, resume_state=paused.resume_state,
@@ -246,8 +253,73 @@ class TestSnapshotRoundTrips:
             json.dumps(snap, sort_keys=True)
         )
 
+    def test_injector_presence_gate_both_directions(self):
+        """A fault-free snapshot must not restore into a faulted run,
+        nor the reverse.  The run origin catches both first in
+        practice, so the snapshot borrows the target's origin here to
+        reach the injector check itself."""
+        steppers = {}
+        for scenario in (None, "perfect-storm"):
+            machine, policy, faults, reference = _arm(0, scenario=scenario)
+            steppers[scenario] = QuantumStepper(
+                machine, policy, LoadTrace.constant(0.7),
+                **_run_kwargs(reference, faults=faults),
+            )
+        for source, target in ((None, "perfect-storm"),
+                               ("perfect-storm", None)):
+            state = steppers[source].snapshot()
+            state["origin"] = steppers[target].origin
+            with pytest.raises(ValueError, match="faults"):
+                steppers[target].restore(state)
+
+    def test_fault_free_pause_rejected_by_faulted_resume(self):
+        machine, policy, _, reference = _arm(0)
+        paused = run_policy(
+            machine, policy, LoadTrace.constant(0.7),
+            **_run_kwargs(reference, stop_after=KILL_AT),
+        )
+        machine, policy, faults, _ = _arm(0, scenario="perfect-storm")
+        with pytest.raises(SnapshotError):
+            run_policy(
+                machine, policy, LoadTrace.constant(0.7),
+                **_run_kwargs(reference, faults=faults,
+                              resume_state=paused.resume_state),
+            )
+        assert faults.total_injected() == 0
+
     def test_injector_spec_count_gate(self):
         _, _, faults, _ = _arm(0, scenario="perfect-storm")
         _, _, other, _ = _arm(0, scenario="stuck-sensor")
         with pytest.raises(ValueError, match="spec count"):
             other.restore(faults.snapshot())
+
+
+class TestOriginGate:
+    """A snapshot resumes only into a run built from the same
+    arguments; the fresh-state digest it carries says which run."""
+
+    @pytest.fixture(scope="class")
+    def paused(self):
+        machine, policy, _, reference = _arm(0, seed=7)
+        run = run_policy(
+            machine, policy, LoadTrace.constant(0.7),
+            **_run_kwargs(reference, stop_after=KILL_AT),
+        )
+        return json.loads(json.dumps(run.resume_state))
+
+    @pytest.mark.parametrize("mix_index,seed", [(1, 7), (0, 8)])
+    def test_other_arguments_rejected(self, paused, mix_index, seed):
+        machine, policy, _, reference = _arm(mix_index, seed=seed)
+        with pytest.raises(SnapshotError, match="run origin mismatch"):
+            run_policy(
+                machine, policy, LoadTrace.constant(0.7),
+                **_run_kwargs(reference, resume_state=paused),
+            )
+
+    def test_other_load_rejected(self, paused):
+        machine, policy, _, reference = _arm(0, seed=7)
+        with pytest.raises(SnapshotError, match="origin"):
+            run_policy(
+                machine, policy, LoadTrace.constant(0.5),
+                **_run_kwargs(reference, resume_state=paused),
+            )

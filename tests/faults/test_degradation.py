@@ -14,9 +14,10 @@ from repro.core.controller import ControllerConfig, ResourceController
 from repro.core.dds import DDSParams
 from repro.experiments.harness import run_policy
 from repro.sim.coreconfig import CACHE_ALLOCS, CoreConfig
+from repro.sim.machine import Machine, MachineParams
 from repro.telemetry import Telemetry
 from repro.workloads.batch import batch_profile, train_test_split
-from repro.workloads.latency_critical import make_services
+from repro.workloads.latency_critical import lc_service, make_services
 from repro.workloads.loadgen import LoadTrace
 
 FAST_DDS = DDSParams(initial_random_points=20, max_iter=10,
@@ -169,7 +170,7 @@ class TestSafeMode:
         )
         controller._rejections_this_quantum = 1
         controller._update_safe_mode()
-        assignment = controller._safe_mode_assignment()
+        assignment = controller._conservative_assignment(CACHE_ALLOCS[0])
         assert assignment.lc_config.core == CoreConfig.widest()
         for cfg in assignment.batch_configs:
             if cfg is not None:
@@ -194,10 +195,119 @@ class TestSafeMode:
         assert all(c.core == CoreConfig.narrowest() for c in active)
 
 
+#: (llc ways, batch jobs, LC cores per service) -> the safe-mode and
+#: fair-share postures, each as (lc cores, lc config index, batch config
+#: indices, [[extra cores, extra config index], ...]); recorded from the
+#: two separate posture methods the conservative one replaced.
+CONSERVATIVE_POSTURES = {
+    (32, 4, (0,)): (
+        (0, None, [0] * 4, []),
+        (0, None, [3] * 4, []),
+    ),
+    (32, 4, (6,)): (
+        (6, 107, [0] * 4, []),
+        (6, 107, [3] * 4, []),
+    ),
+    (32, 4, (0, 4)): (
+        (0, None, [0] * 4, [[4, 107]]),
+        (0, None, [3] * 4, [[4, 107]]),
+    ),
+    (32, 4, (8, 4)): (
+        (8, 107, [0] * 4, [[4, 107]]),
+        (8, 107, [3] * 4, [[4, 107]]),
+    ),
+    (32, 16, (0,)): (
+        (0, None, [0] * 16, []),
+        (0, None, [2] * 16, []),
+    ),
+    (32, 16, (6,)): (
+        (6, 107, [0] * 16, []),
+        (6, 107, [1] * 16, []),
+    ),
+    (32, 16, (0, 4)): (
+        (0, None, [0] * 16, [[4, 107]]),
+        (0, None, [1] * 16, [[4, 107]]),
+    ),
+    (32, 16, (8, 4)): (
+        (8, 107, [0] * 16, [[4, 107]]),
+        (8, 107, [1] * 16, [[4, 107]]),
+    ),
+    (4, 4, (0,)): (
+        (0, None, [0] * 4, []),
+        (0, None, [1] * 4, []),
+    ),
+    (4, 4, (6,)): (
+        (6, 107, [None] * 4, []),
+        (6, 107, [None] * 4, []),
+    ),
+    (4, 4, (0, 4)): (
+        (0, None, [None] * 4, [[4, 107]]),
+        (0, None, [None] * 4, [[4, 107]]),
+    ),
+    (4, 4, (8, 4)): (
+        (8, 107, [None] * 4, [[4, 107]]),
+        (8, 107, [None] * 4, [[4, 107]]),
+    ),
+    (4, 16, (0,)): (
+        (0, None, [0] * 8 + [None] * 8, []),
+        (0, None, [0] * 8 + [None] * 8, []),
+    ),
+    (4, 16, (6,)): (
+        (6, 107, [None] * 16, []),
+        (6, 107, [None] * 16, []),
+    ),
+    (4, 16, (0, 4)): (
+        (0, None, [None] * 16, [[4, 107]]),
+        (0, None, [None] * 16, [[4, 107]]),
+    ),
+    (4, 16, (8, 4)): (
+        (8, 107, [None] * 16, [[4, 107]]),
+        (8, 107, [None] * 16, [[4, 107]]),
+    ),
+}
+
+
+def _compact(assignment):
+    return (
+        assignment.lc_cores,
+        None if assignment.lc_config is None else assignment.lc_config.index,
+        [None if c is None else c.index for c in assignment.batch_configs],
+        [[a.cores, a.config.index] for a in assignment.extra_lc],
+    )
+
+
+class TestConservativeAssignment:
+    @pytest.mark.parametrize("case", sorted(CONSERVATIVE_POSTURES))
+    def test_postures_match_recorded(self, case):
+        llc_ways, n_batch, lc_cores = case
+        _, test_names = train_test_split()
+        machine = Machine(
+            lc_service=lc_service("xapian"),
+            batch_profiles=[
+                batch_profile(n) for n in (test_names * 2)[:n_batch]
+            ],
+            params=MachineParams(llc_ways=llc_ways),
+            seed=11,
+            extra_services=[lc_service("moses")] * (len(lc_cores) - 1),
+        )
+        controller = build_controller(machine)
+        controller.lc_cores_by_service = list(lc_cores)
+        safe, fair = CONSERVATIVE_POSTURES[case]
+        assert _compact(
+            controller._conservative_assignment(CACHE_ALLOCS[0])
+        ) == safe
+        assert _compact(controller._conservative_assignment(None)) == fair
+        # The posture itself takes no degradation rung; rung 3 records
+        # its own before asking for the fair share.
+        assert not controller.deadline_degraded_quantum
+        assert controller._rungs_this_quantum == []
+
+
 class TestQuarantine:
     def _fail_reconfig_once(self, machine, controller):
         requested = machine.run_slice  # noqa: F841 (readability)
-        wide = controller._safe_mode_assignment()  # narrowest batch cores
+        # Narrowest batch cores, the minimum cache share.
+        wide = controller._conservative_assignment(CACHE_ALLOCS[0])
         from dataclasses import replace
 
         from repro.sim.coreconfig import JointConfig
@@ -243,7 +353,7 @@ class TestLastKnownGood:
     def test_clean_measurement_refreshes_cache(self, small_machine):
         controller = build_controller(small_machine)
         assert controller.last_good_assignment is None
-        assignment = controller._safe_mode_assignment()
+        assignment = controller._conservative_assignment(CACHE_ALLOCS[0])
         measurement = small_machine.run_slice(assignment, 0.5)
         controller.ingest_measurement(measurement)
         assert controller.last_good_assignment == measurement.assignment
@@ -252,7 +362,7 @@ class TestLastKnownGood:
         from dataclasses import replace
 
         controller = build_controller(small_machine)
-        assignment = controller._safe_mode_assignment()
+        assignment = controller._conservative_assignment(CACHE_ALLOCS[0])
         measurement = small_machine.run_slice(assignment, 0.5)
         dirty = replace(measurement, lc_p99=math.nan)
         controller.ingest_measurement(dirty)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import EXPERIMENTS, POLICIES, build_parser, main
@@ -327,6 +329,28 @@ class TestRunPauseResumeFlags:
                      "--resume-state", state]) == 0
         resumed = capsys.readouterr().out
         assert "3 slices" in resumed
+
+
+    def test_foreign_or_bad_state_is_a_one_line_error(
+        self, capsys, tmp_path
+    ):
+        state = tmp_path / "state.json"
+        assert main(["--seed", "7", "run", "--slices", "6",
+                     "--stop-after", "2", "--save-state", str(state)]) == 0
+        capsys.readouterr()
+        assert main(["--seed", "7", "run", "--mix", "1", "--slices", "6",
+                     "--resume-state", str(state)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "origin" in err
+        assert err.count("\n") == 1
+        bad = json.loads(state.read_text())
+        bad["version"] = 9
+        state.write_text(json.dumps(bad))
+        assert main(["--seed", "7", "run", "--slices", "6",
+                     "--resume-state", str(state)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "version 9" in err
+        assert "Traceback" not in err
 
 
 class TestAuditCommand:
