@@ -1,11 +1,12 @@
-"""Deterministic performance-regression harness (``repro bench``).
+"""Deterministic operation-counter gate (``repro bench``).
 
 Runs the scheduler's hot paths — PQ/SGD reconstruction, DDS search,
-the full decision quantum, and the telemetry-on/off overhead pair —
-with fixed seeds, recording wall-clock samples *and* RNG-safe
-operation counters.  Results serialise to BENCH.json; ``repro bench
---compare BASELINE.json`` is the noise-aware regression gate CI runs
-against the committed ``benchmarks/BENCH_BASELINE.json``.
+the full decision quantum, the deadline meter, the live event bus, the
+profiler and the fleet pool — once each with fixed seeds, recording
+RNG-safe operation counters.  Results serialise to BENCH.json;
+``repro bench --compare BASELINE.json`` is the regression gate CI runs
+against the committed ``benchmarks/BENCH_BASELINE.json``.  Wall time
+belongs to perfbench (``perfbench/README.md``).
 
 See ``docs/observability.md`` for the workflow.
 """

@@ -1,30 +1,23 @@
 """Deterministic benchmark cases for the scheduler's hot paths.
 
-Each case times a hot path ``repeats`` times (fresh solver/RNG state
-per repeat so every repeat does identical work) and reports the raw
-wall-clock samples *plus* RNG-safe operation counters — SGD iterations
-to converge, DDS objective evaluations, trace-span counts.  The
-counters are fully determined by the seeds, so they are the quantities
-the CI regression gate compares across machines; the walls are for
-like-for-like local comparisons.
-
-Wall-clock here uses :func:`time.perf_counter_ns` deliberately —
-``repro.bench`` sits outside the determinism-audited packages
-(``repro.sim``/``repro.core``/``repro.faults``), so the DET103 lint
-rule does not apply.
+Each case runs a hot path once and reports its RNG-safe operation
+counters — SGD iterations to converge, DDS objective evaluations,
+trace-span counts, zero-baseline health counters.  The counters are
+fully determined by the seeds, so the CI regression gate compares them
+across machines.  Wall time is measured by perfbench
+(``perfbench/README.md``), not here.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bench.report import BenchCaseResult, BenchReport
 
-#: Slices per decision-loop repeat; small because each slice runs the
+#: Slices per decision-loop case; small because each slice runs the
 #: full profile -> reconstruct -> search -> reconfigure pipeline.
 QUANTUM_SLICES = 3
 #: Batch jobs in the solver microbenchmarks (the paper's mix size).
@@ -37,42 +30,32 @@ class BenchCase:
 
     name: str
     description: str
-    runner: Callable[[int, int], BenchCaseResult]
-
-
-def _timed_ms(fn: Callable[[], object]) -> float:
-    start = time.perf_counter_ns()
-    fn()
-    return (time.perf_counter_ns() - start) / 1e6
+    runner: Callable[[int], BenchCaseResult]
 
 
 # -- solver microbenchmarks ------------------------------------------------
 
 
-def _run_sgd(repeats: int, seed: int) -> BenchCaseResult:
+def _run_sgd(seed: int) -> BenchCaseResult:
     """One PQ reconstruction of the profiled 32-app BIPS matrix."""
     from repro.core.sgd import PQReconstructor, SGDParams
     from repro.experiments.table2_overheads import _profiled_matrix
 
     matrix, _, _ = _profiled_matrix(n_train=N_BENCH_JOBS)
-    walls: List[float] = []
-    iterations = 0
-    for _ in range(repeats):
-        # Fresh reconstructor per repeat: identical SGD trajectory,
-        # hence an identical, comparable iteration count.
-        reconstructor = PQReconstructor(SGDParams(seed=seed))
-        walls.append(_timed_ms(lambda: reconstructor.reconstruct(matrix)))
-        if reconstructor.last_diagnostics is not None:
-            iterations = reconstructor.last_diagnostics.iterations
+    reconstructor = PQReconstructor(SGDParams(seed=seed))
+    reconstructor.reconstruct(matrix)
+    diagnostics = reconstructor.last_diagnostics
     return BenchCaseResult(
         name="sgd.reconstruct",
         description="PQ/SGD reconstruction, 32-app BIPS matrix",
-        wall_ms=tuple(walls),
-        counters={"sgd_iterations": int(iterations)},
+        counters={
+            "sgd_iterations": 0 if diagnostics is None
+            else int(diagnostics.iterations),
+        },
     )
 
 
-def _run_dds(repeats: int, seed: int) -> BenchCaseResult:
+def _run_dds(seed: int) -> BenchCaseResult:
     """One 16-job DDS search over the 108-config joint space."""
     from repro.core.dds import DDSSearch
     from repro.core.matrices import throughput_rows
@@ -91,26 +74,14 @@ def _run_dds(repeats: int, seed: int) -> BenchCaseResult:
         max_power=100.0,
         max_ways=32,
     )
-    walls: List[float] = []
-    evaluations = 0
-    for _ in range(repeats):
-        searcher = DDSSearch()
-        rng = np.random.default_rng(seed)
-        result_box = {}
-
-        def search() -> None:
-            result_box["result"] = searcher.search(
-                objective, n_dims=N_BENCH_JOBS, n_confs=N_JOINT_CONFIGS,
-                rng=rng,
-            )
-
-        walls.append(_timed_ms(search))
-        evaluations = int(result_box["result"].evaluations)
+    result = DDSSearch().search(
+        objective, n_dims=N_BENCH_JOBS, n_confs=N_JOINT_CONFIGS,
+        rng=np.random.default_rng(seed),
+    )
     return BenchCaseResult(
         name="dds.search",
         description="DDS search, 16 jobs x 108 joint configs",
-        wall_ms=tuple(walls),
-        counters={"dds_evaluations": evaluations},
+        counters={"dds_evaluations": int(result.evaluations)},
     )
 
 
@@ -133,12 +104,12 @@ def _decision_loop(seed: int, telemetry) -> None:
     )
 
 
-def _quantum_counters(seed: int) -> Dict[str, int]:
-    """Operation counts of the decision loop, from an instrumented twin.
+def _run_quantum(seed: int) -> BenchCaseResult:
+    """Operation counts of the decision loop, read from its spans.
 
     Telemetry changes no RNG draws and no decisions, so the span
-    arguments of one traced run are exactly the operation counts of
-    the untraced timed runs.
+    arguments of a traced run are exactly the operation counts of an
+    untraced one.
     """
     from repro.telemetry import Telemetry
 
@@ -151,25 +122,16 @@ def _quantum_counters(seed: int) -> Dict[str, int]:
             evaluations += int(span.args.get("evaluations", 0))
         elif span.name == "sgd.reconstruct":
             iterations += int(span.args.get("iterations", 0))
-    return {
-        "dds_evaluations": evaluations,
-        "sgd_iterations": iterations,
-        "trace_spans": len(telemetry.tracer.spans),
-    }
-
-
-def _run_quantum(repeats: int, seed: int) -> BenchCaseResult:
-    walls = [
-        _timed_ms(lambda: _decision_loop(seed, None))
-        for _ in range(repeats)
-    ]
     return BenchCaseResult(
         name="quantum.decision",
         description=(
             f"{QUANTUM_SLICES} full decision quanta, mix 0, telemetry off"
         ),
-        wall_ms=tuple(walls),
-        counters=_quantum_counters(seed),
+        counters={
+            "dds_evaluations": evaluations,
+            "sgd_iterations": iterations,
+            "trace_spans": len(telemetry.tracer.spans),
+        },
     )
 
 
@@ -179,30 +141,7 @@ def _run_quantum(repeats: int, seed: int) -> BenchCaseResult:
 AMPLE_DECISION_BUDGET = 8000
 
 
-def _budgeted_decision_loop(seed: int, telemetry):
-    """The decision loop under an ample per-quantum deadline budget."""
-    from repro.core.controller import ControllerConfig
-    from repro.core.runtime import CuttleSysPolicy
-    from repro.experiments.harness import build_machine_for_mix, run_policy
-    from repro.workloads.loadgen import LoadTrace
-    from repro.workloads.mixes import paper_mixes
-
-    mix = paper_mixes()[0]
-    machine = build_machine_for_mix(mix, seed=seed)
-    policy = CuttleSysPolicy.for_machine(
-        machine, seed=seed,
-        config=ControllerConfig(
-            seed=seed, decision_budget=AMPLE_DECISION_BUDGET
-        ),
-    )
-    run_policy(
-        machine, policy, LoadTrace.constant(0.6),
-        n_slices=QUANTUM_SLICES, telemetry=telemetry,
-    )
-    return policy
-
-
-def _run_deadline_quantum(repeats: int, seed: int) -> BenchCaseResult:
+def _run_deadline_quantum(seed: int) -> BenchCaseResult:
     """The decision loop with the deadline meter armed at ample budget.
 
     The counters are the zero-rung regression gate: at ample budget the
@@ -211,14 +150,25 @@ def _run_deadline_quantum(repeats: int, seed: int) -> BenchCaseResult:
     over budget trips the CI counter comparison.  ``budget_total_spent``
     pins the meter's deterministic arithmetic itself.
     """
+    from repro.core.controller import ControllerConfig
+    from repro.core.runtime import CuttleSysPolicy
+    from repro.experiments.harness import build_machine_for_mix, run_policy
     from repro.telemetry import Telemetry
+    from repro.workloads.loadgen import LoadTrace
+    from repro.workloads.mixes import paper_mixes
 
-    walls = [
-        _timed_ms(lambda: _budgeted_decision_loop(seed, None))
-        for _ in range(repeats)
-    ]
+    machine = build_machine_for_mix(paper_mixes()[0], seed=seed)
+    policy = CuttleSysPolicy.for_machine(
+        machine, seed=seed,
+        config=ControllerConfig(
+            seed=seed, decision_budget=AMPLE_DECISION_BUDGET
+        ),
+    )
     session = Telemetry()
-    policy = _budgeted_decision_loop(seed, session)
+    run_policy(
+        machine, policy, LoadTrace.constant(0.6),
+        n_slices=QUANTUM_SLICES, telemetry=session,
+    )
     counters = session.metrics.as_dict()["counters"]
     return BenchCaseResult(
         name="deadline.quantum",
@@ -226,7 +176,6 @@ def _run_deadline_quantum(repeats: int, seed: int) -> BenchCaseResult:
             f"{QUANTUM_SLICES} decision quanta under an ample "
             f"{AMPLE_DECISION_BUDGET}-op deadline budget"
         ),
-        wall_ms=tuple(walls),
         counters={
             "degradation_rungs": int(
                 counters.get("controller.degradation.rungs", 0)
@@ -237,47 +186,13 @@ def _run_deadline_quantum(repeats: int, seed: int) -> BenchCaseResult:
     )
 
 
-def _run_telemetry_overhead(repeats: int, seed: int) -> BenchCaseResult:
-    from repro.telemetry import Telemetry
-
-    walls = [
-        _timed_ms(lambda: _decision_loop(seed, Telemetry()))
-        for _ in range(repeats)
-    ]
-    return BenchCaseResult(
-        name="telemetry.overhead",
-        description=(
-            f"{QUANTUM_SLICES} decision quanta with a live telemetry session"
-        ),
-        wall_ms=tuple(walls),
-        counters={},
-    )
-
-
-def _run_telemetry_disabled(repeats: int, seed: int) -> BenchCaseResult:
-    from repro.telemetry import Telemetry
-
-    walls = [
-        _timed_ms(lambda: _decision_loop(seed, Telemetry(enabled=False)))
-        for _ in range(repeats)
-    ]
-    return BenchCaseResult(
-        name="telemetry.overhead_disabled",
-        description=(
-            f"{QUANTUM_SLICES} decision quanta with a disabled session "
-            "(null tracer + null registry fast path)"
-        ),
-        wall_ms=tuple(walls),
-        counters={},
-    )
-
-
-def _streamed_decision_loop(seed: int):
+def _run_stream_overhead(seed: int) -> BenchCaseResult:
     """The decision loop with a live emitter bound to a bounded queue.
 
-    Returns ``(emitter, aggregator)`` after draining the queue, so the
-    counters can assert both ends of the bus: everything emitted was
-    aggregated and nothing was dropped at baseline.
+    The counters assert both ends of the bus after draining the queue:
+    everything emitted was aggregated, and ``live_dropped_events`` has
+    baseline 0, so any drop under the bounded queue at baseline load
+    trips the CI counter comparison.
     """
     import queue as queue_mod
 
@@ -301,28 +216,12 @@ def _streamed_decision_loop(seed: int):
             aggregator.ingest_event(sink.get_nowait())
         except queue_mod.Empty:
             break
-    return emitter, aggregator
-
-
-def _run_stream_overhead(repeats: int, seed: int) -> BenchCaseResult:
-    """Streaming cost on top of ``telemetry.overhead``.
-
-    The counters are the backpressure gate: ``live_dropped_events``
-    has baseline 0, so any drop under the bounded queue at baseline
-    load trips the CI counter comparison.
-    """
-    walls = [
-        _timed_ms(lambda: _streamed_decision_loop(seed))
-        for _ in range(repeats)
-    ]
-    emitter, aggregator = _streamed_decision_loop(seed)
     return BenchCaseResult(
         name="telemetry.stream_overhead",
         description=(
             f"{QUANTUM_SLICES} decision quanta streaming live quantum "
             "events into a bounded in-process queue"
         ),
-        wall_ms=tuple(walls),
         counters={
             "live_events": int(emitter.emitted),
             "live_dropped_events": int(emitter.dropped),
@@ -332,23 +231,8 @@ def _run_stream_overhead(repeats: int, seed: int) -> BenchCaseResult:
     )
 
 
-def _profiled_decision_loop(seed: int):
+def _run_profiler_overhead(seed: int) -> BenchCaseResult:
     """The decision loop with a live session, then the profile build.
-
-    Returns ``(telemetry, profile root)`` so the counters can pin both
-    the flight recorder (every quantum produced a provenance record,
-    none dropped) and the profiler's deterministic operation totals.
-    """
-    from repro.telemetry import Telemetry
-    from repro.telemetry.profiler import profile_telemetry
-
-    telemetry = Telemetry()
-    _decision_loop(seed, telemetry)
-    return telemetry, profile_telemetry(telemetry)
-
-
-def _run_profiler_overhead(repeats: int, seed: int) -> BenchCaseResult:
-    """Flight-recorder + profiler cost on top of ``telemetry.overhead``.
 
     The counters are the observability gate: ``provenance_records``
     must equal the quantum count (the recorder never misses a
@@ -357,13 +241,16 @@ def _run_profiler_overhead(repeats: int, seed: int) -> BenchCaseResult:
     ``profile_ops_total`` / ``profile_nodes`` pair pins the profiler's
     deterministic aggregation itself.
     """
-    from repro.telemetry.profiler import iter_nodes, phase_summary
+    from repro.telemetry import Telemetry
+    from repro.telemetry.profiler import (
+        iter_nodes,
+        phase_summary,
+        profile_telemetry,
+    )
 
-    walls = [
-        _timed_ms(lambda: _profiled_decision_loop(seed))
-        for _ in range(repeats)
-    ]
-    session, root = _profiled_decision_loop(seed)
+    session = Telemetry()
+    _decision_loop(seed, session)
+    root = profile_telemetry(session)
     counters = session.metrics.as_dict()["counters"]
     ops_total = sum(
         sum(entry["ops"].values()) for entry in phase_summary(root)
@@ -374,7 +261,6 @@ def _run_profiler_overhead(repeats: int, seed: int) -> BenchCaseResult:
             f"{QUANTUM_SLICES} decision quanta with provenance "
             "recording plus the profile build"
         ),
-        wall_ms=tuple(walls),
         counters={
             "provenance_records": int(
                 counters.get("provenance.records", 0)
@@ -390,8 +276,7 @@ def _run_profiler_overhead(repeats: int, seed: int) -> BenchCaseResult:
 
 # -- fleet benchmarks ------------------------------------------------------
 
-#: Slices per cluster-study arm in the fleet cases; enough work per
-#: unit that worker start-up cost amortises on multi-core hosts.
+#: Slices per cluster-study arm in the fleet case.
 FLEET_SLICES = 4
 
 
@@ -403,21 +288,16 @@ def _cluster_cells(seed: int, jobs: int, telemetry=None):
     )
 
 
-def _run_fleet_pool(repeats: int, seed: int) -> BenchCaseResult:
+def _run_fleet_pool(seed: int) -> BenchCaseResult:
     """The 2-scheme cluster study sharded across 2 worker processes.
 
-    Walls show the parallel speedup on multi-core hosts (compare with
-    ``fleet.serial``); the counters are the RNG-safe determinism gate:
-    ``fleet_retries`` and ``fleet_mismatched_units`` have baseline 0,
-    so any worker death or serial-vs-parallel result divergence trips
-    the CI counter comparison.
+    The counters are the RNG-safe determinism gate: ``fleet_retries``
+    and ``fleet_mismatched_units`` have baseline 0, so any worker death
+    or serial-vs-parallel result divergence trips the CI counter
+    comparison.
     """
     from repro.telemetry import Telemetry
 
-    walls = [
-        _timed_ms(lambda: _cluster_cells(seed, jobs=2))
-        for _ in range(repeats)
-    ]
     session = Telemetry()
     parallel = _cluster_cells(seed, jobs=2, telemetry=session)
     serial = _cluster_cells(seed, jobs=1)
@@ -430,7 +310,6 @@ def _run_fleet_pool(repeats: int, seed: int) -> BenchCaseResult:
             f"cluster study ({FLEET_SLICES} slices) sharded over "
             "2 worker processes"
         ),
-        wall_ms=tuple(walls),
         counters={
             "fleet_units": int(
                 session.metrics.counter("fleet.units_total").value
@@ -443,22 +322,6 @@ def _run_fleet_pool(repeats: int, seed: int) -> BenchCaseResult:
                 sum(outcome.qos_violations for outcome in serial.values())
             ),
         },
-    )
-
-
-def _run_fleet_serial(repeats: int, seed: int) -> BenchCaseResult:
-    """The same cluster study run in-process; the speedup denominator."""
-    walls = [
-        _timed_ms(lambda: _cluster_cells(seed, jobs=1))
-        for _ in range(repeats)
-    ]
-    return BenchCaseResult(
-        name="fleet.serial",
-        description=(
-            f"cluster study ({FLEET_SLICES} slices) in-process, --jobs 1"
-        ),
-        wall_ms=tuple(walls),
-        counters={},
     )
 
 
@@ -484,16 +347,6 @@ BENCH_CASES: Tuple[BenchCase, ...] = (
         _run_deadline_quantum,
     ),
     BenchCase(
-        "telemetry.overhead",
-        "decision quanta with a live telemetry session",
-        _run_telemetry_overhead,
-    ),
-    BenchCase(
-        "telemetry.overhead_disabled",
-        "decision quanta with a disabled telemetry session",
-        _run_telemetry_disabled,
-    ),
-    BenchCase(
         "telemetry.stream_overhead",
         "decision quanta streaming live events into a bounded queue",
         _run_stream_overhead,
@@ -508,11 +361,6 @@ BENCH_CASES: Tuple[BenchCase, ...] = (
         "cluster study sharded over 2 worker processes",
         _run_fleet_pool,
     ),
-    BenchCase(
-        "fleet.serial",
-        "cluster study in-process (speedup denominator)",
-        _run_fleet_serial,
-    ),
 )
 
 
@@ -521,13 +369,10 @@ def case_names() -> Tuple[str, ...]:
 
 
 def run_bench(
-    repeats: int = 5,
     seed: int = 7,
     only: Optional[Sequence[str]] = None,
 ) -> BenchReport:
-    """Run the (selected) benchmark cases and assemble a report."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    """Run the (selected) benchmark cases once each and assemble a report."""
     if only is not None:
         unknown = sorted(set(only) - set(case_names()))
         if unknown:
@@ -539,5 +384,5 @@ def run_bench(
     for case in BENCH_CASES:
         if only is not None and case.name not in only:
             continue
-        cases[case.name] = case.runner(repeats, seed)
-    return BenchReport(seed=seed, repeats=repeats, cases=cases)
+        cases[case.name] = case.runner(seed)
+    return BenchReport(seed=seed, cases=cases)

@@ -1,21 +1,19 @@
-"""BENCH.json schema, noise-aware comparison, and rendering.
+"""BENCH.json schema, counter comparison, and rendering.
 
-One :class:`BenchReport` is the machine-readable performance trajectory
-of the scheduler's hot paths: per case, the raw wall-clock samples of
-every repeat (compared median-of-k, so one noisy repeat cannot fail a
-gate) plus RNG-safe *operation counters* — objective evaluations per
-DDS search, SGD iterations-to-converge, trace-span counts — which are
+One :class:`BenchReport` records, per case, the RNG-safe *operation
+counters* of the scheduler's hot paths — objective evaluations per DDS
+search, SGD iterations-to-converge, trace-span counts — which are
 deterministic given the seeds and therefore comparable across machines.
-CI gates on the counters against a committed baseline
-(``benchmarks/BENCH_BASELINE.json``); wall-clock comparison is for
-like-for-like runs (same machine, ``repro bench --compare``).
+CI gates on them against a committed baseline
+(``benchmarks/BENCH_BASELINE.json``).  Wall time is perfbench's job
+(``perfbench/README.md``); reports written with the older ``wall_ms``
+and ``repeats`` fields still load, and those fields are ignored.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -25,26 +23,16 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class BenchCaseResult:
-    """One case's measurements: raw walls plus operation counters."""
+    """One case's operation counters."""
 
     name: str
     description: str
-    #: Wall-clock of each repeat, milliseconds, in execution order.
-    wall_ms: Tuple[float, ...]
     #: Deterministic operation counts (RNG-safe, machine-independent).
     counters: Dict[str, int]
-
-    @property
-    def median_wall_ms(self) -> float:
-        """Median-of-k wall time; the quantity comparisons use."""
-        if not self.wall_ms:
-            return math.nan
-        return float(statistics.median(self.wall_ms))
 
     def to_dict(self) -> Dict:
         return {
             "description": self.description,
-            "wall_ms": [round(w, 4) for w in self.wall_ms],
             "counters": dict(sorted(self.counters.items())),
         }
 
@@ -53,7 +41,6 @@ class BenchCaseResult:
         return cls(
             name=name,
             description=str(data.get("description", "")),
-            wall_ms=tuple(float(w) for w in data.get("wall_ms", ())),
             counters={
                 str(k): int(v)
                 for k, v in data.get("counters", {}).items()
@@ -66,7 +53,6 @@ class BenchReport:
     """A full ``repro bench`` run (the BENCH.json artifact)."""
 
     seed: int
-    repeats: int
     cases: Dict[str, BenchCaseResult]
     schema: int = SCHEMA_VERSION
 
@@ -74,7 +60,6 @@ class BenchReport:
         return {
             "schema": self.schema,
             "seed": self.seed,
-            "repeats": self.repeats,
             "cases": {
                 name: case.to_dict() for name, case in self.cases.items()
             },
@@ -98,7 +83,6 @@ class BenchReport:
             )
         return cls(
             seed=int(data.get("seed", 0)),
-            repeats=int(data.get("repeats", 0)),
             cases={
                 name: BenchCaseResult.from_dict(name, case)
                 for name, case in data.get("cases", {}).items()
@@ -119,7 +103,7 @@ class Delta:
     """One compared quantity of one case."""
 
     case: str
-    #: ``"wall_ms"`` or an operation-counter key.
+    #: An operation-counter key.
     quantity: str
     baseline: float
     current: float
@@ -132,7 +116,6 @@ class Comparison:
     """Outcome of comparing a current report against a baseline."""
 
     threshold_pct: float
-    counters_only: bool
     deltas: Tuple[Delta, ...]
     #: Baseline cases absent from the current report (a regression:
     #: a silently dropped benchmark hides future slowdowns).
@@ -151,14 +134,13 @@ def compare_reports(
     current: BenchReport,
     baseline: BenchReport,
     threshold_pct: float = 10.0,
-    counters_only: bool = False,
 ) -> Comparison:
-    """Noise-aware comparison: median-of-k walls, exact-ish counters.
+    """Compare every baseline counter against the current report.
 
-    A quantity regresses when it grows more than ``threshold_pct``
-    above the baseline.  ``counters_only`` skips wall-clock entirely —
-    the mode CI uses against the committed baseline, since absolute
-    timings are machine-dependent but operation counts are not.
+    A counter regresses when it grows more than ``threshold_pct`` above
+    the baseline (a zero baseline counts as one, so any nonzero value
+    is a >=100 % increase); a counter or case missing from the current
+    report regresses too.
     """
     if threshold_pct < 0:
         raise ValueError("threshold_pct must be non-negative")
@@ -169,16 +151,6 @@ def compare_reports(
         if cur is None:
             missing.append(name)
             continue
-        if not counters_only:
-            base_med = base.median_wall_ms
-            cur_med = cur.median_wall_ms
-            if base_med > 0 and not math.isnan(cur_med):
-                change = (cur_med - base_med) / base_med * 100.0
-                deltas.append(Delta(
-                    case=name, quantity="wall_ms",
-                    baseline=base_med, current=cur_med,
-                    change_pct=change, regressed=change > threshold_pct,
-                ))
         for key, base_count in sorted(base.counters.items()):
             cur_count = cur.counters.get(key)
             if cur_count is None:
@@ -196,7 +168,6 @@ def compare_reports(
             ))
     return Comparison(
         threshold_pct=threshold_pct,
-        counters_only=counters_only,
         deltas=tuple(deltas),
         missing=tuple(missing),
     )
@@ -204,19 +175,9 @@ def compare_reports(
 
 def render_report(report: BenchReport) -> str:
     """Human-readable bench table."""
-    lines = [
-        "performance bench "
-        f"(seed {report.seed}, median of {report.repeats}):",
-        f"  {'case':<30} {'median':>10} {'min':>10} {'max':>10}",
-    ]
+    lines = [f"operation-counter bench (seed {report.seed}):"]
     for name, case in report.cases.items():
-        if case.wall_ms:
-            lines.append(
-                f"  {name:<30} {case.median_wall_ms:>8.2f}ms "
-                f"{min(case.wall_ms):>8.2f}ms {max(case.wall_ms):>8.2f}ms"
-            )
-        else:
-            lines.append(f"  {name:<30} {'-':>10} {'-':>10} {'-':>10}")
+        lines.append(f"  {name}")
         for key, value in sorted(case.counters.items()):
             lines.append(f"    {key:<32} {value}")
     return "\n".join(lines)
@@ -224,10 +185,8 @@ def render_report(report: BenchReport) -> str:
 
 def render_comparison(comparison: Comparison) -> str:
     """Human-readable regression-gate verdict."""
-    scope = "counters only" if comparison.counters_only else "wall + counters"
     lines = [
-        f"bench comparison ({scope}, "
-        f"threshold {comparison.threshold_pct:.1f} %):"
+        f"bench comparison (threshold {comparison.threshold_pct:.1f} %):"
     ]
     for delta in comparison.deltas:
         marker = "REGRESSED" if delta.regressed else "ok"

@@ -28,7 +28,6 @@ Commands:
   the robustness invariants (docs/robustness.md); exits 1 if any
   invariant broke
 * ``report``                — run the full evaluation, write a markdown report
-* ``telemetry-report``      — summarise a JSONL telemetry log
 * ``top``                   — terminal status view of a JSONL telemetry
   log: rolling-window latency/power percentiles, QoS violations and
   fleet health (``--follow`` re-reads the log like ``top(1)``)
@@ -46,8 +45,9 @@ Commands:
 * ``audit``                 — run one mix with the prediction-accuracy
   auditor attached: per-metric error percentiles against the oracle,
   EWMA drift flags, QoS-violation attribution (docs/observability.md)
-* ``bench``                 — deterministic hot-path benchmarks; writes
-  BENCH.json, and ``--compare BASELINE.json`` is the regression gate
+* ``bench``                 — deterministic operation counters of the
+  hot paths; writes BENCH.json, and ``--compare BASELINE.json`` is the
+  regression gate (wall time is perfbench's, perfbench/README.md)
 * ``serve``                 — run the scheduler daemon: an asyncio
   control plane accepting live job submissions over NDJSON/TCP (plus a
   read-only HTTP status surface) and ticking the decision-quantum loop
@@ -277,18 +277,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.metrics:
             print()
             print(telemetry.report())
-    return 0
-
-
-def _cmd_telemetry_report(args: argparse.Namespace) -> int:
-    from repro.telemetry import read_jsonl, render_jsonl_report
-
-    try:
-        records = read_jsonl(args.log)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read {args.log}: {exc}", file=sys.stderr)
-        return 2
-    print(render_jsonl_report(records))
     return 0
 
 
@@ -636,9 +624,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return 2
     else:
         try:
-            current = run_bench(
-                repeats=args.repeats, seed=args.seed, only=args.only,
-            )
+            current = run_bench(seed=args.seed, only=args.only)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -658,9 +644,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         comparison = compare_reports(
-            current, baseline,
-            threshold_pct=args.threshold,
-            counters_only=args.counters_only,
+            current, baseline, threshold_pct=args.threshold,
         )
         print(render_comparison(comparison))
         return 0 if comparison.ok else 1
@@ -1298,12 +1282,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_status.add_argument("checkpoint_file", metavar="CHECKPOINT",
                               help="checkpoint written by --checkpoint")
 
-    telemetry_report = sub.add_parser(
-        "telemetry-report", help="summarise a JSONL telemetry log"
-    )
-    telemetry_report.add_argument("log", help="JSONL log written by "
-                                  "`run --jsonl` or Telemetry.write_jsonl")
-
     top = sub.add_parser(
         "top",
         help="terminal status view of a JSONL telemetry log "
@@ -1417,11 +1395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="deterministic hot-path benchmarks + regression gate",
+        help="deterministic operation-counter gate of the hot paths",
     )
-    bench.add_argument("--repeats", type=int, default=5,
-                       help="timed repeats per case (default 5; "
-                       "comparisons use the median)")
     bench.add_argument("--only", nargs="+", default=None, metavar="CASE",
                        help="restrict to named cases (see --list)")
     bench.add_argument("--list", action="store_true",
@@ -1437,9 +1412,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--threshold", type=float, default=10.0,
                        metavar="PCT",
                        help="regression threshold percent (default 10)")
-    bench.add_argument("--counters-only", action="store_true",
-                       help="compare only operation counters "
-                       "(machine-independent; what CI uses)")
 
     serve = sub.add_parser(
         "serve",
@@ -1542,7 +1514,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "experiment": _cmd_experiment,
         "fault-study": _cmd_fault_study,
         "chaos": _cmd_chaos,
-        "telemetry-report": _cmd_telemetry_report,
         "top": _cmd_top,
         "dashboard": _cmd_dashboard,
         "explain": _cmd_explain,

@@ -44,7 +44,7 @@ from repro.telemetry.provenance import (
     candidate_provenance,
     classify_candidates,
 )
-from repro.telemetry.tracer import Tracer, tracer_of
+from repro.telemetry.tracer import NullTracer, Tracer, tracer_of
 from repro.core.matrices import (
     MATRIX,
     ObservedMatrix,
@@ -190,25 +190,6 @@ class ControllerConfig:
             raise ValueError("decision_budget must be at least 1")
 
 
-@dataclass
-class StepTimings:
-    """Wall-clock overheads of one decision (Table II).
-
-    Since the telemetry refactor these are *derived from tracer
-    spans* (``sgd`` + ``lc_scan`` and ``search`` respectively), so the
-    controller, Table II, and any exported trace all report the same
-    numbers from one measurement path.
-    """
-
-    sgd_s: float = 0.0
-    search_s: float = 0.0
-
-    @property
-    def total_s(self) -> float:
-        """Total decision overhead excluding the fixed 2 ms profiling."""
-        return self.sgd_s + self.search_s
-
-
 @dataclass(frozen=True)
 class DecisionPrediction:
     """What the controller *expected* of the assignment it just made.
@@ -278,8 +259,7 @@ REGIME = Tup(INT, FLOAT, INT)
 class ResourceController(Snapshottable):
     """Online decision maker for one machine's jobs.
 
-    Snapshots carry all state that shapes future decisions; wall-clock
-    ``timings`` sit outside the determinism contract, and a completed
+    Snapshots carry all state that shapes future decisions; a completed
     quantum's prediction is never read again, so restore resets it.
     """
 
@@ -318,13 +298,10 @@ class ResourceController(Snapshottable):
     ) -> None:
         self.machine = machine
         self.config = config
-        # The controller always times its phases through a tracer (one
-        # shared measurement path for StepTimings, Table II and trace
-        # exports); without a session it uses a private one.
-        self.telemetry: Optional["Telemetry"] = None
-        self.tracer: Tracer = Tracer()
-        if telemetry is not None:
-            self.attach_telemetry(telemetry)
+        # Without a session the phase spans go to the shared null
+        # tracer, which records nothing.
+        self.telemetry: Optional["Telemetry"] = telemetry
+        self.tracer: "Tracer | NullTracer" = tracer_of(telemetry)
         self._rng = np.random.default_rng(config.seed)
         self.n_batch = len(machine.batch_profiles)
         self.n_train = len(train_profiles)
@@ -339,7 +316,6 @@ class ResourceController(Snapshottable):
         self.lc_cores_by_service[0] += total - base * self.n_services
         self._last_assignment: Optional[Assignment] = None
         self._last_x: Optional[np.ndarray] = None
-        self.timings: List[StepTimings] = []
         #: Predicted outcomes of the most recent :meth:`decide`.
         self.last_prediction: Optional[DecisionPrediction] = None
         #: Reconstructed matrices behind the most recent :meth:`decide`
@@ -438,22 +414,29 @@ class ResourceController(Snapshottable):
     def attach_telemetry(self, telemetry: "Telemetry") -> None:
         """Route spans/metrics into a :class:`repro.telemetry.Telemetry`.
 
-        The session's tracer replaces the controller's private one so
-        phase spans nest inside whatever the harness records (quantum,
-        decide, slice), and counters (core reclamations/yields,
-        emergency core-offs) land in the session's registry.
+        The session's tracer replaces the null tracer so phase spans
+        nest inside whatever the harness records (quantum, decide,
+        slice), and counters (core reclamations/yields, emergency
+        core-offs) land in the session's registry.
         """
         # Telemetry wiring is session plumbing, not simulation state:
         # the harness re-attaches it after every restore(), so the
         # snapshot contract deliberately excludes these rebindings.
         self.telemetry = telemetry  # repro: noqa[SNAP701]
-        tracer = tracer_of(telemetry)
+        self.attach_tracer(tracer_of(telemetry))
+
+    def attach_tracer(self, tracer: "Tracer | NullTracer") -> None:
+        """Record the phase spans into ``tracer`` alone.
+
+        Unlike :meth:`attach_telemetry` this binds no session counters
+        or provenance recorder: callers that only want the wall time of
+        the ``sgd``, ``lc_scan`` and ``search`` phases attach a bare
+        :class:`~repro.telemetry.tracer.Tracer`.
+        """
         self.tracer = tracer  # repro: noqa[SNAP701]
         self._reconstructor.tracer = tracer  # repro: noqa[SNAP701]
         self._searcher.tracer = tracer  # repro: noqa[SNAP701]
-        # attach_telemetry runs from __init__ before the searchers are
-        # built, then again whenever a session attaches later.
-        reduced = getattr(self, "_reduced_searcher", None)
+        reduced = self._reduced_searcher
         if reduced is not None:
             reduced.tracer = tracer
 
@@ -960,7 +943,7 @@ class ResourceController(Snapshottable):
                 })
                 return assignment
 
-        with self.tracer.span("sgd", category="controller") as sgd_span:
+        with self.tracer.span("sgd", category="controller"):
             bips_hat = self._reconstructor.reconstruct(self._bips_matrix)
             bips_diag = _diagnostics_state(
                 self._reconstructor.last_diagnostics
@@ -970,7 +953,7 @@ class ResourceController(Snapshottable):
                 self._reconstructor.last_diagnostics
             )
 
-        with self.tracer.span("lc_scan", category="controller") as lc_span:
+        with self.tracer.span("lc_scan", category="controller"):
             loads = [load, *extra_loads]
             selections = []
             predicted_p99 = []
@@ -1020,7 +1003,6 @@ class ResourceController(Snapshottable):
                     "reclaimed": bool(reclaimed),
                 })
             lc_joint, lc_cores, lc_power = selections[0]
-        timings = StepTimings(sgd_s=sgd_span.duration_s + lc_span.duration_s)
 
         batch_bips = bips_hat[self.n_train:self.n_train + self.n_batch]
         batch_power = power_hat[self.n_train:self.n_train + self.n_batch]
@@ -1111,7 +1093,7 @@ class ResourceController(Snapshottable):
 
         with self.tracer.span(
             "search", category="controller", explorer=self.config.explorer
-        ) as search_span:
+        ):
             # record_explored only stores the candidate trace for the
             # provenance summary; it changes neither the RNG stream nor
             # the evaluation count, so recorded and bare runs decide
@@ -1124,11 +1106,6 @@ class ResourceController(Snapshottable):
                 initial=self._last_x,
                 record_explored=recorder is not None,
             )
-        timings.search_s = search_span.duration_s
-        # Wall-clock phase timings are diagnostics outside the
-        # determinism contract (render_scalability drops them too), so
-        # snapshot/restore deliberately lets them reset on resume.
-        self.timings.append(timings)  # repro: noqa[SNAP701]
 
         x = result.best_x
         self._last_x = x.copy()

@@ -406,8 +406,7 @@ class QuantumStepper(Snapshottable):
         # A disabled session (Telemetry(enabled=False)) still attaches —
         # instrumented callees see the null tracer/registry — but the
         # harness skips its own per-quantum accounting entirely, keeping
-        # the telemetry-off hot loop at near-zero overhead (guarded by
-        # the `telemetry.overhead_disabled` bench).
+        # the telemetry-off hot loop at near-zero overhead.
         self.session_on = (
             telemetry is not None and getattr(telemetry, "enabled", True)
         )

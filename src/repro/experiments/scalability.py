@@ -6,7 +6,8 @@ number of cores and configuration parameters increases".  This study
 runs CuttleSys on 16-, 32- and 48-core machines (half LC, half batch)
 and reports:
 
-* the measured per-quantum decision cost (SGD + search wall-clock),
+* the measured per-quantum decision cost (SGD + LC scan + search
+  wall-clock, from the controller's phase spans),
 * achieved batch work as a fraction of the perfect-inference oracle on
   the same machine (decision *quality* must not degrade with scale).
 
@@ -14,9 +15,9 @@ Fleet sharding: each (n_cores, arm) cell — arm being either the
 CuttleSys controller or the perfect-inference oracle — is an
 independent simulation, so the grid shards across all of them
 (:func:`scalability_units`) and merges back in grid order.  One caveat:
-``decision_ms`` is *real wall-clock* measured on the controller, so it
-is deterministic in value only up to machine noise; the determinism
-contract therefore covers every field except timings, and
+``decision_ms`` is *real wall-clock* read from the controller's phase
+spans, so it is deterministic in value only up to machine noise; the
+determinism contract therefore covers every field except timings, and
 :func:`render_scalability` can drop the timing column
 (``include_timings=False``, the CLI's ``--no-timings``) when byte-exact
 comparison across ``--jobs`` settings is wanted.
@@ -37,12 +38,17 @@ from repro.experiments.reporting import format_table
 from repro.fleet import WorkUnit, run_grid, telemetry_records
 from repro.sim.machine import Machine, MachineParams
 from repro.telemetry.live import LiveAggregator
+from repro.telemetry.tracer import Span, Tracer
 from repro.workloads.batch import batch_profile, train_test_split
 from repro.workloads.latency_critical import lc_service
 from repro.workloads.loadgen import LoadTrace
 
 #: Grid arms per machine size, in merge order.
 ARMS: Tuple[str, ...] = ("cuttlesys", "oracle")
+
+#: The controller phases whose wall time is the decision cost (the
+#: fixed profiling interval excluded).
+DECISION_PHASES = ("sgd", "lc_scan", "search")
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,22 @@ def _machine(n_cores: int, seed: int, service_name: str = "xapian") -> Machine:
     )
 
 
+def median_decision_ms(spans: Sequence[Span]) -> float:
+    """Median over quanta of the summed decision-phase durations, ms.
+
+    Each decision opens exactly one ``sgd`` span, so an ``sgd`` span
+    starts the next quantum's sum.
+    """
+    per_quantum: List[float] = []
+    for span in spans:
+        if span.category != "controller" or span.name not in DECISION_PHASES:
+            continue
+        if span.name == "sgd":
+            per_quantum.append(0.0)
+        per_quantum[-1] += span.duration_s
+    return float(np.median(per_quantum) * 1e3)
+
+
 def _scale_cell(
     n_cores: int,
     arm: str,
@@ -99,12 +121,16 @@ def _scale_cell(
         from repro.telemetry import Telemetry
 
         session = Telemetry()
+    # A session brings its own tracer; otherwise the controller's phases
+    # are timed into a bare one, which adds no records to the cell.
+    tracer = session.tracer if session is not None else Tracer()
     if arm == "cuttlesys":
         policy: Any = CuttleSysPolicy.for_machine(
             machine,
             seed=seed,
             config=ControllerConfig(seed=seed, initial_lc_cores=lc_cores),
         )
+        policy.controller.attach_tracer(tracer)
     elif arm == "oracle":
         policy = OracleReconfigPolicy(lc_cores=lc_cores, seed=seed)
     else:
@@ -121,10 +147,7 @@ def _scale_cell(
         "instructions_b": run.total_batch_instructions() / 1e9,
     }
     if arm == "cuttlesys":
-        timings = policy.controller.timings
-        cell["decision_ms"] = float(
-            np.median([t.total_s for t in timings]) * 1e3
-        )
+        cell["decision_ms"] = median_decision_ms(tracer.spans)
     if session is not None:
         cell["telemetry"] = telemetry_records(session)
     return cell

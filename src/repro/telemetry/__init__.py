@@ -51,7 +51,6 @@ from repro.telemetry.exporters import (
     decisions_to_csv,
     merge_jsonl,
     read_jsonl,
-    render_jsonl_report,
     render_metrics_report,
     render_prometheus,
     write_chrome_trace,
@@ -113,8 +112,7 @@ class Telemetry:
         self.enabled = enabled
         self.tracer = Tracer() if enabled else NULL_TRACER
         # A disabled session swaps in the shared-no-op registry so the
-        # per-quantum hot loop pays no dict lookups or list appends
-        # (the `telemetry.overhead_disabled` bench guards this).
+        # per-quantum hot loop pays no dict lookups or list appends.
         self.metrics = (
             MetricsRegistry() if enabled else NullMetricsRegistry()
         )
@@ -209,7 +207,6 @@ __all__ = [
     "render_accuracy_report",
     "render_dashboard",
     "render_explain",
-    "render_jsonl_report",
     "render_live_status",
     "render_metrics_report",
     "render_phase_table",

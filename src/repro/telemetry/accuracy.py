@@ -23,7 +23,7 @@ makes continuous auditing cheap:
   (**infeasible**).
 
 Everything flows through the existing registry, so the JSONL/CSV/trace
-exporters and ``python -m repro telemetry-report`` pick the audit up
+exporters and ``python -m repro run --metrics`` pick the audit up
 for free; ``python -m repro audit`` renders the focused report.
 """
 

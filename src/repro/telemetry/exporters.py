@@ -4,7 +4,8 @@ Three sinks for one :class:`repro.telemetry.Telemetry` session:
 
 * :func:`write_jsonl` — every span, instant, counter, histogram and
   decision record as one JSON object per line.  This is the archival
-  format ``python -m repro telemetry-report`` reads back.
+  format ``python -m repro profile``, ``top``, ``dashboard`` and
+  ``explain`` read back.
 * :func:`write_chrome_trace` — the Chrome ``trace_event`` format
   (JSON object with a ``traceEvents`` array of ``"ph": "X"`` complete
   events), loadable in ``chrome://tracing`` or https://ui.perfetto.dev.
@@ -573,76 +574,3 @@ def render_prometheus(metrics) -> str:
             f"{_prometheus_value(summary.get('sum', 0.0) or 0.0)}"
         )
     return "\n".join(lines) + "\n"
-
-
-def render_jsonl_report(records: Iterable[Dict]) -> str:
-    """Summarise a parsed JSONL event log (``telemetry-report`` CLI).
-
-    Aggregates span durations by name (count/total/mean/p95) — this is
-    exactly how the Table II scheduling-overhead rows are derived from
-    a trace — and echoes counters, histograms, and the decision count.
-    """
-    from repro.telemetry.metrics import Histogram as _H
-
-    spans: Dict[str, _H] = {}
-    counters: Dict[str, float] = {}
-    histograms: List[Dict] = []
-    decisions = 0
-    instants = 0
-    provenance = 0
-    for rec in records:
-        kind = rec.get("type")
-        if kind == "span":
-            spans.setdefault(rec["name"], _H(rec["name"])).observe(
-                rec["dur_us"] / 1e3
-            )
-        elif kind == "counter":
-            counters[rec["name"]] = rec["value"]
-        elif kind == "histogram":
-            histograms.append(rec)
-        elif kind == "decision":
-            decisions += 1
-        elif kind == "instant":
-            instants += 1
-        elif kind == "provenance":
-            provenance += 1
-    lines = ["telemetry report", "=" * 16]
-    if spans:
-        lines.append("")
-        lines.append(
-            f"span durations (ms):{'':<16} count   total    mean     p95"
-        )
-        for name in sorted(spans):
-            s = spans[name].summary()
-            total = sum(spans[name].samples)
-            lines.append(
-                f"  {name:<32} {s['count']:>5} {total:>7.1f} "
-                f"{s['mean']:>7.3f} {s['p95']:>7.3f}"
-            )
-    if counters:
-        lines.append("")
-        lines.append("counters:")
-        for name in sorted(counters):
-            lines.append(f"  {name:<36} {counters[name]}")
-    if histograms:
-        lines.append("")
-        lines.append(
-            f"histograms:{'':<25} count    mean     p50     p95     p99"
-        )
-        for rec in sorted(histograms, key=lambda r: r["name"]):
-            s = rec["summary"]
-
-            def num(key: str) -> str:
-                v = s.get(key)
-                return f"{v:>7.2f}" if isinstance(v, (int, float)) else "      -"
-
-            lines.append(
-                f"  {rec['name']:<32} {s.get('count', 0):>5} "
-                f"{num('mean')} {num('p50')} {num('p95')} {num('p99')}"
-            )
-    lines.append("")
-    summary = f"decision records: {decisions}, instants: {instants}"
-    if provenance:
-        summary += f", provenance: {provenance}"
-    lines.append(summary)
-    return "\n".join(lines)

@@ -252,8 +252,7 @@ class NullMetricsRegistry(MetricsRegistry):
     call ``counter(...)``/``gauge(...)``/``histogram(...)`` freely on
     the per-quantum hot loop: every accessor returns a shared no-op
     instrument without touching a dict, and decision records are
-    dropped.  The ``telemetry.overhead_disabled`` benchmark in
-    ``repro.bench`` is the regression guard for this path.
+    dropped.
     """
 
     def __init__(self) -> None:

@@ -1,4 +1,4 @@
-"""The performance-regression harness: reports, comparison, CLI gate."""
+"""The operation-counter gate: reports, comparison, CLI."""
 
 import json
 import math
@@ -20,49 +20,53 @@ from repro.cli import main
 @pytest.fixture(scope="module")
 def report():
     """One fast real bench run (the two solver microbenchmarks)."""
-    return run_bench(repeats=2, only=["sgd.reconstruct", "dds.search"])
+    return run_bench(only=["sgd.reconstruct", "dds.search"])
 
 
-def _slowed(report, factor=2.0):
-    """A synthetic copy whose wall clocks regressed by ``factor``."""
+def _slowed(report, factor=2):
+    """A synthetic copy whose operation counts grew by ``factor``."""
     cases = {
-        name: replace(
-            case, wall_ms=tuple(w * factor for w in case.wall_ms)
-        )
+        name: replace(case, counters={
+            key: value * factor for key, value in case.counters.items()
+        })
         for name, case in report.cases.items()
     }
     return replace(report, cases=cases)
 
 
+def _with_legacy_walls(report, factor):
+    """The report as an older BENCH.json carrying wall samples."""
+    data = report.to_json_dict()
+    data["repeats"] = 3
+    for case in data["cases"].values():
+        case["wall_ms"] = [10.0 * factor] * 3
+    return data
+
+
 class TestRunBench:
     def test_selected_cases_run_with_counters(self, report):
         assert set(report.cases) == {"sgd.reconstruct", "dds.search"}
-        for case in report.cases.values():
-            assert len(case.wall_ms) == 2
-            assert all(w > 0 for w in case.wall_ms)
         assert report.cases["sgd.reconstruct"].counters["sgd_iterations"] > 0
         assert report.cases["dds.search"].counters["dds_evaluations"] > 0
 
     def test_counters_are_deterministic_across_runs(self, report):
-        again = run_bench(repeats=1, only=["sgd.reconstruct", "dds.search"])
+        again = run_bench(only=["sgd.reconstruct", "dds.search"])
         for name in report.cases:
             assert again.cases[name].counters == report.cases[name].counters
 
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError, match="unknown bench case"):
-            run_bench(repeats=1, only=["no.such.case"])
-
-    def test_bad_repeats_rejected(self):
-        with pytest.raises(ValueError):
-            run_bench(repeats=0)
+            run_bench(only=["no.such.case"])
 
     def test_case_names_cover_hot_paths(self):
         names = case_names()
         assert "sgd.reconstruct" in names
         assert "dds.search" in names
         assert "quantum.decision" in names
-        assert "telemetry.overhead" in names
-        assert "telemetry.overhead_disabled" in names
+        # Every case gates counters; wall time is perfbench's.
+        for uncounted in ("telemetry.overhead",
+                          "telemetry.overhead_disabled", "fleet.serial"):
+            assert uncounted not in names
 
 
 class TestReportIO:
@@ -70,14 +74,8 @@ class TestReportIO:
         path = tmp_path / "BENCH.json"
         report.write(path)
         loaded = BenchReport.read(path)
-        assert loaded.seed == report.seed
-        assert loaded.repeats == report.repeats
-        assert set(loaded.cases) == set(report.cases)
-        for name, case in report.cases.items():
-            assert loaded.cases[name].counters == case.counters
-            assert loaded.cases[name].median_wall_ms == pytest.approx(
-                case.median_wall_ms, rel=1e-3
-            )
+        assert loaded == report
+        assert "wall_ms" not in path.read_text()
 
     def test_newer_schema_rejected(self, report, tmp_path):
         path = tmp_path / "BENCH.json"
@@ -105,15 +103,18 @@ class TestCompare:
             _slowed(report), report, threshold_pct=10.0
         )
         assert not comparison.ok
-        walls = [d for d in comparison.regressions if d.quantity == "wall_ms"]
-        assert len(walls) == len(report.cases)
-        assert all(d.change_pct == pytest.approx(100.0) for d in walls)
+        assert len(comparison.regressions) == len(report.cases)
+        assert all(
+            d.change_pct == pytest.approx(100.0)
+            for d in comparison.regressions
+        )
 
     def test_counters_only_ignores_wall_slowdown(self, report):
-        comparison = compare_reports(
-            _slowed(report), report, counters_only=True
-        )
-        assert comparison.ok
+        """Wall samples in an older BENCH.json load and gate nothing."""
+        slow = BenchReport.from_json_dict(_with_legacy_walls(report, 2))
+        fast = BenchReport.from_json_dict(_with_legacy_walls(report, 1))
+        assert slow == report
+        assert compare_reports(slow, fast).ok
 
     def test_counter_growth_regresses_in_counters_only_mode(self, report):
         base_case = report.cases["dds.search"]
@@ -123,9 +124,8 @@ class TestCompare:
             }),
         })
         comparison = compare_reports(grown, BenchReport(
-            seed=report.seed, repeats=report.repeats,
-            cases={"dds.search": base_case},
-        ), counters_only=True)
+            seed=report.seed, cases={"dds.search": base_case},
+        ))
         assert not comparison.ok
 
     def test_missing_case_is_a_regression(self, report):
@@ -142,7 +142,7 @@ class TestCompare:
             **report.cases,
             "dds.search": replace(base_case, counters={}),
         })
-        comparison = compare_reports(current, report, counters_only=True)
+        comparison = compare_reports(current, report)
         bad = [d for d in comparison.regressions
                if d.case == "dds.search"]
         assert bad and math.isnan(bad[0].current)
@@ -188,15 +188,13 @@ class TestBenchCli:
         assert code == 1
         assert "REGRESSED" in capsys.readouterr().out
 
-    def test_counters_only_flag_passes_same_slowdown(self, report,
-                                                     tmp_path):
+    def test_legacy_wall_slowdown_passes_the_gate(self, report, tmp_path):
         baseline = tmp_path / "BASELINE.json"
         current = tmp_path / "BENCH.json"
-        report.write(baseline)
-        _slowed(report).write(current)
+        baseline.write_text(json.dumps(_with_legacy_walls(report, 1)))
+        current.write_text(json.dumps(_with_legacy_walls(report, 2)))
         code = main([
             "bench", "--input", str(current), "--compare", str(baseline),
-            "--counters-only",
         ])
         assert code == 0
 
@@ -212,8 +210,7 @@ class TestBenchCli:
     def test_run_writes_report(self, tmp_path, capsys):
         out = tmp_path / "BENCH.json"
         code = main([
-            "bench", "--repeats", "1", "--only", "sgd.reconstruct",
-            "--out", str(out),
+            "bench", "--only", "sgd.reconstruct", "--out", str(out),
         ])
         assert code == 0
         data = json.loads(out.read_text())
@@ -231,13 +228,11 @@ class TestCommittedBaseline:
                 / "benchmarks" / "BENCH_BASELINE.json")
         baseline = BenchReport.read(path)
         subset = BenchReport(
-            seed=baseline.seed, repeats=baseline.repeats,
+            seed=baseline.seed,
             cases={
                 name: case for name, case in baseline.cases.items()
                 if name in report.cases
             },
         )
-        comparison = compare_reports(
-            report, subset, threshold_pct=10.0, counters_only=True
-        )
+        comparison = compare_reports(report, subset, threshold_pct=10.0)
         assert comparison.ok, render_comparison(comparison)

@@ -12,6 +12,7 @@ from repro.core.controller import (
 from repro.core.dds import DDSParams
 from repro.sim.coreconfig import CACHE_ALLOCS, CoreConfig
 from repro.sim.machine import Machine, MachineParams
+from repro.telemetry.tracer import Tracer
 from repro.workloads.batch import batch_profile, train_test_split
 from repro.workloads.latency_critical import lc_service, make_services
 
@@ -114,11 +115,12 @@ class TestSteadyState:
 
     def test_timings_recorded(self):
         machine, controller = build_controller()
+        tracer = Tracer()
+        controller.attach_tracer(tracer)
         step(machine, controller, 0.8, machine.reference_max_power())
-        assert len(controller.timings) == 1
-        assert controller.timings[0].sgd_s > 0
-        assert controller.timings[0].search_s > 0
-        assert controller.timings[0].total_s > 0
+        for phase in ("sgd", "lc_scan", "search"):
+            (duration,) = tracer.durations_s(phase)
+            assert duration > 0
 
 
 class TestCoreRelocation:

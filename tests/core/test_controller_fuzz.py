@@ -14,6 +14,7 @@ from repro.core.controller import ControllerConfig
 from repro.core.dds import DDSParams
 from repro.core.runtime import CuttleSysPolicy
 from repro.experiments.harness import build_machine_for_mix
+from repro.telemetry.tracer import Tracer
 from repro.workloads.mixes import paper_mixes
 
 FAST = ControllerConfig(
@@ -79,12 +80,14 @@ def test_hostile_budgets_trigger_gating(fraction):
 def test_load_swings_never_crash(load_a, load_b):
     """Alternating load extremes keeps the loop alive and sane."""
     machine, policy = fresh_policy()
+    tracer = Tracer()
+    policy.controller.attach_tracer(tracer)
     budget = machine.reference_max_power() * 0.7
     for load in (load_a, load_b, load_a, load_b):
         assignment = policy.decide(machine, load, budget)
         measurement = machine.run_slice(assignment, load)
         policy.observe(measurement)
-    assert len(policy.controller.timings) == 4
+    assert len(tracer.durations_s("search")) == 4
 
 
 @settings(max_examples=6, deadline=None,

@@ -7,6 +7,7 @@ from repro.core.controller import ControllerConfig
 from repro.core.dds import DDSParams
 from repro.core.runtime import CuttleSysPolicy, Policy
 from repro.experiments.harness import build_machine_for_mix
+from repro.telemetry.tracer import Tracer
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
 
@@ -72,8 +73,22 @@ class TestRun:
 
     def test_decide_observe_loop(self, machine):
         policy = CuttleSysPolicy.for_machine(machine, seed=5, config=FAST)
+        tracer = Tracer()
+        policy.controller.attach_tracer(tracer)
         budget = machine.reference_max_power() * 0.8
         assignment = policy.decide(machine, 0.7, budget)
         measurement = machine.run_slice(assignment, 0.7)
         policy.observe(measurement)  # must not raise
-        assert len(policy.controller.timings) == 1
+        assert len(tracer.durations_s("search")) == 1
+
+    def test_untraced_run_keeps_no_tracer_state(self, machine):
+        """Without a session the controller records into the null
+        tracer, so a long-lived untraced controller grows no span list."""
+        policy = CuttleSysPolicy.for_machine(machine, seed=5, config=FAST)
+        run = policy.run(
+            machine, LoadTrace.constant(0.6), power_cap_fraction=0.8,
+            n_slices=50,
+        )
+        assert run.n_slices == 50
+        assert policy.controller.tracer.spans == []
+        assert policy.controller.tracer.instants == []

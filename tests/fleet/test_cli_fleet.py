@@ -101,7 +101,6 @@ class TestCommands:
         assert main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
         assert "fleet.pool" in out
-        assert "fleet.serial" in out
 
     def test_fleet_status_marks_checkpoint_restored_units(
         self, tmp_path, capsys

@@ -10,7 +10,6 @@ from repro.telemetry import Telemetry
 from repro.telemetry.exporters import (
     chrome_trace_events,
     read_jsonl,
-    render_jsonl_report,
 )
 from repro.telemetry.metrics import DecisionRecord
 
@@ -105,16 +104,6 @@ class TestJsonl:
         decision = [r for r in records if r["type"] == "decision"][0]
         # NaN entries are serialised as null, keeping the file valid JSON.
         assert decision["predicted_bips"][1] is None
-
-    def test_jsonl_report_renders(self):
-        telemetry = _session()
-        buffer = io.StringIO()
-        telemetry.write_jsonl(buffer)
-        buffer.seek(0)
-        text = render_jsonl_report(read_jsonl(buffer))
-        assert "span durations" in text
-        assert "qos_violations" in text
-        assert "decision records: 1" in text
 
 
 class TestReports:

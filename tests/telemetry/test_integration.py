@@ -163,31 +163,6 @@ class TestCounters:
         assert telemetry.metrics.counters["harness.reconfigurations"].value == total
 
 
-class TestStepTimingsCompat:
-    def test_timings_derive_from_spans(self, quiet_machine):
-        """StepTimings and the trace report the same numbers — one
-        measurement path."""
-        telemetry = Telemetry()
-        policy = fast_policy(quiet_machine)
-        run_policy(
-            quiet_machine, policy, LoadTrace.constant(0.8),
-            n_slices=2, telemetry=telemetry,
-        )
-        controller = policy.controller
-        search_durations = telemetry.tracer.durations_s("search")
-        assert len(controller.timings) == 2
-        for timing, span_s in zip(controller.timings, search_durations):
-            assert timing.search_s == pytest.approx(span_s)
-
-    def test_timings_still_recorded_without_telemetry(self, quiet_machine):
-        policy = fast_policy(quiet_machine)
-        run_policy(
-            quiet_machine, policy, LoadTrace.constant(0.8), n_slices=1,
-        )
-        assert policy.controller.timings[0].sgd_s > 0
-        assert policy.controller.timings[0].search_s > 0
-
-
 class TestBaselinePolicies:
     def test_baseline_gets_measured_only_records(self, small_machine):
         """Any Policy benefits: baselines without predictions still get

@@ -139,10 +139,13 @@ class TestTelemetryFlags:
         path = tmp_path / "events.jsonl"
         assert main(["run", "--slices", "2", "--jsonl", str(path)]) == 0
         capsys.readouterr()
-        assert main(["telemetry-report", str(path)]) == 0
+        assert main(["profile", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "span durations" in out
-        assert "decision records: 2" in out
+        (row,) = [
+            line.split() for line in out.splitlines()
+            if line.split()[:1] == ["dds.search"]
+        ]
+        assert row[1] == "2"
 
     def test_run_decisions_csv(self, capsys, tmp_path):
         path = tmp_path / "decisions.csv"
@@ -155,7 +158,7 @@ class TestTelemetryFlags:
         assert "predicted_power_w" in lines[0]
 
     def test_telemetry_report_missing_file(self, capsys, tmp_path):
-        assert main(["telemetry-report", str(tmp_path / "nope.jsonl")]) == 2
+        assert main(["profile", str(tmp_path / "nope.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
     def test_trace_to_unwritable_path_fails_cleanly(self, capsys):
@@ -168,7 +171,7 @@ class TestTelemetryFlags:
     def test_telemetry_report_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "garbage.jsonl"
         path.write_text("not json at all\n{broken")
-        assert main(["telemetry-report", str(path)]) == 2
+        assert main(["profile", str(path)]) == 2
         assert "cannot read" in capsys.readouterr().err
 
     def test_run_without_flags_skips_telemetry(self, capsys):
@@ -379,20 +382,18 @@ class TestAuditCommand:
 class TestBenchParser:
     def test_defaults(self):
         args = build_parser().parse_args(["bench"])
-        assert args.repeats == 5
         assert args.threshold == 10.0
         assert args.only is None
         assert args.compare is None
-        assert not args.counters_only
 
     def test_gate_invocation_shape(self):
         args = build_parser().parse_args([
             "bench", "--input", "BENCH.json",
             "--compare", "benchmarks/BENCH_BASELINE.json",
-            "--threshold", "10", "--counters-only",
+            "--threshold", "10",
         ])
         assert args.input == "BENCH.json"
-        assert args.counters_only
+        assert args.compare == "benchmarks/BENCH_BASELINE.json"
 
 
 class TestExplainCommand:
