@@ -33,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.core.dds import DDSParams, DDSSearch
 from repro.core.deadline import (
+    REGIME_BUILD_COST,
     DecisionBudget,
     dds_search_cost,
     reduced_dds_params,
@@ -526,13 +527,22 @@ class ResourceController(Snapshottable):
         key = (service_idx, bucket, n_cores)
         if key not in self._latency_matrices:
             service = self.machine.lc_services[service_idx]
-            rows, _ = latency_training_rows(
-                self._train_services,
-                [bucket],
-                self.machine.perf,
-                n_cores,
-                exclude=(service.name, bucket),
-            )
+            with self.tracer.span(
+                "mgk.latency", category="controller", kind="regime"
+            ) as span:
+                rows, _ = latency_training_rows(
+                    self._train_services,
+                    [bucket],
+                    self.machine.perf,
+                    n_cores,
+                    exclude=(service.name, bucket),
+                )
+                span.set(evaluations=rows.size)
+            # Charged once per regime this controller builds: the key's
+            # presence in _latency_matrices (snapshot state) decides,
+            # so a resumed run charges exactly what an uninterrupted
+            # one does.
+            self.budget.charge(REGIME_BUILD_COST, phase="mgk.latency")
             matrix = ObservedMatrix(rows.shape[0] + 1)
             for i in range(rows.shape[0]):
                 matrix.set_known_row(i, rows[i])

@@ -29,8 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class DecisionBudget(Snapshottable):
     """Per-quantum operation budget for one controller's decision loop.
 
-    ``limit`` is the number of metered operations (SGD iterations plus
-    search-candidate evaluations) one decision quantum may spend; None
+    ``limit`` is the number of metered operations (SGD iterations,
+    search-candidate evaluations and latency-regime builds priced at
+    :data:`REGIME_BUILD_COST`) one decision quantum may spend; None
     meters without ever degrading.  The budget is charged by the
     reconstructor and the searcher through their ``budget`` hook — the
     same wiring pattern as their telemetry ``tracer`` — so nested uses
@@ -100,6 +101,15 @@ class DecisionBudget(Snapshottable):
         if self.limit is None:
             return None
         return max(0, self.limit - self.spent)
+
+
+#: Operations charged when a controller first builds a latency regime
+#: (the known rows of one (service, load bucket, cores) matrix, in
+#: ``ResourceController._latency_matrix``).  The build is array
+#: arithmetic, not SGD iterations or candidate evaluations, so it is
+#: priced in their currency: ~2.4 ms per 19-row build divided by ~6 us
+#: per metered operation (docs/robustness.md, "Pricing a regime build").
+REGIME_BUILD_COST = 400
 
 
 def dds_search_cost(params: "DDSParams", seeded: bool) -> int:

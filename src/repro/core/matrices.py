@@ -18,11 +18,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.coreconfig import N_JOINT_CONFIGS, JointConfig
+from repro.sim.coreconfig import N_JOINT_CONFIGS
 from repro.sim.perf import AppProfile, PerformanceModel
 from repro.sim.power import PowerModel
 from repro.snapshot import ARRAY, Array, Match, Record
-from repro.workloads.latency_critical import LCService
+from repro.workloads.latency_critical import LCService, service_time_rows
+from repro.workloads.queueing import p99_latency_rows
 
 
 @dataclass
@@ -132,7 +133,7 @@ def throughput_rows(
     profiles: Sequence[AppProfile], perf: PerformanceModel
 ) -> np.ndarray:
     """Noise-free BIPS of each profile across all joint configurations."""
-    return np.vstack([perf.bips_row(p) for p in profiles])
+    return perf.bips_rows(profiles)
 
 
 def power_rows(
@@ -148,14 +149,13 @@ def latency_row(
     load: float,
     n_cores: int,
 ) -> np.ndarray:
-    """p99 latency of one service across all 108 joint configurations."""
-    row = np.empty(N_JOINT_CONFIGS)
-    for i in range(N_JOINT_CONFIGS):
-        joint = JointConfig.from_index(i)
-        row[i] = service.tail_latency(
-            perf, joint.core, joint.cache_ways, load, n_cores
-        )
-    return row
+    """p99 latency of one service across all 108 joint configurations.
+
+    Entry ``i`` equals ``service.tail_latency(perf, joint.core,
+    joint.cache_ways, load, n_cores)`` for ``joint = JOINT_CONFIGS[i]``
+    bit for bit: one array evaluation of the same M/G/k model.
+    """
+    return _latency_rows([(service, load)], perf, n_cores)[0]
 
 
 def latency_training_rows(
@@ -170,21 +170,37 @@ def latency_training_rows(
     The latency matrix's "known applications" are previously-seen
     services at a grid of loads.  ``exclude`` removes one (name, load)
     pair so a service under test never trains on its own exact row.
-    Returns the matrix and the (name, load) key per row.
+    Returns the matrix and the (name, load) key per row; every row is
+    :func:`latency_row` of its pair, all computed in one array pass.
     """
-    rows = []
-    keys = []
-    for service in services:
-        for load in loads:
-            if exclude is not None and (
-                service.name == exclude[0] and abs(load - exclude[1]) < 1e-9
-            ):
-                continue
-            rows.append(latency_row(service, perf, load, n_cores))
-            keys.append((service.name, load))
-    if not rows:
+    pairs = [
+        (service, load)
+        for service in services
+        for load in loads
+        if exclude is None
+        or service.name != exclude[0]
+        or abs(load - exclude[1]) >= 1e-9
+    ]
+    if not pairs:
         raise ValueError("latency training set is empty")
-    return np.vstack(rows), keys
+    keys = [(service.name, load) for service, load in pairs]
+    return _latency_rows(pairs, perf, n_cores), keys
+
+
+def _latency_rows(
+    pairs: Sequence[Tuple[LCService, float]],
+    perf: PerformanceModel,
+    n_cores: int,
+) -> np.ndarray:
+    """p99 rows of (service, load) pairs sharing ``n_cores`` cores."""
+    services = [service for service, _ in pairs]
+    return p99_latency_rows(
+        [service.qps_at_load(load) for service, load in pairs],
+        service_time_rows(services, perf),
+        [service.service_scv for service in services],
+        n_cores,
+        distributions=[service.service_distribution for service in services],
+    )
 
 
 @dataclass(frozen=True)

@@ -449,18 +449,17 @@ class Machine(Snapshottable):
         load, cores), so this is the oracle row the controller's
         reconstructed latency predictions are audited against.
         """
-        service = self.lc_services[service_idx]
-        row = np.empty(N_JOINT_CONFIGS)
+        # repro.core imports this module, so the shared row builder is
+        # imported at call time.
+        from repro.core.matrices import latency_row
+
         with self.trace.span(
             "mgk.latency", category="oracle", kind="lc_row",
             evaluations=N_JOINT_CONFIGS,
         ):
-            for idx in range(N_JOINT_CONFIGS):
-                row[idx] = self.true_lc_p99(
-                    JointConfig.from_index(idx), load, n_cores,
-                    service=service,
-                )
-        return row
+            return latency_row(
+                self.lc_services[service_idx], self.perf, load, n_cores
+            )
 
     # ------------------------------------------------------------------
     # Scheduler-facing interface.

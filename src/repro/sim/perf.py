@@ -24,12 +24,12 @@ structure CuttleSys's collaborative filtering learns and exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.sim.cache import MissRateCurve
-from repro.sim.coreconfig import JOINT_CONFIGS, N_JOINT_CONFIGS, CoreConfig
+from repro.sim.coreconfig import CACHE_ALLOCS, JOINT_CONFIGS, CoreConfig
 
 
 #: Convexity of the width penalty: dropping six-wide to four-wide costs
@@ -181,20 +181,61 @@ class PerformanceModel:
             mem_multiplier=mem_multiplier,
         )
 
+    def cpi_rows(self, profiles: Sequence[AppProfile]) -> np.ndarray:
+        """CPI of each profile across all 108 joint configurations.
+
+        Array arithmetic in the scalar :meth:`cpi_split` order over the
+        per-joint width penalties and each profile's four cache
+        allocations' MPKI (both from the scalar functions), so entry
+        ``[p, i]`` has the same bits as ``cpi(profiles[p],
+        JOINT_CONFIGS[i].core, JOINT_CONFIGS[i].cache_ways)``.
+        """
+        def column(name: str) -> np.ndarray:
+            return np.array([[getattr(p, name)] for p in profiles])
+
+        fe, be, ls = _JOINT_PENALTIES
+        mpki = np.array([
+            [p.miss_curve.mpki(ways) for ways in CACHE_ALLOCS]
+            for p in profiles
+        ])[:, _JOINT_CACHE]
+        blocking = column("mem_blocking") * (
+            1.0 + column("ls_mlp_sens") * ls
+        )
+        core = (
+            column("base_cpi")
+            + column("fe_sens") * fe
+            + column("be_sens") * be
+            + column("ls_sens") * ls
+        )
+        memory = (mpki / 1000.0) * self.mem_latency_cycles * blocking
+        return core + memory
+
+    def bips_rows(self, profiles: Sequence[AppProfile]) -> np.ndarray:
+        """BIPS of each profile across all 108 joint configurations.
+
+        Entry ``[p, i]`` equals ``bips(profiles[p], JOINT_CONFIGS[i].core,
+        JOINT_CONFIGS[i].cache_ways)`` bit for bit.
+        """
+        return self.effective_frequency_ghz * (1.0 / self.cpi_rows(profiles))
+
     def bips_row(self, profile: AppProfile) -> np.ndarray:
         """BIPS of ``profile`` across all 108 joint configurations.
 
         This is one row of the throughput ground-truth matrix used to
         train and evaluate the SGD reconstruction.
         """
-        row = np.empty(N_JOINT_CONFIGS)
-        for joint in JOINT_CONFIGS:
-            row[joint.index] = self.bips(profile, joint.core, joint.cache_ways)
-        return row
+        return self.bips_rows([profile])[0]
 
     def cpi_row(self, profile: AppProfile) -> np.ndarray:
         """CPI of ``profile`` across all 108 joint configurations."""
-        row = np.empty(N_JOINT_CONFIGS)
-        for joint in JOINT_CONFIGS:
-            row[joint.index] = self.cpi(profile, joint.core, joint.cache_ways)
-        return row
+        return self.cpi_rows([profile])[0]
+
+
+#: Width penalty of each section (rows fe, be, ls) of every joint
+#: configuration, looked up from the scalar :func:`width_penalty`.
+_JOINT_PENALTIES = np.array([
+    [width_penalty(width) for width in joint.core.widths()]
+    for joint in JOINT_CONFIGS
+]).T
+#: Index into :data:`CACHE_ALLOCS` of every joint configuration.
+_JOINT_CACHE = np.array([joint.cache_index for joint in JOINT_CONFIGS])

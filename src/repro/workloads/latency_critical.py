@@ -26,8 +26,9 @@ the 80 %-load tail latency on the widest core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
+import numpy as np
 
 from repro.rng import rng_for
 from repro.sim.cache import MissRateCurve
@@ -168,6 +169,18 @@ class LCService:
             self.tail_latency(perf, config, cache_ways, load, n_cores)
             <= self.qos_latency_s
         )
+
+
+def service_time_rows(
+    services: Sequence[LCService], perf: PerformanceModel
+) -> np.ndarray:
+    """Mean query service time of each service in every joint config.
+
+    Entry ``[s, i]`` equals ``services[s].service_time(perf,
+    JOINT_CONFIGS[i].core, JOINT_CONFIGS[i].cache_ways)`` bit for bit.
+    """
+    work = np.array([[service.work_instructions] for service in services])
+    return work / (perf.bips_rows([s.profile for s in services]) * 1e9)
 
 
 @dataclass(frozen=True)

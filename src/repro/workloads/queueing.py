@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,9 @@ import numpy as np
 #: overload regime (queues grow without bound; latency is dominated by
 #: backlog accumulated over the measurement horizon).
 _SATURATION_RHO = 0.995
+
+#: Standard-normal quantiles of the supported service-time quantiles.
+_NORMAL_Z = {0.5: 0.0, 0.95: 1.6448536269514722, 0.99: 2.3263478740408408}
 
 
 def erlang_c(servers: int, offered_load: float) -> float:
@@ -59,6 +62,37 @@ def erlang_c(servers: int, offered_load: float) -> float:
         np.sum(np.exp(log_terms[:-1] - log_max))
     )
     return math.exp(log_top - log_max) / denom
+
+
+def erlang_c_array(servers: int, offered_loads: np.ndarray) -> np.ndarray:
+    """:func:`erlang_c` of every entry of ``offered_loads``, bit for bit.
+
+    One row-wise log-space cumsum over the ``k + 1`` terms of every
+    stable load; the scalar code's ``math.log``/``math.exp`` calls stay
+    per element (:func:`_map`) and the rest are the same numpy
+    operations, so each entry equals the scalar result.
+    """
+    if servers <= 0:
+        raise ValueError(f"servers must be positive, got {servers}")
+    offered = np.asarray(offered_loads, dtype=float)
+    if np.any(offered < 0):
+        raise ValueError("offered loads must be non-negative")
+    rho = offered / servers
+    out = np.where(rho >= 1.0, 1.0, 0.0)
+    live = (offered > 0) & (rho < 1.0)
+    if not live.any():
+        return out
+    load = offered[live]
+    steps = np.log(load)[:, None] - np.log(np.arange(1, servers + 1))
+    log_terms = np.cumsum(
+        np.concatenate((np.zeros((load.size, 1)), steps), axis=1), axis=1
+    )
+    lower = log_terms[:, :-1]
+    log_top = log_terms[:, -1] - _map(math.log, 1.0 - rho[live])
+    log_max = np.maximum(log_top, lower.max(axis=1)) if servers > 1 else log_top
+    top = _map(math.exp, log_top - log_max)
+    out[live] = top / (top + np.sum(np.exp(lower - log_max[:, None]), axis=1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,8 +140,7 @@ class MGkQueue:
         mu = math.log(self.service_time_mean) - sigma2 / 2.0
         # Inverse normal CDF via Acklam-style rational approximation is
         # overkill; for the fixed q=0.99 we use the exact constant.
-        z = {0.5: 0.0, 0.95: 1.6448536269514722, 0.99: 2.3263478740408408}[q]
-        return math.exp(mu + z * math.sqrt(sigma2))
+        return math.exp(mu + _NORMAL_Z[q] * math.sqrt(sigma2))
 
     def mean_wait(self) -> float:
         """Mean queueing delay (Allen–Cunneen approximation)."""
@@ -170,6 +203,98 @@ class MGkQueue:
     def mean_latency(self) -> float:
         """Mean sojourn time."""
         return self.service_time_mean + self.mean_wait()
+
+
+def p99_latency_rows(
+    arrival_rates: Sequence[float],
+    service_time_means: np.ndarray,
+    service_scvs: Sequence[float],
+    servers: int,
+    distributions: "Optional[Sequence[Optional[ServiceDistribution]]]" = None,
+    overload_horizon: float = 0.1,
+) -> np.ndarray:
+    """:meth:`MGkQueue.p99_latency` of many queues sharing ``servers``.
+
+    Row ``r`` describes one service (``arrival_rates[r]``,
+    ``service_scvs[r]``, ``distributions[r]``); entry ``[r, i]`` equals
+    ``MGkQueue(arrival_rates[r], service_time_means[r, i],
+    service_scvs[r], servers, overload_horizon,
+    distributions[r]).p99_latency()`` bit for bit: the same operations
+    in the same order, over arrays.  The overload regime's knee term
+    ``erlang_c(k, knee_rho * k)`` depends on ``k`` alone, so it is
+    computed once, and every stable queue's Erlang C is one
+    :func:`erlang_c_array` pass.
+    """
+    means = np.asarray(service_time_means, dtype=float)
+    n_rows = means.shape[0]
+    rates = np.asarray(arrival_rates, dtype=float).reshape(n_rows, 1)
+    scvs = np.asarray(service_scvs, dtype=float).reshape(n_rows, 1)
+    if np.any(rates < 0):
+        raise ValueError("arrival_rate must be non-negative")
+    if np.any(means <= 0):
+        raise ValueError("service_time_mean must be positive")
+    if np.any(scvs < 0):
+        raise ValueError("service_scv must be non-negative")
+    if servers <= 0:
+        raise ValueError("servers must be positive")
+    if distributions is None:
+        distributions = [None] * n_rows
+    out = np.vstack([
+        _service_p99_row(row, scv, distribution)
+        for row, scv, distribution in zip(means, scvs[:, 0], distributions)
+    ])
+    scv_of = np.broadcast_to(scvs, means.shape)
+    offered = rates * means
+    rho = offered / servers
+    over = rho >= _SATURATION_RHO
+    if over.any():
+        knee_rho = _SATURATION_RHO * 0.99
+        knee_wait = (
+            erlang_c(servers, knee_rho * servers)
+            * means[over]
+            / (servers * (1.0 - knee_rho))
+            * (1.0 + scv_of[over])
+            / 2.0
+        )
+        wait = knee_wait + np.maximum(0.0, rho[over] - 1.0) * overload_horizon
+        out[over] += wait * math.log(100.0)
+    # An idle queue (zero arrival rate) never waits: Erlang C is 0.
+    stable = ~over & (offered > 0)
+    p_wait = erlang_c_array(servers, offered[stable])
+    waiting = np.zeros_like(stable)
+    waiting[stable] = p_wait > 0.01
+    theta = (
+        servers * (1.0 - rho[waiting]) / means[waiting]
+        * 2.0 / (1.0 + scv_of[waiting])
+    )
+    w99 = _map(math.log, 100.0 * p_wait[p_wait > 0.01]) / theta
+    out[waiting] += np.maximum(0.0, w99)
+    return out
+
+
+def _service_p99_row(
+    means: np.ndarray,
+    service_scv: float,
+    distribution: "Optional[ServiceDistribution]",
+) -> np.ndarray:
+    """``MGkQueue._service_quantile(0.99)`` for every mean."""
+    if distribution is not None:
+        return np.array([distribution.quantile(0.99, m) for m in means])
+    if service_scv == 0:
+        return means.copy()
+    sigma2 = math.log(1.0 + service_scv)
+    mu = _map(math.log, means) - sigma2 / 2.0
+    return _map(math.exp, mu + _NORMAL_Z[0.99] * math.sqrt(sigma2))
+
+
+def _map(function: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """A scalar ``math`` function applied to every element.
+
+    numpy's ``log``/``exp`` may round differently from ``math``'s, so
+    the array paths keep the scalar code's function wherever it calls
+    ``math``.
+    """
+    return np.fromiter(map(function, values.tolist()), float, values.size)
 
 
 @dataclass(frozen=True)
@@ -248,8 +373,7 @@ class ServiceDistribution:
             return long if q > 1 - self.long_fraction else short
         sigma2 = math.log(1.0 + self.scv)
         mu = math.log(mean) - sigma2 / 2.0
-        z = {0.5: 0.0, 0.95: 1.6448536269514722,
-             0.99: 2.3263478740408408}.get(q)
+        z = _NORMAL_Z.get(q)
         if z is None:
             raise ValueError("only q in {0.5, 0.95, 0.99} supported")
         return math.exp(mu + z * math.sqrt(sigma2))

@@ -13,6 +13,7 @@ import pytest
 from repro.core.controller import ControllerConfig
 from repro.core.dds import DDSParams
 from repro.core.deadline import (
+    REGIME_BUILD_COST,
     DecisionBudget,
     dds_search_cost,
     reduced_dds_params,
@@ -23,8 +24,10 @@ from repro.experiments.harness import (
     reference_power_for_mix,
     run_policy,
 )
+from repro.sim.coreconfig import N_JOINT_CONFIGS
 from repro.snapshot import SnapshotError
 from repro.telemetry import Telemetry
+from repro.telemetry.tracer import Tracer
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
 
@@ -163,6 +166,58 @@ class TestSearchCost:
         assert tiny.max_iter >= 2
         assert tiny.points_per_iteration >= 1
         assert tiny.n_threads >= 1
+
+
+class TestRegimeBuildCharge:
+    """A latency regime is spanned and charged once per controller."""
+
+    def _controller(self):
+        machine = build_machine_for_mix(paper_mixes()[0], seed=7)
+        controller = _policy_for(machine).controller
+        controller.attach_tracer(Tracer())
+        return controller
+
+    def test_first_build_is_spanned_and_charged_once(self):
+        controller = self._controller()
+        budget = controller.budget
+        before = budget.total_spent
+        matrix = controller._latency_matrix(0.7, 12)
+        spans = [s for s in controller.tracer.spans
+                 if s.name == "mgk.latency"]
+        assert len(spans) == 1
+        assert spans[0].category == "controller"
+        assert spans[0].args == {
+            "kind": "regime",
+            "evaluations": (matrix.n_rows - 1) * N_JOINT_CONFIGS,
+        }
+        assert budget.total_spent - before == REGIME_BUILD_COST
+        assert budget.spent_by_phase["mgk.latency"] == REGIME_BUILD_COST
+        # A regime already built is neither rebuilt nor charged again.
+        assert controller._latency_matrix(0.7, 12) is matrix
+        assert budget.total_spent - before == REGIME_BUILD_COST
+        assert sum(s.name == "mgk.latency"
+                   for s in controller.tracer.spans) == 1
+        controller._latency_matrix(0.7, 11)
+        assert budget.spent_by_phase["mgk.latency"] == 2 * REGIME_BUILD_COST
+
+    def test_run_charges_every_regime_it_built(self):
+        _, policy = _run(AMPLE)
+        controller = policy.controller
+        assert controller._latency_matrices
+        assert controller.budget.spent_by_phase["mgk.latency"] == (
+            REGIME_BUILD_COST * len(controller._latency_matrices)
+        )
+
+    def test_restored_regimes_are_not_charged_again(self):
+        controller = self._controller()
+        controller._latency_matrix(0.7, 12)
+        state = controller.snapshot()
+        fresh = self._controller()
+        fresh.restore(state)
+        spent = fresh.budget.total_spent
+        fresh._latency_matrix(0.7, 12)
+        assert fresh.budget.total_spent == spent
+        assert not any(s.name == "mgk.latency" for s in fresh.tracer.spans)
 
 
 class TestDegradationLadder:

@@ -1,12 +1,20 @@
-"""Differential tests: the DDS fast paths against the arithmetic they replaced.
+"""Differential tests: the fast paths against the arithmetic they replaced.
 
 ``SystemObjective.evaluate_batch`` gathers from one stacked table and
 ``DDSSearch._perturb_batch`` perturbs in place.  Both must give the
 same bits (``np.array_equal``, not ``allclose``) and leave the RNG in
 the same state as the straightforward versions kept here as reference
 oracles, or a seeded run would decide differently.
+
+The latency regimes' known rows are array passes over all 108 joint
+configurations (``latency_row``, ``latency_training_rows``,
+``erlang_c_array``, ``PerformanceModel.bips_rows``); their oracles are
+the scalar ``erlang_c``, ``MGkQueue.p99_latency`` (through
+``LCService.tail_latency``) and ``PerformanceModel.bips``, which the
+machine's per-measurement path still uses.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -14,10 +22,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.controller import LOAD_GRID
 from repro.core.dds import DDSSearch
+from repro.core.matrices import latency_row, latency_training_rows
 from repro.core.objective import SystemObjective
-from repro.sim.coreconfig import N_CORE_CONFIGS, N_JOINT_CONFIGS
+from repro.sim.cache import MissRateCurve
+from repro.sim.coreconfig import JOINT_CONFIGS, N_CORE_CONFIGS, N_JOINT_CONFIGS
+from repro.sim.perf import AppProfile, PerformanceModel
 from repro.telemetry.provenance import classify_candidates
+from repro.workloads.batch import SPEC_APPS, batch_profile
+from repro.workloads.latency_critical import (
+    LC_SERVICE_NAMES,
+    make_services,
+    service_variants,
+)
+from repro.workloads.queueing import (
+    MGkQueue,
+    ServiceDistribution,
+    erlang_c,
+    erlang_c_array,
+    p99_latency_rows,
+)
 
 
 def reference_constraint_totals(obj, xs):
@@ -199,3 +224,236 @@ def test_pinned_controller_shaped_searches():
             np.asarray(result.history, dtype=float).tobytes()
         ).hexdigest()
         assert digest == history
+
+
+# ----------------------------------------------------------------------
+# Latency regimes: array M/G/k rows against the scalar model.
+# ----------------------------------------------------------------------
+
+PERF = PerformanceModel()
+
+
+def _latency_services():
+    """The five services, jittered variants, and distribution shapes."""
+    base = list(make_services(PERF).values())
+    services = list(base)
+    for name in LC_SERVICE_NAMES:
+        services.extend(service_variants(name, 2, seed=3, perf=PERF))
+    xapian, masstree, imgdnn, moses, silo = base
+    services += [
+        dataclasses.replace(xapian, service_scv=0.0),
+        dataclasses.replace(
+            masstree,
+            service_distribution=ServiceDistribution("bimodal", scv=2.0),
+        ),
+        dataclasses.replace(
+            imgdnn, service_distribution=ServiceDistribution("deterministic"),
+        ),
+        dataclasses.replace(
+            moses,
+            service_distribution=ServiceDistribution("lognormal", scv=1.3),
+        ),
+        dataclasses.replace(
+            silo, service_scv=0.0,
+            service_distribution=ServiceDistribution("bimodal", scv=0.7),
+        ),
+    ]
+    return services
+
+
+LATENCY_SERVICES = _latency_services()
+
+
+def scalar_latency_row(service, load, n_cores):
+    """One p99 per joint configuration, through ``MGkQueue.p99_latency``."""
+    return np.array([
+        service.tail_latency(PERF, joint.core, joint.cache_ways, load, n_cores)
+        for joint in JOINT_CONFIGS
+    ])
+
+
+class TestErlangCArray:
+    @given(
+        st.integers(1, 16),
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-9, 1.3)),
+            min_size=1, max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar(self, servers, rhos):
+        offered = np.array(rhos) * servers
+        want = np.array([erlang_c(servers, a) for a in offered])
+        assert np.array_equal(erlang_c_array(servers, offered), want)
+
+    @pytest.mark.parametrize("servers", range(1, 17))
+    def test_edges_match_scalar(self, servers):
+        k = float(servers)
+        offered = np.array([
+            0.0,                      # idle: 0 without a log(0)
+            1e-300,                   # smallest loads
+            np.nextafter(k, 0.0),     # rho just below 1
+            k * (1.0 - 1e-12),
+            0.995 * 0.99 * k,         # the overload knee
+            k,                        # rho == 1
+            2.5 * k,                  # rho > 1
+        ])
+        want = np.array([erlang_c(servers, a) for a in offered])
+        assert np.array_equal(erlang_c_array(servers, offered), want)
+
+    def test_rejects_what_the_scalar_rejects(self):
+        with pytest.raises(ValueError):
+            erlang_c_array(0, np.array([1.0]))
+        with pytest.raises(ValueError):
+            erlang_c_array(2, np.array([1.0, -0.5]))
+
+
+class TestP99Rows:
+    @given(
+        st.integers(1, 16),
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 10.0, 1e3, 5e3, 2e4, 1e5]),
+                st.floats(0.0, 3.0),
+            ),
+            min_size=1, max_size=4,
+        ),
+        st.floats(0.01, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_mgk_queue(self, servers, queues, horizon, seed):
+        """Idle, light (p_wait <= 0.01), waiting and overloaded queues."""
+        rng = np.random.default_rng(seed)
+        means = 10.0 ** rng.uniform(-5.5, -2.0, (len(queues), 30))
+        rates = [rate for rate, _ in queues]
+        scvs = [scv for _, scv in queues]
+        want = np.array([
+            [
+                MGkQueue(rate, mean, scv, servers, horizon).p99_latency()
+                for mean in row
+            ]
+            for rate, scv, row in zip(rates, scvs, means)
+        ])
+        got = p99_latency_rows(
+            rates, means, scvs, servers, overload_horizon=horizon
+        )
+        assert np.array_equal(got, want)
+
+    def test_rejects_what_the_queue_rejects(self):
+        means = np.full((1, 3), 0.001)
+        for rates, row, scvs, servers in (
+            ([-1.0], means, [1.0], 4),
+            ([1.0], means * 0.0, [1.0], 4),
+            ([1.0], means, [-0.1], 4),
+            ([1.0], means, [1.0], 0),
+        ):
+            with pytest.raises(ValueError):
+                p99_latency_rows(rates, row, scvs, servers)
+
+
+class TestLatencyRows:
+    @given(
+        st.sampled_from(LATENCY_SERVICES),
+        st.sampled_from(LOAD_GRID),
+        st.integers(1, 15),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_latency_row_matches_scalar(self, service, load, n_cores):
+        assert np.array_equal(
+            latency_row(service, PERF, load, n_cores),
+            scalar_latency_row(service, load, n_cores),
+        )
+
+    @pytest.mark.parametrize("load", LOAD_GRID)
+    def test_every_bucket_every_service_at_both_ends(self, load):
+        for n_cores in (1, 15):
+            rows, keys = latency_training_rows(
+                LATENCY_SERVICES, [load], PERF, n_cores
+            )
+            want = np.vstack([
+                scalar_latency_row(service, load, n_cores)
+                for service in LATENCY_SERVICES
+            ])
+            assert np.array_equal(rows, want)
+            assert keys == [(s.name, load) for s in LATENCY_SERVICES]
+
+    @given(
+        st.lists(st.sampled_from(LATENCY_SERVICES), min_size=1, max_size=6),
+        st.lists(st.sampled_from(LOAD_GRID), min_size=1, max_size=3),
+        st.integers(1, 15),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_training_rows_match_scalar(
+        self, services, loads, n_cores, use_exclude
+    ):
+        exclude = (services[0].name, loads[0]) if use_exclude else None
+        pairs = [
+            (service, load)
+            for service in services
+            for load in loads
+            if exclude is None
+            or (service.name, load) != exclude
+        ]
+        if not pairs:
+            with pytest.raises(ValueError):
+                latency_training_rows(
+                    services, loads, PERF, n_cores, exclude=exclude
+                )
+            return
+        rows, keys = latency_training_rows(
+            services, loads, PERF, n_cores, exclude=exclude
+        )
+        want = np.vstack([
+            scalar_latency_row(service, load, n_cores)
+            for service, load in pairs
+        ])
+        assert np.array_equal(rows, want)
+        assert keys == [(service.name, load) for service, load in pairs]
+
+
+@st.composite
+def app_profiles(draw):
+    """Random profiles across the model's validated parameter ranges."""
+    floor = draw(st.floats(0.0, 10.0))
+    return AppProfile(
+        name="random",
+        base_cpi=draw(st.floats(0.1, 3.0)),
+        fe_sens=draw(st.floats(0.0, 1.0)),
+        be_sens=draw(st.floats(0.0, 1.0)),
+        ls_sens=draw(st.floats(0.0, 1.0)),
+        miss_curve=MissRateCurve(
+            peak=floor + draw(st.floats(0.0, 30.0)),
+            floor=floor,
+            half_ways=draw(st.floats(0.1, 8.0)),
+        ),
+        mem_blocking=draw(st.floats(0.0, 1.0)),
+        ls_mlp_sens=draw(st.floats(0.0, 1.0)),
+        activity=draw(st.floats(0.1, 2.0)),
+    )
+
+
+def scalar_bips_row(perf, profile):
+    return np.array([
+        perf.bips(profile, joint.core, joint.cache_ways)
+        for joint in JOINT_CONFIGS
+    ])
+
+
+class TestBipsRow:
+    @given(app_profiles(), st.booleans(), st.floats(1.0, 5.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_loop(self, profile, reconfigurable, frequency):
+        perf = PerformanceModel(
+            frequency_ghz=frequency, reconfigurable=reconfigurable
+        )
+        assert np.array_equal(
+            perf.bips_row(profile), scalar_bips_row(perf, profile)
+        )
+
+    def test_stacked_rows_match_scalar_loop(self):
+        profiles = [batch_profile(name) for name in SPEC_APPS]
+        profiles += [service.profile for service in LATENCY_SERVICES]
+        want = np.vstack([scalar_bips_row(PERF, p) for p in profiles])
+        assert np.array_equal(PERF.bips_rows(profiles), want)

@@ -220,6 +220,16 @@ class TestPhasesAndReference:
         # 32 cores at a few watts each plus the LLC.
         assert 60 < reference < 300
 
+    def test_oracle_latency_row_matches_per_config_truth(self, small_machine):
+        """The oracle row is ``true_lc_p99`` on every joint config."""
+        for load, cores in ((0.3, 16), (0.8, 12), (1.0, 2)):
+            row = small_machine.oracle_lc_latency_row(load, cores)
+            want = np.array([
+                small_machine.true_lc_p99(JointConfig.from_index(i), load, cores)
+                for i in range(row.size)
+            ])
+            assert np.array_equal(row, want)
+
     def test_describe_mentions_key_parameters(self, small_machine):
         text = small_machine.describe()
         assert "32-core" in text

@@ -111,6 +111,63 @@ class TestMGkQueue:
         assert q._service_quantile(0.99) == pytest.approx(0.001)
 
 
+#: Stable regimes at small core counts (k in {2, 4, 8}, rho in
+#: {0.5, 0.8}), with each service's SCV.
+SMALL_CORE_REGIMES = [
+    (scv, servers, rho)
+    for scv in (1.2, 0.8, 0.6, 1.5, 0.9)  # xapian .. silo
+    for servers in (2, 4, 8)
+    for rho in (0.5, 0.8)
+]
+
+#: (k, rho) cells where the analytical p99 is at or past the 0.35 band,
+#: mapped to whether every run lands outside it.  The model adds the
+#: service-time and waiting-time 99th percentiles, an upper bound on the
+#: sojourn's; against 200,000-query simulations it reads +0.38..+0.40
+#: high at (2, 0.5), +0.35..+0.40 at (4, 0.8) and +0.33..+0.34 at
+#: (8, 0.8), where a finite run lands on either side of the band.
+OUT_OF_BAND = {(2, 0.5): True, (4, 0.8): False, (8, 0.8): False}
+
+
+def _band_case(regime):
+    scv, servers, rho = regime
+    marks = ()
+    if (servers, rho) in OUT_OF_BAND:
+        marks = pytest.mark.xfail(
+            reason="analytical p99 overestimates at this (k, rho): the "
+            "sum of the service and waiting quantiles",
+            strict=OUT_OF_BAND[servers, rho],
+        )
+    return pytest.param(regime, marks=marks, id=_regime_id(regime))
+
+
+def _regime_id(regime):
+    scv, servers, rho = regime
+    return f"scv{scv}-k{servers}-rho{rho}"
+
+
+_SMALL_CORE_P99 = {}
+
+
+def _small_core_p99(scv, servers, rho):
+    """(analytical, simulated) p99 of one regime, simulated once.
+
+    One fixed-seed run of 100,000 queries at a 1 ms mean service time;
+    the first tenth (the queue filling from empty) is dropped.
+    """
+    key = (scv, servers, rho)
+    if key not in _SMALL_CORE_P99:
+        service = 0.001
+        rate = rho * servers / service
+        analytical = MGkQueue(rate, service, scv, servers).p99_latency()
+        rng = np.random.default_rng([servers, int(rho * 10), int(scv * 10)])
+        sojourns = DiscreteEventQueue(rate, service, scv, servers).simulate(
+            100000 / rate, rng
+        )
+        empirical = np.percentile(sojourns[sojourns.size // 10:], 99)
+        _SMALL_CORE_P99[key] = (analytical, float(empirical))
+    return _SMALL_CORE_P99[key]
+
 class TestDiscreteEventValidation:
     """The DES validates the analytical approximation (DESIGN.md)."""
 
@@ -135,6 +192,25 @@ class TestDiscreteEventValidation:
             [des.p99_latency(duration=3.0, rng=rng) for _ in range(5)]
         )
         assert analytical == pytest.approx(empirical, rel=0.35)
+
+    @pytest.mark.parametrize(
+        "regime", [_band_case(regime) for regime in SMALL_CORE_REGIMES]
+    )
+    def test_p99_agreement_small_core_counts(self, regime):
+        """The controller's stable regimes, with each service's SCV."""
+        analytical, empirical = _small_core_p99(*regime)
+        assert analytical == pytest.approx(empirical, rel=0.35)
+
+    @pytest.mark.parametrize("regime", SMALL_CORE_REGIMES, ids=_regime_id)
+    def test_p99_conservative_small_core_counts(self, regime):
+        """Where it leaves the band, the model errs on the safe side.
+
+        Adding the service-time and waiting-time quantiles bounds the
+        sojourn quantile from above, so the latency the controller
+        plans with is never below what the simulated queue delivers.
+        """
+        analytical, empirical = _small_core_p99(*regime)
+        assert analytical >= empirical
 
     def test_des_mean_matches_analytical(self):
         servers = 8
