@@ -5,7 +5,8 @@ Boots ``repro serve`` as a real subprocess, drives the canonical
 scripted session from ``tests/server/test_daemon.py`` over TCP —
 including a SIGKILL halfway through and a ``--resume`` reboot — and
 diffs the daemon's decision stream against the committed golden file.
-Any byte of drift fails the job.
+Any byte of drift fails the job, and so does a final state file above
+``MAX_STATE_BYTES``.
 
 Usage (from the repository root)::
 
@@ -32,6 +33,11 @@ from test_daemon import (  # noqa: E402
     run_commands,
     stop_daemon,
 )
+
+#: Bound on the final state file of the scripted session.  A snapshot
+#: carries only what the run learned (82,434 bytes here); one that also
+#: wrote the known matrix rows (372,938 bytes) fails.
+MAX_STATE_BYTES = 170_000
 
 
 def main(argv):
@@ -79,6 +85,14 @@ def main(argv):
         return 1
     print(f"== OK: {len(got.splitlines())} decision line(s) "
           "byte-identical to the golden stream across SIGKILL + resume")
+
+    state_bytes = (out_dir / "daemon_state.json").stat().st_size
+    print(f"== final state file: {state_bytes} bytes "
+          f"(bound {MAX_STATE_BYTES})")
+    if state_bytes > MAX_STATE_BYTES:
+        print(f"error: state file of {state_bytes} bytes exceeds "
+              f"{MAX_STATE_BYTES}")
+        return 1
     return 0
 
 

@@ -70,12 +70,16 @@ from repro.sim.machine import (
     JOINT,
     SliceMeasurement,
 )
-from repro.sim.perf import AppProfile
+from repro.sim.perf import AppProfile, PerformanceModel
 from repro.snapshot import (
-    BOOL, FLOAT, INT, RNG, Array, Map, Nested, Opt, Seq, Snapshottable,
-    Transient, Tup,
+    BOOL, FLOAT, INT, RNG, Array, Codec, Map, Nested, Opt, Seq,
+    Snapshottable, Transient, Tup,
 )
-from repro.workloads.latency_critical import LC_SERVICE_NAMES, service_variants
+from repro.workloads.latency_critical import (
+    LC_SERVICE_NAMES,
+    LCService,
+    service_variants,
+)
 
 #: Load grid used to bucket latency observations and training rows.
 LOAD_GRID: Tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(1, 11))
@@ -253,8 +257,72 @@ class ReconstructionSnapshot:
     lc: Tuple[LCRegimeSnapshot, ...]
 
 
-#: A latency regime key: (service, load bucket, cores).
+#: A latency regime key: (service index, load bucket, cores).
+Regime = Tuple[int, float, int]
 REGIME = Tup(INT, FLOAT, INT)
+
+
+class LatencyRegimes(Dict[Regime, ObservedMatrix]):
+    """The latency matrix of each regime built so far.
+
+    :meth:`known` builds a regime's matrix holding only its known rows;
+    restore rebuilds every snapshotted regime through it and lays the
+    runtime rows over the result.
+    """
+
+    def __init__(
+        self,
+        services: Sequence[LCService],
+        train_services: Sequence[LCService],
+        perf: PerformanceModel,
+    ) -> None:
+        super().__init__()
+        self.services = services
+        self.train_services = train_services
+        self.perf = perf
+
+    def known(self, key: Regime) -> ObservedMatrix:
+        """A regime's latency matrix holding only its known rows.
+
+        The training services' p99 at the regime's load bucket and core
+        count, excluding the running service's own row; the last row is
+        left for the running service's observations.
+        """
+        service_idx, bucket, n_cores = key
+        # Looked up in this module on every call: perfbench times the
+        # builds by wrapping repro.core.controller.latency_training_rows.
+        rows, _ = latency_training_rows(
+            self.train_services,
+            [bucket],
+            self.perf,
+            n_cores,
+            exclude=(self.services[service_idx].name, bucket),
+        )
+        matrix = ObservedMatrix(rows.shape[0] + 1)
+        for i in range(rows.shape[0]):
+            matrix.set_known_row(i, rows[i])
+        return matrix
+
+
+class _Regimes(Codec):
+    """Snapshot codec of :class:`LatencyRegimes`, in build order: the
+    controller breaks ties between regimes by that order, so a restored
+    table must iterate as the uninterrupted one does."""
+
+    def encode(self, value: LatencyRegimes) -> Any:
+        return [[REGIME.encode(k), MATRIX.encode(m)] for k, m in value.items()]
+
+    def decode(self, data: Any, current: LatencyRegimes) -> LatencyRegimes:
+        regimes = LatencyRegimes(
+            current.services, current.train_services, current.perf
+        )
+        for key_data, matrix in data:
+            key = REGIME.decode(key_data, None)
+            regimes[key] = MATRIX.decode(matrix, regimes.known(key))
+        return regimes
+
+
+REGIMES = _Regimes()
 
 
 class ResourceController(Snapshottable):
@@ -280,7 +348,7 @@ class ResourceController(Snapshottable):
         "_job_active": Seq(BOOL),
         "_bips_matrix": MATRIX,
         "_power_matrix": MATRIX,
-        "_latency_matrices": Map(MATRIX, key=REGIME),
+        "_latency_matrices": REGIMES,
         "_latency_evidence": Map(Seq(INT, set), key=REGIME),
         "budget": Nested(),
         "deadline_degraded_quantum": BOOL,
@@ -376,11 +444,13 @@ class ResourceController(Snapshottable):
                             perf=machine.perf,
                         )
                     )
-        self._latency_matrices: Dict[Tuple[int, float, int], ObservedMatrix] = {}
+        self._latency_matrices = LatencyRegimes(
+            machine.lc_services, self._train_services, machine.perf
+        )
         # Distinct configurations ever measured per (service, bucket,
         # cores) regime: the QoS guard relaxes on accumulated evidence
         # and stays relaxed even after observations expire.
-        self._latency_evidence: Dict[Tuple[int, float, int], set] = {}
+        self._latency_evidence: Dict[Regime, set] = {}
 
         self._reconstructor = PQReconstructor(config.sgd)
         if config.explorer == "dds":
@@ -526,26 +596,16 @@ class ResourceController(Snapshottable):
     ) -> ObservedMatrix:
         key = (service_idx, bucket, n_cores)
         if key not in self._latency_matrices:
-            service = self.machine.lc_services[service_idx]
             with self.tracer.span(
                 "mgk.latency", category="controller", kind="regime"
             ) as span:
-                rows, _ = latency_training_rows(
-                    self._train_services,
-                    [bucket],
-                    self.machine.perf,
-                    n_cores,
-                    exclude=(service.name, bucket),
-                )
-                span.set(evaluations=rows.size)
+                matrix = self._latency_matrices.known(key)
+                span.set(evaluations=(matrix.n_rows - 1) * matrix.n_cols)
             # Charged once per regime this controller builds: the key's
             # presence in _latency_matrices (snapshot state) decides,
-            # so a resumed run charges exactly what an uninterrupted
-            # one does.
+            # and restore rebuilds its regimes without charging, so a
+            # resumed run charges exactly what an uninterrupted one does.
             self.budget.charge(REGIME_BUILD_COST, phase="mgk.latency")
-            matrix = ObservedMatrix(rows.shape[0] + 1)
-            for i in range(rows.shape[0]):
-                matrix.set_known_row(i, rows[i])
             self._latency_matrices[key] = matrix
         return self._latency_matrices[key]
 

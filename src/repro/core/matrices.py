@@ -14,14 +14,14 @@ accuracy experiments (Fig. 5) compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sim.coreconfig import N_JOINT_CONFIGS
 from repro.sim.perf import AppProfile, PerformanceModel
 from repro.sim.power import PowerModel
-from repro.snapshot import ARRAY, Array, Match, Record
+from repro.snapshot import Codec, Match
 from repro.workloads.latency_critical import LCService, service_time_rows
 from repro.workloads.queueing import p99_latency_rows
 
@@ -40,7 +40,8 @@ class ObservedMatrix:
     n_cols: int = N_JOINT_CONFIGS
     values: np.ndarray = field(init=False)
     mask: np.ndarray = field(init=False)
-    #: Quanta since each observation was taken (0 = this quantum).
+    #: Quanta since each runtime observation was taken (0 = this
+    #: quantum); known rows stay 0.
     age: np.ndarray = field(init=False)
     #: Rows installed as offline characterisations (never expire).
     known_rows: np.ndarray = field(init=False)
@@ -78,8 +79,11 @@ class ObservedMatrix:
         return int(np.sum(self.mask[row]))
 
     def tick(self) -> None:
-        """One decision quantum passes: age every runtime observation."""
-        self.age[self.mask] += 1
+        """One decision quantum passes: age every runtime observation.
+
+        Known rows never expire, so they are never aged either.
+        """
+        self.age[self.mask & ~self.known_rows[:, None]] += 1
 
     def expire(self, max_age: int) -> int:
         """Drop runtime observations older than ``max_age`` quanta.
@@ -116,17 +120,51 @@ class ObservedMatrix:
         return out
 
 
-#: Snapshot codec of an :class:`ObservedMatrix`; restoring into an
-#: existing matrix rejects a snapshot of another shape.
-MATRIX = Record(
-    ObservedMatrix,
-    n_rows=Match("matrix rows"),
-    n_cols=Match("matrix columns"),
-    values=ARRAY,
-    mask=Array(bool),
-    age=Array(int),
-    known_rows=Array(bool),
-)
+class _RuntimeRows(Codec):
+    """Snapshot codec of an :class:`ObservedMatrix`: only what the run
+    learned.
+
+    Known rows are offline characterisations, a pure function of the
+    configuration, so a snapshot names them (a :class:`Match`) and
+    carries ``values``, ``mask`` and ``age`` of the other rows only.
+    Restore lays those rows over the current matrix, which must already
+    hold the same known rows.
+    """
+
+    N_ROWS = Match("matrix rows")
+    N_COLS = Match("matrix columns")
+    KNOWN = Match("known matrix rows")
+
+    def encode(self, value: ObservedMatrix) -> Dict[str, Any]:
+        runtime = ~value.known_rows
+        return {
+            "n_rows": value.n_rows,
+            "n_cols": value.n_cols,
+            "known_rows": np.flatnonzero(value.known_rows).tolist(),
+            "values": value.values[runtime].tolist(),
+            "mask": value.mask[runtime].tolist(),
+            "age": value.age[runtime].tolist(),
+        }
+
+    def decode(self, data: Any, current: ObservedMatrix) -> ObservedMatrix:
+        self.N_ROWS.decode(data["n_rows"], current.n_rows)
+        self.N_COLS.decode(data["n_cols"], current.n_cols)
+        self.KNOWN.decode(
+            data["known_rows"], np.flatnonzero(current.known_rows).tolist()
+        )
+        runtime = ~current.known_rows
+        shape = (int(np.count_nonzero(runtime)), current.n_cols)
+        values = np.asarray(data["values"], dtype=float).reshape(shape)
+        mask = np.asarray(data["mask"], dtype=bool).reshape(shape)
+        age = np.asarray(data["age"], dtype=int).reshape(shape)
+        current.values[runtime] = values
+        current.mask[runtime] = mask
+        current.age[runtime] = age
+        return current
+
+
+#: The one snapshot codec of an :class:`ObservedMatrix`.
+MATRIX = _RuntimeRows()
 
 
 def throughput_rows(

@@ -23,7 +23,7 @@ from typing import (
 import numpy as np
 
 #: The one schema version every snapshot carries.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 class SnapshotError(ValueError):

@@ -1,5 +1,8 @@
 """Tests for the CuttleSys Resource Controller."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -186,6 +189,21 @@ class TestMatrixBookkeeping:
         step(machine, controller, 0.8, budget)
         assert controller._latency_observations(0.8, 16) >= 1
         assert controller._latency_observations(0.3, 16) == 0
+
+    def test_controller_is_freed_without_the_cycle_collector(self):
+        # Grids and benchmarks build many controllers; a reference
+        # cycle (say, the regime table holding a bound method) would
+        # keep each one's matrices alive until a full collection.
+        machine, controller = build_controller()
+        step(machine, controller, 0.8, machine.reference_max_power())
+        assert controller._latency_matrices
+        ref = weakref.ref(controller)
+        gc.disable()
+        try:
+            del controller
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestGAExplorer:

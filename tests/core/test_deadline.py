@@ -25,7 +25,7 @@ from repro.experiments.harness import (
     run_policy,
 )
 from repro.sim.coreconfig import N_JOINT_CONFIGS
-from repro.snapshot import SnapshotError
+from repro.snapshot import SNAPSHOT_VERSION, SnapshotError
 from repro.telemetry import Telemetry
 from repro.telemetry.tracer import Tracer
 from repro.workloads.loadgen import LoadTrace
@@ -131,7 +131,7 @@ class TestDecisionBudget:
                             "version": 1})
         with pytest.raises(SnapshotError, match="spent_by_phase"):
             legacy.restore({"limit": 100, "spent": 1, "total_spent": 1,
-                            "quanta": 1, "version": 2})
+                            "quanta": 1, "version": SNAPSHOT_VERSION})
         # A meter from a run under another limit is rejected too.
         with pytest.raises(SnapshotError, match="decision budget"):
             DecisionBudget(50).restore(state)
@@ -218,6 +218,32 @@ class TestRegimeBuildCharge:
         fresh._latency_matrix(0.7, 12)
         assert fresh.budget.total_spent == spent
         assert not any(s.name == "mgk.latency" for s in fresh.tracer.spans)
+
+    def test_resumed_run_charges_what_an_uninterrupted_one_does(self):
+        # The load walks four buckets, so regimes are built on both
+        # sides of the kill.
+        trace = LoadTrace.steps([(0.0, 0.9), (0.3, 0.3), (0.6, 0.5),
+                                 (0.9, 1.0)])
+        mix = paper_mixes()[0]
+        kwargs = dict(power_cap_fraction=0.7, n_slices=12,
+                      max_power_w=reference_power_for_mix(mix, seed=7))
+
+        def charged(policy):
+            return policy.controller.budget.spent_by_phase["mgk.latency"]
+
+        full = _policy_for(build_machine_for_mix(mix, seed=7))
+        run_policy(full.controller.machine, full, trace, **kwargs)
+        first = _policy_for(build_machine_for_mix(mix, seed=7))
+        paused = run_policy(first.controller.machine, first, trace,
+                            stop_after=5, **kwargs)
+        resumed = _policy_for(build_machine_for_mix(mix, seed=7))
+        run_policy(resumed.controller.machine, resumed, trace,
+                   resume_state=paused.resume_state, **kwargs)
+        assert 0 < charged(first) < charged(full)
+        assert charged(resumed) == charged(full)
+        assert charged(full) == REGIME_BUILD_COST * len(
+            full.controller._latency_matrices
+        )
 
 
 class TestDegradationLadder:

@@ -1,9 +1,12 @@
 """Tests for the reconstruction-matrix containers and builders."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.matrices import (
+    MATRIX,
     ObservedMatrix,
     TruthTables,
     latency_row,
@@ -12,6 +15,7 @@ from repro.core.matrices import (
     throughput_rows,
 )
 from repro.sim.coreconfig import N_JOINT_CONFIGS
+from repro.snapshot import SnapshotError
 from repro.workloads.batch import batch_profile
 from repro.workloads.latency_critical import lc_service, make_services
 
@@ -144,6 +148,43 @@ class TestObservationAging:
         assert m.expire(max_age=1) == 0
         assert m.observed_count(0) == m.n_cols
 
+    def test_tick_never_ages_known_rows(self):
+        m = ObservedMatrix(2)
+        m.set_known_row(0, np.linspace(1, 2, m.n_cols))
+        m.observe(1, 5, 1.0)
+        for _ in range(50):
+            m.tick()
+        assert not m.age[0].any()
+        assert m.age[1, 5] == 50
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_runtime_ageing_and_expiry_unchanged(self, seed):
+        """Against the former rule, which aged every observed entry."""
+        rng = np.random.default_rng(seed)
+        m, former = ObservedMatrix(6, 12), ObservedMatrix(6, 12)
+        for row in (0, 1):
+            known = rng.uniform(1, 2, 12)
+            m.set_known_row(row, known)
+            former.set_known_row(row, known)
+        for _ in range(60):
+            for _ in range(rng.integers(0, 4)):
+                row, col = int(rng.integers(2, 6)), int(rng.integers(12))
+                value = float(rng.uniform(1, 2))
+                m.observe(row, col, value)
+                former.observe(row, col, value)
+            if rng.random() < 0.05:
+                row = int(rng.integers(2, 6))
+                m.clear_row(row)
+                former.clear_row(row)
+            m.tick()
+            former.age[former.mask] += 1
+            assert m.expire(max_age=3) == former.expire(max_age=3)
+            runtime = ~m.known_rows
+            assert np.array_equal(m.values, former.values)
+            assert np.array_equal(m.mask, former.mask)
+            assert np.array_equal(m.age[runtime], former.age[runtime])
+            assert not m.age[m.known_rows].any()
+
     def test_clear_row(self):
         m = ObservedMatrix(2)
         m.observe(1, 3, 4.0)
@@ -164,3 +205,54 @@ class TestObservationAging:
         assert c.age[0, 0] == 1
         c.tick()
         assert m.age[0, 0] == 1  # deep copy
+
+
+def _known_only(rows=(0, 2)):
+    m = ObservedMatrix(4, 6)
+    for row in rows:
+        m.set_known_row(row, np.linspace(row, row + 1, 6))
+    return m
+
+
+def _learned_matrix():
+    m = _known_only()
+    m.observe(1, 4, 0.1 + 0.2)
+    m.tick()
+    m.observe(3, 0, 7.0)
+    return m
+
+
+class TestMatrixCodec:
+    def test_snapshot_carries_runtime_rows_only(self):
+        state = MATRIX.encode(_learned_matrix())
+        assert state["known_rows"] == [0, 2]
+        assert len(state["values"]) == len(state["mask"]) == 2
+        assert len(state["age"]) == 2
+
+    def test_restore_lays_runtime_rows_over_known_rows(self):
+        source = _learned_matrix()
+        state = json.loads(json.dumps(MATRIX.encode(source)))
+        target = _known_only()
+        assert MATRIX.decode(state, target) is target
+        for name in ("values", "mask", "age", "known_rows"):
+            assert np.array_equal(getattr(target, name), getattr(source, name))
+
+    def test_other_known_rows_rejected_untouched(self):
+        state = MATRIX.encode(_learned_matrix())
+        target = _known_only(rows=(0,))
+        with pytest.raises(SnapshotError, match="known matrix rows"):
+            MATRIX.decode(state, target)
+        assert not target.mask[1:].any()
+
+    def test_other_shape_rejected(self):
+        state = MATRIX.encode(_learned_matrix())
+        with pytest.raises(SnapshotError, match="matrix rows"):
+            MATRIX.decode(state, ObservedMatrix(5, 6))
+        with pytest.raises(SnapshotError, match="matrix columns"):
+            MATRIX.decode(state, ObservedMatrix(4, 7))
+
+    def test_malformed_rows_rejected(self):
+        state = MATRIX.encode(_learned_matrix())
+        state["values"] = state["values"][:1]
+        with pytest.raises(ValueError):
+            MATRIX.decode(state, _known_only())

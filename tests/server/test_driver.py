@@ -218,3 +218,49 @@ class TestCommandExecutor:
         for op in ({"op": "hello"}, {"op": "status"}, {"op": "tick"},
                    {"op": "jobs"}, {"op": "ladder"}):
             json.dumps(executor.execute(dict(op)), sort_keys=True)
+
+
+#: LOAD_GRID buckets the LC job's rate walks, one step every 5 ticks.
+SIZE_LC_BUCKETS = (0.5, 0.3, 0.6, 0.4, 0.7, 0.5, 0.3, 0.6, 0.4, 0.7)
+SIZE_BATCH_APPS = ("astar", "bzip2", "gcc", "mcf", "milc", "namd")
+
+
+class TestSnapshotSize:
+    """Snapshots carry what the run learned, not the known rows."""
+
+    def test_fifty_tick_session_state_stays_small(self, tmp_path):
+        driver = make_driver(tmp_path, max_quanta=50)
+        service = driver.machine.lc_services[0]
+        lc = driver.admission.submit(
+            JobSpec(kind="lc", name=service.name, tenant="lc",
+                    rps=service.max_qps * SIZE_LC_BUCKETS[0]),
+            driver.quantum,
+        )
+        for i, app in enumerate(SIZE_BATCH_APPS):
+            driver.admission.submit(
+                JobSpec(kind="batch", name=app, tenant=f"t{i % 2}"),
+                driver.quantum,
+            )
+        for tick in range(50):
+            if tick and tick % 5 == 0:
+                level = SIZE_LC_BUCKETS[tick // 5]
+                driver.set_rps(lc.job_id, service.max_qps * level)
+            if tick and tick % 7 == 0:
+                running = [j for j in driver.admission.running_jobs()
+                           if j.spec.kind == "batch"]
+                driver.cancel_job(running[0].job_id)
+                driver.admission.submit(
+                    JobSpec(kind="batch", name=running[0].spec.name,
+                            tenant=running[0].spec.tenant),
+                    driver.quantum,
+                )
+            driver.tick()
+
+        state = json.loads((tmp_path / "run_state.json").read_text())
+        controller = state["stepper"]["policy"]["controller"]
+        regimes = controller["latency_matrices"]
+        assert len({bucket for (_, bucket, _), _ in regimes}) >= 4
+        for _, matrix in regimes:
+            assert len(matrix["values"]) == 1
+            assert len(matrix["values"][0]) == matrix["n_cols"] == 108
+        assert (tmp_path / "run_state.json").stat().st_size <= 250_000

@@ -356,6 +356,60 @@ class TestRunPauseResumeFlags:
         assert "Traceback" not in err
 
 
+def _as_version(state, version):
+    """``state`` with every nested snapshot's version set to ``version``."""
+    if isinstance(state, dict):
+        return {k: version if k == "version" else _as_version(v, version)
+                for k, v in state.items()}
+    if isinstance(state, list):
+        return [_as_version(v, version) for v in state]
+    return state
+
+
+class TestVersionTwoStateFiles:
+    """Version 3 carries only runtime matrix rows; a version-2 state
+    file (full matrices) is refused with a one-line error."""
+
+    def _assert_version_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "version 2" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_run_resume_state(self, capsys, tmp_path):
+        state = tmp_path / "state.json"
+        assert main(["--seed", "7", "run", "--slices", "4",
+                     "--stop-after", "2", "--save-state", str(state)]) == 0
+        capsys.readouterr()
+        state.write_text(json.dumps(_as_version(
+            json.loads(state.read_text()), 2
+        )))
+        assert main(["--seed", "7", "run", "--slices", "4",
+                     "--resume-state", str(state)]) == 2
+        self._assert_version_error(capsys)
+
+    def test_serve_resume(self, capsys, tmp_path, monkeypatch):
+        from repro.server.daemon import SchedulerDaemon
+        from repro.server.driver import QuantumDriver, ServerConfig
+
+        async def serve_nothing(daemon):
+            daemon.whatif_pool.close()
+
+        # A restore that wrongly succeeds returns 0 instead of serving.
+        monkeypatch.setattr(SchedulerDaemon, "serve", serve_nothing)
+        state = tmp_path / "daemon_state.json"
+        driver = QuantumDriver(ServerConfig(
+            mix=0, seed=3, max_quanta=50, state_path=str(state),
+        ))
+        driver.tick()
+        state.write_text(json.dumps(_as_version(
+            json.loads(state.read_text()), 2
+        )))
+        assert main(["--seed", "3", "serve", "--mix", "0", "--port", "0",
+                     "--max-quanta", "50", "--state", str(state),
+                     "--resume"]) == 2
+        self._assert_version_error(capsys)
+
+
 class TestAuditCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["audit"])

@@ -6,8 +6,16 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.controller import ControllerConfig
+from repro.core.runtime import CuttleSysPolicy
+from repro.experiments.harness import (
+    QuantumStepper,
+    build_machine_for_mix,
+    reference_power_for_mix,
+)
 from repro.fleet.checkpoint import CheckpointStore
 from repro.server.driver import QuantumDriver, ServerConfig
+from repro.sim.machine import measurement_state
 from repro.snapshot import (
     INT,
     RNG,
@@ -19,6 +27,10 @@ from repro.snapshot import (
     Transient,
     atomic_write_text,
 )
+from repro.telemetry.tracer import Tracer
+from repro.workloads.batch import batch_profile, train_test_split
+from repro.workloads.loadgen import LoadTrace
+from repro.workloads.mixes import paper_mixes
 
 
 class Counter(Snapshottable):
@@ -83,6 +95,65 @@ class TestSnapshottable:
             Holder(child=False).restore(Holder().snapshot())
         with pytest.raises(SnapshotError, match="child"):
             Holder().restore(Holder(child=False).snapshot())
+
+
+def _stepper():
+    """Mix 0 through four load buckets, with a batch job replaced every
+    other quantum: the controller builds regimes at several buckets and
+    core counts, and its bips/power matrices see churn."""
+    mix = paper_mixes()[0]
+    machine = build_machine_for_mix(mix, seed=7)
+    policy = CuttleSysPolicy.for_machine(
+        machine, seed=7, config=ControllerConfig(seed=7)
+    )
+    train_names, _ = train_test_split()
+    trace = LoadTrace.steps([(0.0, 0.9), (0.25, 0.3), (0.55, 1.0), (0.85, 0.5)])
+    return QuantumStepper(
+        machine, policy, trace, n_slices=16,
+        max_power_w=reference_power_for_mix(mix, seed=7),
+        churn_period=2, churn_pool=[batch_profile(n) for n in train_names],
+        churn_seed=5,
+    )
+
+
+def _matrices(controller):
+    matrices = {"bips": controller._bips_matrix,
+                "power": controller._power_matrix}
+    matrices.update(controller._latency_matrices)
+    return matrices
+
+
+class TestControllerRestore:
+    """Restore recomputes the known rows the snapshot leaves out."""
+
+    def test_restored_matrices_and_decisions_match(self):
+        source = _stepper()
+        for _ in range(10):
+            source.step()
+        controller = source.policy.controller
+        regimes = list(controller._latency_matrices)
+        assert len({bucket for _, bucket, _ in regimes}) >= 4
+        assert len({cores for _, _, cores in regimes}) >= 2
+        state = json.loads(json.dumps(source.snapshot()))
+
+        target = _stepper()
+        target.policy.controller.attach_tracer(Tracer())
+        target.restore(state)
+        restored = target.policy.controller
+        # The rebuild is neither spanned nor charged as a first build.
+        assert not any(s.name == "mgk.latency"
+                       for s in restored.tracer.spans)
+        assert list(restored._latency_matrices) == regimes
+        want, got = _matrices(controller), _matrices(restored)
+        assert got.keys() == want.keys()
+        for key, matrix in want.items():
+            for name in ("values", "mask", "age", "known_rows"):
+                assert np.array_equal(
+                    getattr(got[key], name), getattr(matrix, name)
+                ), (key, name)
+        for _ in range(5):
+            assert (measurement_state(target.step())
+                    == measurement_state(source.step()))
 
 
 def _formerly_written(path, payload, **kwargs):
