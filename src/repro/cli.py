@@ -1444,8 +1444,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--resume", action="store_true",
                        help="resume from --state if it exists")
     serve.add_argument("--whatif-jobs", type=int, default=2,
-                       help="keep-alive worker pool size for what-if "
-                       "probes (default: 2)")
+                       help="worker processes of the what-if probe "
+                       "pool (default: 2)")
     serve.add_argument("--max-jobs-per-tenant", type=int, default=8)
     serve.add_argument("--max-wait-quanta", type=int, default=16)
 

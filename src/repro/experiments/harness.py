@@ -42,8 +42,8 @@ log = get_logger("experiments.harness")
 #: power violation.  Measured chip power carries ``slice_noise``-level
 #: measurement error (~2 % std, MachineParams), so excursions inside
 #: this band are indistinguishable from sensor noise rather than real
-#: budget breaches.  Shared by :meth:`PolicyRun.power_violations` and
-#: the per-quantum telemetry counter so both report the same number.
+#: budget breaches.  Applied by :meth:`PolicyRun.power_violated`, the
+#: one power-violation predicate every report and counter uses.
 POWER_TOLERANCE = 0.02
 
 
@@ -144,28 +144,37 @@ class PolicyRun(Snapshottable):
                 out[i] = float(np.exp(np.mean(np.log(active))))
         return out
 
-    def qos_violations(self) -> int:
-        """Slices where any hosted service's p99 exceeded its QoS target."""
-        count = 0
-        for m in self.measurements:
-            violated = m.lc_p99 > self.qos_s and m.assignment.lc_cores > 0
-            for p99, qos in zip(m.extra_lc_p99, self.qos_extra_s):
-                violated = violated or p99 > qos
-            if violated:
-                count += 1
-        return count
+    def qos_violated(self, m: SliceMeasurement) -> bool:
+        """Whether any hosted service's p99 exceeded its QoS target."""
+        return bool(
+            m.lc_p99 > self.qos_s and m.assignment.lc_cores > 0
+        ) or any(
+            p99 > qos for p99, qos in zip(m.extra_lc_p99, self.qos_extra_s)
+        )
 
-    def power_violations(self, tolerance: float = POWER_TOLERANCE) -> int:
-        """Slices whose measured power exceeded the budget (+tolerance).
+    @staticmethod
+    def power_violated(
+        m: SliceMeasurement, budget: float,
+        tolerance: float = POWER_TOLERANCE,
+    ) -> bool:
+        """Whether measured power exceeded ``budget`` (+tolerance).
 
         ``tolerance`` defaults to :data:`POWER_TOLERANCE` (2 %): the
         measurement-noise band within which an excursion cannot be told
         apart from sensor error.  Pass 0.0 to count every overshoot.
         """
+        return bool(m.total_power > budget * (1.0 + tolerance))
+
+    def qos_violations(self) -> int:
+        """Slices where any hosted service's p99 exceeded its QoS target."""
+        return sum(1 for m in self.measurements if self.qos_violated(m))
+
+    def power_violations(self, tolerance: float = POWER_TOLERANCE) -> int:
+        """Slices whose measured power exceeded the budget (+tolerance)."""
         return sum(
             1
             for m, budget in zip(self.measurements, self.budgets)
-            if m.total_power > budget * (1.0 + tolerance)
+            if self.power_violated(m, budget, tolerance)
         )
 
     def worst_p99_ratio(self) -> float:
@@ -607,15 +616,7 @@ class QuantumStepper(Snapshottable):
                 metrics.counter("harness.reconfigurations").inc(
                     measurement.reconfigurations
                 )
-                qos_violated = (
-                    measurement.lc_p99 > run.qos_s
-                    and assignment.lc_cores > 0
-                ) or any(
-                    p99 > qos
-                    for p99, qos in zip(
-                        measurement.extra_lc_p99, run.qos_extra_s
-                    )
-                )
+                qos_violated = run.qos_violated(measurement)
                 if qos_violated:
                     metrics.counter("harness.qos_violations").inc()
                     log.info(
@@ -623,10 +624,7 @@ class QuantumStepper(Snapshottable):
                         "%.2f ms)", i, measurement.lc_p99 * 1e3,
                         run.qos_s * 1e3,
                     )
-                power_violated = (
-                    measurement.total_power
-                    > budget * (1.0 + POWER_TOLERANCE)
-                )
+                power_violated = run.power_violated(measurement, budget)
                 if power_violated:
                     metrics.counter("harness.power_violations").inc()
                 live = current_emitter()
@@ -644,7 +642,7 @@ class QuantumStepper(Snapshottable):
                         lc_p99_ms=measurement.lc_p99 * 1e3,
                         power_w=measurement.total_power,
                         budget_w=budget,
-                        qos_violated=bool(qos_violated),
+                        qos_violated=qos_violated,
                         power_violated=power_violated,
                         predicted_power_w=getattr(
                             prediction, "power_w", None

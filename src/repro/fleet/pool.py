@@ -7,6 +7,11 @@ each unit is self-contained and explicitly seeded, and the caller
 merges results in stable unit order — so ``jobs=N`` is byte-identical
 to ``jobs=1``.
 
+One lifecycle: a pool starts worker processes on demand, up to
+``min(jobs, len(units))`` for each ``map``, and keeps them until
+:meth:`FleetPool.close`.  A map where that number is 1 or less runs
+in-process with no subprocesses at all.
+
 Robustness follows the :mod:`repro.faults` philosophy — contain, then
 degrade, never silently corrupt:
 
@@ -27,7 +32,7 @@ import queue as queue_mod
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.fleet.shard import UnitResult, WorkUnit
 from repro.logs import get_logger
@@ -43,12 +48,15 @@ __all__ = [
     "WorkerDied",
 ]
 
-#: How long shutdown waits for workers to drain before terminating.
+#: Result-queue poll interval; bounds worker-death detection lag.
+POLL_INTERVAL_S = 0.05
+#: Bound on the live-event queue.  Backpressure past this *drops*
+#: events (with a counter) rather than ever blocking a worker's
+#: decision loop — events are observability, not results.
+EVENT_QUEUE_CAP = 1024
+#: How long shutdown waits for workers to drain before terminating,
+#: and how long a streaming map waits for its last events.
 _SHUTDOWN_GRACE_S = 2.0
-
-
-def _discard_event(event: Dict[str, Any]) -> None:
-    """Sink for stale live events drained between keep-alive maps."""
 
 
 class FleetError(RuntimeError):
@@ -78,40 +86,21 @@ class WorkerDied(FleetError):
 
 @dataclass(frozen=True)
 class PoolParams:
-    """Execution knobs of one :class:`FleetPool`."""
+    """Execution settings of one :class:`FleetPool`."""
 
     #: Worker processes; 1 executes in-process with no subprocesses.
     jobs: int = 1
     #: Resubmissions allowed per unit after its worker dies.
     max_retries: int = 2
-    #: Degrade to serial when worker processes cannot be created.
-    serial_fallback: bool = True
     #: multiprocessing start method; default prefers ``fork`` (cheap,
     #: and unit purity — FLT501 — makes forking safe) over ``spawn``.
     start_method: Optional[str] = None
-    #: Result-queue poll interval; bounds worker-death detection lag.
-    poll_interval_s: float = 0.05
-    #: Bound on the live-event queue.  Backpressure past this *drops*
-    #: events (with a counter) rather than ever blocking a worker's
-    #: decision loop — events are observability, not results.
-    event_queue_cap: int = 1024
-    #: Keep worker processes alive across ``map`` calls.  A keep-alive
-    #: pool spawns its workers on first use and reuses them until
-    #: :meth:`FleetPool.close`, amortising process-spawn cost for
-    #: callers that run many small fleets (the server's what-if
-    #: evaluations).  The pool is still plain instance state — nothing
-    #: global — so the FLT501 no-global-state guarantee holds.
-    keep_alive: bool = False
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
-        if self.event_queue_cap < 1:
-            raise ValueError("event_queue_cap must be >= 1")
 
     def resolved_start_method(self) -> str:
         if self.start_method is not None:
@@ -119,30 +108,31 @@ class PoolParams:
         return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-def _worker_main(task_q: Any, result_q: Any,
-                 event_q: Any = None) -> None:
+def _worker_main(task_q: Any, result_q: Any, event_q: Any) -> None:
     """Worker loop: execute units until the ``None`` sentinel arrives.
 
-    Results travel back as ``(index, ok, value, error)``.  A unit
-    exception is *reported*, not raised, so one bad unit cannot take
-    the worker down with it — worker death is reserved for real
-    crashes, which the parent retries.
+    Tasks arrive as ``(index, unit, stream)``; results travel back as
+    ``(index, ok, value, error)``.  A unit exception is *reported*, not
+    raised, so one bad unit cannot take the worker down with it —
+    worker death is reserved for real crashes, which the parent
+    retries.
 
-    When streaming is on, a per-unit :class:`LiveEmitter` is installed
-    around ``unit.run()`` so instrumentation anywhere down the call
-    stack (the harness's per-quantum hook) can push events through the
-    bounded ``event_q``.  ``unit_finished`` travels *before* the result
-    so its drop tally is normally drained in time; result-queue puts
-    below are control plane, not live events — they must never drop,
-    hence the TEL403 suppressions.
+    For a task of a streaming map (``stream``), a per-unit
+    :class:`LiveEmitter` is installed around ``unit.run()`` so
+    instrumentation anywhere down the call stack (the harness's
+    per-quantum hook) can push events through the bounded ``event_q``.
+    ``unit_finished`` is the unit's last event, which is what lets the
+    parent tell when a map's events have all arrived.  Result-queue
+    puts below are control plane, not live events — they must never
+    drop, hence the TEL403 suppressions.
     """
     while True:
         item = task_q.get()
         if item is None:
             return
-        index, unit = item
+        index, unit, stream = item
         emitter = None
-        if event_q is not None:
+        if stream:
             emitter = LiveEmitter(
                 event_q, unit.unit_id,
                 worker=mp.current_process().name,
@@ -172,7 +162,7 @@ class _WorkerSlot:
     """One worker process plus its private task queue."""
 
     def __init__(self, ctx: Any, slot: int, result_q: Any,
-                 event_q: Any = None) -> None:
+                 event_q: Any) -> None:
         self.slot = slot
         self.task_q = ctx.Queue()
         self.inflight: Optional[int] = None
@@ -188,10 +178,10 @@ class _WorkerSlot:
     def name(self) -> str:
         return f"worker-{self.slot}"
 
-    def submit(self, index: int, unit: WorkUnit) -> None:
+    def submit(self, index: int, unit: WorkUnit, stream: bool) -> None:
         self.inflight = index
         # Control plane: task delivery must never drop.
-        self.task_q.put((index, unit))  # repro: noqa[TEL403]
+        self.task_q.put((index, unit, stream))  # repro: noqa[TEL403]
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -222,9 +212,13 @@ class _WorkerSlot:
 class FleetPool:
     """Executes work units across processes; results in unit order.
 
-    One pool instance is single-use state-light: ``map`` may be called
-    repeatedly, and the ``retries`` / ``serial_fallbacks`` tallies
-    accumulate across calls (the runner reads them into telemetry).
+    Workers start on demand and persist across ``map`` calls until
+    :meth:`close` (use the pool as a context manager), so a long-lived
+    pool — the daemon's what-if pool — pays the spawn cost once.  The
+    pool is plain instance state, nothing global, so the FLT501
+    no-global-state guarantee holds.  The ``retries`` /
+    ``serial_fallbacks`` tallies accumulate across calls (the runner
+    reports per-run deltas).
     """
 
     def __init__(self, params: PoolParams = PoolParams()) -> None:
@@ -233,12 +227,13 @@ class FleetPool:
         self.retries = 0
         #: Times the pool degraded to serial execution.
         self.serial_fallbacks = 0
-        # Keep-alive state: workers persist across map() calls until
-        # close().  Always empty on one-shot pools.
         self._ctx: Any = None
-        self._workers: List[_WorkerSlot] = []
         self._result_q: Any = None
         self._event_q: Any = None
+        self._workers: List[_WorkerSlot] = []
+        #: Units of the current streaming map whose ``unit_finished``
+        #: event has not been forwarded yet.
+        self._unfinished: Set[str] = set()
         self._closed = False
 
     def __enter__(self) -> "FleetPool":
@@ -248,73 +243,9 @@ class FleetPool:
         self.close()
 
     def close(self) -> None:
-        """Shut down persistent workers (idempotent; one-shot no-op)."""
-        if self._workers:
-            workers = self._workers
-            self._workers = []
-            self._shutdown(workers, self._result_q, self._event_q, None)
-            self._ctx = None
-            self._result_q = None
-            self._event_q = None
+        """Stop every worker; later ``map`` calls raise (idempotent)."""
+        self._shutdown(None)
         self._closed = True
-
-    def _spawn_persistent(self) -> None:
-        """Bring up the long-lived worker set (first keep-alive map)."""
-        ctx = mp.get_context(self.params.resolved_start_method())
-        result_q = ctx.Queue()
-        # Keep-alive workers always get an event queue: later map()
-        # calls may or may not stream, and workers are only wired once.
-        event_q = ctx.Queue(self.params.event_queue_cap)
-        workers: List[_WorkerSlot] = []
-        try:
-            for slot in range(self.params.jobs):
-                workers.append(_WorkerSlot(ctx, slot, result_q, event_q))
-        except BaseException:
-            for worker in workers:
-                worker.kill()
-            raise
-        self._ctx = ctx
-        self._result_q = result_q
-        self._event_q = event_q
-        self._workers = workers
-        log.info(
-            "keep-alive pool: spawned %d persistent worker(s)",
-            len(workers),
-        )
-
-    def _map_persistent(
-        self,
-        units: List[WorkUnit],
-        on_result: Optional[Callable[[UnitResult], None]],
-        on_event: Optional[Callable[[Dict[str, Any]], None]],
-    ) -> List[UnitResult]:
-        if not self._workers:
-            try:
-                self._spawn_persistent()
-            except (OSError, PermissionError, ValueError) as exc:
-                if not self.params.serial_fallback:
-                    raise
-                self.serial_fallbacks += 1
-                log.warning(
-                    "worker pool unavailable (%s: %s); degrading to "
-                    "serial execution", type(exc).__name__, exc,
-                )
-                if on_event is not None:
-                    on_event({"kind": "serial_fallback"})
-                return self._run_serial(units, on_result, on_event)
-        # Events left over from a map() that did not stream belong to
-        # finished units; discard them rather than leak them into this
-        # call's stream.
-        self._drain_events(self._event_q, _discard_event)
-        try:
-            return self._schedule(
-                units, self._workers, self._result_q, self._ctx,
-                on_result, self._event_q, on_event,
-            )
-        finally:
-            self._drain_events(self._event_q, on_event)
-
-    # ------------------------------------------------------------------
 
     def map(
         self,
@@ -326,13 +257,18 @@ class FleetPool:
 
         ``on_result`` fires in the *parent* process as each result
         arrives (completion order) — the checkpoint hook.  An exception
-        it raises aborts the run after worker shutdown.
+        it raises aborts the run.
 
-        ``on_event`` (optional) turns on live streaming: workers push
-        event dicts through a bounded queue and the callback fires in
-        the parent, in arrival order, as the scheduler drains it.
-        Events are lossy by design (see ``PoolParams.event_queue_cap``)
-        and carry no results — dropping all of them changes no output.
+        ``on_event`` (optional) turns on live streaming for this map:
+        workers push event dicts through a bounded queue and the
+        callback fires in the parent, in arrival order, as the
+        scheduler drains it.  Events are lossy by design (see
+        :data:`EVENT_QUEUE_CAP`) and carry no results — dropping all of
+        them changes no output.
+
+        A map that raises stops the pool's workers, so none of its
+        in-flight units can answer a later map; that map starts fresh
+        ones.
         """
         units = list(units)
         ids = [u.unit_id for u in units]
@@ -342,31 +278,12 @@ class FleetPool:
             return []
         if self._closed:
             raise ValueError("map() called on a closed pool")
-        if self.params.keep_alive and self.params.jobs > 1:
-            return self._map_persistent(units, on_result, on_event)
         jobs = min(self.params.jobs, len(units))
         if jobs <= 1:
             return self._run_serial(units, on_result, on_event)
         try:
-            ctx = mp.get_context(self.params.resolved_start_method())
-            result_q = ctx.Queue()
-            event_q = (
-                ctx.Queue(self.params.event_queue_cap)
-                if on_event is not None else None
-            )
-            workers: List[_WorkerSlot] = []
-            try:
-                for slot in range(jobs):
-                    workers.append(
-                        _WorkerSlot(ctx, slot, result_q, event_q)
-                    )
-            except BaseException:
-                for worker in workers:
-                    worker.kill()
-                raise
+            self._start_workers(jobs)
         except (OSError, PermissionError, ValueError) as exc:
-            if not self.params.serial_fallback:
-                raise
             self.serial_fallbacks += 1
             log.warning(
                 "worker pool unavailable (%s: %s); degrading to serial "
@@ -375,15 +292,40 @@ class FleetPool:
             if on_event is not None:
                 on_event({"kind": "serial_fallback"})
             return self._run_serial(units, on_result, on_event)
+        if on_event is not None:
+            self._unfinished = set(ids)
         try:
-            return self._schedule(
-                units, workers, result_q, ctx, on_result,
-                event_q, on_event,
-            )
-        finally:
-            self._shutdown(workers, result_q, event_q, on_event)
+            results = self._schedule(units, jobs, on_result, on_event)
+        except BaseException:
+            self._shutdown(on_event)
+            raise
+        self._forward_events(on_event, wait=True)
+        return results
 
     # ------------------------------------------------------------------
+
+    def _start_workers(self, jobs: int) -> None:
+        """Grow the worker set to ``jobs`` processes.
+
+        The one place worker processes are created: a map's first
+        spawn, a later map that wants more workers, and the
+        replacement of a dead worker all come through here.
+        """
+        if self._result_q is None:
+            ctx = mp.get_context(self.params.resolved_start_method())
+            result_q = ctx.Queue()
+            # Every worker gets the event queue: whether it streams is
+            # decided per task, by the map that submitted it.
+            event_q = ctx.Queue(EVENT_QUEUE_CAP)
+            self._ctx, self._result_q, self._event_q = (
+                ctx, result_q, event_q
+            )
+        taken = {worker.slot for worker in self._workers}
+        free = (s for s in range(self.params.jobs) if s not in taken)
+        while len(self._workers) < jobs:
+            self._workers.append(_WorkerSlot(
+                self._ctx, next(free), self._result_q, self._event_q
+            ))
 
     def _run_serial(
         self,
@@ -427,55 +369,70 @@ class FleetPool:
                 on_result(result)
         return results
 
-    @staticmethod
-    def _drain_events(
-        event_q: Any,
+    def _forward_events(
+        self,
         on_event: Optional[Callable[[Dict[str, Any]], None]],
+        wait: bool = False,
     ) -> None:
-        """Forward every queued live event to the parent-side callback."""
-        if event_q is None or on_event is None:
+        """Forward every queued live event to the map's callback.
+
+        With ``wait``, keep forwarding until each unit of the map has
+        reported ``unit_finished`` (bounded by the shutdown grace).  A
+        worker emits that event last, and one worker's events arrive in
+        order, so the map returns with all of its events delivered and
+        none left over for the next map.
+        """
+        if on_event is None or self._event_q is None:
             return
+        deadline = time.monotonic() + _SHUTDOWN_GRACE_S
         while True:
+            block = (
+                wait and bool(self._unfinished)
+                and time.monotonic() < deadline
+            )
             try:
-                event = event_q.get_nowait()
+                if block:
+                    event = self._event_q.get(timeout=POLL_INTERVAL_S)
+                else:
+                    event = self._event_q.get_nowait()
             except queue_mod.Empty:
+                if block:
+                    continue
                 return
             except (OSError, ValueError):  # queue torn down mid-drain
                 return
+            if event.get("kind") == "unit_finished":
+                self._unfinished.discard(event.get("unit"))
             on_event(event)
 
     def _schedule(
         self,
         units: List[WorkUnit],
-        workers: List[_WorkerSlot],
-        result_q: Any,
-        ctx: Any,
+        jobs: int,
         on_result: Optional[Callable[[UnitResult], None]],
-        event_q: Any = None,
-        on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
+        on_event: Optional[Callable[[Dict[str, Any]], None]],
     ) -> List[UnitResult]:
+        stream = on_event is not None
         pending = deque(range(len(units)))
         attempts = [0] * len(units)
         done: Dict[int, UnitResult] = {}
         while len(done) < len(units):
-            self._drain_events(event_q, on_event)
-            for worker in workers:
+            self._start_workers(jobs)  # replaces reaped workers
+            self._forward_events(on_event)
+            for worker in self._workers:
                 if worker.inflight is None and pending:
                     index = pending.popleft()
                     attempts[index] += 1
-                    worker.submit(index, units[index])
+                    worker.submit(index, units[index], stream)
             try:
-                index, ok, value, error = result_q.get(
-                    timeout=self.params.poll_interval_s
+                index, ok, value, error = self._result_q.get(
+                    timeout=POLL_INTERVAL_S
                 )
             except queue_mod.Empty:
-                self._reap(
-                    units, workers, pending, attempts, done, ctx,
-                    result_q, event_q, on_event,
-                )
+                self._reap(units, pending, attempts, done, on_event)
                 continue
             owner = next(
-                (w for w in workers if w.inflight == index), None
+                (w for w in self._workers if w.inflight == index), None
             )
             if owner is not None:
                 owner.inflight = None
@@ -501,50 +458,45 @@ class FleetPool:
     def _reap(
         self,
         units: List[WorkUnit],
-        workers: List[_WorkerSlot],
         pending: "deque[int]",
         attempts: List[int],
         done: Dict[int, UnitResult],
-        ctx: Any,
-        result_q: Any,
-        event_q: Any = None,
-        on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
+        on_event: Optional[Callable[[Dict[str, Any]], None]],
     ) -> None:
-        """Detect dead workers; resubmit their units and respawn."""
-        for i, worker in enumerate(workers):
-            if worker.alive():
-                continue
+        """Drop dead workers and resubmit their units.
+
+        The scheduler's next :meth:`_start_workers` replaces them.
+        """
+        for worker in [w for w in self._workers if not w.alive()]:
+            self._workers.remove(worker)
             index = worker.inflight
             worker.close()
-            if index is not None and index not in done:
-                if attempts[index] > self.params.max_retries:
-                    raise WorkerDied(
-                        units[index].unit_id, attempts[index]
-                    )
-                self.retries += 1
-                log.warning(
-                    "%s died running unit index %d (attempt %d); "
-                    "resubmitting to a fresh worker",
-                    worker.name, index, attempts[index],
-                )
-                if on_event is not None:
-                    # Parent-side direct call — no queue, cannot drop.
-                    on_event({
-                        "kind": "unit_retry",
-                        "unit": units[index].unit_id,
-                        "worker": worker.name,
-                        "attempt": attempts[index],
-                    })
-                pending.appendleft(index)
-            workers[i] = _WorkerSlot(ctx, worker.slot, result_q, event_q)
+            if index is None or index in done:
+                continue
+            if attempts[index] > self.params.max_retries:
+                raise WorkerDied(units[index].unit_id, attempts[index])
+            self.retries += 1
+            log.warning(
+                "%s died running unit index %d (attempt %d); "
+                "resubmitting to a fresh worker",
+                worker.name, index, attempts[index],
+            )
+            if on_event is not None:
+                # Parent-side direct call — no queue, cannot drop.
+                on_event({
+                    "kind": "unit_retry",
+                    "unit": units[index].unit_id,
+                    "worker": worker.name,
+                    "attempt": attempts[index],
+                })
+            pending.appendleft(index)
 
     def _shutdown(
         self,
-        workers: List[_WorkerSlot],
-        result_q: Any,
-        event_q: Any = None,
-        on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
+        on_event: Optional[Callable[[Dict[str, Any]], None]],
     ) -> None:
+        """Stop every worker and tear the queues down."""
+        workers, self._workers = self._workers, []
         for worker in workers:
             worker.stop()
         deadline = time.monotonic() + _SHUTDOWN_GRACE_S
@@ -558,11 +510,11 @@ class FleetPool:
                 worker.process.join(timeout=1.0)
             worker.close()
         # Workers have flushed (or died); whatever made it into the
-        # event queue is forwarded before teardown so end-of-unit drop
-        # tallies are not themselves dropped on the healthy path.
-        self._drain_events(event_q, on_event)
-        result_q.cancel_join_thread()
-        result_q.close()
-        if event_q is not None:
-            event_q.cancel_join_thread()
-            event_q.close()
+        # event queue is forwarded before teardown so a failed map's
+        # end-of-unit drop tallies are not themselves dropped.
+        self._forward_events(on_event)
+        for q in (self._result_q, self._event_q):
+            if q is not None:
+                q.cancel_join_thread()
+                q.close()
+        self._ctx = self._result_q = self._event_q = None

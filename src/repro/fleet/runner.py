@@ -4,9 +4,10 @@ One ``FleetRun`` drives one fleet of independent work units through a
 :class:`~repro.fleet.pool.FleetPool`, checkpointing completed units as
 results arrive and merging everything back in stable unit order.  The
 experiment grids (cluster, scalability, fig5c, fig8, ablations, chaos,
-fault study and the full evaluation) all run through :func:`run_grid`;
-the daemon's what-if probes (``repro.server.whatif``) build a
-``FleetRun`` directly because they execute on a shared keep-alive pool.
+fault study and the full evaluation) all run through :func:`run_grid`,
+which gives each run a private pool; the daemon's what-if probes
+(``repro.server.whatif``) build a ``FleetRun`` directly because they
+execute on the daemon's shared pool.
 
 Telemetry: when a session is attached the runner publishes the
 ``fleet.*`` counters (units total/executed/resumed, retries, serial
@@ -69,28 +70,21 @@ class FleetAborted(RuntimeError):
 
 @dataclass(frozen=True)
 class FleetParams:
-    """Execution/checkpoint knobs of one fleet run."""
+    """Checkpoint settings of one fleet run.
 
-    #: Worker processes (1 = in-process serial, the reference output).
-    jobs: int = 1
-    #: Checkpoint file; ``None`` disables snapshots.
+    How units execute (``jobs``, ``max_retries``, ``start_method``) is
+    the pool's business: see :class:`~repro.fleet.pool.PoolParams`.
+    """
+
+    #: Checkpoint file, rewritten after every completed unit; ``None``
+    #: disables snapshots.
     checkpoint: Optional[Union[str, Path]] = None
     #: Skip units already completed in the checkpoint.
     resume: bool = False
-    #: Completed units per snapshot flush (1 = every unit).
-    checkpoint_every: int = 1
-    #: Worker-death resubmissions per unit.
-    max_retries: int = 2
-    #: Degrade to serial when worker processes cannot be created.
-    serial_fallback: bool = True
-    #: multiprocessing start method override (tests; default = fork).
-    start_method: Optional[str] = None
     #: Fault hook: abort (after checkpointing) once N units complete.
     inject_abort_after: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         if self.resume and self.checkpoint is None:
             raise ValueError("resume requires a checkpoint path")
         if (
@@ -146,7 +140,12 @@ class FleetOutcome:
 
 
 class FleetRun:
-    """Deterministic parallel execution of one named unit fleet."""
+    """Deterministic parallel execution of one named unit fleet.
+
+    ``pool`` is either a shared :class:`FleetPool` the caller owns (the
+    run never closes it; its tallies are reported per run) or the
+    :class:`PoolParams` of a private pool the run opens and closes.
+    """
 
     def __init__(
         self,
@@ -157,7 +156,7 @@ class FleetRun:
         context: Optional[Mapping[str, Any]] = None,
         telemetry: Any = None,
         live: Optional[LiveAggregator] = None,
-        pool: Optional[FleetPool] = None,
+        pool: Union[FleetPool, PoolParams] = PoolParams(),
     ) -> None:
         if not name:
             raise ValueError("fleet name must be non-empty")
@@ -175,16 +174,9 @@ class FleetRun:
         self.context: Dict[str, Any] = dict(context or {})
         self.telemetry = telemetry
         #: Optional :class:`LiveAggregator`: streams worker events and
-        #: folds each unit's telemetry shard in as it completes, so the
-        #: merged log exists incrementally instead of only after
-        #: ``merge_unit_telemetry`` at end of run.
+        #: folds each unit's counters and drift instants into the live
+        #: view as the unit completes.
         self.live = live
-        #: Optional shared :class:`FleetPool` (typically keep-alive):
-        #: the run executes on the caller's pool instead of building a
-        #: one-shot pool, amortising worker-spawn cost across runs.
-        #: The pool's own ``PoolParams`` govern execution; this run's
-        #: ``jobs``/``max_retries``/``start_method`` knobs are ignored.
-        #: The caller keeps ownership — the run never closes it.
         self.pool = pool
         self._store: Optional[CheckpointStore] = None
         if params.checkpoint is not None:
@@ -205,14 +197,20 @@ class FleetRun:
 
     def execute(self) -> FleetOutcome:
         """Run (or resume) the fleet and merge results in unit order."""
+        if isinstance(self.pool, FleetPool):
+            return self._execute_on(self.pool)
+        with FleetPool(self.pool) as pool:
+            return self._execute_on(pool)
+
+    def _execute_on(self, pool: FleetPool) -> FleetOutcome:
         completed: Dict[str, Any] = {}
         if self._store is not None and self.params.resume:
             completed = self._store.load()
         resumed = len(completed)
         todo = [u for u in self.units if u.unit_id not in completed]
         if self.live is not None:
-            # Resumed units never re-execute, so their telemetry shards
-            # enter the incremental merge straight from the checkpoint.
+            # Resumed units never re-execute, so their telemetry enters
+            # the live view straight from the checkpoint.
             for unit in self.units:
                 value = completed.get(unit.unit_id)
                 if isinstance(value, dict) and "telemetry" in value:
@@ -223,34 +221,22 @@ class FleetRun:
                         {"state": "done", "events": 0,
                          "worker": "checkpoint"},
                     )
+        jobs = pool.params.jobs
         log.info(
             "fleet %s: %d unit(s), %d resumed, %d to run on %d job(s)",
-            self.name, len(self.units), resumed, len(todo),
-            self.params.jobs,
+            self.name, len(self.units), resumed, len(todo), jobs,
         )
-        if self.pool is not None:
-            pool = self.pool
-            jobs = pool.params.jobs
-        else:
-            pool = FleetPool(PoolParams(
-                jobs=self.params.jobs,
-                max_retries=self.params.max_retries,
-                serial_fallback=self.params.serial_fallback,
-                start_method=self.params.start_method,
-            ))
-            jobs = self.params.jobs
         # A shared pool's tallies accumulate across runs; report this
         # run's contribution only, so outcomes stay byte-identical
         # whether the pool is private or shared.
         base_retries = pool.retries
         base_fallbacks = pool.serial_fallbacks
         executed: Dict[str, UnitResult] = {}
-        progress = {"since_save": 0, "done_this_run": 0}
 
         def run_stats() -> Dict[str, Any]:
             return {
                 "jobs": jobs,
-                "executed": progress["done_this_run"],
+                "executed": len(executed),
                 # Units this run actually executed (vs restored from
                 # the checkpoint); `repro fleet status` uses the set to
                 # label each completed unit's origin.
@@ -273,32 +259,24 @@ class FleetRun:
                 self.live.ingest(
                     result.unit_id, result.value["telemetry"]
                 )
-            progress["since_save"] += 1
-            progress["done_this_run"] += 1
-            flush_due = (
-                progress["since_save"] >= self.params.checkpoint_every
-            )
-            abort_due = (
-                self.params.inject_abort_after is not None
-                and progress["done_this_run"]
-                >= self.params.inject_abort_after
-            )
-            if self._store is not None and (flush_due or abort_due):
+            if self._store is not None:
                 self._store.save(completed, stats=run_stats())
-                progress["since_save"] = 0
-            if abort_due:
-                raise FleetAborted(self.name, progress["done_this_run"])
+            if (
+                self.params.inject_abort_after is not None
+                and len(executed) >= self.params.inject_abort_after
+            ):
+                raise FleetAborted(self.name, len(executed))
 
         on_event = (
             self.live.ingest_event if self.live is not None else None
         )
         if todo:
             pool.map(todo, on_result, on_event)
-        # Also refresh the stats when units were restored with nothing
-        # left to run: `repro fleet status` labels each unit's origin
-        # from the *latest* run's `executed_ids`, which would otherwise
-        # still describe the run that executed them.
-        if self._store is not None and (progress["since_save"] or resumed):
+        elif self._store is not None:
+            # Refresh the stats when every unit was restored: `repro
+            # fleet status` labels each unit's origin from the *latest*
+            # run's `executed_ids`, which would otherwise still
+            # describe the run that executed them.
             self._store.save(completed, stats=run_stats())
 
         by_id: Dict[str, UnitResult] = {}
@@ -370,27 +348,20 @@ def run_grid(
     ``live`` will consume it.  ``merged_telemetry``, when given a list,
     receives the unit telemetry merged into one canonical session log
     (:func:`~repro.fleet.shard.merge_unit_telemetry`).  ``live`` streams
-    worker events and telemetry shards into a :class:`LiveAggregator`
-    mid-run; its incremental merge must equal the post-hoc one, and a
-    divergence raises ``RuntimeError``.
+    worker events, and each unit's counters and drift instants, into a
+    :class:`LiveAggregator` mid-run.
     """
     collect = merged_telemetry is not None or live is not None
     outcome = FleetRun(
         name,
         units(collect),
-        FleetParams(jobs=jobs, checkpoint=checkpoint, resume=resume),
+        FleetParams(checkpoint=checkpoint, resume=resume),
         seed=seed,
         context=context,
         telemetry=telemetry,
         live=live,
+        pool=PoolParams(jobs=jobs),
     ).execute()
-    if collect:
-        posthoc = merge_unit_telemetry(outcome.results)
-        if live is not None and live.merged_records() != posthoc:
-            raise RuntimeError(
-                "streaming incremental merge diverged from the "
-                "post-hoc merge_jsonl merge"
-            )
-        if merged_telemetry is not None:
-            merged_telemetry.extend(posthoc)
+    if merged_telemetry is not None:
+        merged_telemetry.extend(merge_unit_telemetry(outcome.results))
     return outcome

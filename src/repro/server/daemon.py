@@ -86,10 +86,11 @@ class SchedulerDaemon:
             Path(config.state_path).exists()
         ):
             self.driver.resume_from(config.state_path)
-        #: Keep-alive what-if pool, shared across every FleetRun the
-        #: daemon's lifetime sees; closed on shutdown.
+        #: What-if pool, shared across every FleetRun the daemon's
+        #: lifetime sees: its workers start with the first multi-app
+        #: probe and persist until shutdown closes it.
         self.whatif_pool = FleetPool(PoolParams(
-            jobs=max(1, config.whatif_jobs), keep_alive=True,
+            jobs=max(1, config.whatif_jobs),
         ))
         self.executor = CommandExecutor(
             self.driver, telemetry=telemetry, whatif_pool=self.whatif_pool
@@ -267,7 +268,7 @@ class SchedulerDaemon:
             return
         if op == "whatif" and "apps" in request:
             # Fleet-backed probes run off-loop; serialized so the
-            # keep-alive pool only ever serves one map at a time.
+            # shared pool only ever serves one map at a time.
             async with self._whatif_lock:
                 loop = asyncio.get_running_loop()
                 response = await loop.run_in_executor(

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.core.runtime import CuttleSysPolicy
 from repro.experiments.harness import (
-    POWER_TOLERANCE,
     QuantumStepper,
     build_machine_for_mix,
     reference_power_for_mix,
@@ -81,7 +80,7 @@ class ServerConfig:
     snapshot_every: int = 1
     #: Resume from ``state_path`` if it exists.
     resume: bool = False
-    #: Worker processes of the keep-alive what-if pool (1 = serial).
+    #: Worker processes of the daemon's what-if pool (1 = serial).
     whatif_jobs: int = 2
     limits: AdmissionLimits = field(default_factory=AdmissionLimits)
 
@@ -322,22 +321,13 @@ class QuantumDriver(Snapshottable):
         run = self.stepper.run
         assignment = measurement.assignment
         budget = run.budgets[-1]
-        qos_violated = (
-            measurement.lc_p99 > run.qos_s and assignment.lc_cores > 0
-        ) or any(
-            p99 > qos
-            for p99, qos in zip(measurement.extra_lc_p99, run.qos_extra_s)
-        )
-        power_violated = (
-            measurement.total_power > budget * (1.0 + POWER_TOLERANCE)
-        )
         return {
             "quantum": index,
             "lc_p99_ms": measurement.lc_p99 * 1e3,
             "power_w": measurement.total_power,
             "budget_w": budget,
-            "qos_violated": bool(qos_violated),
-            "power_violated": bool(power_violated),
+            "qos_violated": run.qos_violated(measurement),
+            "power_violated": run.power_violated(measurement, budget),
             "assignment": {
                 "lc_cores": assignment.lc_cores,
                 "lc_config": (

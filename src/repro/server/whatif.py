@@ -6,15 +6,16 @@ The ``whatif`` op answers two questions without touching live state:
   admission ledger (no counters move, nothing enqueues).
 
 * *What would each candidate batch app cost?* — a short standalone
-  probe of each app on the daemon's **keep-alive**
+  probe of each app on the daemon's shared
   :class:`~repro.fleet.pool.FleetPool`.  The pool's workers persist
   across successive what-if calls (and across the ``FleetRun``
   instances that ride them), so the per-call cost is one map, not one
-  pool spawn — the server-side beneficiary of ``PoolParams.keep_alive``.
+  pool spawn.  A probe of one app, or any probe on a one-job pool,
+  runs in-process in the caller's thread.
 
 Worker purity (FLT501) still holds: :func:`probe_app` is a module-level
 function of its kwargs alone, so results are identical whether the map
-runs serial, one-shot, or on reused workers.
+runs in-process, on fresh workers, or on reused ones.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.fleet.pool import FleetPool
-from repro.fleet.runner import FleetParams, FleetRun
+from repro.fleet.pool import FleetPool, PoolParams
+from repro.fleet.runner import FleetRun
 from repro.fleet.shard import WorkUnit
 from repro.server.admission import JobQueueManager, JobSpec
 
@@ -58,7 +59,7 @@ def probe_app(mix: int, seed: int, app: str, n_slices: int) -> Dict[str, Any]:
 
     Module-level and a pure function of its arguments — the FLT501
     contract that makes it safe to execute on any worker, including a
-    reused keep-alive one.
+    reused one.
     """
     # Imported here so a forked worker resolves everything fresh.
     from repro.core.runtime import CuttleSysPolicy
@@ -102,7 +103,7 @@ def run_whatif(
     n_slices: int = 3,
     telemetry: Any = None,
 ) -> List[Dict[str, Any]]:
-    """Probe ``apps`` as a fleet on the (shared, keep-alive) pool."""
+    """Probe ``apps`` as a fleet on ``pool`` (in-process without one)."""
     units = [
         WorkUnit(
             unit_id=f"whatif-{app}",
@@ -114,14 +115,12 @@ def run_whatif(
         )
         for app in apps
     ]
-    jobs = pool.params.jobs if pool is not None else 1
     run = FleetRun(
         "server-whatif",
         units,
-        params=FleetParams(jobs=jobs),
         seed=seed,
         telemetry=telemetry,
-        pool=pool,
+        pool=pool if pool is not None else PoolParams(),
     )
     outcome = run.execute()
     return list(outcome.values())

@@ -39,7 +39,6 @@ from typing import Optional
 
 from repro.telemetry.accuracy import (
     AccuracyAuditor,
-    AuditConfig,
     DriftTracker,
     median_error_pct,
     render_accuracy_report,
@@ -126,11 +125,9 @@ class Telemetry:
             ProvenanceRecorder() if enabled else None
         )
 
-    def enable_accuracy_audit(
-        self, config: Optional[AuditConfig] = None
-    ) -> AccuracyAuditor:
+    def enable_accuracy_audit(self) -> AccuracyAuditor:
         """Attach a prediction-accuracy auditor to this session."""
-        return AccuracyAuditor(self, config)
+        return AccuracyAuditor(self)
 
     # -- convenience pass-throughs -------------------------------------
 
@@ -170,7 +167,6 @@ class Telemetry:
 
 __all__ = [
     "AccuracyAuditor",
-    "AuditConfig",
     "CallbackSink",
     "Counter",
     "DecisionRecord",

@@ -53,45 +53,24 @@ QOS_ATTRIBUTION_KINDS: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class AuditConfig:
-    """Knobs of the accuracy auditor."""
-
-    #: EWMA smoothing of the fast (reactive) error tracker.
-    ewma_alpha: float = 0.4
-    #: The slow (reference) tracker's smoothing, as a fraction of
-    #: ``ewma_alpha`` — it remembers the pre-drift error level.
-    ewma_slow_ratio: float = 0.25
-    #: Drift flags when fast > ``drift_factor`` * max(slow, floor).
-    drift_factor: float = 2.5
-    #: Error floor (percent) below which drift is never flagged: a jump
-    #: from 0.5 % to 2 % error is noise, not degradation.
-    drift_floor_pct: float = 5.0
-    #: Quanta before the trackers are trusted (cold-start errors are
-    #: legitimately high while the matrices fill in).
-    drift_warmup: int = 3
-    #: Latency errors are scored only where the true p99 is at most
-    #: this multiple of QoS: far into saturation the queueing model
-    #: explodes and relative error stops measuring decision quality
-    #: (same regime guard as experiments/fig5_accuracy.py).
-    qos_relevance_factor: float = 3.0
-    #: Also maintain one histogram per batch application
-    #: (``accuracy.app.<name>.<metric>_err_pct``).
-    per_app_histograms: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0 < self.ewma_alpha <= 1:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if not 0 < self.ewma_slow_ratio <= 1:
-            raise ValueError("ewma_slow_ratio must be in (0, 1]")
-        if self.drift_factor <= 1:
-            raise ValueError("drift_factor must exceed 1")
-        if self.drift_floor_pct < 0:
-            raise ValueError("drift_floor_pct must be non-negative")
-        if self.drift_warmup < 1:
-            raise ValueError("drift_warmup must be at least 1")
-        if self.qos_relevance_factor < 1:
-            raise ValueError("qos_relevance_factor must be at least 1")
+#: EWMA smoothing of the fast (reactive) error tracker.
+DRIFT_ALPHA = 0.4
+#: The slow (reference) tracker's smoothing, as a fraction of
+#: :data:`DRIFT_ALPHA` — it remembers the pre-drift error level.
+DRIFT_SLOW_RATIO = 0.25
+#: Drift flags when fast > ``DRIFT_FACTOR`` * max(slow, floor).
+DRIFT_FACTOR = 2.5
+#: Error floor (percent) below which drift is never flagged: a jump
+#: from 0.5 % to 2 % error is noise, not degradation.
+DRIFT_FLOOR_PCT = 5.0
+#: Quanta before the trackers are trusted (cold-start errors are
+#: legitimately high while the matrices fill in).
+DRIFT_WARMUP = 3
+#: Latency errors are scored only where the true p99 is at most this
+#: multiple of QoS: far into saturation the queueing model explodes
+#: and relative error stops measuring decision quality (same regime
+#: guard as experiments/fig5_accuracy.py).
+QOS_RELEVANCE_FACTOR = 3.0
 
 
 class DriftTracker:
@@ -110,11 +89,11 @@ class DriftTracker:
 
     def __init__(
         self,
-        alpha: float = 0.4,
-        slow_ratio: float = 0.25,
-        factor: float = 2.5,
-        floor: float = 5.0,
-        warmup: int = 3,
+        alpha: float = DRIFT_ALPHA,
+        slow_ratio: float = DRIFT_SLOW_RATIO,
+        factor: float = DRIFT_FACTOR,
+        floor: float = DRIFT_FLOOR_PCT,
+        warmup: int = DRIFT_WARMUP,
     ) -> None:
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
@@ -170,18 +149,10 @@ class AccuracyAuditor:
     mode, cold start) are counted as unaudited quanta and skipped.
     """
 
-    def __init__(self, telemetry, config: Optional[AuditConfig] = None) -> None:
+    def __init__(self, telemetry) -> None:
         self.telemetry = telemetry
-        self.config = config if config is not None else AuditConfig()
         self._trackers: Dict[str, DriftTracker] = {
-            metric: DriftTracker(
-                alpha=self.config.ewma_alpha,
-                slow_ratio=self.config.ewma_slow_ratio,
-                factor=self.config.drift_factor,
-                floor=self.config.drift_floor_pct,
-                warmup=self.config.drift_warmup,
-            )
-            for metric in AUDIT_METRICS
+            metric: DriftTracker() for metric in AUDIT_METRICS
         }
         self._drifting: Dict[str, bool] = {m: False for m in AUDIT_METRICS}
         #: Rising-edge drift flags, in quantum order.
@@ -252,10 +223,9 @@ class AccuracyAuditor:
             metrics.histogram(
                 f"accuracy.{metric}_signed_err_pct"
             ).observe(med_signed)
-            if self.config.per_app_histograms:
-                metrics.histogram(
-                    f"accuracy.app.{name}.{metric}_err_pct"
-                ).observe(med_abs)
+            metrics.histogram(
+                f"accuracy.app.{name}.{metric}_err_pct"
+            ).observe(med_abs)
         if not per_app:
             return math.nan
         return float(np.median(per_app))
@@ -264,7 +234,7 @@ class AccuracyAuditor:
         """Score the reconstructed LC latency rows against the oracle.
 
         Errors are restricted to configurations whose *true* p99 stays
-        within ``qos_relevance_factor`` x QoS: scoring against the
+        within :data:`QOS_RELEVANCE_FACTOR` x QoS: scoring against the
         regime the prediction was made for (the snapshot's load bucket
         and core count) isolates reconstruction error from the
         one-quantum load-forecast lag the harness models.
@@ -278,7 +248,7 @@ class AccuracyAuditor:
             truth = machine.oracle_lc_latency_row(
                 lc.bucket, lc.cores, lc.service_idx
             )
-            ceiling = service.qos_latency_s * self.config.qos_relevance_factor
+            ceiling = service.qos_latency_s * QOS_RELEVANCE_FACTOR
             pred = np.asarray(lc.latency_row, dtype=float)
             ok = (
                 np.isfinite(truth) & np.isfinite(pred)

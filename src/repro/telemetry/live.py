@@ -1,9 +1,9 @@
-"""Live telemetry: streaming events, rolling windows, incremental merge.
+"""Live telemetry: streaming events and rolling windows.
 
 Everything in :mod:`repro.telemetry` so far is post-hoc: a run's spans
 and metrics become visible only after it finishes and ``merge_jsonl``
 stitches the per-unit shards.  This module closes the gap for
-long-running fleet studies with three pieces:
+long-running fleet studies with two pieces:
 
 * **A bounded, non-blocking event bus.**  Workers push small event
   dicts (quantum outcomes, unit lifecycle, worker health) through a
@@ -12,16 +12,12 @@ long-running fleet studies with three pieces:
   *drops* the event and counts the drop.  The ``TEL403`` lint rule
   enforces that emission sites go through it.
 * **Rolling-window aggregation.**  :class:`LiveAggregator` consumes
-  events plus per-unit telemetry records and maintains
-  :class:`RollingWindow` percentile sketches over quantum latency, QoS
-  violations, power-cap headroom and prediction accuracy, alongside
-  per-unit / per-worker health tallies — the state behind
-  ``--watch`` on the grid verbs and ``repro top``.
-* **An incremental merge.**  :meth:`LiveAggregator.ingest` folds each
-  unit's telemetry records in as the unit completes;
-  :meth:`LiveAggregator.merged_records` is byte-identical to the
-  post-hoc :func:`repro.telemetry.exporters.merge_jsonl` over the same
-  shards (the equivalence tests and the fleet-smoke CI diff hold this).
+  events plus each completed unit's counters and drift instants and
+  maintains :class:`RollingWindow` percentile sketches over quantum
+  latency, QoS violations, power-cap headroom and prediction accuracy,
+  alongside per-unit / per-worker health tallies — the state behind
+  ``--watch`` on the grid verbs and ``repro top``.  The merged log
+  itself is only ever built post hoc, by ``merge_jsonl``.
 
 Events are observability only: dropping every single one changes no
 result byte — the determinism contract of docs/scaling.md is untouched.
@@ -31,9 +27,8 @@ from __future__ import annotations
 
 import math
 import queue as queue_mod
-from bisect import insort
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
 __all__ = [
     "CallbackSink",
@@ -238,18 +233,15 @@ class RollingWindow:
 # ----------------------------------------------------------------------
 
 class LiveAggregator:
-    """Incremental merge plus rolling operator-facing state.
+    """Rolling operator-facing state of one fleet run.
 
     Two input faces:
 
     * :meth:`ingest_event` — streamed event dicts (quantum outcomes,
       unit lifecycle, retries) feeding the rolling windows and health
       tallies; lossy by design.
-    * :meth:`ingest` — a completed unit's full telemetry records,
-      folded into the incremental merge; lossless, and the source of
-      :meth:`merged_records`, which is byte-identical to running
-      :func:`~repro.telemetry.exporters.merge_jsonl` over the same
-      ``(unit_id, records)`` shards at end of run.
+    * :meth:`ingest` — a completed unit's telemetry records, of which
+      the live view keeps the counter totals and drift instants.
 
     :meth:`replay` rebuilds the rolling state from an already-merged
     JSONL log, so ``repro top`` can render a finished (or in-progress,
@@ -257,20 +249,7 @@ class LiveAggregator:
     """
 
     def __init__(self, window: int = 256) -> None:
-        # -- incremental merge state (mirrors merge_jsonl exactly) ----
-        self._unit_order: List[str] = []
-        self._traces: Dict[str, List[Dict]] = {}
-        #: name -> [(unit_id, value), ...] kept sorted by unit id, so
-        #: the final sum folds in the same order merge_jsonl's
-        #: sorted-unit iteration does (float addition is order-
-        #: sensitive; "equivalent" is not enough, identical is).
-        self._counter_parts: Dict[str, List[Tuple[str, Any]]] = {}
-        self._gauges: List[Tuple[Tuple[Any, ...], int, Dict]] = []
-        self._histograms: List[Tuple[Tuple[Any, ...], int, Dict]] = []
-        self._decisions: List[Tuple[Tuple[Any, ...], int, Dict]] = []
-        self._provenance: List[Tuple[Tuple[Any, ...], int, Dict]] = []
-        self._seq = 0
-        # -- rolling operator state -----------------------------------
+        self._ingested: Set[str] = set()
         self.window_size = window
         self.windows: Dict[str, RollingWindow] = {}
         self.counter_totals: Dict[str, float] = {}
@@ -360,81 +339,25 @@ class LiveAggregator:
                 abs((predicted - power) / power * 100.0)
             )
 
-    # -- incremental merge face ----------------------------------------
+    # -- completed-unit face -------------------------------------------
 
     def ingest(self, unit_id: str, records: Iterable[Dict]) -> None:
-        """Fold one completed unit's telemetry records into the merge.
+        """Fold one completed unit's counters and drift instants in.
 
-        Mirrors :func:`~repro.telemetry.exporters.merge_jsonl` record
-        for record; duplicate unit ids raise, as there.
+        A unit ingested twice would double its counters, so a
+        duplicate unit id raises.
         """
-        if unit_id in self._traces:
-            raise ValueError(f"duplicate unit id {unit_id!r} in merge")
-        insort(self._unit_order, unit_id)
-        traces = self._traces.setdefault(unit_id, [])
+        if unit_id in self._ingested:
+            raise ValueError(f"duplicate unit id {unit_id!r} in ingest")
+        self._ingested.add(unit_id)
         for rec in records:
             kind = rec.get("type")
-            if kind in ("span", "instant"):
-                traces.append({**rec, "unit": unit_id})
-                if kind == "instant" and "drift" in rec.get("name", ""):
-                    self.drift_events.append({**rec, "unit": unit_id})
-            elif kind == "counter":
-                parts = self._counter_parts.setdefault(rec["name"], [])
-                insort(parts, (unit_id, self._seq, rec["value"]))
-                self._seq += 1
+            if kind == "counter":
                 self.counter_totals[rec["name"]] = (
                     self.counter_totals.get(rec["name"], 0) + rec["value"]
                 )
-            elif kind == "gauge":
-                self._insort(
-                    self._gauges, (rec["name"], unit_id),
-                    {**rec, "unit": unit_id},
-                )
-            elif kind == "histogram":
-                self._insort(
-                    self._histograms, (rec["name"], unit_id),
-                    {**rec, "unit": unit_id},
-                )
-            elif kind == "decision":
-                self._insort(
-                    self._decisions, (rec["quantum"], unit_id),
-                    {**rec, "unit": unit_id},
-                )
-            elif kind == "provenance":
-                self._insort(
-                    self._provenance, (rec["quantum"], unit_id),
-                    {**rec, "unit": unit_id},
-                )
-
-    def _insort(self, target: List[Tuple[Tuple[Any, ...], int, Dict]],
-                key: Tuple[Any, ...], rec: Dict) -> None:
-        # The monotonically increasing seq breaks ties exactly the way
-        # merge_jsonl's stable sort does (equal keys only arise within
-        # one unit, whose records arrive in order), and guarantees the
-        # dict payload is never compared.  Tuples keep py3.9 happy —
-        # bisect.insort grew key= only in 3.10.
-        insort(target, (key, self._seq, rec))
-        self._seq += 1
-
-    def merged_records(self) -> List[Dict]:
-        """The canonical merged log, byte-identical to ``merge_jsonl``.
-
-        Safe to call at any point mid-run; the result covers every unit
-        ingested so far.
-        """
-        merged: List[Dict] = []
-        for unit_id in self._unit_order:
-            merged.extend(self._traces[unit_id])
-        for name in sorted(self._counter_parts):
-            value: Any = 0
-            for _unit, _seq, part in self._counter_parts[name]:
-                value = value + part
-            merged.append({"type": "counter", "name": name, "value": value})
-        merged.extend(rec for _key, _seq, rec in self._gauges)
-        merged.extend(rec for _key, _seq, rec in self._histograms)
-        merged.extend(rec for _key, _seq, rec in self._decisions)
-        merged.extend(rec for _key, _seq, rec in self._provenance)
-        return merged
+            elif kind == "instant" and "drift" in rec.get("name", ""):
+                self.drift_events.append({**rec, "unit": unit_id})
 
     # -- replay (post-hoc logs) ----------------------------------------
 

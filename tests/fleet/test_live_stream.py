@@ -1,17 +1,16 @@
-"""Tests for the fleet's live event bus and incremental telemetry merge.
+"""Tests for the fleet's live event bus and the live view it feeds.
 
 Two contracts:
 
 * **Streaming never changes results.**  A run with an event consumer
   attached produces byte-identical unit values to one without; events
   are observability only.
-* **Incremental == post-hoc.**  A ``LiveAggregator`` fed through
-  ``FleetRun(live=...)`` ends the run holding exactly the records
-  ``merge_unit_telemetry`` would produce from the same results — for
-  serial and multi-process execution alike.
+* **The live view sees every unit.**  A ``LiveAggregator`` fed through
+  ``FleetRun(live=...)`` ends the run with every unit done and the
+  counter totals of the merged log — for serial and multi-process
+  execution alike.
 """
 
-import json
 import multiprocessing as mp
 import os
 
@@ -60,8 +59,6 @@ def crash_once(flag_path: str, payload: int) -> int:
 
 
 def make_units(n: int):
-    # Float values chosen so summation order is observable: the
-    # incremental counter fold must match merge_jsonl bit for bit.
     return [
         WorkUnit(f"unit-{i}", telemetry_unit,
                  {"unit_id": f"unit-{i}", "power": 0.1 * (i + 1)})
@@ -94,9 +91,8 @@ class TestPoolEvents:
     @needs_fork
     def test_parallel_lifecycle_events(self):
         events = []
-        results = FleetPool(
-            PoolParams(jobs=2, start_method="fork")
-        ).map(make_units(4), on_event=events.append)
+        with FleetPool(PoolParams(jobs=2, start_method="fork")) as pool:
+            results = pool.map(make_units(4), on_event=events.append)
         assert [r.unit_id for r in results] == [
             f"unit-{i}" for i in range(4)
         ]
@@ -112,12 +108,12 @@ class TestPoolEvents:
     def test_worker_death_emits_retry_event(self, tmp_path):
         events = []
         flag = str(tmp_path / "crashed")
-        pool = FleetPool(PoolParams(jobs=2, start_method="fork"))
         units = [
             WorkUnit("crasher", crash_once,
                      {"flag_path": flag, "payload": 42}),
         ] + make_units(2)
-        results = pool.map(units, on_event=events.append)
+        with FleetPool(PoolParams(jobs=2, start_method="fork")) as pool:
+            results = pool.map(units, on_event=events.append)
         assert results[0].value == 42
         retries = [e for e in events if e["kind"] == "unit_retry"]
         assert len(retries) == 1
@@ -126,23 +122,27 @@ class TestPoolEvents:
         assert pool.retries == 1
 
 
-class TestIncrementalMergeEndToEnd:
+def merged_counters(results) -> dict:
+    return {
+        rec["name"]: rec["value"]
+        for rec in merge_unit_telemetry(results)
+        if rec["type"] == "counter"
+    }
+
+
+class TestLiveRunEndToEnd:
     def run_with_live(self, jobs: int) -> None:
-        params = FleetParams(jobs=jobs)
+        pool = PoolParams(jobs=jobs)
         if jobs > 1:
             if not HAVE_FORK:
                 pytest.skip("no fork start method")
-            params = FleetParams(jobs=jobs, start_method="fork")
+            pool = PoolParams(jobs=jobs, start_method="fork")
         live = LiveAggregator()
         outcome = FleetRun(
-            "stream-test", make_units(4), params, seed=7, live=live,
+            "stream-test", make_units(4), seed=7, live=live, pool=pool,
         ).execute()
-        posthoc = merge_unit_telemetry(outcome.results)
-        streamed = live.merged_records()
-        assert streamed == posthoc
-        assert (
-            [json.dumps(r, sort_keys=True) for r in streamed]
-            == [json.dumps(r, sort_keys=True) for r in posthoc]
+        assert live.counter_totals == pytest.approx(
+            merged_counters(outcome.results)
         )
         assert live.dropped_events == 0
         done = [s for s in live.units.values() if s["state"] == "done"]
@@ -158,17 +158,17 @@ class TestIncrementalMergeEndToEnd:
         path = tmp_path / "ckpt.json"
         FleetRun(
             "stream-test", make_units(4),
-            FleetParams(jobs=1, checkpoint=path), seed=7,
+            FleetParams(checkpoint=path), seed=7,
         ).execute()
         live = LiveAggregator()
         outcome = FleetRun(
             "stream-test", make_units(4),
-            FleetParams(jobs=1, checkpoint=path, resume=True), seed=7,
+            FleetParams(checkpoint=path, resume=True), seed=7,
             live=live,
         ).execute()
         assert outcome.resumed_units == 4
-        assert live.merged_records() == merge_unit_telemetry(
-            outcome.results
+        assert live.counter_totals == pytest.approx(
+            merged_counters(outcome.results)
         )
         assert all(s["worker"] == "checkpoint"
                    for s in live.units.values())
@@ -177,7 +177,7 @@ class TestIncrementalMergeEndToEnd:
         path = tmp_path / "ckpt.json"
         FleetRun(
             "stream-test", make_units(2),
-            FleetParams(jobs=1, checkpoint=path), seed=7,
+            FleetParams(checkpoint=path), seed=7,
         ).execute()
         payload = inspect_checkpoint(path)
         assert payload["stats"] == {
@@ -189,8 +189,8 @@ class TestIncrementalMergeEndToEnd:
         assert payload["schema"] == 1
 
 
-class TestStudySelfCheck:
-    def test_fault_study_streams_and_self_checks(self):
+class TestStudyStreaming:
+    def test_fault_study_streams(self):
         from repro.experiments.fault_study import run_fault_study
         from repro.faults import default_scenarios
 
@@ -200,49 +200,31 @@ class TestStudySelfCheck:
             scenarios=default_scenarios(7)[:1], live=live,
         )
         assert len(outcomes) == 2  # hardened + unhardened
-        assert live.merged_records()  # telemetry was collected
+        assert live.counter_totals  # unit telemetry was collected
         states = {s["state"] for s in live.units.values()}
         assert states == {"done"}
 
 
-class DivergingAggregator(LiveAggregator):
-    """A live aggregator whose incremental merge disagrees with the
-    post-hoc one by an extra record."""
-
-    def merged_records(self):
-        return super().merged_records() + [
-            {"type": "counter", "name": "phantom", "value": 1}
-        ]
-
-
 class TestRunGrid:
     @pytest.mark.parametrize("case", ["merged-only", "live-only", "both"])
-    def test_streamed_vs_posthoc_divergence(self, case):
+    def test_consumers_collect_unit_telemetry(self, case):
         merged = [] if case in ("merged-only", "both") else None
-        live = DivergingAggregator() if case != "merged-only" else None
+        live = LiveAggregator() if case != "merged-only" else None
         collected = []
 
         def units(collect):
             collected.append(collect)
             return make_units(3)
 
-        def run():
-            return run_grid(
-                "grid-test", units, seed=7, context={},
-                merged_telemetry=merged, live=live,
-            )
-
-        if live is None:
-            # Nothing streamed, so nothing to diverge: the merged log is
-            # the post-hoc merge.
-            outcome = run()
-            assert merged == merge_unit_telemetry(outcome.results)
-        else:
-            with pytest.raises(RuntimeError, match="diverged"):
-                run()
-            if merged is not None:
-                assert merged == []  # never extended with a bad log
+        outcome = run_grid(
+            "grid-test", units, seed=7, context={},
+            merged_telemetry=merged, live=live,
+        )
         assert collected == [True]
+        if merged is not None:
+            assert merged == merge_unit_telemetry(outcome.results)
+        if live is not None:
+            assert live.counter_totals["unit.runs"] == 3
 
     def test_no_consumer_skips_unit_telemetry(self):
         collected = []

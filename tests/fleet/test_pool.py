@@ -87,19 +87,18 @@ class TestParallel:
     def test_matches_serial_results(self):
         units = make_units(6)
         serial = FleetPool(PoolParams(jobs=1)).map(units)
-        parallel = FleetPool(
-            PoolParams(jobs=3, start_method="fork")
-        ).map(units)
+        with FleetPool(PoolParams(jobs=3, start_method="fork")) as pool:
+            parallel = pool.map(units)
         assert [r.value for r in parallel] == [r.value for r in serial]
         assert [r.unit_id for r in parallel] == [r.unit_id for r in serial]
 
     def test_unit_exception_wrapped_not_retried(self):
-        pool = FleetPool(PoolParams(jobs=2, start_method="fork"))
         units = make_units(2) + [
             WorkUnit("bad", failing_unit, {"unit_id": "bad"})
         ]
-        with pytest.raises(UnitFailed) as excinfo:
-            pool.map(units)
+        with FleetPool(PoolParams(jobs=2, start_method="fork")) as pool:
+            with pytest.raises(UnitFailed) as excinfo:
+                pool.map(units)
         assert excinfo.value.unit_id == "bad"
         assert pool.retries == 0
 
@@ -109,8 +108,8 @@ class TestParallel:
             WorkUnit("fragile", crash_once,
                      {"flag_path": str(flag), "payload": 99}),
         ] + make_units(2)
-        pool = FleetPool(PoolParams(jobs=2, start_method="fork"))
-        results = pool.map(units)
+        with FleetPool(PoolParams(jobs=2, start_method="fork")) as pool:
+            results = pool.map(units)
         fragile = results[0]
         assert fragile.value == 99
         assert fragile.attempts == 2
@@ -118,11 +117,10 @@ class TestParallel:
 
     def test_worker_death_exhausts_retries(self):
         units = [WorkUnit("doomed", crash_always, {"payload": 1})]
-        pool = FleetPool(
-            PoolParams(jobs=2, max_retries=1, start_method="fork")
-        )
-        with pytest.raises(WorkerDied) as excinfo:
-            pool.map(units + make_units(1))
+        params = PoolParams(jobs=2, max_retries=1, start_method="fork")
+        with FleetPool(params) as pool:
+            with pytest.raises(WorkerDied) as excinfo:
+                pool.map(units + make_units(1))
         assert excinfo.value.unit_id == "doomed"
         assert excinfo.value.attempts == 2
 
@@ -133,13 +131,6 @@ class TestDegradation:
         results = pool.map(make_units(3))
         assert pool.serial_fallbacks == 1
         assert [r.worker for r in results] == ["serial"] * 3
-
-    def test_fallback_disabled_raises(self):
-        pool = FleetPool(PoolParams(
-            jobs=2, start_method="no-such-method", serial_fallback=False,
-        ))
-        with pytest.raises(ValueError):
-            pool.map(make_units(3))
 
     def test_jobs_capped_to_unit_count_runs_serial(self):
         # One unit on a many-job pool short-circuits to in-process.
@@ -155,8 +146,6 @@ class TestParams:
             PoolParams(jobs=0)
         with pytest.raises(ValueError):
             PoolParams(max_retries=-1)
-        with pytest.raises(ValueError):
-            PoolParams(poll_interval_s=0.0)
 
     def test_resolved_start_method_prefers_fork(self):
         resolved = PoolParams().resolved_start_method()

@@ -62,9 +62,7 @@ class TestExecute:
 class TestAbortResume:
     def test_injected_abort_saves_checkpoint(self, tmp_path):
         ck = tmp_path / "ck.json"
-        params = FleetParams(
-            jobs=1, checkpoint=str(ck), inject_abort_after=2,
-        )
+        params = FleetParams(checkpoint=str(ck), inject_abort_after=2)
         with pytest.raises(FleetAborted) as excinfo:
             FleetRun("t", make_units(5), params, seed=7).execute()
         assert excinfo.value.completed == 2

@@ -15,7 +15,6 @@ from repro.experiments.harness import (
     run_policy,
 )
 from repro.telemetry import (
-    AuditConfig,
     DriftTracker,
     Telemetry,
     median_error_pct,
@@ -75,10 +74,6 @@ class TestDriftTracker:
             DriftTracker(alpha=0.0)
         with pytest.raises(ValueError):
             DriftTracker(factor=1.0)
-        with pytest.raises(ValueError):
-            AuditConfig(ewma_alpha=2.0)
-        with pytest.raises(ValueError):
-            AuditConfig(drift_warmup=0)
 
 
 class TestAuditedRun:

@@ -1,10 +1,9 @@
-"""Tests for live streaming telemetry: windows, backpressure, merge.
+"""Tests for live streaming telemetry: windows, backpressure, ingest.
 
-The load-bearing property is byte-equivalence: the aggregator's
-incremental merge over per-unit shards must serialise *identically* to
-the post-hoc ``merge_jsonl`` over the same shards, whatever order the
-units complete in.  Everything else (rolling windows, drop accounting,
-the status view) is operator-facing and lossy by design.
+The live view is operator-facing and lossy by design: rolling windows,
+drop accounting, the status view, and the counter totals and drift
+instants of completed units.  The merged log itself is built post hoc
+by ``merge_jsonl`` (tests/telemetry/test_merge_jsonl.py).
 """
 
 import json
@@ -150,50 +149,24 @@ class TestEmitter:
         assert [e["kind"] for e in events] == ["quantum"]
 
 
-class TestIncrementalMergeEquivalence:
-    def assert_equivalent(self, shards):
-        posthoc = merge_jsonl(shards)
-        for order in (shards, list(reversed(shards))):
-            aggregator = LiveAggregator()
-            for unit_id, records in order:
-                aggregator.ingest(unit_id, records)
-            streamed = aggregator.merged_records()
-            assert streamed == posthoc
-            # Byte-identical once serialised, not merely equal.
-            assert (
-                [json.dumps(r, sort_keys=True) for r in streamed]
-                == [json.dumps(r, sort_keys=True) for r in posthoc]
+class TestIngest:
+    def test_counter_totals_sum_every_unit(self):
+        aggregator = LiveAggregator()
+        aggregator.ingest("unit-b", SHARD_B)
+        aggregator.ingest("unit-a", SHARD_A)
+        assert aggregator.counter_totals == pytest.approx({
+            rec["name"]: rec["value"]
+            for rec in merge_jsonl(
+                [("unit-a", SHARD_A), ("unit-b", SHARD_B)]
             )
-
-    def test_two_shards_any_ingestion_order(self):
-        self.assert_equivalent([("unit-a", SHARD_A), ("unit-b", SHARD_B)])
-
-    def test_float_counter_fold_order_matches(self):
-        # 0.1 + 0.2 != 0.2 + 0.1 + 0.0 in decimal-printed floats; the
-        # incremental fold must visit units in sorted order from int 0
-        # exactly like merge_jsonl.
-        shards = [
-            ("z", [{"type": "counter", "name": "c", "value": 0.1}]),
-            ("a", [{"type": "counter", "name": "c", "value": 0.2}]),
-            ("m", [{"type": "counter", "name": "c", "value": 0.3}]),
-        ]
-        self.assert_equivalent(shards)
+            if rec["type"] == "counter"
+        })
 
     def test_duplicate_unit_raises(self):
         aggregator = LiveAggregator()
         aggregator.ingest("unit-a", SHARD_A)
         with pytest.raises(ValueError, match="duplicate unit id"):
             aggregator.ingest("unit-a", SHARD_A)
-
-    def test_mid_run_merge_covers_ingested_units(self):
-        aggregator = LiveAggregator()
-        aggregator.ingest("unit-b", SHARD_B)
-        partial = aggregator.merged_records()
-        assert partial == merge_jsonl([("unit-b", SHARD_B)])
-        aggregator.ingest("unit-a", SHARD_A)
-        assert aggregator.merged_records() == merge_jsonl(
-            [("unit-a", SHARD_A), ("unit-b", SHARD_B)]
-        )
 
     def test_drift_instants_surface_in_rolling_state(self):
         aggregator = LiveAggregator()
