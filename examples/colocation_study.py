@@ -13,13 +13,9 @@ Run:
 
 import sys
 
-from repro import CuttleSysPolicy, LoadTrace, build_machine_for_mix
-from repro.baselines import (
-    AsymmetricOraclePolicy,
-    CoreGatingPolicy,
-    NoGatingPolicy,
-)
+from repro import LoadTrace
 from repro.experiments.harness import reference_power_for_mix, run_policy
+from repro.experiments.policies import build_policy
 from repro.workloads import paper_mixes
 
 CAPS = (0.9, 0.7, 0.5)
@@ -33,27 +29,22 @@ def main() -> None:
     reference = reference_power_for_mix(mix, seed=SEED)
     print(f"Mix: {mix.label}   reference power: {reference:.1f} W\n")
 
-    schemes = [
-        ("no-gating", lambda m: NoGatingPolicy(), False),
-        ("core-gating", lambda m: CoreGatingPolicy(way_partition=False), False),
-        ("core-gating+wp", lambda m: CoreGatingPolicy(way_partition=True), False),
-        ("asymm-oracle", lambda m: AsymmetricOraclePolicy(), False),
-        ("cuttlesys", lambda m: CuttleSysPolicy.for_machine(m, seed=SEED), True),
-    ]
+    schemes = (
+        "no-gating", "core-gating", "core-gating+wp", "asymm-oracle",
+        "cuttlesys",
+    )
 
-    header = f"{'cap':<6}" + "".join(f"{name:>16}" for name, _, _ in schemes)
+    header = f"{'cap':<6}" + "".join(f"{name:>16}" for name in schemes)
     print(header)
     print("-" * len(header))
     for cap in CAPS:
         cells = [f"{cap:<6.0%}"]
         baseline = None
-        for name, factory, reconfigurable in schemes:
-            machine = build_machine_for_mix(
-                mix, seed=SEED, reconfigurable=reconfigurable
-            )
+        for name in schemes:
+            machine, policy = build_policy(name, mix, SEED)
             run = run_policy(
                 machine,
-                factory(machine),
+                policy,
                 LoadTrace.constant(0.8),
                 power_cap_fraction=cap,
                 n_slices=N_SLICES,

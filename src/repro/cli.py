@@ -12,9 +12,10 @@ Commands:
   and ``--stop-after``/``--save-state``/``--resume-state`` pause and
   resume a run crash-safely; see docs/observability.md and
   docs/robustness.md)
-* ``experiment``            — regenerate one paper table/figure by name
-  (``--jobs``/``--checkpoint``/``--resume`` shard the grid studies —
-  ``cluster``, ``scalability``, ``fig5c``, ``fig8``, ``ablations`` —
+* ``experiment``            — regenerate one paper table/figure by name,
+  one entry of ``repro.experiments.full_eval.EXPERIMENTS``
+  (``--jobs``/``--checkpoint``/``--resume`` shard its grid entries —
+  ``fig5c``, ``fig8``, ``ablations``, ``cluster``, ``scalability`` —
   across worker processes, ``--watch`` paints live fleet status to
   stderr mid-run and ``--jsonl`` writes the merged telemetry log; see
   docs/scaling.md)
@@ -27,7 +28,8 @@ Commands:
   runs mid-quantum, injects faults and deadline pressure, and asserts
   the robustness invariants (docs/robustness.md); exits 1 if any
   invariant broke
-* ``report``                — run the full evaluation, write a markdown report
+* ``report``                — run every ``experiment`` entry, write one
+  markdown report
 * ``top``                   — terminal status view of a JSONL telemetry
   log: rolling-window latency/power percentiles, QoS violations and
   fleet health (``--follow`` re-reads the log like ``top(1)``)
@@ -68,55 +70,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Any, Dict, NamedTuple, Optional, Sequence
 
 from repro.logs import configure as configure_logging
 
-from repro.baselines import (
-    AsymmetricOraclePolicy,
-    CoreGatingPolicy,
-    FlickerPolicy,
-    NoGatingPolicy,
-    StaticAsymmetricPolicy,
-)
-from repro.core.oracle import OracleReconfigPolicy
 from repro.core.runtime import CuttleSysPolicy
+from repro.experiments.full_eval import EXPERIMENTS
 from repro.experiments.harness import (
     build_machine_for_mix,
     reference_power_for_mix,
     run_policy,
 )
+from repro.experiments.policies import POLICIES, build_policy
 from repro.fleet import CheckpointError, FleetError
 from repro.snapshot import SnapshotError
 from repro.workloads.loadgen import LoadTrace
-from repro.workloads.mixes import paper_mixes
-
-POLICIES = {
-    "cuttlesys": lambda machine, seed: CuttleSysPolicy.for_machine(
-        machine, seed=seed
-    ),
-    "core-gating": lambda machine, seed: CoreGatingPolicy(),
-    "core-gating+wp": lambda machine, seed: CoreGatingPolicy(
-        way_partition=True
-    ),
-    "asymm-oracle": lambda machine, seed: AsymmetricOraclePolicy(),
-    "asymm-50-50": lambda machine, seed: StaticAsymmetricPolicy(),
-    "no-gating": lambda machine, seed: NoGatingPolicy(),
-    "flicker": lambda machine, seed: FlickerPolicy(seed=seed),
-    "oracle-reconfig": lambda machine, seed: OracleReconfigPolicy(seed=seed),
-}
-
-#: Policies that run on the reconfigurable machine variant.
-RECONFIGURABLE_POLICIES = {"cuttlesys", "flicker", "oracle-reconfig"}
-
-EXPERIMENTS = (
-    "fig1", "fig5", "fig5c", "fig7", "fig8", "fig8a", "fig8b", "fig8c",
-    "fig9", "fig10", "table2", "flicker", "dvfs", "ablations",
-    "scalability", "bandwidth", "churn", "multi-service", "area", "cluster",
-)
-
-#: Experiments that run as fleet grids and so take --jsonl/--watch.
-GRID_EXPERIMENTS = ("ablations", "cluster", "fig5c", "fig8", "scalability")
+from repro.workloads.mixes import Mix, paper_mixes
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
@@ -141,12 +110,71 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+class _OneMix(NamedTuple):
+    """One policy on one mix, built from the single-run flags."""
+
+    mix: Mix
+    machine: Any
+    policy: Any
+    trace: LoadTrace
+    #: ``power_cap_fraction``/``max_power_w``/``faults`` keywords, as
+    #: ``run_policy`` and ``replay_quantum`` both take them.
+    settings: Dict[str, Any]
+
+    def run(self, n_slices: int, **kwargs: Any) -> Any:
+        """``run_policy`` for ``n_slices`` quanta."""
+        return run_policy(
+            self.machine, self.policy, self.trace, n_slices=n_slices,
+            **self.settings, **kwargs,
+        )
+
+
+def _one_mix(
+    args: argparse.Namespace, policy: str = "cuttlesys"
+) -> Optional[_OneMix]:
+    """Build the run of ``run``/``audit``/``profile``/``replay``.
+
+    Reads the flags of ``add_single_run_flags`` plus, where the verb
+    has it, ``--decision-budget`` (which builds CuttleSys with that
+    deadline).  A bad ``--mix`` or ``--faults`` prints a one-line
+    error and returns None.
+    """
     mixes = paper_mixes()
     if not 0 <= args.mix < len(mixes):
         print(f"error: mix index must be in [0, {len(mixes)})",
               file=sys.stderr)
-        return 2
+        return None
+    faults = None
+    if getattr(args, "faults", None):
+        from repro.faults import FaultInjector, FaultSpecError, parse_fault_spec
+
+        try:
+            specs = parse_fault_spec(args.faults)
+        except FaultSpecError as exc:
+            print(f"error: bad --faults spec: {exc}", file=sys.stderr)
+            return None
+        faults = FaultInjector(specs, seed=args.seed)
+    mix = mixes[args.mix]
+    reference = reference_power_for_mix(mix, seed=args.seed)
+    budget = getattr(args, "decision_budget", None)
+    if budget is None:
+        machine, instance = build_policy(policy, mix, args.seed)
+    else:
+        from repro.core.controller import ControllerConfig
+
+        machine = build_machine_for_mix(mix, seed=args.seed)
+        instance = CuttleSysPolicy.for_machine(
+            machine, seed=args.seed,
+            config=ControllerConfig(seed=args.seed, decision_budget=budget),
+        )
+    return _OneMix(
+        mix, machine, instance, LoadTrace.constant(args.load),
+        {"power_cap_fraction": args.cap, "max_power_w": reference,
+         "faults": faults},
+    )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
     if args.stop_after is not None and not args.save_state:
         print("error: --stop-after requires --save-state", file=sys.stderr)
         return 2
@@ -163,23 +191,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --decision-budget/--stop-after/--resume-state "
               "require --policy cuttlesys", file=sys.stderr)
         return 2
-    mix = mixes[args.mix]
-    reference = reference_power_for_mix(mix, seed=args.seed)
-    machine = build_machine_for_mix(
-        mix, seed=args.seed,
-        reconfigurable=args.policy in RECONFIGURABLE_POLICIES,
-    )
-    if args.decision_budget is not None:
-        from repro.core.controller import ControllerConfig
-
-        policy = CuttleSysPolicy.for_machine(
-            machine, seed=args.seed,
-            config=ControllerConfig(
-                seed=args.seed, decision_budget=args.decision_budget
-            ),
-        )
-    else:
-        policy = POLICIES[args.policy](machine, args.seed)
+    setup = _one_mix(args, policy=args.policy)
+    if setup is None:
+        return 2
     resume_state = None
     if args.resume_state:
         import json
@@ -191,16 +205,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"error: cannot read {args.resume_state}: {exc}",
                   file=sys.stderr)
             return 2
-    faults = None
-    if args.faults:
-        from repro.faults import FaultInjector, FaultSpecError, parse_fault_spec
-
-        try:
-            specs = parse_fault_spec(args.faults)
-        except FaultSpecError as exc:
-            print(f"error: bad --faults spec: {exc}", file=sys.stderr)
-            return 2
-        faults = FaultInjector(specs, seed=args.seed)
     telemetry = None
     wants_telemetry = (
         args.trace or args.jsonl or args.metrics or args.decisions_csv
@@ -209,15 +213,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
-    run = run_policy(
-        machine,
-        policy,
-        LoadTrace.constant(args.load),
-        power_cap_fraction=args.cap,
-        n_slices=args.slices,
-        max_power_w=reference,
+    run = setup.run(
+        args.slices,
         telemetry=telemetry,
-        faults=faults,
         stop_after=args.stop_after,
         resume_state=resume_state,
     )
@@ -242,8 +240,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         print(f"paused at quantum {args.stop_after}; wrote "
               f"{args.save_state} (resume with --resume-state)")
-    qos = machine.lc_service.qos_latency_s
-    print(f"mix {args.mix} ({mix.lc_name}), cap {args.cap:.0%}, "
+    qos = setup.machine.lc_service.qos_latency_s
+    print(f"mix {args.mix} ({setup.mix.lc_name}), cap {args.cap:.0%}, "
           f"load {args.load:.0%}, budget {run.power_budget_w:.1f} W")
     print("slice  LC config      cores  p99/QoS  power (W)")
     for i, m in enumerate(run.measurements):
@@ -252,6 +250,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"{i:>5}  {label:<13} {a.lc_cores:>5}  "
               f"{m.lc_p99 / qos:>7.2f}  {m.total_power:>9.1f}")
     print(run.summary())
+    faults = setup.settings["faults"]
     if faults is not None:
         injected = ", ".join(
             f"{kind}={n}" for kind, n in sorted(faults.injected.items())
@@ -323,11 +322,7 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
         print(f"error: cannot read {args.log}: {exc}", file=sys.stderr)
         return 2
     html = render_dashboard(records, title=args.title)
-    try:
-        with open(args.out, "w") as handle:
-            handle.write(html)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+    if not _write_text(args.out, html):
         return 2
     print(f"wrote {args.out} ({len(html)} bytes, self-contained)")
     return 0
@@ -367,23 +362,34 @@ def _watch_live(args: argparse.Namespace):
     return _Watch()
 
 
-def _write_jsonl_records(path: str, records: Sequence[dict]) -> None:
-    import json
+def _write_text(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; on failure print a one-line error."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
-    with open(path, "w") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-    print(f"wrote {path} ({len(records)} lines)")
 
-
-def _emit_grid(args: argparse.Namespace, text: str, merged, live) -> None:
+def _emit_grid(args: argparse.Namespace, text: str, merged, live) -> int:
     """Print a grid verb's report after its last live repaint, then
-    write the merged ``--jsonl`` log if one was asked for."""
+    write the merged ``--jsonl`` log if one was asked for; returns the
+    exit code (2 when the log cannot be written)."""
     if live is not None:
         live.repaint()
     print(text)
     if getattr(args, "jsonl", None):
-        _write_jsonl_records(args.jsonl, merged)
+        import json
+
+        lines = "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in merged
+        )
+        if not _write_text(args.jsonl, lines):
+            return 2
+        print(f"wrote {args.jsonl} ({len(merged)} lines)")
+    return 0
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -422,10 +428,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.telemetry import read_jsonl
     from repro.telemetry.provenance import provenance_records_from_jsonl
 
-    mixes = paper_mixes()
-    if not 0 <= args.mix < len(mixes):
-        print(f"error: mix index must be in [0, {len(mixes)})",
-              file=sys.stderr)
+    setup = _one_mix(args)
+    if setup is None:
         return 2
     try:
         with open(args.state) as handle:
@@ -447,32 +451,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"error: {args.jsonl} has no provenance record for "
               f"quantum {args.quantum}", file=sys.stderr)
         return 1
-    mix = mixes[args.mix]
-    reference = reference_power_for_mix(mix, seed=args.seed)
-    machine = build_machine_for_mix(mix, seed=args.seed)
-    from repro.core.controller import ControllerConfig
-
-    policy = CuttleSysPolicy.for_machine(
-        machine, seed=args.seed,
-        config=ControllerConfig(
-            seed=args.seed, decision_budget=args.decision_budget
-        ),
-    )
-    faults = None
-    if args.faults:
-        from repro.faults import FaultInjector, FaultSpecError, parse_fault_spec
-
-        try:
-            specs = parse_fault_spec(args.faults)
-        except FaultSpecError as exc:
-            print(f"error: bad --faults spec: {exc}", file=sys.stderr)
-            return 2
-        faults = FaultInjector(specs, seed=args.seed)
     try:
         reproduced = replay_quantum(
-            machine, policy, LoadTrace.constant(args.load), resume_state,
-            args.quantum, power_cap_fraction=args.cap,
-            max_power_w=reference, faults=faults,
+            setup.machine, setup.policy, setup.trace, resume_state,
+            args.quantum, **setup.settings,
         )
     except ReplayMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -512,21 +494,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         from repro.telemetry import Telemetry
         from repro.telemetry.profiler import profile_telemetry
 
-        mixes = paper_mixes()
-        if not 0 <= args.mix < len(mixes):
-            print(f"error: mix index must be in [0, {len(mixes)})",
-                  file=sys.stderr)
+        setup = _one_mix(args)
+        if setup is None:
             return 2
-        mix = mixes[args.mix]
-        reference = reference_power_for_mix(mix, seed=args.seed)
-        machine = build_machine_for_mix(mix, seed=args.seed)
-        policy = CuttleSysPolicy.for_machine(machine, seed=args.seed)
         telemetry = Telemetry()
-        run_policy(
-            machine, policy, LoadTrace.constant(args.load),
-            power_cap_fraction=args.cap, n_slices=args.slices,
-            max_power_w=reference, telemetry=telemetry,
-        )
+        setup.run(args.slices, telemetry=telemetry)
         root = profile_telemetry(telemetry)
         source = (f"mix {args.mix}, {args.slices} quanta, "
                   f"seed {args.seed}")
@@ -563,38 +535,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.telemetry import Telemetry, render_accuracy_report
 
-    mixes = paper_mixes()
-    if not 0 <= args.mix < len(mixes):
-        print(f"error: mix index must be in [0, {len(mixes)})",
-              file=sys.stderr)
+    setup = _one_mix(args)
+    if setup is None:
         return 2
-    mix = mixes[args.mix]
-    reference = reference_power_for_mix(mix, seed=args.seed)
-    machine = build_machine_for_mix(mix, seed=args.seed)
-    policy = CuttleSysPolicy.for_machine(machine, seed=args.seed)
-    faults = None
-    if args.faults:
-        from repro.faults import FaultInjector, FaultSpecError, parse_fault_spec
-
-        try:
-            specs = parse_fault_spec(args.faults)
-        except FaultSpecError as exc:
-            print(f"error: bad --faults spec: {exc}", file=sys.stderr)
-            return 2
-        faults = FaultInjector(specs, seed=args.seed)
     telemetry = Telemetry()
     telemetry.enable_accuracy_audit()
-    run = run_policy(
-        machine,
-        policy,
-        LoadTrace.constant(args.load),
-        power_cap_fraction=args.cap,
-        n_slices=args.slices,
-        max_power_w=reference,
-        telemetry=telemetry,
-        faults=faults,
-    )
-    print(f"mix {args.mix} ({mix.lc_name}), cap {args.cap:.0%}, "
+    run = setup.run(args.slices, telemetry=telemetry)
+    print(f"mix {args.mix} ({setup.mix.lc_name}), cap {args.cap:.0%}, "
           f"load {args.load:.0%}, {args.slices} quanta")
     print(run.summary())
     print()
@@ -655,131 +602,26 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     code = _fleet_flags_error(args)
     if code:
         return code
-    name = args.name
-    if name not in GRID_EXPERIMENTS and (args.jsonl or args.watch):
+    entry = EXPERIMENTS[args.name]
+    if not entry.grid and (args.jsonl or args.watch):
+        grids = sorted(name for name, e in EXPERIMENTS.items() if e.grid)
         print("error: --jsonl and --watch apply only to the grid "
-              f"experiments ({', '.join(GRID_EXPERIMENTS)})",
-              file=sys.stderr)
+              f"experiments ({', '.join(grids)})", file=sys.stderr)
         return 2
     live = _watch_live(args)
     merged = [] if args.jsonl else None
-    grid = {
-        "seed": args.seed, "jobs": args.jobs, "checkpoint": args.checkpoint,
-        "resume": args.resume, "merged_telemetry": merged, "live": live,
-    }
-    if name == "fig1":
-        from repro.experiments.fig1_characterization import (
-            render_fig1, run_fig1,
-        )
-        text = render_fig1(run_fig1())
-    elif name == "fig5":
-        from repro.experiments.fig5_accuracy import (
-            render_fig5, run_fig5a, run_fig5b,
-        )
-        text = render_fig5(run_fig5a(), run_fig5b())
-    elif name == "fig5c":
-        from repro.experiments.fig5c_powercaps import (
-            render_fig5c, run_fig5c,
-        )
-        text = render_fig5c(run_fig5c(n_slices=args.slices, **grid))
-    elif name == "fig7":
-        from repro.experiments.fig7_timeline import render_fig7, run_fig7
-        text = render_fig7(run_fig7(n_slices=args.slices))
-    elif name == "fig8":
-        from repro.experiments.fig8_dynamic import (
-            SCENARIOS, render_fig8, run_fig8_grid,
-        )
-        traces = run_fig8_grid(**grid)
-        text = "\n\n".join(
-            render_fig8(traces[scenario]) for scenario in SCENARIOS
-        )
-    elif name in ("fig8a", "fig8b", "fig8c"):
-        from repro.experiments import fig8_dynamic
-        runner = getattr(fig8_dynamic, f"run_{name}")
-        text = fig8_dynamic.render_fig8(runner())
-    elif name == "fig9":
-        from repro.experiments.fig9_sgd_vs_rbf import render_fig9, run_fig9
-        text = render_fig9(run_fig9())
-    elif name == "fig10":
-        from repro.experiments.fig10_dds_vs_ga import (
-            render_fig10, run_fig10a, run_fig10b,
-        )
-        text = render_fig10(run_fig10a(), run_fig10b(n_slices=args.slices))
-    elif name == "table2":
-        from repro.experiments.table2_overheads import (
-            render_table2, run_table2, run_training_set_sensitivity,
-        )
-        text = render_table2(run_table2(), run_training_set_sensitivity())
-    elif name == "flicker":
-        from repro.experiments.flicker_comparison import (
-            render_flicker, run_flicker_qos, run_flicker_throughput,
-        )
-        text = render_flicker(
-            run_flicker_qos(), run_flicker_throughput(n_slices=args.slices)
-        )
-    elif name == "dvfs":
-        from repro.experiments.dvfs_comparison import (
-            render_dvfs_comparison, run_dvfs_comparison,
-        )
-        text = (
-            "leakage x1.0:\n"
-            + render_dvfs_comparison(run_dvfs_comparison())
-            + "\n\nleakage x2.5:\n"
-            + render_dvfs_comparison(run_dvfs_comparison(leakage_scale=2.5))
-        )
-    elif name == "bandwidth":
-        from repro.experiments.bandwidth_study import (
-            render_bandwidth_study, run_bandwidth_study,
-        )
-        text = render_bandwidth_study(
-            run_bandwidth_study(n_slices=args.slices)
-        )
-    elif name == "cluster":
-        from repro.experiments.cluster_study import (
-            render_cluster_study, run_cluster_study,
-        )
-        text = render_cluster_study(
-            run_cluster_study(n_slices=args.slices * 2, **grid)
-        )
-    elif name == "area":
-        from repro.experiments.area_equivalence import (
-            render_area_equivalence, run_area_equivalence,
-        )
-        text = render_area_equivalence(
-            run_area_equivalence(n_slices=args.slices)
-        )
-    elif name == "multi-service":
-        from repro.experiments.multi_service import (
-            render_multi_service, run_multi_service,
-        )
-        text = render_multi_service(
-            run_multi_service(n_slices=args.slices * 2)
-        )
-    elif name == "churn":
-        from repro.experiments.churn_study import (
-            render_churn_study, run_churn_study,
-        )
-        text = render_churn_study(run_churn_study(n_slices=args.slices * 2))
-    elif name == "scalability":
-        from repro.experiments.scalability import (
-            render_scalability, run_scalability,
-        )
-        text = render_scalability(
-            run_scalability(n_slices=args.slices, **grid),
-            include_timings=not args.no_timings,
-        )
-    elif name == "ablations":
-        from repro.experiments.ablations import (
-            render_ablation_matrix, run_ablation_matrix,
-        )
-        text = render_ablation_matrix(
-            run_ablation_matrix(n_slices=args.slices, **grid)
-        )
-    else:  # pragma: no cover - argparse choices prevent this
-        print(f"unknown experiment {name!r}", file=sys.stderr)
-        return 2
-    _emit_grid(args, text, merged, live)
-    return 0
+    kwargs: Dict[str, Any] = {}
+    if entry.grid:
+        kwargs = {
+            "seed": args.seed, "jobs": args.jobs,
+            "checkpoint": args.checkpoint, "resume": args.resume,
+            "merged_telemetry": merged, "live": live,
+        }
+    if args.name == "scalability":
+        kwargs["include_timings"] = not args.no_timings
+    return _emit_grid(
+        args, entry.producer(args.slices, **kwargs), merged, live
+    )
 
 
 def _cmd_fault_study(args: argparse.Namespace) -> int:
@@ -886,7 +728,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         merged_telemetry=merged,
         live=live,
     )
-    _emit_grid(args, render_chaos_study(outcomes), merged, live)
+    code = _emit_grid(args, render_chaos_study(outcomes), merged, live)
+    if code:
+        return code
     return 0 if all(o.ok for o in outcomes) else 1
 
 
@@ -943,9 +787,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         checkpoint=args.checkpoint, resume=args.resume,
         fleet_stats=fleet_stats,
     )
-    text = render_report(results, fleet_stats=fleet_stats)
-    with open(args.out, "w") as handle:
-        handle.write(text)
+    if not _write_text(
+        args.out, render_report(results, fleet_stats=fleet_stats)
+    ):
+        return 2
     failed = [r.title for r in results if r.error is not None]
     print(f"wrote {args.out} ({len(results)} sections)")
     if failed:
@@ -1132,6 +977,27 @@ def build_parser() -> argparse.ArgumentParser:
                         help="-v logs at INFO, -vv at DEBUG")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_single_run_flags(
+        p: argparse.ArgumentParser,
+        slices: Optional[int] = 10,
+        faults: bool = True,
+    ) -> None:
+        """The one-mix run flags ``_one_mix`` reads."""
+        p.add_argument("--mix", type=int, default=0,
+                       help="mix index (0-49, default 0)")
+        p.add_argument("--cap", type=float, default=0.7,
+                       help="power cap fraction (default 0.7)")
+        p.add_argument("--load", type=float, default=0.8,
+                       help="LC load fraction (default 0.8)")
+        if slices is not None:
+            p.add_argument("--slices", type=int, default=slices,
+                           help=f"decision quanta to run (default {slices})")
+        if faults:
+            p.add_argument("--faults", default=None, metavar="SPEC",
+                           help="inject faults, e.g. "
+                           "'drop_sample:rate=0.2;cap_drop:magnitude=0.6,"
+                           "start=4' (see docs/robustness.md)")
+
     sub.add_parser("describe", help="print the simulated system (Table I)")
     sub.add_parser("list-mixes", help="print the paper's 50 mixes")
 
@@ -1142,14 +1008,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="restrict to one service")
 
     run = sub.add_parser("run", help="run one policy on one mix")
-    run.add_argument("--mix", type=int, default=0, help="mix index (0-49)")
+    add_single_run_flags(run)
     run.add_argument("--policy", choices=sorted(POLICIES), default="cuttlesys")
-    run.add_argument("--cap", type=float, default=0.7,
-                     help="power cap fraction (default 0.7)")
-    run.add_argument("--load", type=float, default=0.8,
-                     help="LC load fraction (default 0.8)")
-    run.add_argument("--slices", type=int, default=10,
-                     help="decision quanta to run (default 10)")
     run.add_argument("--trace", default=None, metavar="PATH",
                      help="write a Chrome trace_event JSON of the run")
     run.add_argument("--jsonl", default=None, metavar="PATH",
@@ -1158,10 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write per-quantum predicted-vs-measured CSV")
     run.add_argument("--metrics", action="store_true",
                      help="print the telemetry metrics report")
-    run.add_argument("--faults", default=None, metavar="SPEC",
-                     help="inject faults, e.g. "
-                     "'drop_sample:rate=0.2;cap_drop:magnitude=0.6,start=4' "
-                     "(see docs/robustness.md)")
     run.add_argument("--decision-budget", type=int, default=None,
                      metavar="OPS",
                      help="virtual-time operation budget per decision "
@@ -1333,17 +1189,11 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--quantum", type=int, required=True, metavar="N",
                         help="quantum to reproduce (>= the snapshot's "
                         "pause point)")
-    replay.add_argument("--mix", type=int, default=0,
-                        help="mix index of the original run (default 0)")
-    replay.add_argument("--cap", type=float, default=0.7,
-                        help="power cap fraction of the original run")
-    replay.add_argument("--load", type=float, default=0.8,
-                        help="LC load fraction of the original run")
+    # The run flags must repeat those of the original run.
+    add_single_run_flags(replay, slices=None)
     replay.add_argument("--decision-budget", type=int, default=None,
                         metavar="OPS",
                         help="decision budget of the original run")
-    replay.add_argument("--faults", default=None, metavar="SPEC",
-                        help="fault spec of the original run")
 
     profile = sub.add_parser(
         "profile",
@@ -1353,14 +1203,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("log", nargs="?", default=None,
                          help="JSONL log to profile (default: profile a "
                          "fixed-seed in-process run)")
-    profile.add_argument("--mix", type=int, default=0,
-                         help="mix index for the in-process run")
-    profile.add_argument("--cap", type=float, default=0.7,
-                         help="power cap fraction for the in-process run")
-    profile.add_argument("--load", type=float, default=0.8,
-                         help="LC load fraction for the in-process run")
-    profile.add_argument("--slices", type=int, default=3,
-                         help="quanta for the in-process run (default 3)")
+    # Run flags of the in-process run (no log given).
+    add_single_run_flags(profile, slices=3, faults=False)
     profile.add_argument("--top", type=int, default=15,
                          help="rows in the top-costs table (default 15)")
     profile.add_argument("--ops-only", action="store_true",
@@ -1382,16 +1226,7 @@ def build_parser() -> argparse.ArgumentParser:
         "audit",
         help="run one mix with the prediction-accuracy auditor attached",
     )
-    audit.add_argument("--mix", type=int, default=0, help="mix index (0-49)")
-    audit.add_argument("--cap", type=float, default=0.7,
-                       help="power cap fraction (default 0.7)")
-    audit.add_argument("--load", type=float, default=0.8,
-                       help="LC load fraction (default 0.8)")
-    audit.add_argument("--slices", type=int, default=10,
-                       help="decision quanta to run (default 10)")
-    audit.add_argument("--faults", default=None, metavar="SPEC",
-                       help="inject faults while auditing "
-                       "(same spec syntax as `run --faults`)")
+    add_single_run_flags(audit)
 
     bench = sub.add_parser(
         "bench",

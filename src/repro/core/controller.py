@@ -522,10 +522,6 @@ class ResourceController(Snapshottable):
 
     def _provenance_recorder(self) -> Optional[ProvenanceRecorder]:
         """The attached session's flight recorder, if recording."""
-        if self.telemetry is None:
-            return None
-        if not getattr(self.telemetry, "enabled", True):
-            return None
         return getattr(self.telemetry, "provenance", None)
 
     def _budget_meter(

@@ -2,8 +2,10 @@
 
 Each module exposes a ``run_*`` function returning a plain dataclass of
 results plus a ``render`` helper that prints the same rows/series the
-paper reports.  The benchmark harness under ``benchmarks/`` calls these;
-see DESIGN.md for the experiment index.
+paper reports.  :data:`repro.experiments.full_eval.EXPERIMENTS` is the
+catalogue of runnable tables/figures (``python -m repro experiment
+NAME`` and ``report``), and :data:`repro.experiments.policies.POLICIES`
+the catalogue of named scheduling schemes.
 """
 
 from repro.experiments.harness import (

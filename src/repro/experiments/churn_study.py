@@ -19,13 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.core.oracle import OracleReconfigPolicy
-from repro.core.runtime import CuttleSysPolicy
-from repro.experiments.harness import (
-    build_machine_for_mix,
-    reference_power_for_mix,
-    run_policy,
-)
+from repro.experiments.harness import reference_power_for_mix, run_policy
+from repro.experiments.policies import build_policy
 from repro.experiments.reporting import format_table
 from repro.workloads.batch import synthetic_population
 from repro.workloads.loadgen import LoadTrace
@@ -56,13 +51,9 @@ def run_churn_study(
     reference = reference_power_for_mix(mix, seed=seed)
     pool = synthetic_population(24, seed=seed + 100, prefix="newcomer")
     outcomes = []
-    for name, factory in (
-        ("cuttlesys", lambda m: CuttleSysPolicy.for_machine(m, seed=seed)),
-        ("oracle-reconfig", lambda m: OracleReconfigPolicy(seed=seed)),
-    ):
+    for name in ("cuttlesys", "oracle-reconfig"):
         for period in (None, churn_period):
-            machine = build_machine_for_mix(mix, seed=seed)
-            policy = factory(machine)
+            machine, policy = build_policy(name, mix, seed)
             run = run_policy(
                 machine, policy, LoadTrace.constant(load),
                 power_cap_fraction=cap, n_slices=n_slices,

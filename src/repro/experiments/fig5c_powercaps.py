@@ -13,7 +13,7 @@ representative subset (one mix per LC service) so it completes in
 minutes — pass ``mix_indices=range(50)`` for the full rerun.
 
 Fleet sharding: each (cap, mix) pair is one independent
-:class:`~repro.fleet.WorkUnit` running every policy of the catalogue
+:class:`~repro.fleet.WorkUnit` running every policy of :data:`FIG5C_POLICIES`
 (the no-gating baseline must share the cell so relative work is
 computed against the *same* simulation), so the grid shards across
 ``--jobs`` workers and checkpoints/resumes like any fleet run.
@@ -22,25 +22,14 @@ computed against the *same* simulation), so the grid shards across
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines import (
-    AsymmetricOraclePolicy,
-    CoreGatingPolicy,
-    NoGatingPolicy,
-    StaticAsymmetricPolicy,
-)
-from repro.core.runtime import CuttleSysPolicy
-from repro.experiments.harness import (
-    build_machine_for_mix,
-    reference_power_for_mix,
-    run_policy,
-)
+from repro.experiments.harness import reference_power_for_mix, run_policy
+from repro.experiments.policies import build_policy
 from repro.experiments.reporting import format_table
 from repro.fleet import WorkUnit, run_grid, telemetry_records
-from repro.sim.machine import Machine
 from repro.telemetry.live import LiveAggregator
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
@@ -51,20 +40,12 @@ PAPER_CAPS: Tuple[float, ...] = (0.9, 0.8, 0.7, 0.6, 0.5)
 #: One representative mix per LC service (indices into paper_mixes()).
 DEFAULT_MIX_INDICES: Tuple[int, ...] = (0, 12, 25, 37, 44)
 
-#: (name, factory, runs-on-reconfigurable-machine) for every scheme.
-PolicyFactory = Callable[[Machine], object]
-
-
-def policy_catalogue(seed: int) -> List[Tuple[str, PolicyFactory, bool]]:
-    """The five schemes of Fig. 5c plus the static 50/50 of §VIII-C."""
-    return [
-        ("no-gating", lambda m: NoGatingPolicy(), False),
-        ("core-gating", lambda m: CoreGatingPolicy(way_partition=False), False),
-        ("core-gating+wp", lambda m: CoreGatingPolicy(way_partition=True), False),
-        ("asymm-oracle", lambda m: AsymmetricOraclePolicy(), False),
-        ("asymm-50-50", lambda m: StaticAsymmetricPolicy(), False),
-        ("cuttlesys", lambda m: CuttleSysPolicy.for_machine(m, seed=seed), True),
-    ]
+#: The five schemes of Fig. 5c plus the static 50/50 of §VIII-C, in
+#: column order (names of :data:`~repro.experiments.policies.POLICIES`).
+FIG5C_POLICIES: Tuple[str, ...] = (
+    "no-gating", "core-gating", "core-gating+wp", "asymm-oracle",
+    "asymm-50-50", "cuttlesys",
+)
 
 
 @dataclass
@@ -90,7 +71,7 @@ def _fig5c_cell(
     seed: int,
     collect_telemetry: bool = False,
 ) -> Dict[str, Any]:
-    """One (cap, mix) fleet unit: every catalogue policy on that mix.
+    """One (cap, mix) fleet unit: every Fig. 5c policy on that mix.
 
     All policies run inside one unit because the relative-work metric
     divides by the no-gating baseline *of the same mix and cap*; a
@@ -107,11 +88,8 @@ def _fig5c_cell(
     relative: Dict[str, float] = {}
     qos: Dict[str, int] = {}
     baseline_instr = None
-    for name, factory, reconfigurable in policy_catalogue(seed):
-        machine = build_machine_for_mix(
-            mix, seed=seed, reconfigurable=reconfigurable
-        )
-        policy = factory(machine)
+    for name in FIG5C_POLICIES:
+        machine, policy = build_policy(name, mix, seed)
         run = run_policy(
             machine,
             policy,
@@ -215,8 +193,7 @@ def run_fig5c(
         jobs=jobs, checkpoint=checkpoint, resume=resume,
         telemetry=telemetry, merged_telemetry=merged_telemetry, live=live,
     )
-    policies = tuple(name for name, _, _ in policy_catalogue(seed))
-    return result_from_cells(outcome.values(), tuple(caps), policies)
+    return result_from_cells(outcome.values(), tuple(caps), FIG5C_POLICIES)
 
 
 def render_fig5c(result: Fig5cResult) -> str:

@@ -12,14 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-
-from repro.baselines import AsymmetricOraclePolicy, CoreGatingPolicy
-from repro.core.runtime import CuttleSysPolicy
-from repro.experiments.harness import (
-    build_machine_for_mix,
-    reference_power_for_mix,
-    run_policy,
-)
+from repro.experiments.harness import reference_power_for_mix, run_policy
+from repro.experiments.policies import build_policy
 from repro.experiments.reporting import format_table
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
@@ -46,15 +40,13 @@ def run_fig7(
     reference = reference_power_for_mix(mix, seed=seed)
     trace = LoadTrace.constant(load)
     out: Dict[str, TimelineResult] = {}
-    for name, factory, reconfigurable in (
-        ("core-gating", lambda m: CoreGatingPolicy(way_partition=True), False),
-        ("asymm-oracle", lambda m: AsymmetricOraclePolicy(), False),
-        ("cuttlesys", lambda m: CuttleSysPolicy.for_machine(m, seed=seed), True),
+    # Fig. 7's core-level gating is the way-partitioned variant.
+    for name, scheme in (
+        ("core-gating", "core-gating+wp"),
+        ("asymm-oracle", "asymm-oracle"),
+        ("cuttlesys", "cuttlesys"),
     ):
-        machine = build_machine_for_mix(
-            mix, seed=seed, reconfigurable=reconfigurable
-        )
-        policy = factory(machine)
+        machine, policy = build_policy(scheme, mix, seed)
         run = run_policy(
             machine,
             policy,

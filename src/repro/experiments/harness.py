@@ -412,26 +412,15 @@ class QuantumStepper(Snapshottable):
             overhead_fraction=policy.overhead_fraction,
         )
         self.tracer = tracer_of(telemetry)
-        # A disabled session (Telemetry(enabled=False)) still attaches —
-        # instrumented callees see the null tracer/registry — but the
-        # harness skips its own per-quantum accounting entirely, keeping
-        # the telemetry-off hot loop at near-zero overhead.
-        self.session_on = (
-            telemetry is not None and getattr(telemetry, "enabled", True)
-        )
-        self.auditor = (
-            getattr(telemetry, "auditor", None) if self.session_on
-            else None
-        )
+        self.auditor = getattr(telemetry, "auditor", None)
         if telemetry is not None:
             machine.attach_telemetry(telemetry)
             attach = getattr(policy, "attach_telemetry", None)
             if attach is not None:
                 attach(telemetry)
             log.info(
-                "running %s for %d slices (budget %.1f W, telemetry %s)",
+                "running %s for %d slices (budget %.1f W, telemetry on)",
                 policy.name, n_slices, self.run.power_budget_w,
-                "on" if self.session_on else "off",
             )
         self.churn_rng = np.random.default_rng(churn_seed)
         self.load_estimate = trace.load_at(0.0)
@@ -463,7 +452,9 @@ class QuantumStepper(Snapshottable):
         policy = self.policy
         telemetry = self.telemetry
         tracer = self.tracer
-        session_on = self.session_on
+        # Without a session the harness skips its own per-quantum
+        # accounting entirely, keeping the hot loop at near-zero overhead.
+        session_on = telemetry is not None
         auditor = self.auditor
         faults = self.faults
         run = self.run

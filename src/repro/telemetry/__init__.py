@@ -71,7 +71,6 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetricsRegistry,
     signed_error_percent,
 )
 from repro.telemetry.profiler import (
@@ -102,28 +101,21 @@ class Telemetry:
     """One run's telemetry session: a tracer plus a metrics registry.
 
     This is the object handed to ``run_policy(telemetry=...)`` and the
-    CLI's ``--trace``/``--metrics`` flags.  ``enabled=False`` builds a
-    session around the shared :data:`NULL_TRACER`, which instrumented
-    code treats as "don't record" at near-zero cost.
+    CLI's ``--trace``/``--metrics`` flags.  A run without a session
+    passes ``telemetry=None``; instrumented code then falls back to the
+    shared :data:`NULL_TRACER` at near-zero cost.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self.tracer = Tracer() if enabled else NULL_TRACER
-        # A disabled session swaps in the shared-no-op registry so the
-        # per-quantum hot loop pays no dict lookups or list appends.
-        self.metrics = (
-            MetricsRegistry() if enabled else NullMetricsRegistry()
-        )
+    def __init__(self) -> None:
+        self.tracer = Tracer()
+        self.metrics = MetricsRegistry()
         #: Optional :class:`~repro.telemetry.accuracy.AccuracyAuditor`;
         #: the harness audits each quantum when one is attached.
         self.auditor: Optional[AccuracyAuditor] = None
         #: Decision-provenance flight recorder
         #: (:mod:`repro.telemetry.provenance`); the controller emits one
         #: bounded "why" record per quantum when a session is attached.
-        self.provenance: Optional[ProvenanceRecorder] = (
-            ProvenanceRecorder() if enabled else None
-        )
+        self.provenance = ProvenanceRecorder()
 
     def enable_accuracy_audit(self) -> AccuracyAuditor:
         """Attach a prediction-accuracy auditor to this session."""
@@ -161,8 +153,7 @@ class Telemetry:
 
     def report(self) -> str:
         """Human-readable metrics + span-duration summary."""
-        tracer = self.tracer if isinstance(self.tracer, Tracer) else None
-        return render_metrics_report(self.metrics, tracer)
+        return render_metrics_report(self.metrics, self.tracer)
 
 
 __all__ = [
@@ -178,7 +169,6 @@ __all__ = [
     "LiveEmitter",
     "MetricsRegistry",
     "NULL_TRACER",
-    "NullMetricsRegistry",
     "NullTracer",
     "ProfileNode",
     "ProvenanceRecorder",

@@ -222,53 +222,3 @@ class MetricsRegistry:
             },
             "n_decisions": len(self.decisions),
         }
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """A registry that records nothing, at near-zero per-call cost.
-
-    ``Telemetry(enabled=False)`` installs this so instrumented code can
-    call ``counter(...)``/``gauge(...)``/``histogram(...)`` freely on
-    the per-quantum hot loop: every accessor returns a shared no-op
-    instrument without touching a dict, and decision records are
-    dropped.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._null_counter = _NullCounter("disabled")
-        self._null_gauge = _NullGauge("disabled")
-        self._null_histogram = _NullHistogram("disabled")
-
-    def counter(self, name: str) -> Counter:
-        return self._null_counter
-
-    def gauge(self, name: str) -> Gauge:
-        return self._null_gauge
-
-    def histogram(self, name: str) -> Histogram:
-        return self._null_histogram
-
-    def record_decision(self, record: DecisionRecord) -> None:
-        pass

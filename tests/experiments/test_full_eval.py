@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.full_eval import (
-    default_sections,
+    EXPERIMENTS,
     render_report,
     run_full_evaluation,
 )
@@ -11,7 +11,7 @@ from repro.experiments.full_eval import (
 
 class TestSections:
     def test_catalogue_covers_paper_and_extensions(self):
-        titles = [title for title, _ in default_sections()]
+        titles = [entry.title for entry in EXPERIMENTS.values()]
         text = " ".join(titles)
         for token in ("Fig. 1", "Table II", "Fig. 5", "Fig. 7", "Fig. 8",
                       "Fig. 9", "Fig. 10", "Flicker", "ablations", "DVFS",
@@ -51,6 +51,18 @@ class TestReport:
         assert code == 0
         assert "wrote" in capsys.readouterr().out
         assert out.read_text().startswith("# CuttleSys reproduction")
+
+    def test_cli_report_unwritable_out_is_a_one_line_error(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        out = tmp_path / "missing" / "report.md"
+        code = main(["report", "--only", "fig9", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
 
     def test_fleet_section_zero_on_healthy(self):
         results = run_full_evaluation(n_slices=2, only=["fig9"])

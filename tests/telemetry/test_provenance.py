@@ -179,11 +179,6 @@ class TestRunIntegration:
             provenance_key(r) for r in telemetry.provenance.records
         ]
 
-    def test_disabled_session_records_nothing(self):
-        telemetry = Telemetry(enabled=False)
-        _run(n_slices=2, telemetry=telemetry)
-        assert telemetry.provenance is None
-
 
 class TestRenderExplain:
     def test_report_covers_the_causal_chain(self):

@@ -1,10 +1,23 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, POLICIES, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments.full_eval import EXPERIMENTS
+from repro.experiments.policies import POLICIES
+
+#: Each single-run verb with the arguments it needs to reach its run
+#: setup (replay's files are checked only after the flags are).
+SINGLE_RUN_VERBS = {
+    "run": ["run", "--slices", "1"],
+    "audit": ["audit", "--slices", "1"],
+    "profile": ["profile", "--slices", "1"],
+    "replay": ["replay", "--state", "absent.json", "--jsonl",
+               "absent.jsonl", "--quantum", "1"],
+}
 
 
 class TestParser:
@@ -30,6 +43,26 @@ class TestParser:
         assert "fig5c" in EXPERIMENTS
         assert "dvfs" in EXPERIMENTS
         assert "ablations" in EXPERIMENTS
+
+    def test_experiment_choices_are_the_catalogue(self):
+        (sub,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        (name,) = [
+            action for action in sub.choices["experiment"]._actions
+            if action.dest == "name"
+        ]
+        assert list(name.choices) == list(EXPERIMENTS)
+
+    def test_single_run_defaults_per_verb(self):
+        parser = build_parser()
+        assert parser.parse_args(["run"]).slices == 10
+        assert parser.parse_args(["audit"]).slices == 10
+        assert parser.parse_args(["profile"]).slices == 3
+        replay = parser.parse_args(SINGLE_RUN_VERBS["replay"])
+        assert not hasattr(replay, "slices")
+        assert (replay.mix, replay.cap, replay.load) == (0, 0.7, 0.8)
 
 
 class TestCommands:
@@ -66,10 +99,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "cuttlesys" in out
 
-    def test_run_bad_mix(self, capsys):
-        assert main(["run", "--mix", "99"]) == 2
-        assert "mix index" in capsys.readouterr().err
-
     def test_experiment_fig9(self, capsys):
         assert main(["experiment", "fig9"]) == 0
         out = capsys.readouterr().out
@@ -80,10 +109,30 @@ class TestCommands:
         from repro.workloads.mixes import paper_mixes
 
         machine = build_machine_for_mix(paper_mixes()[0], seed=1)
-        for name, factory in POLICIES.items():
-            policy = factory(machine, 1)
+        for entry in POLICIES.values():
+            policy = entry.factory(machine, 1)
             assert hasattr(policy, "decide")
             assert hasattr(policy, "observe")
+
+
+class TestSingleRunFlags:
+    """``run``, ``audit``, ``profile`` and ``replay`` share one setup."""
+
+    @pytest.mark.parametrize("verb", sorted(SINGLE_RUN_VERBS))
+    def test_bad_mix_exits_2(self, capsys, verb):
+        assert main(SINGLE_RUN_VERBS[verb] + ["--mix", "99"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "mix index" in err
+        assert err.count("\n") == 1
+
+    # profile takes no --faults.
+    @pytest.mark.parametrize("verb", ["audit", "replay", "run"])
+    def test_malformed_faults_spec_exits_2(self, capsys, verb):
+        argv = SINGLE_RUN_VERBS[verb] + ["--faults", "bogus:rate=0.5"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --faults spec")
+        assert "unknown fault kind" in err and err.count("\n") == 1
 
 
 class TestExperimentDispatch:
@@ -103,6 +152,46 @@ class TestExperimentDispatch:
     def test_experiment_flicker(self, capsys):
         assert main(["experiment", "flicker", "--slices", "2"]) == 0
         assert "Flicker" in capsys.readouterr().out
+
+    def test_jsonl_on_non_grid_entry_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "x.jsonl"
+        assert main(["experiment", "fig9", "--jsonl", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "apply only to the grid experiments" in err
+        assert not path.exists()
+
+    def test_fig8_prints_the_three_scenarios(self, capsys):
+        from repro.experiments.fig8_dynamic import (
+            render_fig8, run_fig8a, run_fig8b, run_fig8c,
+        )
+
+        assert main(["experiment", "fig8"]) == 0
+        expected = "\n\n".join(
+            render_fig8(trace)
+            for trace in (run_fig8a(), run_fig8b(), run_fig8c())
+        )
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_report_ablations_is_experiment_ablations(self, capsys):
+        from repro.experiments.full_eval import run_full_evaluation
+
+        assert main(["experiment", "ablations", "--slices", "2"]) == 0
+        (section,) = run_full_evaluation(n_slices=2, only=["ablations"])
+        assert section.body + "\n" == capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "cluster", "--slices", "1"],
+        ["chaos", "--mixes", "0", "--scenarios", "fault-free",
+         "--budgets", "2000", "--slices", "2", "--cooldown", "2"],
+    ], ids=["experiment", "chaos"])
+    def test_unwritable_jsonl_is_a_one_line_error(
+        self, capsys, tmp_path, argv
+    ):
+        path = tmp_path / "missing" / "x.jsonl"
+        assert main(argv + ["--jsonl", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
 
     def test_module_entry_point(self):
         import subprocess
@@ -212,13 +301,6 @@ class TestFaultFlags:
         ])
         assert code == 0
         assert "3 slices" in capsys.readouterr().out
-
-    def test_malformed_faults_spec_exits_2(self, capsys):
-        code = main(["run", "--slices", "1", "--faults", "bogus:rate=0.5"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "bad --faults spec" in err
-        assert "unknown fault kind" in err
 
     def test_malformed_faults_value_exits_2(self, capsys):
         code = main([
@@ -423,14 +505,6 @@ class TestAuditCommand:
         assert "prediction-accuracy audit" in out
         assert "quanta audited: " in out
         assert "bips" in out and "lc_p99" in out
-
-    def test_audit_bad_mix(self, capsys):
-        assert main(["audit", "--mix", "99"]) == 2
-        assert "mix index" in capsys.readouterr().err
-
-    def test_audit_bad_fault_spec(self, capsys):
-        assert main(["audit", "--faults", "bogus~spec"]) == 2
-        assert "bad --faults spec" in capsys.readouterr().err
 
 
 class TestBenchParser:
