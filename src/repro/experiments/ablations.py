@@ -37,10 +37,9 @@ from repro.experiments.harness import (
     run_policy,
 )
 from repro.experiments.reporting import format_table
-from repro.fleet import WorkUnit, run_grid, telemetry_records
+from repro.fleet import WorkUnit, run_grid
 from repro.sim.coreconfig import N_JOINT_CONFIGS
 from repro.sim.machine import MachineParams
-from repro.telemetry.live import LiveAggregator
 from repro.workloads.batch import batch_profile, train_test_split
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
@@ -399,19 +398,14 @@ def _ablation_cell(
     mix_index: int,
     n_slices: int,
     seed: int,
-    collect_telemetry: bool = False,
+    telemetry: Any = None,
 ) -> Dict[str, Any]:
     """One (ablation, variant) simulation as a JSONable fleet unit."""
-    session = None
-    if collect_telemetry:
-        from repro.telemetry import Telemetry
-
-        session = Telemetry()
     row = _ablation_row(
         ablation, _VARIANT_VALUES.get(ablation, str)(variant), mix_index,
-        _ABLATION_CAPS[ablation], n_slices, seed, telemetry=session,
+        _ABLATION_CAPS[ablation], n_slices, seed, telemetry=telemetry,
     )
-    cell: Dict[str, Any] = {
+    return {
         "ablation": ablation,
         "variant": variant,
         "label": row.label,
@@ -419,16 +413,10 @@ def _ablation_cell(
         "qos_violations": row.qos_violations,
         "power_violations": row.power_violations,
     }
-    if session is not None:
-        cell["telemetry"] = telemetry_records(session)
-    return cell
 
 
 def ablation_units(
-    mix_index: int,
-    n_slices: int,
-    seed: int,
-    collect_telemetry: bool = False,
+    mix_index: int, n_slices: int, seed: int
 ) -> List[WorkUnit]:
     """The matrix's fleet work units, one per (ablation, variant)."""
     return [
@@ -438,7 +426,6 @@ def ablation_units(
             kwargs={
                 "ablation": ablation, "variant": variant,
                 "mix_index": mix_index, "n_slices": n_slices, "seed": seed,
-                "collect_telemetry": collect_telemetry,
             },
         )
         for ablation, variants in ABLATION_MATRIX
@@ -470,24 +457,18 @@ def run_ablation_matrix(
     mix_index: int = 0,
     n_slices: int = 10,
     seed: int = 7,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    telemetry: Any = None,
-    merged_telemetry: Optional[List[Dict]] = None,
-    live: Optional["LiveAggregator"] = None,
+    **fleet: Any,
 ) -> Dict[str, Tuple[AblationRow, ...]]:
     """Every ablation of :data:`ABLATION_MATRIX` as one sharded grid.
 
-    The fleet and telemetry arguments follow
+    ``fleet`` takes the execution and telemetry keywords of
     :func:`repro.fleet.run_grid`.
     """
     outcome = run_grid(
         "ablations",
-        lambda collect: ablation_units(mix_index, n_slices, seed, collect),
+        ablation_units(mix_index, n_slices, seed),
         seed=seed, context={"mix_index": mix_index, "n_slices": n_slices},
-        jobs=jobs, checkpoint=checkpoint, resume=resume,
-        telemetry=telemetry, merged_telemetry=merged_telemetry, live=live,
+        **fleet,
     )
     return rows_from_cells(outcome.values())
 

@@ -45,10 +45,9 @@ from repro.experiments.harness import (
 )
 from repro.experiments.reporting import format_table
 from repro.faults import FaultInjector, scenario_by_name
-from repro.fleet import WorkUnit, run_grid, telemetry_records
+from repro.fleet import WorkUnit, run_grid
 from repro.logs import get_logger
 from repro.telemetry import Telemetry
-from repro.telemetry.live import LiveAggregator
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
 
@@ -159,13 +158,14 @@ def _chaos_cell(
     load: float,
     cap: float,
     seed: int,
-    collect_telemetry: bool = False,
+    telemetry: Optional[Telemetry] = None,
 ) -> Dict[str, Any]:
     """Soak one (seed, mix, scenario, budget) cell and check invariants.
 
     Top-level so worker processes unpickle it by reference; all kwargs
     and the returned dict are plain JSON, as the fleet contract
-    requires.
+    requires.  The reference run's counters feed the invariants, so
+    without a fleet session the cell opens its own.
     """
     if not 0 < kill_at < n_slices:
         raise ValueError("kill_at must fall strictly inside the run")
@@ -175,7 +175,8 @@ def _chaos_cell(
     violations: List[str] = []
 
     # --- reference run (uninterrupted, telemetry attached) ------------
-    telemetry = Telemetry()
+    if telemetry is None:
+        telemetry = Telemetry()
     machine, policy, faults = _build_arm(
         mix, seed, budget, scenario_name, telemetry
     )
@@ -310,8 +311,6 @@ def _chaos_cell(
     )
     cell: Dict[str, Any] = asdict(outcome)
     cell["violations"] = list(outcome.violations)
-    if collect_telemetry:
-        cell["telemetry"] = telemetry_records(telemetry)
     return cell
 
 
@@ -324,7 +323,6 @@ def chaos_units(
     cooldown: int,
     load: float,
     cap: float,
-    collect_telemetry: bool = False,
 ) -> List[WorkUnit]:
     """The soak's fleet units, one per (seed, mix, scenario, budget).
 
@@ -346,7 +344,6 @@ def chaos_units(
                 "kill_at": 1 + seed % (n_slices - 1),
                 "n_slices": n_slices, "cooldown": cooldown,
                 "load": load, "cap": cap, "seed": seed,
-                "collect_telemetry": collect_telemetry,
             },
         )
         for seed in seeds
@@ -380,27 +377,22 @@ def run_chaos_study(
     cooldown: int = 8,
     load: float = 0.7,
     cap: float = 0.7,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    telemetry: Any = None,
-    merged_telemetry: Optional[List[Dict]] = None,
-    live: Optional[LiveAggregator] = None,
+    **fleet: Any,
 ) -> Tuple[ChaosOutcome, ...]:
     """Soak the decision loop across seeds, mixes, faults and deadlines.
 
     Returns one :class:`ChaosOutcome` per grid cell in grid order; a
     cell with a non-empty ``violations`` tuple broke an invariant.  The
-    grid executes as a fleet run with the usual
-    ``jobs``/``checkpoint``/``resume``/``live`` contract — ``--jobs N``
+    grid executes as a fleet run; ``fleet`` takes the execution and
+    telemetry keywords of :func:`repro.fleet.run_grid`.  ``--jobs N``
     output is byte-identical to serial, and one checkpoint file covers
     the full multi-seed, multi-mix soak.
     """
     outcome = run_grid(
         "chaos",
-        lambda collect: chaos_units(
+        chaos_units(
             seeds, mix_indices, scenarios, budgets, n_slices, cooldown,
-            load, cap, collect_telemetry=collect,
+            load, cap,
         ),
         seed=min(seeds) if seeds else 0,
         context={
@@ -410,8 +402,7 @@ def run_chaos_study(
             "n_slices": n_slices, "cooldown": cooldown,
             "load": load, "cap": cap,
         },
-        jobs=jobs, checkpoint=checkpoint, resume=resume,
-        telemetry=telemetry, merged_telemetry=merged_telemetry, live=live,
+        **fleet,
     )
     return outcomes_from_cells(outcome.values())
 

@@ -19,14 +19,13 @@ order — ``--jobs 2`` output is byte-identical to serial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.broker import BrokerParams, PowerBroker, Socket
 from repro.core.runtime import CuttleSysPolicy
 from repro.experiments.harness import build_machine_for_mix
 from repro.experiments.reporting import format_table
-from repro.fleet import WorkUnit, run_grid, telemetry_records
-from repro.telemetry.live import LiveAggregator
+from repro.fleet import WorkUnit, run_grid
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
 
@@ -83,8 +82,7 @@ def _build_sockets(seed: int, n_slices: int):
 
 
 def _scheme_cell(
-    scheme: str, n_slices: int, seed: int,
-    collect_telemetry: bool = False,
+    scheme: str, n_slices: int, seed: int, telemetry: Any = None
 ) -> Dict[str, Any]:
     """One scheme's full rack simulation as a JSONable fleet unit.
 
@@ -98,13 +96,9 @@ def _scheme_cell(
     else:
         raise ValueError(f"unknown allocation scheme {scheme!r}")
     sockets, rack_budget, qos = _build_sockets(seed, n_slices)
-    session = None
-    if collect_telemetry:
-        from repro.telemetry import Telemetry
-
-        session = Telemetry()
+    if telemetry is not None:
         for socket in sockets:
-            socket.machine.attach_telemetry(session)
+            socket.machine.attach_telemetry(telemetry)
     broker = PowerBroker(sockets, rack_budget, params)
     run = broker.run(n_slices)
     series = run.budget_series("socket-a")
@@ -114,26 +108,20 @@ def _scheme_cell(
         "qos_violations": run.qos_violations(qos),
         "socket_a_budget_range": [min(series), max(series)],
     }
-    if session is not None:
-        session.counter("cluster.qos_violations").inc(
+    if telemetry is not None:
+        telemetry.counter("cluster.qos_violations").inc(
             run.qos_violations(qos)
         )
-        cell["telemetry"] = telemetry_records(session)
     return cell
 
 
-def cluster_units(
-    n_slices: int, seed: int, collect_telemetry: bool = False
-) -> List[WorkUnit]:
+def cluster_units(n_slices: int, seed: int) -> List[WorkUnit]:
     """The study's fleet work units, one per allocation scheme."""
     return [
         WorkUnit(
             unit_id=f"cluster/{scheme}",
             fn=_scheme_cell,
-            kwargs={
-                "scheme": scheme, "n_slices": n_slices, "seed": seed,
-                "collect_telemetry": collect_telemetry,
-            },
+            kwargs={"scheme": scheme, "n_slices": n_slices, "seed": seed},
         )
         for scheme in SCHEMES
     ]
@@ -156,24 +144,17 @@ def outcomes_from_cells(cells: List[Dict[str, Any]]) -> Dict[str, ClusterOutcome
 def run_cluster_study(
     n_slices: int = 20,
     seed: int = 7,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    telemetry: Any = None,
-    merged_telemetry: Optional[List[Dict]] = None,
-    live: Optional[LiveAggregator] = None,
+    **fleet: Any,
 ) -> Dict[str, ClusterOutcome]:
     """Static 50/50 split vs dynamic brokering over two sockets.
 
-    The fleet and telemetry arguments follow
+    ``fleet`` takes the execution and telemetry keywords of
     :func:`repro.fleet.run_grid`.
     """
     outcome = run_grid(
         "cluster_study",
-        lambda collect: cluster_units(n_slices, seed, collect),
-        seed=seed, context={"n_slices": n_slices}, jobs=jobs,
-        checkpoint=checkpoint, resume=resume, telemetry=telemetry,
-        merged_telemetry=merged_telemetry, live=live,
+        cluster_units(n_slices, seed),
+        seed=seed, context={"n_slices": n_slices}, **fleet,
     )
     return outcomes_from_cells(outcome.values())
 

@@ -32,10 +32,9 @@ from repro.experiments.harness import (
 )
 from repro.experiments.reporting import format_table
 from repro.faults import FaultInjector, FaultScenario, default_scenarios
-from repro.fleet import WorkUnit, run_grid, telemetry_records
+from repro.fleet import WorkUnit, run_grid
 from repro.logs import get_logger
 from repro.telemetry import Telemetry
-from repro.telemetry.live import LiveAggregator
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
 
@@ -80,11 +79,15 @@ def _run_arm(
     load: float,
     n_slices: int,
     seed: int,
-) -> Tuple[FaultStudyOutcome, Telemetry]:
+    telemetry: Optional[Telemetry],
+) -> FaultStudyOutcome:
     machine = build_machine_for_mix(mix, seed=seed)
     config = ControllerConfig(seed=seed, hardened=hardened)
     policy = CuttleSysPolicy.for_machine(machine, seed=seed, config=config)
-    telemetry = Telemetry()
+    # The outcome's fault counters come from the session, so an arm
+    # run without a fleet session opens its own.
+    if telemetry is None:
+        telemetry = Telemetry()
     faults = FaultInjector.from_scenario(scenario, telemetry=telemetry)
     aborted = False
     run: Optional[PolicyRun] = None
@@ -117,7 +120,7 @@ def _run_arm(
     instructions = (
         run.total_batch_instructions() / 1e9 if run is not None else 0.0
     )
-    outcome = FaultStudyOutcome(
+    return FaultStudyOutcome(
         scenario=scenario.name,
         policy="hardened" if hardened else "unhardened",
         n_slices=n_slices,
@@ -130,7 +133,6 @@ def _run_arm(
         detected=_counter_total(telemetry, "faults.detected."),
         recovered=_counter_total(telemetry, "faults.recovered."),
     )
-    return outcome, telemetry
 
 
 def _fault_cell(
@@ -141,7 +143,7 @@ def _fault_cell(
     load: float,
     n_slices: int,
     seed: int,
-    collect_telemetry: bool = False,
+    telemetry: Optional[Telemetry] = None,
 ) -> Dict[str, Any]:
     """One (scenario, arm) cell as a JSONable fleet unit value.
 
@@ -152,13 +154,11 @@ def _fault_cell(
     """
     mix = paper_mixes()[mix_index]
     reference = reference_power_for_mix(mix, seed=seed)
-    outcome, telemetry = _run_arm(
+    outcome = _run_arm(
         scenario, hardened, mix, reference, cap, load, n_slices, seed,
+        telemetry,
     )
-    cell: Dict[str, Any] = asdict(replace(outcome, mix_index=mix_index))
-    if collect_telemetry:
-        cell["telemetry"] = telemetry_records(telemetry)
-    return cell
+    return asdict(replace(outcome, mix_index=mix_index))
 
 
 def fault_study_units(
@@ -168,7 +168,6 @@ def fault_study_units(
     n_slices: int,
     seed: int,
     scenarios: Sequence[FaultScenario],
-    collect_telemetry: bool = False,
 ) -> List[WorkUnit]:
     """The study's fleet work units, one per (mix, scenario, arm).
 
@@ -187,7 +186,6 @@ def fault_study_units(
                 "scenario": scenario, "hardened": hardened,
                 "mix_index": mix_index, "cap": cap, "load": load,
                 "n_slices": n_slices, "seed": seed,
-                "collect_telemetry": collect_telemetry,
             },
         )
         for mix_index in mix_indices
@@ -210,18 +208,13 @@ def outcomes_from_cells(
 
 
 def run_fault_study(
-    mix_index: int = 0,
+    mix_indices: Sequence[int] = (0,),
     cap: float = 0.7,
     load: float = 0.7,
     n_slices: int = 12,
     seed: int = 7,
     scenarios: Optional[Sequence[FaultScenario]] = None,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    telemetry: Any = None,
-    live: Optional[LiveAggregator] = None,
-    mix_indices: Optional[Sequence[int]] = None,
+    **fleet: Any,
 ) -> Tuple[FaultStudyOutcome, ...]:
     """Hardened vs unhardened CuttleSys across the fault scenarios.
 
@@ -230,26 +223,18 @@ def run_fault_study(
     any divergence is the hardening, not luck.
 
     The (mix, scenario, arm) cells are independent simulations, so the
-    study shards them as a fleet grid: ``jobs``/``checkpoint``/``resume``
-    behave as for the other studies, and ``--jobs N`` output is
-    byte-identical to serial.  ``live`` streams worker events (and each
-    cell's telemetry shard) through a
-    :class:`~repro.telemetry.live.LiveAggregator` mid-run.
-
-    ``mix_indices`` sweeps several mixes in one fleet run — one
-    checkpoint file then covers the whole grid.  ``mix_index`` remains
-    as the single-mix shorthand and is ignored when ``mix_indices`` is
-    given.
+    study shards them as a fleet grid; ``fleet`` takes the execution
+    and telemetry keywords of :func:`repro.fleet.run_grid`, and
+    ``--jobs N`` output is byte-identical to serial.  ``mix_indices``
+    sweeps several mixes in one fleet run — one checkpoint file then
+    covers the whole grid.
     """
     if scenarios is None:
         scenarios = default_scenarios(seed)
-    if mix_indices is None:
-        mix_indices = (mix_index,)
     outcome = run_grid(
         "fault_study",
-        lambda collect: fault_study_units(
-            mix_indices, cap, load, n_slices, seed, scenarios,
-            collect_telemetry=collect,
+        fault_study_units(
+            mix_indices, cap, load, n_slices, seed, scenarios
         ),
         seed=seed,
         context={
@@ -257,8 +242,7 @@ def run_fault_study(
             "n_slices": n_slices,
             "scenarios": [s.name for s in scenarios],
         },
-        jobs=jobs, checkpoint=checkpoint, resume=resume,
-        telemetry=telemetry, live=live,
+        **fleet,
     )
     return outcomes_from_cells(outcome.values())
 

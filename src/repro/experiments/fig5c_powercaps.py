@@ -22,15 +22,14 @@ computed against the *same* simulation), so the grid shards across
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.experiments.harness import reference_power_for_mix, run_policy
 from repro.experiments.policies import build_policy
 from repro.experiments.reporting import format_table
-from repro.fleet import WorkUnit, run_grid, telemetry_records
-from repro.telemetry.live import LiveAggregator
+from repro.fleet import WorkUnit, run_grid
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
 
@@ -69,7 +68,7 @@ def _fig5c_cell(
     n_slices: int,
     load: float,
     seed: int,
-    collect_telemetry: bool = False,
+    telemetry: Any = None,
 ) -> Dict[str, Any]:
     """One (cap, mix) fleet unit: every Fig. 5c policy on that mix.
 
@@ -80,11 +79,6 @@ def _fig5c_cell(
     mix = paper_mixes()[mix_index]
     reference = reference_power_for_mix(mix, seed=seed)
     trace = LoadTrace.constant(load)
-    session = None
-    if collect_telemetry:
-        from repro.telemetry import Telemetry
-
-        session = Telemetry()
     relative: Dict[str, float] = {}
     qos: Dict[str, int] = {}
     baseline_instr = None
@@ -97,7 +91,7 @@ def _fig5c_cell(
             power_cap_fraction=cap,
             n_slices=n_slices,
             max_power_w=reference,
-            telemetry=session,
+            telemetry=telemetry,
         )
         instr = run.total_batch_instructions()
         if name == "no-gating":
@@ -105,15 +99,12 @@ def _fig5c_cell(
         if baseline_instr:
             relative[name] = instr / baseline_instr
         qos[name] = run.qos_violations()
-    cell: Dict[str, Any] = {
+    return {
         "cap": cap,
         "mix_index": mix_index,
         "relative": relative,
         "qos_violations": qos,
     }
-    if session is not None:
-        cell["telemetry"] = telemetry_records(session)
-    return cell
 
 
 def fig5c_units(
@@ -122,7 +113,6 @@ def fig5c_units(
     n_slices: int,
     load: float,
     seed: int,
-    collect_telemetry: bool = False,
 ) -> List[WorkUnit]:
     """The sweep's fleet work units, one per (cap, mix)."""
     return [
@@ -132,7 +122,6 @@ def fig5c_units(
             kwargs={
                 "cap": cap, "mix_index": mix_index, "n_slices": n_slices,
                 "load": load, "seed": seed,
-                "collect_telemetry": collect_telemetry,
             },
         )
         for cap in caps
@@ -166,32 +155,23 @@ def run_fig5c(
     n_slices: int = 10,
     load: float = 0.8,
     seed: int = 7,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    telemetry: Any = None,
-    merged_telemetry: Optional[List[Dict]] = None,
-    live: Optional["LiveAggregator"] = None,
+    **fleet: Any,
 ) -> Fig5cResult:
     """Sweep policies x caps x mixes at near-saturation load.
 
-    The (cap, mix) grid executes as fleet work units: ``jobs`` shards
-    it across worker processes, ``checkpoint``/``resume`` make the
-    sweep crash-safe, and ``merged_telemetry``/``live`` follow
+    The (cap, mix) grid executes as fleet work units; ``fleet`` takes
+    the execution and telemetry keywords of
     :func:`repro.fleet.run_grid`.
     """
     outcome = run_grid(
         "fig5c",
-        lambda collect: fig5c_units(
-            mix_indices, caps, n_slices, load, seed, collect
-        ),
+        fig5c_units(mix_indices, caps, n_slices, load, seed),
         seed=seed,
         context={
             "mix_indices": list(mix_indices), "caps": list(caps),
             "n_slices": n_slices, "load": load,
         },
-        jobs=jobs, checkpoint=checkpoint, resume=resume,
-        telemetry=telemetry, merged_telemetry=merged_telemetry, live=live,
+        **fleet,
     )
     return result_from_cells(outcome.values(), tuple(caps), FIG5C_POLICIES)
 

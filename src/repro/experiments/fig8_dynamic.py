@@ -28,8 +28,7 @@ from repro.experiments.harness import (
     run_policy,
 )
 from repro.experiments.reporting import format_table
-from repro.fleet import WorkUnit, run_grid, telemetry_records
-from repro.telemetry.live import LiveAggregator
+from repro.fleet import WorkUnit, run_grid
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
 
@@ -157,35 +156,26 @@ def _fig8_cell(
     mix_index: int,
     n_slices: Optional[int],
     seed: int,
-    collect_telemetry: bool = False,
+    telemetry: Any = None,
 ) -> Dict[str, Any]:
     """One Fig. 8 scenario as a JSONable fleet unit.
 
     ``n_slices=None`` keeps each scenario's paper-matching default
-    (20/20/24); the telemetry session rides inside the cell so the
-    fleet merge sees per-unit logs, same as every other sharded study.
+    (20/20/24).
     """
     runners = {"a": run_fig8a, "b": run_fig8b, "c": run_fig8c}
     if scenario not in runners:
         raise ValueError(f"unknown fig8 scenario {scenario!r}")
-    session = None
-    if collect_telemetry:
-        from repro.telemetry import Telemetry
-
-        session = Telemetry()
     kwargs: Dict[str, Any] = {"mix_index": mix_index, "seed": seed}
     if n_slices is not None:
         kwargs["n_slices"] = n_slices
-    trace = runners[scenario](telemetry=session, **kwargs)
+    trace = runners[scenario](telemetry=telemetry, **kwargs)
     fields = asdict(trace)
-    cell: Dict[str, Any] = {
+    return {
         "scenario": scenario,
         "scenario_name": fields.pop("scenario"),
         **fields,
     }
-    if session is not None:
-        cell["telemetry"] = telemetry_records(session)
-    return cell
 
 
 def trace_from_cell(cell: Dict[str, Any]) -> DynamicTrace:
@@ -209,7 +199,6 @@ def fig8_units(
     mix_index: int,
     n_slices: Optional[int],
     seed: int,
-    collect_telemetry: bool = False,
 ) -> List[WorkUnit]:
     """The dynamic study's fleet work units, one per scenario."""
     return [
@@ -219,7 +208,6 @@ def fig8_units(
             kwargs={
                 "scenario": scenario, "mix_index": mix_index,
                 "n_slices": n_slices, "seed": seed,
-                "collect_telemetry": collect_telemetry,
             },
         )
         for scenario in scenarios
@@ -231,30 +219,23 @@ def run_fig8_grid(
     mix_index: int = 0,
     n_slices: Optional[int] = None,
     seed: int = 7,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    telemetry: Any = None,
-    merged_telemetry: Optional[List[Dict]] = None,
-    live: Optional["LiveAggregator"] = None,
+    **fleet: Any,
 ) -> Dict[str, DynamicTrace]:
     """All three dynamic scenarios as a sharded fleet grid.
 
-    Returns ``{scenario: trace}`` in ``scenarios`` order; the fleet
-    and telemetry arguments follow :func:`repro.fleet.run_grid`.
+    Returns ``{scenario: trace}`` in ``scenarios`` order; ``fleet``
+    takes the execution and telemetry keywords of
+    :func:`repro.fleet.run_grid`.
     """
     outcome = run_grid(
         "fig8",
-        lambda collect: fig8_units(
-            scenarios, mix_index, n_slices, seed, collect
-        ),
+        fig8_units(scenarios, mix_index, n_slices, seed),
         seed=seed,
         context={
             "scenarios": list(scenarios), "mix_index": mix_index,
             "n_slices": n_slices,
         },
-        jobs=jobs, checkpoint=checkpoint, resume=resume,
-        telemetry=telemetry, merged_telemetry=merged_telemetry, live=live,
+        **fleet,
     )
     return {
         cell["scenario"]: trace_from_cell(cell)

@@ -42,9 +42,10 @@ class Experiment(NamedTuple):
     title: str
     #: ``producer(n_slices, **grid_kwargs) -> str``; renders the entry.
     producer: Callable[..., str]
-    #: Runs as a fleet grid: the producer also takes the grid keywords
-    #: of :func:`repro.fleet.run_grid` (``seed``, ``jobs``,
-    #: ``checkpoint``, ``resume``, ``merged_telemetry``, ``live``).
+    #: Runs as a fleet grid: the producer also takes ``seed`` and the
+    #: execution and telemetry keywords of :func:`repro.fleet.run_grid`
+    #: (``jobs``, ``checkpoint``, ``resume``, ``merged_telemetry``,
+    #: ``live``), which its ``run_*`` function forwards unchanged.
     grid: bool = False
 
 
@@ -268,7 +269,7 @@ def run_full_evaluation(
     names = _selected_names(only)
     outcome = run_grid(
         "full_eval",
-        lambda _collect: [
+        [
             WorkUnit(
                 unit_id=f"section/{EXPERIMENTS[name].title}",
                 fn=_section_cell,

@@ -459,6 +459,25 @@ class QuantumStepper(Snapshottable):
         faults = self.faults
         run = self.run
         i = self.next_slice
+
+        def replace_job(slot, profile, instant, category, **args) -> None:
+            # Churn and crash-respawn: the slot's process is new, so
+            # the policy re-profiles it.
+            machine.replace_batch_job(slot, profile)
+            notify = getattr(policy, "on_job_replaced", None)
+            if notify is not None:
+                notify(slot)
+            run.churn_events.append((i, slot, profile.name))
+            if session_on:
+                telemetry.counter("harness.job_churn").inc()
+                tracer.instant(instant, category=category, slot=slot, **args)
+
+        def count_degraded() -> None:
+            run.degraded_quanta += 1
+            if session_on:
+                telemetry.counter("harness.degraded_quanta").inc()
+                telemetry.counter("faults.recovered.degraded_quantum").inc()
+
         with tracer.span("quantum", category="harness", index=i):
             if session_on:
                 recorder = getattr(telemetry, "provenance", None)
@@ -473,18 +492,11 @@ class QuantumStepper(Snapshottable):
                     len(machine.batch_profiles)
                 ):
                     # Crash/respawn: same application, fresh process —
-                    # phase state resets and the policy re-profiles it.
-                    respawn = machine.batch_profiles[slot]
-                    machine.replace_batch_job(slot, respawn)
-                    notify = getattr(policy, "on_job_replaced", None)
-                    if notify is not None:
-                        notify(slot)
-                    run.churn_events.append((i, slot, respawn.name))
-                    if session_on:
-                        telemetry.counter("harness.job_churn").inc()
-                        tracer.instant(
-                            "batch_crash", category="faults", slot=slot,
-                        )
+                    # phase state resets.
+                    replace_job(
+                        slot, machine.batch_profiles[slot],
+                        "batch_crash", "faults",
+                    )
                     log.info(
                         "slice %d: batch job %d crashed and respawned",
                         i, slot,
@@ -500,17 +512,9 @@ class QuantumStepper(Snapshottable):
                 newcomer = self.churn_pool[
                     int(self.churn_rng.integers(len(self.churn_pool)))
                 ]
-                machine.replace_batch_job(slot, newcomer)
-                notify = getattr(policy, "on_job_replaced", None)
-                if notify is not None:
-                    notify(slot)
-                run.churn_events.append((i, slot, newcomer.name))
-                if session_on:
-                    telemetry.counter("harness.job_churn").inc()
-                    tracer.instant(
-                        "job_churn", category="harness",
-                        slot=slot, app=newcomer.name,
-                    )
+                replace_job(
+                    slot, newcomer, "job_churn", "harness", app=newcomer.name
+                )
                 log.debug(
                     "slice %d: batch slot %d replaced by %s",
                     i, slot, newcomer.name,
@@ -543,12 +547,8 @@ class QuantumStepper(Snapshottable):
                         raise
                     degraded = True
                     assignment = _degraded_assignment(policy, run, machine)
-                    run.degraded_quanta += 1
+                    count_degraded()
                     if session_on:
-                        telemetry.counter("harness.degraded_quanta").inc()
-                        telemetry.counter(
-                            "faults.recovered.degraded_quantum"
-                        ).inc()
                         tracer.instant(
                             "degraded_quantum", category="faults",
                             error=type(exc).__name__,
@@ -580,14 +580,7 @@ class QuantumStepper(Snapshottable):
                         raise
                     if not degraded:
                         degraded = True
-                        run.degraded_quanta += 1
-                        if session_on:
-                            telemetry.counter(
-                                "harness.degraded_quanta"
-                            ).inc()
-                            telemetry.counter(
-                                "faults.recovered.degraded_quantum"
-                            ).inc()
+                        count_degraded()
                     log.warning(
                         "slice %d: policy %s observe raised %s: %s; "
                         "measurement dropped",

@@ -26,7 +26,7 @@ comparison across ``--jobs`` settings is wanted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,9 +35,8 @@ from repro.core.oracle import OracleReconfigPolicy
 from repro.core.runtime import CuttleSysPolicy
 from repro.experiments.harness import run_policy
 from repro.experiments.reporting import format_table
-from repro.fleet import WorkUnit, run_grid, telemetry_records
+from repro.fleet import WorkUnit, run_grid
 from repro.sim.machine import Machine, MachineParams
-from repro.telemetry.live import LiveAggregator
 from repro.telemetry.tracer import Span, Tracer
 from repro.workloads.batch import batch_profile, train_test_split
 from repro.workloads.latency_critical import lc_service
@@ -106,7 +105,7 @@ def _scale_cell(
     load: float,
     n_slices: int,
     seed: int,
-    collect_telemetry: bool = False,
+    telemetry: Any = None,
 ) -> Dict[str, Any]:
     """One (machine size, arm) simulation as a JSONable fleet unit."""
     lc_cores = n_cores // 2
@@ -116,14 +115,9 @@ def _scale_cell(
     scaled_load = load * lc_cores / 16.0
     machine = _machine(n_cores, seed)
     reference = machine.reference_max_power()
-    session = None
-    if collect_telemetry:
-        from repro.telemetry import Telemetry
-
-        session = Telemetry()
     # A session brings its own tracer; otherwise the controller's phases
     # are timed into a bare one, which adds no records to the cell.
-    tracer = session.tracer if session is not None else Tracer()
+    tracer = telemetry.tracer if telemetry is not None else Tracer()
     if arm == "cuttlesys":
         policy: Any = CuttleSysPolicy.for_machine(
             machine,
@@ -138,7 +132,7 @@ def _scale_cell(
     run = run_policy(
         machine, policy, LoadTrace.constant(scaled_load),
         power_cap_fraction=cap, n_slices=n_slices, max_power_w=reference,
-        telemetry=session,
+        telemetry=telemetry,
     )
     cell: Dict[str, Any] = {
         "n_cores": n_cores,
@@ -148,8 +142,6 @@ def _scale_cell(
     }
     if arm == "cuttlesys":
         cell["decision_ms"] = median_decision_ms(tracer.spans)
-    if session is not None:
-        cell["telemetry"] = telemetry_records(session)
     return cell
 
 
@@ -159,7 +151,6 @@ def scalability_units(
     load: float,
     n_slices: int,
     seed: int,
-    collect_telemetry: bool = False,
 ) -> List[WorkUnit]:
     """The study's fleet work units, one per (machine size, arm)."""
     return [
@@ -169,7 +160,6 @@ def scalability_units(
             kwargs={
                 "n_cores": n_cores, "arm": arm, "cap": cap, "load": load,
                 "n_slices": n_slices, "seed": seed,
-                "collect_telemetry": collect_telemetry,
             },
         )
         for n_cores in core_counts
@@ -203,30 +193,22 @@ def run_scalability(
     load: float = 0.8,
     n_slices: int = 8,
     seed: int = 7,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    telemetry: Any = None,
-    merged_telemetry: Optional[List[Dict]] = None,
-    live: Optional["LiveAggregator"] = None,
+    **fleet: Any,
 ) -> Tuple[ScalePoint, ...]:
     """CuttleSys and the oracle across machine sizes.
 
-    The fleet and telemetry arguments follow
+    ``fleet`` takes the execution and telemetry keywords of
     :func:`repro.fleet.run_grid`.
     """
     outcome = run_grid(
         "scalability",
-        lambda collect: scalability_units(
-            core_counts, cap, load, n_slices, seed, collect
-        ),
+        scalability_units(core_counts, cap, load, n_slices, seed),
         seed=seed,
         context={
             "core_counts": list(core_counts), "cap": cap, "load": load,
             "n_slices": n_slices,
         },
-        jobs=jobs, checkpoint=checkpoint, resume=resume,
-        telemetry=telemetry, merged_telemetry=merged_telemetry, live=live,
+        **fleet,
     )
     return points_from_cells(outcome.values())
 

@@ -24,7 +24,13 @@ Entry points: :func:`run_grid` for experiment grids (the
 ``--jobs``/``--checkpoint``/``--resume`` flags of ``repro experiment``,
 ``report``, ``fault-study`` and ``chaos``), :class:`FleetRun` for a
 run on a caller-owned pool, and ``repro fleet status`` to inspect a
-checkpoint file.
+checkpoint file.  ``run_grid`` declares the grid keywords (``jobs``,
+``checkpoint``, ``resume``, ``telemetry``, ``merged_telemetry``,
+``live``) once; each grid's ``run_*`` function forwards them as
+``**fleet``.  The fleet also owns per-unit telemetry: when
+``merged_telemetry`` or ``live`` consumes it, each unit's cell is
+called with a fresh session as ``telemetry`` and its records travel
+back in the unit value.
 """
 
 from repro.fleet.checkpoint import (
@@ -52,7 +58,6 @@ from repro.fleet.shard import (
     WorkUnit,
     merge_results,
     merge_unit_telemetry,
-    telemetry_records,
     unit_seed,
     unit_telemetry,
 )
@@ -76,7 +81,6 @@ __all__ = [
     "merge_results",
     "merge_unit_telemetry",
     "run_grid",
-    "telemetry_records",
     "unit_seed",
     "unit_telemetry",
 ]

@@ -24,11 +24,10 @@ uninterrupted run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Dict,
     List,
     Mapping,
@@ -331,7 +330,7 @@ class FleetRun:
 
 def run_grid(
     name: str,
-    units: Callable[[bool], Sequence[WorkUnit]],
+    units: Sequence[WorkUnit],
     seed: int,
     context: Mapping[str, Any],
     jobs: int = 1,
@@ -343,18 +342,22 @@ def run_grid(
 ) -> FleetOutcome:
     """Execute one experiment grid as a fleet run.
 
-    ``units(collect_telemetry)`` builds the grid's work units; units
-    collect per-unit telemetry only when ``merged_telemetry`` or
-    ``live`` will consume it.  ``merged_telemetry``, when given a list,
-    receives the unit telemetry merged into one canonical session log
+    The fleet owns per-unit telemetry: when ``merged_telemetry`` or
+    ``live`` will consume it, every unit runs with a fresh session
+    (:attr:`WorkUnit.with_telemetry`), so a cell takes a
+    ``telemetry=None`` keyword and never exports it itself.
+    ``merged_telemetry``, when given a list, receives the unit
+    telemetry merged into one canonical session log
     (:func:`~repro.fleet.shard.merge_unit_telemetry`).  ``live`` streams
     worker events, and each unit's counters and drift instants, into a
-    :class:`LiveAggregator` mid-run.
+    :class:`LiveAggregator` mid-run.  ``telemetry`` receives the
+    run's ``fleet.*`` tallies.
     """
-    collect = merged_telemetry is not None or live is not None
+    if merged_telemetry is not None or live is not None:
+        units = [replace(unit, with_telemetry=True) for unit in units]
     outcome = FleetRun(
         name,
-        units(collect),
+        units,
         FleetParams(checkpoint=checkpoint, resume=resume),
         seed=seed,
         context=context,

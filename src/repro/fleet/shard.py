@@ -18,7 +18,6 @@ byte-identical to serial output.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -32,6 +31,8 @@ from typing import (
 )
 
 from repro.rng import rng_for
+from repro.telemetry import Telemetry
+from repro.telemetry.exporters import telemetry_records
 
 __all__ = [
     "FROM_CHECKPOINT",
@@ -39,7 +40,6 @@ __all__ = [
     "WorkUnit",
     "merge_results",
     "merge_unit_telemetry",
-    "telemetry_records",
     "unit_seed",
     "unit_telemetry",
 ]
@@ -62,14 +62,28 @@ class WorkUnit:
     unit_id: str
     fn: Callable[..., Any]
     kwargs: Mapping[str, Any] = field(default_factory=dict)
+    #: Set by :func:`~repro.fleet.runner.run_grid` when a consumer
+    #: reads unit telemetry: :meth:`run` then passes ``fn`` a fresh
+    #: session as ``telemetry`` and exports it into the (dict) value.
+    with_telemetry: bool = False
 
     def __post_init__(self) -> None:
         if not self.unit_id:
             raise ValueError("unit_id must be non-empty")
 
     def run(self) -> Any:
-        """Execute the unit in the current process."""
-        return self.fn(**dict(self.kwargs))
+        """Execute the unit in the current process.
+
+        With ``with_telemetry``, the session's records land under the
+        value's ``"telemetry"`` key, where :func:`unit_telemetry` and
+        the live view read them.
+        """
+        if not self.with_telemetry:
+            return self.fn(**dict(self.kwargs))
+        session = Telemetry()
+        value = self.fn(telemetry=session, **dict(self.kwargs))
+        value["telemetry"] = telemetry_records(session)
+        return value
 
 
 @dataclass(frozen=True)
@@ -118,41 +132,25 @@ def merge_results(
 # Telemetry merge
 # ----------------------------------------------------------------------
 
-def telemetry_records(telemetry: Any) -> List[Dict]:
-    """A telemetry session as parsed JSONL records (picklable/JSONable).
-
-    Workers cannot ship a live :class:`~repro.telemetry.Telemetry`
-    session across the process boundary (tracers hold open spans and
-    monotonic-clock state), so they export it to the archival JSONL
-    record form and return that with their unit value.
-    """
-    from repro.telemetry import read_jsonl, write_jsonl
-
-    buffer = io.StringIO()
-    write_jsonl(telemetry, buffer)
-    buffer.seek(0)
-    return read_jsonl(buffer)
-
-
 def unit_telemetry(
-    results: Sequence[UnitResult], key: str = "telemetry"
+    results: Sequence[UnitResult],
 ) -> List[Tuple[str, List[Dict]]]:
     """Extract per-unit telemetry records from unit result dicts.
 
-    Units that collect telemetry return it under ``key`` inside their
-    (dict) value; units without the key contribute nothing.
+    Units that collected telemetry carry it under the ``"telemetry"``
+    key of their (dict) value; units without the key contribute
+    nothing.
     """
     pairs: List[Tuple[str, List[Dict]]] = []
     for result in results:
-        if isinstance(result.value, dict) and key in result.value:
-            pairs.append((result.unit_id, list(result.value[key])))
+        if isinstance(result.value, dict) and "telemetry" in result.value:
+            pairs.append((result.unit_id, list(result.value["telemetry"])))
     return pairs
 
 
 def merge_unit_telemetry(
     results: Sequence[UnitResult],
     path_or_file: Optional[Any] = None,
-    key: str = "telemetry",
 ) -> List[Dict]:
     """Merge every unit's telemetry into one canonical session log.
 
@@ -162,4 +160,4 @@ def merge_unit_telemetry(
     """
     from repro.telemetry.exporters import merge_jsonl
 
-    return merge_jsonl(unit_telemetry(results, key=key), path_or_file)
+    return merge_jsonl(unit_telemetry(results), path_or_file)

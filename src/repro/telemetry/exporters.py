@@ -17,6 +17,7 @@ Three sinks for one :class:`repro.telemetry.Telemetry` session:
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -141,6 +142,20 @@ def read_jsonl(path_or_file) -> List[Dict]:
     finally:
         if owned:
             handle.close()
+
+
+def telemetry_records(telemetry) -> List[Dict]:
+    """A session as the parsed records of its JSONL export.
+
+    The picklable, JSONable form of a live session: fleet units ship
+    their telemetry across the process boundary this way, and the
+    profiler reads a live run through it so that run and its archived
+    log profile the same by construction.
+    """
+    buffer = io.StringIO()
+    write_jsonl(telemetry, buffer)
+    buffer.seek(0)
+    return read_jsonl(buffer)
 
 
 def merge_jsonl(per_unit, path_or_file=None) -> List[Dict]:

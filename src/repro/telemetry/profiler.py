@@ -29,7 +29,6 @@ across runs and ``--jobs`` levels** — that is what CI diffs.  Exports:
 
 from __future__ import annotations
 
-import io
 from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 __all__ = [
@@ -162,12 +161,9 @@ def profile_telemetry(telemetry: Any) -> ProfileNode:
     Round-trips the session through the JSONL exporter so the profile
     of a live run and of its archived log are the same by construction.
     """
-    from repro.telemetry.exporters import read_jsonl, write_jsonl
+    from repro.telemetry.exporters import telemetry_records
 
-    buffer = io.StringIO()
-    write_jsonl(telemetry, buffer)
-    buffer.seek(0)
-    return build_profile(read_jsonl(buffer))
+    return build_profile(telemetry_records(telemetry))
 
 
 def iter_nodes(

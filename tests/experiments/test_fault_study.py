@@ -32,7 +32,7 @@ from repro.workloads.mixes import paper_mixes
 
 @pytest.fixture(scope="module")
 def outcomes():
-    return run_fault_study(mix_index=0, n_slices=12, seed=7)
+    return run_fault_study(mix_indices=(0,), n_slices=12, seed=7)
 
 
 class TestAcceptance:

@@ -26,6 +26,8 @@ from repro.fleet import (
     merge_unit_telemetry,
     run_grid,
 )
+from repro.telemetry import Telemetry
+from repro.telemetry.exporters import telemetry_records
 from repro.telemetry.live import LiveAggregator
 
 HAVE_FORK = "fork" in mp.get_all_start_methods()
@@ -205,34 +207,145 @@ class TestStudyStreaming:
         assert states == {"done"}
 
 
+def session_unit(unit_id: str, telemetry=None) -> dict:
+    """A grid cell that records into the session it is handed, if any."""
+    value = {"had_session": telemetry is not None}
+    if telemetry is not None:
+        telemetry.counter("unit.runs").inc()
+        telemetry.counter(f"unit.{unit_id}").inc(2)
+        value["own_records"] = telemetry_records(telemetry)
+    return value
+
+
+def session_units(n: int):
+    return [
+        WorkUnit(f"unit-{i}", session_unit, {"unit_id": f"unit-{i}"})
+        for i in range(n)
+    ]
+
+
 class TestRunGrid:
+    """The fleet owns per-unit telemetry: cells take ``telemetry``."""
+
+    def test_no_consumer_opens_no_session(self):
+        outcome = run_grid("grid-test", session_units(2), seed=7, context={})
+        assert len(outcome.results) == 2
+        for value in outcome.values():
+            assert value == {"had_session": False}
+
     @pytest.mark.parametrize("case", ["merged-only", "live-only", "both"])
-    def test_consumers_collect_unit_telemetry(self, case):
+    def test_consumer_exports_each_units_session(self, case):
         merged = [] if case in ("merged-only", "both") else None
         live = LiveAggregator() if case != "merged-only" else None
-        collected = []
-
-        def units(collect):
-            collected.append(collect)
-            return make_units(3)
-
         outcome = run_grid(
-            "grid-test", units, seed=7, context={},
+            "grid-test", session_units(3), seed=7, context={},
             merged_telemetry=merged, live=live,
         )
-        assert collected == [True]
+        for i, value in enumerate(outcome.values()):
+            assert value["had_session"]
+            # The exported records are exactly the session the unit
+            # received, and each unit got a fresh one.
+            assert value["telemetry"] == value["own_records"]
+            names = {
+                rec["name"] for rec in value["telemetry"]
+                if rec["type"] == "counter"
+            }
+            assert names == {"unit.runs", f"unit.unit-{i}"}
         if merged is not None:
             assert merged == merge_unit_telemetry(outcome.results)
         if live is not None:
             assert live.counter_totals["unit.runs"] == 3
 
-    def test_no_consumer_skips_unit_telemetry(self):
-        collected = []
+    @needs_fork
+    def test_parallel_units_export_their_sessions(self):
+        merged = []
+        serial = run_grid(
+            "grid-test", session_units(4), seed=7, context={},
+            merged_telemetry=[],
+        )
+        parallel = run_grid(
+            "grid-test", session_units(4), seed=7, context={}, jobs=2,
+            merged_telemetry=merged,
+        )
+        assert parallel.values() == serial.values()
+        assert merged == merge_unit_telemetry(serial.results)
 
-        def units(collect):
-            collected.append(collect)
-            return make_units(2)
 
-        outcome = run_grid("grid-test", units, seed=7, context={})
-        assert collected == [False]
-        assert len(outcome.results) == 2
+def _grid_units(name: str):
+    """One cheap unit of each experiment grid's builder."""
+    if name == "ablations":
+        from repro.experiments.ablations import ablation_units
+        return ablation_units(0, 2, 7)[:1]
+    if name == "chaos":
+        from repro.experiments.chaos_study import chaos_units
+        return chaos_units((7,), (0,), ("sensor-noise",), (2000,),
+                           n_slices=3, cooldown=2, load=0.7, cap=0.7)
+    if name == "cluster":
+        from repro.experiments.cluster_study import cluster_units
+        return cluster_units(2, 7)[:1]
+    if name == "faults":
+        from repro.experiments.fault_study import fault_study_units
+        from repro.faults import scenario_by_name
+        return fault_study_units(
+            (0,), 0.7, 0.7, 2, 7, (scenario_by_name("sensor-noise", seed=7),)
+        )[:1]
+    if name == "fig5c":
+        from repro.experiments.fig5c_powercaps import fig5c_units
+        return fig5c_units((0,), (0.7,), 2, 0.8, 7)
+    if name == "fig8":
+        from repro.experiments.fig8_dynamic import fig8_units
+        return fig8_units(("b",), 0, 2, 7)
+    if name == "scalability":
+        from repro.experiments.scalability import scalability_units
+        return scalability_units((16,), 0.6, 0.8, 2, 7)[:1]
+    raise ValueError(name)
+
+
+GRIDS = (
+    "ablations", "chaos", "cluster", "faults", "fig5c", "fig8",
+    "scalability",
+)
+
+
+class TestGridCells:
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_cell_runs_with_a_fleet_session(self, name):
+        merged = []
+        outcome = run_grid(
+            name, _grid_units(name), seed=7, context={},
+            merged_telemetry=merged,
+        )
+        (value,) = outcome.values()
+        assert value["telemetry"]
+        assert merged == merge_unit_telemetry(outcome.results)
+        assert any(rec["type"] == "counter" for rec in merged)
+
+    @pytest.mark.parametrize("name", ["chaos", "faults"])
+    def test_outcome_independent_of_fleet_session(self, name):
+        """The cells that need counters open their own session only
+        when the fleet passes none; the outcome is the same either way."""
+        (unit,) = _grid_units(name)
+        bare = unit.run()
+        session = Telemetry()
+        kept = unit.fn(telemetry=session, **dict(unit.kwargs))
+        assert "telemetry" not in bare and "telemetry" not in kept
+        assert kept == bare
+        assert session.metrics.as_dict()["counters"]
+
+    @pytest.mark.parametrize("module, runner", [
+        ("ablations", "run_ablation_matrix"),
+        ("chaos_study", "run_chaos_study"),
+        ("cluster_study", "run_cluster_study"),
+        ("fault_study", "run_fault_study"),
+        ("fig5c_powercaps", "run_fig5c"),
+        ("fig8_dynamic", "run_fig8_grid"),
+        ("scalability", "run_scalability"),
+    ])
+    def test_misspelt_fleet_keyword_raises(self, module, runner):
+        import importlib
+
+        run = getattr(
+            importlib.import_module(f"repro.experiments.{module}"), runner
+        )
+        with pytest.raises(TypeError, match="checkpont"):
+            run(checkpont="grid.ckpt")
