@@ -3,7 +3,7 @@
 
 Runs the fixed set of CuttleSys runs defined in
 ``tests/experiments/test_decision_corpus.py`` (mixes 0-4 for 30 quanta,
-one faulted run, one run under a decision budget) and rewrites
+one faulted run, two runs under a decision budget) and rewrites
 ``tests/experiments/golden/decision_corpus.jsonl`` with one canonical
 record per decision quantum.
 

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -89,6 +91,9 @@ LOAD_GRID: Tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(1, 11))
 #: so anything this small is numerical residue, not a live signal.
 POWER_READING_EPS_W = 1e-9
 
+#: A design-space explorer: DDS (CuttleSys) or the GA ablation.
+Searcher = Union[DDSSearch, GeneticSearch]
+
 #: One ingest call's memo of known-row population statistics, keyed by
 #: (matrix identity, column); None marks too few known rows to test.
 PopulationStats = Dict[Tuple[int, int], Optional[Tuple[float, float]]]
@@ -99,6 +104,20 @@ log = get_logger("core.controller")
 def nearest_load_bucket(load: float) -> float:
     """Snap a fractional load onto :data:`LOAD_GRID`."""
     return min(LOAD_GRID, key=lambda b: abs(b - load))
+
+
+def _assignment(
+    lc: Sequence[Tuple[int, JointConfig]],
+    batch_configs: Sequence[Optional[JointConfig]],
+) -> Assignment:
+    """An assignment from (cores, config) per LC service, primary first."""
+    (cores, config), *extra = lc
+    return Assignment(
+        lc_cores=cores,
+        lc_config=config if cores > 0 else None,
+        batch_configs=tuple(batch_configs),
+        extra_lc=tuple(LCAllocation(cores=n, config=c) for n, c in extra),
+    )
 
 
 def _diagnostics_state(diag: Any) -> Optional[Dict[str, Any]]:
@@ -217,7 +236,7 @@ class DecisionPrediction:
 
 @dataclass(frozen=True)
 class LCRegimeSnapshot:
-    """One LC service's reconstructed latency row behind a decision.
+    """One LC service's choice in a decision, and the row behind it.
 
     ``latency_row`` is the reconstructed p99 across all 108 joint
     configurations at the regime (load bucket, core count) the decision
@@ -232,9 +251,25 @@ class LCRegimeSnapshot:
     bucket: float
     #: Core count the service was allocated.
     cores: int
+    #: Joint configuration chosen for those cores.
+    config: JointConfig
+    #: Reconstructed per-core power of ``config`` (watts).
+    power_w: float
+    #: Reconstructed p99 of ``config`` (seconds); NaN on cold start.
+    p99_s: float
+    #: Whether the service reclaimed a core from the batch jobs.
+    reclaimed: bool
     latency_row: Optional[np.ndarray]
-    #: Joint-configuration index actually chosen (None if zero cores).
-    chosen_index: Optional[int]
+
+    def provenance(self) -> Dict[str, Any]:
+        """The provenance record's ``lc`` entry for this service."""
+        return {
+            "service": self.service_idx,
+            "load": float(self.load),
+            "cores": int(self.cores),
+            "config": int(self.config.index) if self.cores > 0 else None,
+            "reclaimed": bool(self.reclaimed),
+        }
 
 
 @dataclass(frozen=True)
@@ -388,8 +423,9 @@ class ResourceController(Snapshottable):
         #: Predicted outcomes of the most recent :meth:`decide`.
         self.last_prediction: Optional[DecisionPrediction] = None
         #: Reconstructed matrices behind the most recent :meth:`decide`
-        #: (None before the first decision and in safe mode, where no
-        #: trusted reconstruction backs the assignment).
+        #: (None before the first decision and after the fallback modes
+        #: — safe mode, last_good, fair_share — where no trusted
+        #: reconstruction backs the assignment).
         self.last_reconstruction: Optional[ReconstructionSnapshot] = None
 
         # Graceful-degradation state (docs/robustness.md).  The
@@ -453,25 +489,23 @@ class ResourceController(Snapshottable):
         self._latency_evidence: Dict[Regime, set] = {}
 
         self._reconstructor = PQReconstructor(config.sgd)
-        if config.explorer == "dds":
-            self._searcher = DDSSearch(config.dds)
-        else:
-            self._searcher = GeneticSearch(config.ga)
-        self._reconstructor.tracer = self.tracer
-        self._searcher.tracer = self.tracer
-
-        # Virtual-time deadline metering (docs/robustness.md): the
-        # reconstructor and searcher charge their operation counts
-        # against this budget; exhaustion walks the degradation ladder
-        # in decide().  The reduced searcher is rung 1 (DDS only).
-        self.budget = DecisionBudget(config.decision_budget)
-        self._reconstructor.budget = self.budget
-        self._searcher.budget = self.budget
+        self._searcher: Searcher
         self._reduced_searcher: Optional[DDSSearch] = None
         if config.explorer == "dds":
+            self._searcher = DDSSearch(config.dds)
+            # Rung 1 of the degradation ladder (DDS only).
             self._reduced_searcher = DDSSearch(reduced_dds_params(config.dds))
-            self._reduced_searcher.tracer = self.tracer
-            self._reduced_searcher.budget = self.budget
+        else:
+            self._searcher = GeneticSearch(config.ga)
+
+        # Virtual-time deadline metering (docs/robustness.md): the
+        # reconstructor and searchers charge their operation counts
+        # against this budget; exhaustion walks the degradation ladder
+        # in decide().
+        self.budget = DecisionBudget(config.decision_budget)
+        for phase in self._metered():
+            phase.tracer = self.tracer
+            phase.budget = self.budget
         #: True while the most recent decide() took a degradation rung;
         #: the accuracy auditor attributes that quantum's QoS
         #: violations to the deadline_degraded cause.
@@ -505,11 +539,17 @@ class ResourceController(Snapshottable):
         :class:`~repro.telemetry.tracer.Tracer`.
         """
         self.tracer = tracer  # repro: noqa[SNAP701]
-        self._reconstructor.tracer = tracer  # repro: noqa[SNAP701]
-        self._searcher.tracer = tracer  # repro: noqa[SNAP701]
-        reduced = self._reduced_searcher
-        if reduced is not None:
-            reduced.tracer = tracer
+        for phase in self._metered():
+            phase.tracer = tracer
+
+    def _metered(self) -> Tuple[Union[PQReconstructor, Searcher], ...]:
+        """The phases that record spans and charge the decision budget."""
+        phases: List[Union[PQReconstructor, Searcher]] = [
+            self._reconstructor, self._searcher,
+        ]
+        if self._reduced_searcher is not None:
+            phases.append(self._reduced_searcher)
+        return tuple(phases)
 
     def _count(self, name: str, n: int = 1) -> None:
         """Increment a session counter, if a session is attached."""
@@ -524,12 +564,16 @@ class ResourceController(Snapshottable):
         """The attached session's flight recorder, if recording."""
         return getattr(self.telemetry, "provenance", None)
 
-    def _budget_meter(
+    def budget_meter(
         self,
         full_cost: Optional[int] = None,
         reduced_cost: Optional[int] = None,
     ) -> Dict[str, Any]:
-        """The deadline meter's readings at this point in the decision."""
+        """The deadline meter's readings, plus any search costs quoted.
+
+        The provenance record's ``budget`` section and the server's
+        ``ladder`` query both read it.
+        """
         meter: Dict[str, Any] = {
             "limit": self.budget.limit,
             "spent": int(self.budget.spent),
@@ -540,6 +584,13 @@ class ResourceController(Snapshottable):
         if reduced_cost is not None:
             meter["reduced_search_cost"] = int(reduced_cost)
         return meter
+
+    def safety(self) -> Dict[str, Any]:
+        """Safe-mode and quarantine posture (provenance and ``ladder``)."""
+        return {
+            "safe_mode": self.in_safe_mode,
+            "quarantined_jobs": int(np.count_nonzero(self._quarantine > 0)),
+        }
 
     def _emit_provenance(self, record: Dict[str, Any]) -> None:
         """Stamp and store one quantum's provenance record.
@@ -559,12 +610,7 @@ class ResourceController(Snapshottable):
             "type": "provenance",
             "quantum": int(quantum),
             "rungs": list(self._rungs_this_quantum),
-            "safety": {
-                "safe_mode": bool(self._safe_mode_remaining > 0),
-                "quarantined_jobs": int(
-                    np.count_nonzero(self._quarantine > 0)
-                ),
-            },
+            "safety": self.safety(),
             **record,
         }
         if recorder.record(full):
@@ -666,10 +712,11 @@ class ResourceController(Snapshottable):
     def _apply_job_mask(self, assignment: Assignment) -> Assignment:
         """Force vacant slots' configurations off in ``assignment``.
 
-        Used by the decision paths that reuse cached assignments
-        (safe mode, last-known-good, fair share), which may predate a
-        :meth:`remove_job`.  Gating only ever removes load, so every
-        power/way feasibility argument still holds.
+        :meth:`_commit` applies it to every decision: the search
+        proposes configurations for vacant slots, and the fallback
+        modes' cached assignments may predate a :meth:`remove_job`.
+        Gating only ever removes load, so every power/way feasibility
+        argument still holds.
         """
         if all(self._job_active):
             return assignment
@@ -936,24 +983,16 @@ class ResourceController(Snapshottable):
                 self._observe(self._power_matrix, row, joint.index, power,
                               stats=stats)
 
-        lc_blocks = [
-            (0, assignment.lc_cores, assignment.lc_config,
-             measurement.lc_load, measurement.lc_p99,
-             measurement.lc_core_power),
-        ]
-        for idx, alloc in enumerate(assignment.extra_lc, start=1):
-            lc_blocks.append(
-                (
-                    idx,
-                    alloc.cores,
-                    alloc.config,
-                    measurement.extra_lc_loads[idx - 1],
-                    measurement.extra_lc_p99[idx - 1],
-                    measurement.extra_lc_core_power[idx - 1],
-                )
-            )
-        for idx, cores, config, lc_load, p99, core_power in lc_blocks:
-            if cores <= 0 or config is None or p99 <= 0:
+        lc_blocks = zip(
+            assignment.lc_allocations(),
+            (measurement.lc_load, *measurement.extra_lc_loads),
+            (measurement.lc_p99, *measurement.extra_lc_p99),
+            (measurement.lc_core_power, *measurement.extra_lc_core_power),
+        )
+        for idx, ((cores, config), lc_load, p99, core_power) in enumerate(
+            lc_blocks
+        ):
+            if config is None or p99 <= 0:
                 continue
             bucket = nearest_load_bucket(lc_load)
             matrix = self._latency_matrix(bucket, cores, idx)
@@ -982,7 +1021,8 @@ class ResourceController(Snapshottable):
         """Pick the next quantum's assignment from current knowledge.
 
         ``extra_loads`` carries the load estimate of each LC service
-        beyond the first on multi-service machines.
+        beyond the first on multi-service machines.  Every mode leaves
+        through :meth:`_commit`.
         """
         if max_power <= 0:
             raise ValueError("max_power must be positive")
@@ -1000,14 +1040,11 @@ class ResourceController(Snapshottable):
         if self.config.hardened:
             self._tick_quarantine()
             if self._update_safe_mode():
-                assignment = self._apply_job_mask(
-                    self._conservative_assignment(CACHE_ALLOCS[0])
+                return self._commit(
+                    "safe_mode",
+                    self._conservative_assignment(CACHE_ALLOCS[0]),
+                    (None, None), {},
                 )
-                self._emit_provenance({
-                    "mode": "safe_mode",
-                    "budget": self._budget_meter(),
-                })
-                return assignment
 
         with self.tracer.span("sgd", category="controller"):
             bips_hat = self._reconstructor.reconstruct(self._bips_matrix)
@@ -1020,132 +1057,33 @@ class ResourceController(Snapshottable):
             )
 
         with self.tracer.span("lc_scan", category="controller"):
-            loads = [load, *extra_loads]
-            selections = []
-            predicted_p99 = []
-            lc_snapshots: List[LCRegimeSnapshot] = []
-            lc_entries: List[Dict[str, Any]] = []
-            # The paper relocates at most one core per timeslice; with
-            # several services the most recently violating one wins it.
-            reclaim_available = True
-            for idx in range(self.n_services):
-                previous_cores = self.lc_cores_by_service[idx]
-                (joint, cores, watts, reclaimed, p99_hat,
-                 latency_row) = self._select_lc(
-                    loads[idx],
-                    power_hat[self._lc_power_row(idx)],
-                    service_idx=idx,
-                    allow_reclaim=reclaim_available,
-                )
-                if reclaimed:
-                    reclaim_available = False
-                    self._count("controller.core_reclamations")
-                    log.info(
-                        "service %d reclaims a core (now %d): QoS "
-                        "predicted unreachable at load %.2f",
-                        idx, cores, loads[idx],
-                    )
-                elif cores < previous_cores:
-                    self._count("controller.core_yields")
-                    log.info(
-                        "service %d yields a core back to batch (now %d)",
-                        idx, cores,
-                    )
-                selections.append((joint, cores, watts))
-                predicted_p99.append(p99_hat)
-                lc_snapshots.append(LCRegimeSnapshot(
-                    service_idx=idx,
-                    load=loads[idx],
-                    bucket=nearest_load_bucket(loads[idx]),
-                    cores=cores,
-                    latency_row=latency_row,
-                    chosen_index=joint.index if cores > 0 else None,
-                ))
-                lc_entries.append({
-                    "service": idx,
-                    "load": float(loads[idx]),
-                    "cores": int(cores),
-                    "config": int(joint.index) if cores > 0 else None,
-                    "reclaimed": bool(reclaimed),
-                })
-            lc_joint, lc_cores, lc_power = selections[0]
+            lcs = self._scan_lc([load, *extra_loads], power_hat)
+        record: Dict[str, Any] = {
+            "reconstruction": {"bips": bips_diag, "power": power_diag},
+            "lc": [lc.provenance() for lc in lcs],
+        }
+
+        mode, searcher, costs = self._price_search()
+        if searcher is None:
+            # Rung 2 re-serves the last assignment known good, else the
+            # last one requested; rung 3, with neither, the fair share.
+            return self._commit(
+                mode,
+                self.last_good_assignment
+                or self._last_assignment
+                or self._conservative_assignment(None),
+                costs, record,
+            )
 
         batch_bips = bips_hat[self.n_train:self.n_train + self.n_batch]
         batch_power = power_hat[self.n_train:self.n_train + self.n_batch]
-        # Reconstructions are fresh arrays each quantum, so the
-        # snapshot can hold views without copying.
-        self.last_reconstruction = ReconstructionSnapshot(
-            batch_bips=batch_bips,
-            batch_power=batch_power,
-            lc=tuple(lc_snapshots),
-        )
-
-        # Degradation ladder (docs/robustness.md): the reconstructions
-        # above already charged the budget; price the search before
-        # running it and step down a rung when it does not fit.  The
-        # prices quoted here land in the provenance record's budget
-        # section so `repro explain` can show why a rung was taken.
-        searcher = self._searcher
-        search_label = self.config.explorer
-        full_cost: Optional[int] = None
-        reduced_cost: Optional[int] = None
-        if self.budget.limited and self._reduced_searcher is not None:
-            full_cost = dds_search_cost(
-                self.config.dds, self._last_x is not None
-            )
-            if not self.budget.can_afford(full_cost):
-                reduced_cost = dds_search_cost(
-                    self._reduced_searcher.params, self._last_x is not None
-                )
-                if self.budget.can_afford(reduced_cost):
-                    searcher = self._reduced_searcher
-                    search_label = "reduced_dds"
-                    self._degradation_rung("reduced_dds")
-                elif (
-                    self.last_good_assignment is not None
-                    or self._last_assignment is not None
-                ):
-                    assignment = self._apply_job_mask(
-                        self._deadline_last_good_assignment()
-                    )
-                    self._emit_provenance({
-                        "mode": "last_good",
-                        "budget": self._budget_meter(
-                            full_cost, reduced_cost
-                        ),
-                        "reconstruction": {
-                            "bips": bips_diag, "power": power_diag,
-                        },
-                        "lc": lc_entries,
-                    })
-                    return assignment
-                else:
-                    self._degradation_rung("fair_share")
-                    assignment = self._apply_job_mask(
-                        self._conservative_assignment(None)
-                    )
-                    self._emit_provenance({
-                        "mode": "fair_share",
-                        "budget": self._budget_meter(
-                            full_cost, reduced_cost
-                        ),
-                        "reconstruction": {
-                            "bips": bips_diag, "power": power_diag,
-                        },
-                        "lc": lc_entries,
-                    })
-                    return assignment
-
-        total_lc_cores = sum(cores for _, cores, _ in selections)
-        batch_cores = self.machine.params.n_cores - total_lc_cores
+        batch_cores = self.machine.params.n_cores - sum(lc.cores for lc in lcs)
         time_share = min(1.0, batch_cores / self.n_batch)
         reserved_power = (
-            sum(watts * cores for _, cores, watts in selections)
+            sum(lc.power_w * lc.cores for lc in lcs)
             + self.machine.power.llc_power()
         )
-        reserved_ways = sum(
-            joint.cache_ways for joint, cores, _ in selections if cores > 0
-        )
+        reserved_ways = sum(lc.config.cache_ways for lc in lcs if lc.cores > 0)
         target_power = max_power * (1.0 - self.config.power_headroom)
         objective = SystemObjective(
             bips=batch_bips,
@@ -1207,40 +1145,11 @@ class ResourceController(Snapshottable):
                     configs[j] = JointConfig(
                         pinned.core, configs[j].cache_ways
                     )
-        if not all(self._job_active):
-            # Vacant slots never execute: gate them off no matter what
-            # the search proposed for them.
-            configs = [
-                cfg if self._job_active[j] else None
-                for j, cfg in enumerate(configs)
-            ]
-        assignment = Assignment(
-            lc_cores=lc_cores,
-            lc_config=lc_joint if lc_cores > 0 else None,
-            batch_configs=tuple(configs),
-            extra_lc=tuple(
-                LCAllocation(cores=cores, config=joint)
-                for joint, cores, _ in selections[1:]
-            ),
-        )
-        self.last_prediction = self._predict_assignment(
-            assignment, batch_bips, batch_power, predicted_p99,
-            reserved_power, batch_cores, time_share,
-        )
-        self.lc_cores_by_service = [cores for _, cores, _ in selections]
-        self._last_assignment = assignment
         if recorder is not None:
             chosen_power, chosen_ways, _, _ = classify_candidates(
                 objective, x[None, :]
             )
-            self._emit_provenance({
-                "mode": (
-                    "reduced_dds" if search_label == "reduced_dds"
-                    else "normal"
-                ),
-                "budget": self._budget_meter(full_cost, reduced_cost),
-                "reconstruction": {"bips": bips_diag, "power": power_diag},
-                "lc": lc_entries,
+            record.update({
                 "power": {
                     "max_power_w": float(max_power),
                     "target_power_w": float(target_power),
@@ -1248,7 +1157,9 @@ class ResourceController(Snapshottable):
                     "reserved_power_w": float(reserved_power),
                 },
                 "search": {
-                    "searcher": search_label,
+                    "searcher": (
+                        self.config.explorer if mode == "normal" else mode
+                    ),
                     "evaluations": int(result.evaluations),
                     **candidate_provenance(
                         objective, result.explored, recorder.top_k
@@ -1264,6 +1175,87 @@ class ResourceController(Snapshottable):
                     "ways": float(chosen_ways[0]),
                 },
             })
+        return self._commit(
+            mode,
+            _assignment([(lc.cores, lc.config) for lc in lcs], configs),
+            costs, record,
+            predict=lambda ran: self._predict_assignment(
+                ran, batch_bips, batch_power, [lc.p99_s for lc in lcs],
+                reserved_power, batch_cores, time_share,
+            ),
+            # Reconstructions are fresh arrays each quantum, so the
+            # snapshot can hold views without copying.
+            reconstruction=ReconstructionSnapshot(
+                batch_bips=batch_bips, batch_power=batch_power, lc=lcs,
+            ),
+        )
+
+    def _scan_lc(
+        self, loads: Sequence[float], power_hat: np.ndarray
+    ) -> Tuple[LCRegimeSnapshot, ...]:
+        """Choose every LC service's cores and configuration (§VI-A).
+
+        The paper relocates at most one core per timeslice; with
+        several services the first to miss QoS in scan order wins it.
+        """
+        choices: List[LCRegimeSnapshot] = []
+        reclaim_available = True
+        for idx, load in enumerate(loads):
+            previous_cores = self.lc_cores_by_service[idx]
+            choice = self._select_lc(
+                load,
+                power_hat[self._lc_power_row(idx)],
+                service_idx=idx,
+                allow_reclaim=reclaim_available,
+            )
+            if choice.reclaimed:
+                reclaim_available = False
+                self._count("controller.core_reclamations")
+                log.info(
+                    "service %d reclaims a core (now %d): QoS "
+                    "predicted unreachable at load %.2f",
+                    idx, choice.cores, load,
+                )
+            elif choice.cores < previous_cores:
+                self._count("controller.core_yields")
+                log.info(
+                    "service %d yields a core back to batch (now %d)",
+                    idx, choice.cores,
+                )
+            choices.append(choice)
+        return tuple(choices)
+
+    def _commit(
+        self,
+        mode: str,
+        assignment: Assignment,
+        costs: Tuple[Optional[int], Optional[int]],
+        record: Dict[str, Any],
+        predict: Optional[Callable[[Assignment], DecisionPrediction]] = None,
+        reconstruction: Optional[ReconstructionSnapshot] = None,
+    ) -> Assignment:
+        """The one exit of :meth:`decide`, whatever the mode.
+
+        Gates vacant slots off, stores the decision state and emits the
+        quantum's provenance record: ``mode``, the budget meter with
+        the ladder's quoted ``costs``, then ``record``'s sections.
+        ``predict`` maps the gated assignment, the one that runs, to
+        its prediction.  The fallback modes pass neither it nor a
+        ``reconstruction``: no trusted reconstruction backs their
+        assignment, so it is paired with no prediction rather than a
+        stale one, and the accuracy auditor counts the quantum as
+        unaudited.
+        """
+        assignment = self._apply_job_mask(assignment)
+        self.last_prediction = None if predict is None else predict(assignment)
+        self.last_reconstruction = reconstruction
+        self._last_assignment = assignment
+        self.lc_cores_by_service = [
+            cores for cores, _ in assignment.lc_allocations()
+        ]
+        self._emit_provenance(
+            {"mode": mode, "budget": self.budget_meter(*costs), **record}
+        )
         return assignment
 
     # ------------------------------------------------------------------
@@ -1361,22 +1353,10 @@ class ResourceController(Snapshottable):
             batch if j < budget_jobs else None
             for j in range(self.n_batch)
         ]
-        lc_cores = self.lc_cores_by_service[0]
-        assignment = Assignment(
-            lc_cores=lc_cores,
-            lc_config=conservative if lc_cores > 0 else None,
-            batch_configs=tuple(configs),
-            extra_lc=tuple(
-                LCAllocation(cores=cores, config=conservative)
-                for cores in self.lc_cores_by_service[1:]
-            ),
+        return _assignment(
+            [(cores, conservative) for cores in self.lc_cores_by_service],
+            configs,
         )
-        # No trusted reconstruction backs this decision: pair it with
-        # no prediction rather than a stale one.
-        self.last_prediction = None
-        self.last_reconstruction = None
-        self._last_assignment = assignment
-        return assignment
 
     # ------------------------------------------------------------------
     # Deadline degradation ladder (docs/robustness.md).
@@ -1394,28 +1374,39 @@ class ResourceController(Snapshottable):
             self.budget.spent, self.budget.limit, rung,
         )
 
-    def _deadline_last_good_assignment(self) -> Assignment:
-        """Degradation rung 2: re-serve the last assignment known good.
+    def _price_search(
+        self,
+    ) -> Tuple[str, Optional[Searcher], Tuple[Optional[int], Optional[int]]]:
+        """Pick this quantum's mode on the degradation ladder.
 
-        Falls back to the most recently *requested* assignment when no
-        slice has come back clean yet.  No trusted reconstruction backs
-        the decision, so the prediction and reconstruction snapshots
-        are cleared — the accuracy auditor counts the quantum as
-        unaudited and attributes its QoS violations to the deadline.
+        The reconstructions already charged the budget; the search is
+        priced before it runs, and the ladder steps down a rung when it
+        does not fit (docs/robustness.md).  Returns the mode, the
+        searcher to run — None on ``last_good`` and ``fair_share``,
+        which serve without one — and the (full, reduced) search costs
+        quoted.  The costs land in the provenance record's budget
+        section, so ``repro explain`` can show why a rung was taken.
         """
-        self._degradation_rung("last_good")
-        assignment = self.last_good_assignment
-        if assignment is None:
-            assignment = self._last_assignment
-        if assignment is None:  # pragma: no cover - guarded by decide()
-            raise RuntimeError("no previous assignment to degrade to")
-        self.last_prediction = None
-        self.last_reconstruction = None
-        self._last_assignment = assignment
-        self.lc_cores_by_service = [
-            cores for cores, _ in assignment.lc_allocations()
-        ]
-        return assignment
+        reduced = self._reduced_searcher
+        if not self.budget.limited or reduced is None:
+            return "normal", self._searcher, (None, None)
+        warm = self._last_x is not None
+        full_cost = dds_search_cost(self.config.dds, warm)
+        if self.budget.can_afford(full_cost):
+            return "normal", self._searcher, (full_cost, None)
+        reduced_cost = dds_search_cost(reduced.params, warm)
+        searcher: Optional[Searcher] = None
+        if self.budget.can_afford(reduced_cost):
+            mode, searcher = "reduced_dds", reduced
+        elif (
+            self.last_good_assignment is not None
+            or self._last_assignment is not None
+        ):
+            mode = "last_good"
+        else:
+            mode = "fair_share"
+        self._degradation_rung(mode)
+        return mode, searcher, (full_cost, reduced_cost)
 
     def _predict_assignment(
         self,
@@ -1460,18 +1451,14 @@ class ResourceController(Snapshottable):
         lc_power_row: np.ndarray,
         service_idx: int = 0,
         allow_reclaim: bool = True,
-    ) -> Tuple[JointConfig, int, float, bool, float, Optional[np.ndarray]]:
+    ) -> LCRegimeSnapshot:
         """Choose one LC service's configuration and core count.
 
-        Returns ``(config, cores, power, reclaimed, predicted_p99,
-        latency_row)`` (§VI-A, §VIII-D3); ``allow_reclaim`` arbitrates
-        the one-core-per-timeslice relocation budget among multiple
-        services.  ``predicted_p99`` is the reconstructed tail latency
-        of the chosen configuration and ``latency_row`` the full
-        reconstructed row it was read from (both NaN/None on the
-        cold-start path, where the controller runs conservative
-        without a prediction — the accuracy auditor skips such
-        regimes).
+        §VI-A, §VIII-D3; ``allow_reclaim`` arbitrates the
+        one-core-per-timeslice relocation budget among multiple
+        services.  On the cold-start path the controller runs
+        conservative without a prediction: the choice's p99 is NaN and
+        its latency row None, so the accuracy auditor skips the regime.
         """
         service = self.machine.lc_services[service_idx]
         bucket = nearest_load_bucket(load)
@@ -1479,13 +1466,16 @@ class ResourceController(Snapshottable):
         lc_cores = self.lc_cores_by_service[service_idx]
         conservative = JointConfig(CoreConfig.widest(), CACHE_ALLOCS[-1])
 
-        if not self._has_latency_observation(bucket, lc_cores, service_idx):
+        if not self._latency_observations(bucket, lc_cores, service_idx):
             # Cold start at this (load, core count): run wide with the
             # full cache allocation; predictions become available once
             # one slice has been measured.
-            return conservative, lc_cores, float(
-                lc_power_row[conservative.index]
-            ), False, math.nan, None
+            return LCRegimeSnapshot(
+                service_idx=service_idx, load=load, bucket=bucket,
+                cores=lc_cores, config=conservative,
+                power_w=float(lc_power_row[conservative.index]),
+                p99_s=math.nan, reclaimed=False, latency_row=None,
+            )
 
         # Memoise the per-core-count latency reconstructions: the scan,
         # the downgrade fallback and the final prediction record all
@@ -1538,8 +1528,7 @@ class ResourceController(Snapshottable):
             # unreachable does the controller reclaim one core per
             # timeslice (§VI-A).
             choice = self._safest_downgrade(
-                bucket, lc_cores, lc_power_row, qos, service_idx,
-                latency=predict(lc_cores),
+                predict(lc_cores), lc_power_row, qos
             )
             if choice is None:
                 if allow_reclaim:
@@ -1570,23 +1559,20 @@ class ResourceController(Snapshottable):
             ):
                 lc_cores -= 1
                 choice = fewer_choice
-        lc_power = float(lc_power_row[choice.index])
         latency_row = predict(lc_cores)
-        predicted_p99 = float(latency_row[choice.index])
-        return choice, lc_cores, lc_power, reclaimed, predicted_p99, latency_row
+        return LCRegimeSnapshot(
+            service_idx=service_idx, load=load, bucket=bucket,
+            cores=lc_cores, config=choice,
+            power_w=float(lc_power_row[choice.index]),
+            p99_s=float(latency_row[choice.index]), reclaimed=reclaimed,
+            latency_row=latency_row,
+        )
 
+    @staticmethod
     def _safest_downgrade(
-        self,
-        bucket: float,
-        n_cores: int,
-        lc_power_row: np.ndarray,
-        qos: float,
-        service_idx: int = 0,
-        latency: Optional[np.ndarray] = None,
+        latency: np.ndarray, lc_power_row: np.ndarray, qos: float
     ) -> Optional[JointConfig]:
         """Lowest-latency config that meets raw QoS and saves power."""
-        if latency is None:
-            latency = self._predict_latency(bucket, n_cores, service_idx)
         wide_power = lc_power_row[
             JointConfig(CoreConfig.widest(), CACHE_ALLOCS[-1]).index
         ]
@@ -1610,12 +1596,6 @@ class ResourceController(Snapshottable):
             return 0
         matrix = self._latency_matrices[key]
         return matrix.observed_count(matrix.n_rows - 1)
-
-    def _has_latency_observation(
-        self, bucket: float, n_cores: int, service_idx: int = 0
-    ) -> bool:
-        """Whether the service has any measurement at this regime."""
-        return self._latency_observations(bucket, n_cores, service_idx) > 0
 
     def _qos_guard(
         self, bucket: float, n_cores: int, service_idx: int = 0

@@ -399,21 +399,13 @@ class QuantumDriver(Snapshottable):
     def ladder_state(self) -> Dict[str, Any]:
         """Degradation-ladder posture for the ``ladder`` query."""
         controller = self.policy.controller
-        budget = controller.budget
         return {
             "degraded_quanta": self.stepper.run.degraded_quanta,
             "deadline_degraded_quantum": bool(
                 controller.deadline_degraded_quantum
             ),
-            "budget": {
-                "limit": budget.limit,
-                "spent": int(budget.spent),
-                "remaining": budget.remaining(),
-            },
-            "safe_mode": bool(controller._safe_mode_remaining > 0),
-            "quarantined_jobs": int(
-                np.count_nonzero(controller._quarantine > 0)
-            ),
+            "budget": controller.budget_meter(),
+            **controller.safety(),
         }
 
     def describe(self) -> Dict[str, Any]:

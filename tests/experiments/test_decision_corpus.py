@@ -5,9 +5,11 @@ against the committed corpus ``golden/decision_corpus.jsonl``: one
 canonical JSON record per decision quantum (the load, the budget, the
 controller's prediction, the assignment that ran and its measured
 tail latency and power).  The runs are mixes 0-4 for 30 quanta each,
-one hardened run under injected faults and one under a starved
-decision budget, so the corpus covers the normal, sanitising and
-deadline-ladder paths.
+one hardened run under injected faults and two under a decision
+budget, so the corpus covers the normal and sanitising paths and
+three rungs of the deadline ladder: ``deadline`` (budget 2000) reaches
+``reduced_dds``, and ``starved`` (budget 100) reaches ``last_good``
+and ``fair_share``.
 
 Regenerate the corpus only for an intended change of decisions::
 
@@ -48,6 +50,8 @@ FAULTS = (
     "stuck_power:start=14,end=18"
 )
 DECISION_BUDGET = 2000
+#: Too small for any search: the ladder serves from its fallback rungs.
+STARVED_BUDGET = 100
 
 
 def _runs() -> Iterator[Tuple[str, int, Optional[ControllerConfig], Any]]:
@@ -58,6 +62,9 @@ def _runs() -> Iterator[Tuple[str, int, Optional[ControllerConfig], Any]]:
     )
     yield "deadline", 1, ControllerConfig(
         seed=SEED, decision_budget=DECISION_BUDGET
+    ), None
+    yield "starved", 1, ControllerConfig(
+        seed=SEED, decision_budget=STARVED_BUDGET
     ), None
 
 

@@ -180,6 +180,65 @@ class TestRunIntegration:
         ]
 
 
+#: Decision budget and warm-up decisions that put the next decide()
+#: in each mode.  Safe mode follows one rejected sample, since the
+#: controllers here enter it after a single bad quantum.
+MODE_SETUPS = {
+    "normal": (None, 0),
+    "reduced_dds": (2000, 0),
+    "fair_share": (100, 0),  # cold start: nothing to re-serve yet
+    "last_good": (100, 1),   # re-serves the fair share decided first
+    "safe_mode": (None, 0),
+}
+STAMP = {"type", "quantum", "mode", "rungs", "safety", "budget"}
+UNSEARCHED = STAMP | {"reconstruction", "lc"}
+SEARCHED = UNSEARCHED | {"power", "search", "power_fallback", "chosen"}
+MODE_SECTIONS = {
+    "safe_mode": STAMP,
+    "last_good": UNSEARCHED,
+    "fair_share": UNSEARCHED,
+    "reduced_dds": SEARCHED,
+    "normal": SEARCHED,
+}
+
+
+class TestDecisionModes:
+    @pytest.mark.parametrize("mode", sorted(MODE_SECTIONS))
+    def test_every_mode_commits_one_record(self, mode):
+        budget, warmup = MODE_SETUPS[mode]
+        machine = build_machine_for_mix(paper_mixes()[0], seed=7)
+        controller = CuttleSysPolicy.for_machine(
+            machine, seed=7,
+            config=ControllerConfig(
+                seed=7, decision_budget=budget, safe_mode_after=1
+            ),
+        ).controller
+        telemetry = Telemetry()
+        controller.attach_telemetry(telemetry)
+        max_power = 0.7 * machine.reference_max_power()
+        for _ in range(warmup):
+            controller.decide(0.8, max_power)
+        if mode == "safe_mode":
+            controller._rejections_this_quantum = 1
+        controller.remove_job(3)
+        before = len(telemetry.provenance.records)
+
+        assignment = controller.decide(0.8, max_power)
+
+        records = telemetry.provenance.records[before:]
+        assert [r["mode"] for r in records] == [mode]
+        assert set(records[0]) == MODE_SECTIONS[mode]
+        searched = MODE_SECTIONS[mode] == SEARCHED
+        assert (controller.last_prediction is not None) == searched
+        assert (controller.last_reconstruction is not None) == searched
+        # Every mode gates the vacant slot and stores what it decided.
+        assert assignment.batch_configs[3] is None
+        assert controller._last_assignment == assignment
+        assert controller.lc_cores_by_service == [
+            cores for cores, _ in assignment.lc_allocations()
+        ]
+
+
 class TestRenderExplain:
     def test_report_covers_the_causal_chain(self):
         telemetry = Telemetry()
