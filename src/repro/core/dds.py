@@ -8,11 +8,19 @@ with ``n_threads`` logical searchers that share a global best point at a
 per-iteration barrier, each thread group using a different perturbation
 radius ``r`` so threads do not explore the same neighbourhood (§VI-B).
 
-The implementation evaluates all threads' candidate points of a step as
-one vectorised batch when the objective provides ``evaluate_batch``
-(see :class:`repro.core.objective.SystemObjective`) — the moral
-equivalent of the paper's multi-threaded C++, and what keeps the search
-in the low-millisecond range of Table II.
+Each iteration runs in ``rounds_per_iteration`` rounds.  In a round
+every thread draws ``points_per_iteration / rounds_per_iteration``
+perturbations of its current best point, all threads' candidates are
+scored as one vectorised batch when the objective provides
+``evaluate_batch`` (see :class:`repro.core.objective.SystemObjective`),
+and each thread moves to its best candidate if it improves.  The
+default, one round, is the *population step*: 16 threads x 10 points in
+one batch per iteration, 40 batches per search — the moral equivalent
+of the paper's multi-threaded C++, and what keeps the search in the
+low-millisecond range of Table II.  ``rounds_per_iteration ==
+points_per_iteration`` is Alg. 2's sequential step (one point per
+thread per round, 400 batches per search), kept as the reference; both
+spend the same evaluations.
 
 The decision vector has one dimension per batch job; each dimension's
 value is a joint-configuration index in ``[0, n_confs)``, and every
@@ -20,11 +28,11 @@ dimension is searched (the LC service enters the objective as a
 reservation, not as a pinned dimension).  Out-of-range perturbations
 are *reflected* about the violated bound (Alg. 2 lines 14-15).
 
-The inner loop runs ``max_iter * points_per_iteration`` times per
-search, so each perturbation works in place on one float array, and
-draws the RNG in a fixed order and shape (dimension subset, forced
-dimensions when a thread chose none, steps): a given seed always
-yields the same search.
+The round loop runs ``max_iter * rounds_per_iteration`` times per
+search.  Each round's perturbation works in place on one thread-major
+float array and draws the RNG in a fixed order and shape (dimension
+subset, forced dimensions when a candidate chose none, steps): a given
+seed and round count always yield the same search.
 """
 
 from __future__ import annotations
@@ -50,6 +58,14 @@ class DDSParams:
     points_per_iteration: int = 10
     max_iter: int = 40
     n_threads: int = 16
+    #: Rounds each thread's ``points_per_iteration`` points are drawn
+    #: in.  A round perturbs the thread's current best point
+    #: ``points_per_iteration / rounds_per_iteration`` times and scores
+    #: every thread's candidates in one batch.  1 (the default) is the
+    #: population step: one batch of ``n_threads * points_per_iteration``
+    #: candidates per iteration.  ``points_per_iteration`` is Alg. 2's
+    #: sequential step: one candidate per thread per round.
+    rounds_per_iteration: int = 1
 
     def __post_init__(self) -> None:
         if self.initial_random_points <= 0:
@@ -64,6 +80,14 @@ class DDSParams:
             raise ValueError("max_iter must exceed 1")
         if self.n_threads <= 0:
             raise ValueError("n_threads must be positive")
+        if (
+            self.rounds_per_iteration <= 0
+            or self.points_per_iteration % self.rounds_per_iteration
+        ):
+            raise ValueError(
+                "rounds_per_iteration must be a positive divisor of "
+                "points_per_iteration"
+            )
 
 
 @dataclass
@@ -170,8 +194,12 @@ class DDSSearch:
             ]
             for t in range(params.n_threads)
         ])
-        # Per-thread step scale of the perturbation (line 13).
-        scale = radii[:, None] * n_confs
+        # A round's candidates are thread-major: thread t's are rows
+        # first[t] .. first[t] + per_round - 1 of the batch.
+        per_round = params.points_per_iteration // params.rounds_per_iteration
+        first = np.arange(params.n_threads) * per_round
+        # Per-candidate step scale of the perturbation (line 13).
+        scale = np.repeat(radii, per_round)[:, None] * n_confs
 
         for iteration in range(1, params.max_iter + 1):
             # Perturbation probability shrinks with iteration (line 10).
@@ -179,14 +207,19 @@ class DDSSearch:
             prob = max(prob, 1.0 / n_dims)
             local_x = np.repeat(best_x[None, :], params.n_threads, axis=0)
             local_val = np.full(params.n_threads, best_val)
-            for _ in range(params.points_per_iteration):
+            for _ in range(params.rounds_per_iteration):
                 new_x = self._perturb_batch(
-                    local_x, prob, scale, n_confs, rng
+                    np.repeat(local_x, per_round, axis=0), prob, scale,
+                    n_confs, rng,
                 )
                 new_val = evaluate_many(new_x)
-                improved = new_val > local_val
-                np.copyto(local_x, new_x, where=improved[:, None])
-                np.copyto(local_val, new_val, where=improved)
+                # Each thread keeps its best candidate if it improves.
+                pick = first + np.argmax(
+                    new_val.reshape(params.n_threads, per_round), axis=1
+                )
+                improved = new_val[pick] > local_val
+                np.copyto(local_x, new_x[pick], where=improved[:, None])
+                np.copyto(local_val, new_val[pick], where=improved)
             # Barrier: thread 0 aggregates (lines 18-21).
             top = int(np.argmax(local_val))
             if local_val[top] > best_val:
@@ -206,17 +239,18 @@ class DDSSearch:
         n_confs: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Perturb each thread's point on a random dimension subset.
+        """Perturb each row's point on a random dimension subset.
 
-        ``scale`` is each thread's step scale, ``radius * n_confs``, as
-        a column.  Out-of-range values are reflected about the violated
-        bound.  The RNG is drawn in a fixed order: the dimension subset,
-        then (only when some thread chose no dimension) the forced
-        dimensions, then the steps.
+        A row is one candidate; ``scale`` is each row's step scale,
+        ``radius * n_confs`` of its thread, as a column.  Out-of-range
+        values are reflected about the violated bound.  The RNG is
+        drawn in a fixed order: the dimension subset, then (only when
+        some row chose no dimension) the forced dimensions, then the
+        steps.
         """
         shape = local_x.shape
         chosen = rng.random(shape) < prob
-        # Every thread must perturb at least one dimension (Alg. 2).
+        # Every candidate perturbs at least one dimension (Alg. 2).
         empty = np.flatnonzero(~chosen.any(axis=1))
         if empty.size:
             chosen[empty, rng.integers(0, shape[1], size=empty.size)] = True

@@ -107,8 +107,10 @@ class DecisionBudget(Snapshottable):
 #: (the known rows of one (service, load bucket, cores) matrix, in
 #: ``ResourceController._latency_matrix``).  The build is array
 #: arithmetic, not SGD iterations or candidate evaluations, so it is
-#: priced in their currency: ~2.4 ms per 19-row build divided by ~6 us
-#: per metered operation (docs/robustness.md, "Pricing a regime build").
+#: priced in their currency: ~2.4 ms per 19-row build divided by the
+#: ~6 us a metered operation took when it was set.  Batched DDS brought
+#: an operation to ~2 us; the price is not yet recalibrated
+#: (docs/robustness.md, "Pricing a regime build").
 REGIME_BUILD_COST = 400
 
 
@@ -117,9 +119,11 @@ def dds_search_cost(params: "DDSParams", seeded: bool) -> int:
 
     The initial random population, the optional seeded point (the
     previous quantum's decision), then ``max_iter`` barrier iterations
-    of ``points_per_iteration`` steps across ``n_threads`` logical
-    searchers.  Deterministic by construction — DDS never early-exits —
-    so the ladder can price a search before running it.
+    in which each of ``n_threads`` logical searchers evaluates
+    ``points_per_iteration`` candidates, however many rounds
+    (``rounds_per_iteration``) it draws them in.  Deterministic by
+    construction — DDS never early-exits — so the ladder can price a
+    search before running it.
     """
     return (
         params.initial_random_points
@@ -134,12 +138,20 @@ def reduced_dds_params(params: "DDSParams") -> "DDSParams":
     A deterministic ~70x shrink of the configured search (default
     6450 → 91 evaluations): fewer random starts, fewer logical
     threads, shallower iteration schedule.  Floors keep every field
-    inside :class:`~repro.core.dds.DDSParams` validation range.
+    inside :class:`~repro.core.dds.DDSParams` validation range.  The
+    round count is clamped to the largest divisor of the halved
+    ``points_per_iteration`` it does not exceed, so the sequential
+    step stays sequential and one round stays one round.
     """
+    points = max(1, params.points_per_iteration // 2)
+    rounds = min(params.rounds_per_iteration, points)
+    while points % rounds:
+        rounds -= 1
     return replace(
         params,
         initial_random_points=max(1, params.initial_random_points // 5),
-        points_per_iteration=max(1, params.points_per_iteration // 2),
+        points_per_iteration=points,
         max_iter=max(2, params.max_iter // 10),
         n_threads=max(1, params.n_threads // 4),
+        rounds_per_iteration=rounds,
     )

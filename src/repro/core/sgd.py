@@ -207,17 +207,18 @@ class PQReconstructor:
             rng = np.random.default_rng(params.seed)
             p = rng.normal(0.0, 1.0 / np.sqrt(n_cols), size=(n_cols, rank))
 
-        q = np.zeros((n_rows, rank))
-        for i in range(n_rows):
-            obs = np.nonzero(mask[i])[0]
-            if obs.size == 0:
-                continue
-            design = p[obs]
-            gram = design.T @ design
-            ridge = params.fold_in_ridge * (np.trace(gram) / rank + 1e-12)
-            q[i] = np.linalg.solve(
-                gram + ridge * np.eye(rank), design.T @ centred[i, obs]
-            )
+        # Every row's ridge system, stacked into one solve.  gram[i] is
+        # the sum of p[j] p[j]^T over row i's observed columns j: one
+        # matmul against the columns' outer products.  ``centred`` is
+        # zero off the mask, so a row with no observations has a zero
+        # right-hand side and solves to q = 0.
+        outer = (p[:, :, None] * p[:, None, :]).reshape(n_cols, rank * rank)
+        gram = (mask.astype(float) @ outer).reshape(n_rows, rank, rank)
+        ridge = params.fold_in_ridge * (
+            np.trace(gram, axis1=1, axis2=2) / rank + 1e-12
+        )
+        gram += ridge[:, None, None] * np.eye(rank)
+        q = np.linalg.solve(gram, (centred @ p)[:, :, None])[:, :, 0]
         return q, p
 
     def _refine(
@@ -232,20 +233,29 @@ class PQReconstructor:
         rng = np.random.default_rng(params.seed)
         rows_idx, cols_idx = np.nonzero(mask)
         n_observed = rows_idx.size
+        # The mask is fixed for the whole refinement.
+        counts_row = np.maximum(mask.sum(axis=1, keepdims=True), 1)
+        counts_col = np.maximum(mask.sum(axis=0)[:, None], 1)
 
-        def rmse() -> float:
-            residual = np.where(mask, centred - q @ p.T, 0.0)
-            return float(np.sqrt(np.sum(residual**2) / n_observed))
+        def residual() -> np.ndarray:
+            return np.where(mask, centred - q @ p.T, 0.0)
 
-        last_rmse = rmse()
+        def rmse(err: np.ndarray) -> float:
+            return float(np.sqrt(np.sum(err**2) / n_observed))
+
+        # The residual that scores the factors is the next epoch's
+        # gradient input: both read the same factor state.
+        err = residual()
+        last_rmse = rmse(err)
         iterations = 0
         converged = False
         for iterations in range(1, params.max_iter + 1):
             if params.parallel:
-                self._epoch_parallel(centred, mask, q, p)
+                self._epoch_parallel(err, q, p, counts_row, counts_col)
             else:
                 self._epoch_serial(centred, rows_idx, cols_idx, q, p, rng)
-            current = rmse()
+            err = residual()
+            current = rmse(err)
             if last_rmse - current < params.tol:
                 converged = True
                 last_rmse = min(last_rmse, current)
@@ -278,21 +288,22 @@ class PQReconstructor:
 
     def _epoch_parallel(
         self,
-        centred: np.ndarray,
-        mask: np.ndarray,
+        err: np.ndarray,
         q: np.ndarray,
         p: np.ndarray,
+        counts_row: np.ndarray,
+        counts_col: np.ndarray,
     ) -> None:
         """One lock-free epoch: all updates computed from stale factors.
 
         Every observed entry's gradient uses the factor state from the
         start of the epoch, mirroring HOGWILD workers reading stale
         parameters; the accumulated updates are then applied at once.
+        ``err`` is that state's residual on the observed entries (zero
+        elsewhere); ``counts_row`` (rows x 1) and ``counts_col``
+        (columns x 1) count the observed entries, floored at 1.
         """
         eta = self.params.learning_rate
         lam = self.params.regularization
-        err = np.where(mask, centred - q @ p.T, 0.0)
-        counts_row = np.maximum(mask.sum(axis=1, keepdims=True), 1)
-        counts_col = np.maximum(mask.sum(axis=0)[:, None], 1)
         q += eta * (err @ p / counts_row - lam * q)
         p += eta * (err.T @ q / counts_col - lam * p)

@@ -16,6 +16,9 @@ on useful work, QoS, and the power budget:
   the budget, too high leaves throughput on the table.
 * **dds budget** — DDS iterations vs solution quality (the maxIter
   trade-off discussed in §V/VI).
+* **dds step** — the default population step (each thread's points of
+  an iteration drawn from one point and scored as one batch) vs Alg. 2's
+  sequential step, on the same frozen problem.
 """
 
 from __future__ import annotations
@@ -107,45 +110,55 @@ def _policy_row(
     )
 
 
-def _frozen_search_row(
+def frozen_objective(
     mix_index: int,
     cap: float,
     seed: int,
-    label: str,
     penalty_weight: Optional[float] = None,
-    max_iter: Optional[int] = None,
-) -> AblationRow:
-    """One frozen-problem DDS run (penalty-weight / dds-budget cells).
+) -> SystemObjective:
+    """The frozen batch problem of one mix and power cap.
 
-    For ``penalty_weight`` cells the row carries the predicted
-    instructions + feasibility of the search result; for ``max_iter``
-    cells ``batch_instructions_b`` carries the achieved search
-    *objective* — the matrix keeps one row shape and the renderer
-    labels the difference.
+    True throughput and power rows of the mix's batch jobs; the power
+    budget is the cap's batch share (0.6) of the reference power, and
+    the LC service's 4 LLC ways are reserved.
     """
     mix = paper_mixes()[mix_index]
     machine = build_machine_for_mix(mix, seed=seed)
-    budget = machine.reference_max_power() * cap * 0.6  # batch share
-    bips = throughput_rows(machine.batch_profiles, machine.perf)
-    power = power_rows(machine.batch_profiles, machine.power)
-    objective = SystemObjective(
-        bips=bips,
-        power=power,
-        max_power=budget,
+    return SystemObjective(
+        bips=throughput_rows(machine.batch_profiles, machine.perf),
+        power=power_rows(machine.batch_profiles, machine.power),
+        max_power=machine.reference_max_power() * cap * 0.6,
         max_ways=machine.params.llc_ways - 4.0,
         **(
             {"penalty_power": penalty_weight}
             if penalty_weight is not None else {}
         ),
     )
-    params = (
-        DDSParams(max_iter=max_iter) if max_iter is not None else DDSParams()
-    )
-    result = DDSSearch(params).search(
-        objective, n_dims=bips.shape[0], n_confs=N_JOINT_CONFIGS,
+
+
+def _frozen_search_row(
+    mix_index: int,
+    cap: float,
+    seed: int,
+    label: str,
+    penalty_weight: Optional[float] = None,
+    dds: Optional[DDSParams] = None,
+) -> AblationRow:
+    """One frozen-problem DDS run (penalty-weight / dds-* cells).
+
+    For ``penalty_weight`` cells the row carries the predicted
+    instructions + feasibility of the search result; for cells that
+    set the search's ``dds`` parameters ``batch_instructions_b``
+    carries the achieved search *objective* — the matrix keeps one row
+    shape and the renderer labels the difference.
+    """
+    objective = frozen_objective(mix_index, cap, seed, penalty_weight)
+    bips = objective.bips
+    result = DDSSearch(dds or DDSParams()).search(
+        objective, n_dims=objective.n_jobs, n_confs=N_JOINT_CONFIGS,
         rng=np.random.default_rng(seed),
     )
-    if max_iter is not None:
+    if dds is not None:
         return AblationRow(
             label=label,
             batch_instructions_b=result.best_objective,
@@ -153,6 +166,7 @@ def _frozen_search_row(
             power_violations=0,
         )
     x = result.best_x
+    budget = objective.max_power
     over = max(0.0, objective.total_power(x) - budget)
     return AblationRow(
         label=label,
@@ -160,6 +174,16 @@ def _frozen_search_row(
         qos_violations=0,
         power_violations=int(over > budget * 0.01),
     )
+
+
+#: The two DDS steps of the ``dds-step`` ablation: (label, parameters).
+DDS_STEPS: Dict[str, Tuple[str, DDSParams]] = {
+    "population": ("DDS population step (default)", DDSParams()),
+    "sequential": (
+        "DDS sequential step (Alg. 2)",
+        DDSParams(rounds_per_iteration=DDSParams().points_per_iteration),
+    ),
+}
 
 
 #: (label, ControllerConfig overrides) of the variants that only change
@@ -227,8 +251,12 @@ def _ablation_row(
         )
     if ablation == "dds-budget":
         return _frozen_search_row(
-            mix_index, cap, seed, f"maxIter={value}", max_iter=value
+            mix_index, cap, seed, f"maxIter={value}",
+            dds=DDSParams(max_iter=value),
         )
+    if ablation == "dds-step":
+        label, params = DDS_STEPS[value]
+        return _frozen_search_row(mix_index, cap, seed, label, dds=params)
     raise ValueError(f"unknown ablation variant {ablation}/{value!r}")
 
 
@@ -365,6 +393,7 @@ ABLATION_MATRIX: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("penalty-weight", ("0.25", "2", "16")),
     ("transition-cost", ("50us", "2ms", "10ms")),
     ("dds-budget", ("5", "40", "120")),
+    ("dds-step", tuple(DDS_STEPS)),
 )
 
 #: Per-ablation power cap, matching the standalone ablate_* defaults.
@@ -376,6 +405,7 @@ _ABLATION_CAPS: Dict[str, float] = {
     "penalty-weight": 0.6,
     "transition-cost": 0.6,
     "dds-budget": 0.6,
+    "dds-step": 0.6,
 }
 
 _TRANSITION_SECONDS: Dict[str, float] = {
@@ -478,8 +508,8 @@ def render_ablation_matrix(
 ) -> str:
     """All matrix tables, in :data:`ABLATION_MATRIX` order.
 
-    ``dds-budget`` rows carry the achieved search *objective* in the
-    instructions column, so that table gets its own heading.
+    ``dds-budget`` and ``dds-step`` rows carry the achieved search
+    *objective* in the instructions column, so their headings say so.
     """
     titles = {
         "inference": "inference: SGD vs oracle",
@@ -489,6 +519,7 @@ def render_ablation_matrix(
         "penalty-weight": "power-penalty weight (frozen search)",
         "transition-cost": "reconfiguration transition cost",
         "dds-budget": "DDS iteration budget (objective, frozen search)",
+        "dds-step": "DDS step (objective, frozen search)",
     }
     sections = []
     for ablation, _variants in ABLATION_MATRIX:

@@ -62,14 +62,10 @@ class CoreConfig:
 
     @classmethod
     def from_index(cls, index: int) -> "CoreConfig":
-        """Inverse of :attr:`index`."""
+        """Inverse of :attr:`index`: the shared :data:`CORE_CONFIGS` entry."""
         if not 0 <= index < N_CORE_CONFIGS:
             raise ValueError(f"core config index out of range: {index}")
-        base = len(SECTION_WIDTHS)
-        ls = SECTION_WIDTHS[index % base]
-        be = SECTION_WIDTHS[(index // base) % base]
-        fe = SECTION_WIDTHS[index // (base * base)]
-        return cls(fe=fe, be=be, ls=ls)
+        return CORE_CONFIGS[index]
 
     @classmethod
     def widest(cls) -> "CoreConfig":
@@ -95,8 +91,13 @@ class CoreConfig:
 
 
 #: All 27 core configurations in dense-index order ({2,2,2} ... {6,6,6}).
+#: ``CoreConfig.from_index`` returns these instances, so the value
+#: objects a controller keeps per quantum are shared, not rebuilt.
 CORE_CONFIGS: Tuple[CoreConfig, ...] = tuple(
-    CoreConfig.from_index(i) for i in range(N_CORE_CONFIGS)
+    CoreConfig(fe, be, ls)
+    for fe in SECTION_WIDTHS
+    for be in SECTION_WIDTHS
+    for ls in SECTION_WIDTHS
 )
 
 
@@ -133,11 +134,10 @@ class JointConfig:
 
     @classmethod
     def from_index(cls, index: int) -> "JointConfig":
-        """Inverse of :attr:`index`."""
+        """Inverse of :attr:`index`: the shared :data:`JOINT_CONFIGS` entry."""
         if not 0 <= index < N_JOINT_CONFIGS:
             raise ValueError(f"joint config index out of range: {index}")
-        core = CoreConfig.from_index(index // N_CACHE_ALLOCS)
-        return cls(core=core, cache_ways=CACHE_ALLOCS[index % N_CACHE_ALLOCS])
+        return JOINT_CONFIGS[index]
 
     @property
     def label(self) -> str:
@@ -150,9 +150,12 @@ class JointConfig:
         return self.label
 
 
-#: All 108 joint configurations in dense-index order.
+#: All 108 joint configurations in dense-index order, shared by
+#: ``JointConfig.from_index`` like :data:`CORE_CONFIGS`.
 JOINT_CONFIGS: Tuple[JointConfig, ...] = tuple(
-    JointConfig.from_index(i) for i in range(N_JOINT_CONFIGS)
+    JointConfig(core, cache_ways)
+    for core in CORE_CONFIGS
+    for cache_ways in CACHE_ALLOCS
 )
 
 

@@ -8,16 +8,18 @@ pin the meter's arithmetic, the ladder's rung accounting, the auditor's
 budget.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.controller import ControllerConfig
-from repro.core.dds import DDSParams
+from repro.core.dds import DDSParams, DDSSearch
 from repro.core.deadline import (
     REGIME_BUILD_COST,
     DecisionBudget,
     dds_search_cost,
     reduced_dds_params,
 )
+from repro.core.objective import SystemObjective
 from repro.core.runtime import CuttleSysPolicy
 from repro.experiments.harness import (
     build_machine_for_mix,
@@ -166,6 +168,37 @@ class TestSearchCost:
         assert tiny.max_iter >= 2
         assert tiny.points_per_iteration >= 1
         assert tiny.n_threads >= 1
+
+    @pytest.mark.parametrize("points, rounds, want", [
+        (10, 1, 1), (10, 10, 5), (10, 5, 5), (10, 2, 1), (12, 4, 3),
+        (8, 8, 4), (1, 1, 1),
+    ])
+    def test_reduced_rounds_stay_a_divisor(self, points, rounds, want):
+        reduced = reduced_dds_params(
+            DDSParams(points_per_iteration=points, rounds_per_iteration=rounds)
+        )
+        assert reduced.rounds_per_iteration == want
+        assert reduced.points_per_iteration % want == 0
+
+    @pytest.mark.parametrize("rounds", [1, 10], ids=["population", "sequential"])
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+    @pytest.mark.parametrize("seeded", [False, True], ids=["cold", "seeded"])
+    def test_search_spends_exactly_its_price(self, rounds, reduced, seeded):
+        params = DDSParams(rounds_per_iteration=rounds)
+        if reduced:
+            params = reduced_dds_params(params)
+        n_dims = 6
+        rng = np.random.default_rng(3)
+        objective = SystemObjective(
+            bips=rng.uniform(0.5, 4.0, (n_dims, N_JOINT_CONFIGS)),
+            power=rng.uniform(1.0, 5.0, (n_dims, N_JOINT_CONFIGS)),
+            max_power=18.0, max_ways=16.0,
+        )
+        result = DDSSearch(params).search(
+            objective, n_dims=n_dims, n_confs=N_JOINT_CONFIGS, rng=rng,
+            initial=np.zeros(n_dims, dtype=int) if seeded else None,
+        )
+        assert result.evaluations == dds_search_cost(params, seeded)
 
 
 class TestRegimeBuildCharge:

@@ -6,6 +6,12 @@ same bits (``np.array_equal``, not ``allclose``) and leave the RNG in
 the same state as the straightforward versions kept here as reference
 oracles, or a seeded run would decide differently.
 
+SGD's refinement reuses each epoch's scoring residual as the next
+epoch's gradient input and must match the per-epoch recomputation bit
+for bit.  Its fold-in solves every row's ridge system in one stacked
+solve; that changes the summation order, so it is held to the per-row
+loop within rounding.
+
 The latency regimes' known rows are array passes over all 108 joint
 configurations (``latency_row``, ``latency_training_rows``,
 ``erlang_c_array``, ``PerformanceModel.bips_rows``); their oracles are
@@ -23,9 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.controller import LOAD_GRID
-from repro.core.dds import DDSSearch
-from repro.core.matrices import latency_row, latency_training_rows
+from repro.core.dds import DDSParams, DDSSearch
+from repro.core.matrices import (
+    ObservedMatrix,
+    latency_row,
+    latency_training_rows,
+)
 from repro.core.objective import SystemObjective
+from repro.core.sgd import PQReconstructor, SGDDiagnostics, SGDParams
 from repro.sim.cache import MissRateCurve
 from repro.sim.coreconfig import JOINT_CONFIGS, N_CORE_CONFIGS, N_JOINT_CONFIGS
 from repro.sim.perf import AppProfile, PerformanceModel
@@ -194,9 +205,10 @@ def controller_objective():
     )
 
 
-#: Expected searches, recorded before the fast paths replaced the
-#: reference arithmetic: (seed, best_x, best_objective, evaluations,
-#: sha256 of the float64 history bytes).
+#: Expected searches of Alg. 2's sequential step
+#: (``rounds_per_iteration == points_per_iteration``), recorded before
+#: the fast paths replaced the reference arithmetic: (seed, best_x,
+#: best_objective, evaluations, sha256 of the float64 history bytes).
 PINNED_SEARCHES = [
     (0, [42, 9, 73, 88, 7, 72, 85, 54, 68, 12, 81, 70, 35, 46, 5, 60],
      4.4188109757483245, 6450,
@@ -210,10 +222,29 @@ PINNED_SEARCHES = [
 ]
 
 
-def test_pinned_controller_shaped_searches():
+#: The same searches with the default population step (one round per
+#: iteration), recorded when it became the default.
+PINNED_POPULATION_SEARCHES = [
+    (0, [57, 75, 43, 65, 55, 72, 85, 55, 74, 0, 25, 72, 6, 52, 5, 72],
+     4.4371105672491336, 6450,
+     "d675ea6ee7e750236e1500cbdc3199f2ff0308e5b87624a4d2c38dc502babfe6"),
+    (1, [42, 104, 43, 65, 95, 92, 85, 55, 74, 0, 53, 72, 6, 69, 62, 72],
+     4.446252365819605, 6450,
+     "191889bd0c81b54fb49f51ddbac9f7ee2c1bcbd1c2b6a938fbd40ef0719d27b5"),
+    (2, [47, 9, 73, 22, 95, 72, 85, 55, 52, 20, 81, 70, 70, 46, 5, 60],
+     4.445857193856236, 6450,
+     "23e81a9fbbe2cc91d8d623280585c3275debe2246ec12c643fc25a3760ff1416"),
+]
+
+
+@pytest.mark.parametrize("params, pinned", [
+    (DDSParams(rounds_per_iteration=10), PINNED_SEARCHES),
+    (DDSParams(), PINNED_POPULATION_SEARCHES),
+], ids=["sequential", "population"])
+def test_pinned_controller_shaped_searches(params, pinned):
     objective = controller_objective()
-    for seed, best_x, best_objective, evaluations, history in PINNED_SEARCHES:
-        result = DDSSearch().search(
+    for seed, best_x, best_objective, evaluations, history in pinned:
+        result = DDSSearch(params).search(
             objective, n_dims=16, n_confs=N_JOINT_CONFIGS,
             rng=np.random.default_rng(seed),
         )
@@ -457,3 +488,138 @@ class TestBipsRow:
         profiles += [service.profile for service in LATENCY_SERVICES]
         want = np.vstack([scalar_bips_row(PERF, p) for p in profiles])
         assert np.array_equal(PERF.bips_rows(profiles), want)
+
+
+# ----------------------------------------------------------------------
+# SGD: the stacked fold-in and the residual-reusing refinement.
+# ----------------------------------------------------------------------
+
+
+def reference_init_factors(params, centred, mask, anchors):
+    """SVD basis, then one ridge solve per observed row."""
+    n_rows, n_cols = centred.shape
+    rank = min(params.rank, n_cols)
+    if anchors.size >= 2:
+        rank = min(rank, anchors.size)
+        _, _, vt = np.linalg.svd(centred[anchors], full_matrices=False)
+        p = vt[:rank].T
+    else:
+        rng = np.random.default_rng(params.seed)
+        p = rng.normal(0.0, 1.0 / np.sqrt(n_cols), size=(n_cols, rank))
+    q = np.zeros((n_rows, rank))
+    for i in range(n_rows):
+        obs = np.nonzero(mask[i])[0]
+        if obs.size == 0:
+            continue
+        design = p[obs]
+        gram = design.T @ design
+        ridge = params.fold_in_ridge * (np.trace(gram) / rank + 1e-12)
+        q[i] = np.linalg.solve(
+            gram + ridge * np.eye(rank), design.T @ centred[i, obs]
+        )
+    return q, p
+
+
+def reference_refine(reconstructor, centred, mask, q, p):
+    """Refinement that recomputes the residual and counts every epoch."""
+    params = reconstructor.params
+    rng = np.random.default_rng(params.seed)
+    rows_idx, cols_idx = np.nonzero(mask)
+    n_observed = rows_idx.size
+    eta, lam = params.learning_rate, params.regularization
+
+    def rmse():
+        residual = np.where(mask, centred - q @ p.T, 0.0)
+        return float(np.sqrt(np.sum(residual**2) / n_observed))
+
+    last_rmse = rmse()
+    iterations = 0
+    converged = False
+    for iterations in range(1, params.max_iter + 1):
+        if params.parallel:
+            err = np.where(mask, centred - q @ p.T, 0.0)
+            counts_row = np.maximum(mask.sum(axis=1, keepdims=True), 1)
+            counts_col = np.maximum(mask.sum(axis=0)[:, None], 1)
+            q += eta * (err @ p / counts_row - lam * q)
+            p += eta * (err.T @ q / counts_col - lam * p)
+        else:
+            reconstructor._epoch_serial(
+                centred, rows_idx, cols_idx, q, p, rng
+            )
+        current = rmse()
+        if last_rmse - current < params.tol:
+            converged = True
+            last_rmse = min(last_rmse, current)
+            break
+        last_rmse = current
+    return SGDDiagnostics(
+        iterations=iterations, observed_rmse=last_rmse, converged=converged
+    )
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Known rows plus sparse runtime rows, some of them unobserved."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_known = draw(st.integers(0, 6))
+    n_sparse = draw(st.integers(1, 8))
+    n_cols = draw(st.sampled_from([5, 27, N_JOINT_CONFIGS]))
+    rng = np.random.default_rng(seed)
+    truth = np.exp(
+        rng.normal(size=(n_known + n_sparse, 2))
+        @ rng.normal(size=(2, n_cols))
+        + rng.normal(0.0, 0.1, (n_known + n_sparse, n_cols))
+    )
+    matrix = ObservedMatrix(n_known + n_sparse, n_cols)
+    for row in range(n_known):
+        matrix.set_known_row(row, truth[row])
+    for row in range(n_known, n_known + n_sparse):
+        for col in rng.choice(n_cols, rng.integers(0, 4), replace=False):
+            matrix.observe(row, int(col), float(truth[row, col]))
+    if not matrix.mask.any():
+        matrix.observe(0, 0, float(truth[0, 0]))
+    return matrix
+
+
+def sgd_problem(reconstructor, matrix):
+    """The centred residuals, mask and anchors ``_reconstruct`` builds."""
+    mask = matrix.mask
+    work = np.zeros_like(matrix.values)
+    np.log(matrix.values, where=mask, out=work)
+    anchors = reconstructor._anchor_rows(mask)
+    _, centred = reconstructor._baseline(work, mask, anchors)
+    return centred, mask, anchors
+
+
+class TestSGDFastPaths:
+    @given(sparse_matrices(), st.sampled_from([1, 3, 5]))
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_fold_in_matches_per_row_solve(self, matrix, rank):
+        reconstructor = PQReconstructor(SGDParams(rank=rank))
+        centred, mask, anchors = sgd_problem(reconstructor, matrix)
+        q, p = reconstructor._init_factors(centred, mask, anchors)
+        want_q, want_p = reference_init_factors(
+            reconstructor.params, centred, mask, anchors
+        )
+        assert np.array_equal(p, want_p)
+        scale = max(1.0, float(np.abs(want_q).max()))
+        np.testing.assert_allclose(q, want_q, rtol=1e-12, atol=1e-12 * scale)
+        # Unobserved rows fold in to exactly zero, as the loop skips them.
+        assert not q[~mask.any(axis=1)].any()
+
+    @given(sparse_matrices(), st.booleans(), st.sampled_from([1e-5, 0.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_refine_bit_identical_to_per_epoch_residual(
+        self, matrix, parallel, tol
+    ):
+        reconstructor = PQReconstructor(SGDParams(parallel=parallel, tol=tol))
+        centred, mask, anchors = sgd_problem(reconstructor, matrix)
+        q, p = reconstructor._init_factors(centred, mask, anchors)
+        # Same memory layout (p is a transposed SVD slice), so BLAS
+        # sums in the same order.
+        want_q, want_p = q.copy(order="K"), p.copy(order="K")
+        got = reconstructor._refine(centred, mask, q, p)
+        want = reference_refine(reconstructor, centred, mask, want_q, want_p)
+        assert got == want
+        assert np.array_equal(q, want_q)
+        assert np.array_equal(p, want_p)

@@ -1,5 +1,6 @@
 """Tests for the reconfigurable-core configuration space."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -42,6 +43,11 @@ class TestCoreConfig:
 
     def test_indices_are_dense(self):
         assert sorted(c.index for c in CORE_CONFIGS) == list(range(27))
+
+    def test_from_index_returns_the_shared_instance(self):
+        for i, config in enumerate(CORE_CONFIGS):
+            assert config.index == i
+            assert CoreConfig.from_index(i) is config
 
     @pytest.mark.parametrize("bad", [0, 1, 3, 5, 7, 8, -2])
     def test_invalid_width_rejected(self, bad):
@@ -86,6 +92,12 @@ class TestJointConfig:
     def test_index_round_trip(self, index):
         joint = JointConfig.from_index(index)
         assert joint.index == index
+
+    def test_from_index_returns_the_shared_instance(self):
+        for i, joint in enumerate(JOINT_CONFIGS):
+            assert JointConfig.from_index(i) is joint
+            assert JointConfig.from_index(np.int64(i)) is joint
+            assert joint.core is CoreConfig.from_index(i // N_CACHE_ALLOCS)
 
     def test_cache_interleaving(self):
         # Cache allocations vary fastest within a core configuration.
