@@ -94,10 +94,6 @@ POWER_READING_EPS_W = 1e-9
 #: A design-space explorer: DDS (CuttleSys) or the GA ablation.
 Searcher = Union[DDSSearch, GeneticSearch]
 
-#: One ingest call's memo of known-row population statistics, keyed by
-#: (matrix identity, column); None marks too few known rows to test.
-PopulationStats = Dict[Tuple[int, int], Optional[Tuple[float, float]]]
-
 log = get_logger("core.controller")
 
 
@@ -742,8 +738,7 @@ class ResourceController(Snapshottable):
     # ------------------------------------------------------------------
 
     def _sample_ok(self, matrix: ObservedMatrix, col: int,
-                   value: float, mad_check: bool = True,
-                   stats: Optional[PopulationStats] = None) -> bool:
+                   value: float, mad_check: bool = True) -> bool:
         """Whether a runtime observation is credible enough to ingest.
 
         Rejects non-finite and negative values outright, then applies a
@@ -760,24 +755,29 @@ class ResourceController(Snapshottable):
         them would hide exactly the QoS violations the reclaim ladder
         must react to.
 
-        ``stats`` memoises each (matrix, column)'s ``(median, scale)``
-        across the samples of one ingest call.  Observations never write
-        the known rows, so the memo cannot go stale within the call.
+        Each column's ``(median, scale)`` is derived once per version of
+        the matrix's known rows (:meth:`_population`).
         """
         if not np.isfinite(value) or value < 0:
             return False
         if not mad_check:
             return True
-        if stats is None:
-            stats = {}
-        key = (id(matrix), col)
-        if key not in stats:
-            stats[key] = self._population_stats(matrix, col)
-        population = stats[key]
+        population = self._population(matrix, col)
         if population is None:
             return True
         med, scale = population
         return abs(value - med) <= self.config.outlier_mad_threshold * scale
+
+    @classmethod
+    def _population(
+        cls, matrix: ObservedMatrix, col: int
+    ) -> Optional[Tuple[float, float]]:
+        """:meth:`_population_stats`, derived once per version of the
+        matrix's known rows (:meth:`ObservedMatrix.derived`)."""
+        return matrix.derived(
+            ("sanitise.population", col),
+            lambda: cls._population_stats(matrix, col),
+        )
 
     @staticmethod
     def _population_stats(
@@ -793,18 +793,16 @@ class ResourceController(Snapshottable):
         return med, max(mad_sigma, abs(med) * 0.5, 1e-12)
 
     def _observe(self, matrix: ObservedMatrix, row: int, col: int,
-                 value: float, mad_check: bool = True,
-                 stats: Optional[PopulationStats] = None) -> bool:
+                 value: float, mad_check: bool = True) -> bool:
         """Ingest one runtime observation, sanitised when hardened.
 
         Returns True if the observation entered the matrix.  Unhardened
         controllers keep the original behaviour: the matrix itself
         raises on non-finite values (the failure mode the fault study's
-        unhardened arm exhibits).  ``stats`` is the calling ingest's
-        memo of population statistics (see :meth:`_sample_ok`).
+        unhardened arm exhibits).
         """
         if self.config.hardened and not self._sample_ok(
-            matrix, col, value, mad_check=mad_check, stats=stats
+            matrix, col, value, mad_check=mad_check
         ):
             self._rejections_this_quantum += 1
             self._count("faults.detected.bad_sample")
@@ -857,38 +855,35 @@ class ResourceController(Snapshottable):
                 "power sensors returned bit-identical samples two quanta "
                 "running; discarding this quantum's power samples"
             )
-        stats: PopulationStats = {}
         for j in range(self.n_batch):
             row = self._batch_row(j)
             self._observe(self._bips_matrix, row, sample.hi_joint_index,
-                          sample.batch_bips_hi[j], stats=stats)
+                          sample.batch_bips_hi[j])
             self._observe(self._bips_matrix, row, sample.lo_joint_index,
-                          sample.batch_bips_lo[j], stats=stats)
+                          sample.batch_bips_lo[j])
             if power_ok:
                 self._observe(self._power_matrix, row,
                               sample.hi_joint_index,
-                              sample.batch_power_hi[j], stats=stats)
+                              sample.batch_power_hi[j])
                 self._observe(self._power_matrix, row,
                               sample.lo_joint_index,
-                              sample.batch_power_lo[j], stats=stats)
+                              sample.batch_power_lo[j])
         if power_ok:
             self._observe(self._power_matrix, self._lc_power_row(0),
-                          sample.hi_joint_index, sample.lc_power_hi,
-                          stats=stats)
+                          sample.hi_joint_index, sample.lc_power_hi)
             self._observe(self._power_matrix, self._lc_power_row(0),
-                          sample.lo_joint_index, sample.lc_power_lo,
-                          stats=stats)
+                          sample.lo_joint_index, sample.lc_power_lo)
             for idx, (hi, lo) in enumerate(
                 zip(sample.extra_lc_power_hi, sample.extra_lc_power_lo),
                 start=1,
             ):
                 self._observe(
                     self._power_matrix, self._lc_power_row(idx),
-                    sample.hi_joint_index, hi, stats=stats,
+                    sample.hi_joint_index, hi,
                 )
                 self._observe(
                     self._power_matrix, self._lc_power_row(idx),
-                    sample.lo_joint_index, lo, stats=stats,
+                    sample.lo_joint_index, lo,
                 )
 
     def _detect_failed_reconfigs(self, ran: Assignment) -> None:
@@ -968,7 +963,6 @@ class ResourceController(Snapshottable):
         batch_cores = self.machine.params.n_cores - assignment.total_lc_cores
         active = assignment.active_batch_indices
         share = min(1.0, batch_cores / len(active)) if active else 0.0
-        stats: PopulationStats = {}
         for j in active:
             joint = assignment.batch_configs[j]
             if share <= 0:
@@ -977,11 +971,9 @@ class ResourceController(Snapshottable):
             bips = measurement.batch_bips[j] / share
             power = measurement.batch_power[j] / share
             if bips > 0:
-                self._observe(self._bips_matrix, row, joint.index, bips,
-                              stats=stats)
+                self._observe(self._bips_matrix, row, joint.index, bips)
             if power > 0:
-                self._observe(self._power_matrix, row, joint.index, power,
-                              stats=stats)
+                self._observe(self._power_matrix, row, joint.index, power)
 
         lc_blocks = zip(
             assignment.lc_allocations(),
@@ -1005,7 +997,7 @@ class ResourceController(Snapshottable):
             if core_power > 0:
                 self._observe(
                     self._power_matrix, self._lc_power_row(idx),
-                    config.index, core_power, stats=stats,
+                    config.index, core_power,
                 )
 
     # ------------------------------------------------------------------

@@ -14,7 +14,17 @@ accuracy experiments (Fig. 5) compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -25,6 +35,8 @@ from repro.snapshot import Codec, Match
 from repro.workloads.latency_critical import LCService, service_time_rows
 from repro.workloads.queueing import p99_latency_rows
 
+T = TypeVar("T")
+
 
 @dataclass
 class ObservedMatrix:
@@ -34,6 +46,11 @@ class ObservedMatrix:
     observed; unobserved entries hold zeros and are ignored by the
     reconstruction.  Known (offline-characterised) rows are fully
     observed.
+
+    ``version`` counts changes to the known rows.  Quantities derived
+    from the known rows alone (the reconstruction's anchor statistics,
+    the sanitiser's population statistics) are memoised per version by
+    :meth:`derived`; the memo is neither copied nor snapshotted.
     """
 
     n_rows: int
@@ -45,6 +62,11 @@ class ObservedMatrix:
     age: np.ndarray = field(init=False)
     #: Rows installed as offline characterisations (never expire).
     known_rows: np.ndarray = field(init=False)
+    #: Bumped by every change to a known row and by snapshot restore.
+    version: int = field(init=False, default=0)
+    _derived: Dict[Hashable, Tuple[int, Any]] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n_rows <= 0 or self.n_cols <= 0:
@@ -65,11 +87,14 @@ class ObservedMatrix:
         self.mask[row] = True
         self.age[row] = 0
         self.known_rows[row] = True
+        self.version += 1
 
     def observe(self, row: int, col: int, value: float) -> None:
         """Record one runtime measurement (later samples overwrite)."""
         if not np.isfinite(value):
             raise ValueError(f"observation must be finite, got {value}")
+        if self.known_rows[row]:
+            self.version += 1
         self.values[row, col] = value
         self.mask[row, col] = True
         self.age[row, col] = 0
@@ -105,6 +130,8 @@ class ObservedMatrix:
 
     def clear_row(self, row: int) -> None:
         """Forget every runtime observation in ``row`` (job churn)."""
+        if self.known_rows[row]:
+            self.version += 1
         self.values[row] = 0.0
         self.mask[row] = False
         self.age[row] = 0
@@ -118,6 +145,21 @@ class ObservedMatrix:
         out.age = self.age.copy()
         out.known_rows = self.known_rows.copy()
         return out
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, computed once per :attr:`version` under ``key``.
+
+        ``build`` must depend on the known rows alone: runtime
+        observations change without bumping the version.  Every caller
+        gets the same value, so an array is made read-only.
+        """
+        hit = self._derived.get(key)
+        if hit is None or hit[0] != self.version:
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            hit = self._derived[key] = (self.version, value)
+        return hit[1]
 
 
 class _RuntimeRows(Codec):
@@ -160,6 +202,7 @@ class _RuntimeRows(Codec):
         current.values[runtime] = values
         current.mask[runtime] = mask
         current.age[runtime] = age
+        current.version += 1
         return current
 
 

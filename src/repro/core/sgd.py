@@ -139,15 +139,27 @@ class PQReconstructor:
             work = np.where(mask, values, 0.0)
 
         anchors = self._anchor_rows(mask)
-        baseline, centred = self._baseline(work, mask, anchors)
-        q, p = self._init_factors(centred, mask, anchors)
+        # When the anchors are exactly the known rows, their column means
+        # and SVD basis are derived once per matrix version.
+        memo = (
+            matrix
+            if anchors.size >= 2
+            and np.array_equal(anchors, np.flatnonzero(matrix.known_rows))
+            else None
+        )
+        baseline, centred = self._baseline(work, mask, anchors, memo)
+        q, p = self._init_factors(centred, mask, anchors, memo)
         diagnostics = self._refine(centred, mask, q, p)
         self.last_diagnostics = diagnostics
 
         estimate = baseline + q @ p.T
         if self.params.log_space:
-            estimate = np.exp(np.clip(estimate, -60.0, 60.0))
-        return np.where(mask, values, estimate)
+            # Observed entries are copied over below; only the missing
+            # ones are exponentiated.
+            np.clip(estimate, -60.0, 60.0, out=estimate)
+            np.exp(estimate, out=estimate, where=~mask)
+        np.copyto(estimate, values, where=mask)
+        return estimate
 
     # ------------------------------------------------------------------
 
@@ -157,14 +169,43 @@ class PQReconstructor:
         return np.nonzero(row_frac >= self.params.anchor_fraction)[0]
 
     def _baseline(
-        self, work: np.ndarray, mask: np.ndarray, anchors: np.ndarray
+        self,
+        work: np.ndarray,
+        mask: np.ndarray,
+        anchors: np.ndarray,
+        memo: Optional[ObservedMatrix] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-configuration mean + shrunk per-application bias.
 
         Column means come from the anchor (offline-characterised) rows
         when available, so sparse runtime rows do not contaminate the
-        population profile at the two heavily-sampled columns.
+        population profile at the two heavily-sampled columns.  When
+        ``memo`` is given its known rows are the anchors, and the means
+        are read from its per-version memo.
         """
+        if memo is None:
+            col_mean = self._column_means(work, mask, anchors)
+        else:
+            col_mean = memo.derived(
+                ("sgd.column_means", self.params),
+                lambda: self._column_means(work, mask, anchors),
+            )
+        col_centred = np.where(mask, work - col_mean[None, :], 0.0)
+        row_count = mask.sum(axis=1)
+        row_bias = col_centred.sum(axis=1) / np.maximum(
+            row_count + self.params.bias_shrinkage, 1e-9
+        )
+        baseline = col_mean[None, :] + row_bias[:, None]
+        centred = np.where(mask, col_centred - row_bias[:, None], 0.0)
+        return baseline, centred
+
+    @staticmethod
+    def _column_means(
+        work: np.ndarray, mask: np.ndarray, anchors: np.ndarray
+    ) -> np.ndarray:
+        """Mean of each column over the anchor rows (every row when
+        fewer than two are anchors); the global mean where a column has
+        no observation."""
         if anchors.size >= 2:
             basis_mask = mask[anchors]
             basis_work = work[anchors]
@@ -179,33 +220,31 @@ class PQReconstructor:
             where=col_count > 0,
         )
         global_mean = basis_work[basis_mask].mean()
-        col_mean = np.where(col_count > 0, col_mean, global_mean)
-        col_centred = np.where(mask, work - col_mean[None, :], 0.0)
-        row_count = mask.sum(axis=1)
-        row_bias = col_centred.sum(axis=1) / np.maximum(
-            row_count + self.params.bias_shrinkage, 1e-9
-        )
-        baseline = col_mean[None, :] + row_bias[:, None]
-        centred = np.where(mask, col_centred - row_bias[:, None], 0.0)
-        return baseline, centred
+        return np.where(col_count > 0, col_mean, global_mean)
 
     def _init_factors(
-        self, centred: np.ndarray, mask: np.ndarray, anchors: np.ndarray
+        self,
+        centred: np.ndarray,
+        mask: np.ndarray,
+        anchors: np.ndarray,
+        memo: Optional[ObservedMatrix] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """SVD of the anchor rows' residuals, ridge fold-in of the rest."""
+        """SVD of the anchor rows' residuals, ridge fold-in of the rest.
+
+        With ``memo`` (whose known rows are the anchors) the basis comes
+        from its per-version memo, copied because :meth:`_refine` updates
+        it in place.  The copy keeps the basis's memory layout, so BLAS
+        sums in the same order as on a fresh SVD.
+        """
         params = self.params
         n_rows, n_cols = centred.shape
-        rank = min(params.rank, n_cols)
-
-        if anchors.size >= 2:
-            rank = min(rank, anchors.size)
-            _, _, vt = np.linalg.svd(centred[anchors], full_matrices=False)
-            p = vt[:rank].T
+        if memo is None:
+            p = self._basis(centred, anchors)
         else:
-            # Degenerate case (no offline-characterised rows): fall
-            # back to a small random basis, as in the original Alg. 1.
-            rng = np.random.default_rng(params.seed)
-            p = rng.normal(0.0, 1.0 / np.sqrt(n_cols), size=(n_cols, rank))
+            p = memo.derived(
+                ("sgd.basis", params), lambda: self._basis(centred, anchors)
+            ).copy(order="K")
+        rank = p.shape[1]
 
         # Every row's ridge system, stacked into one solve.  gram[i] is
         # the sum of p[j] p[j]^T over row i's observed columns j: one
@@ -221,6 +260,20 @@ class PQReconstructor:
         q = np.linalg.solve(gram, (centred @ p)[:, :, None])[:, :, 0]
         return q, p
 
+    def _basis(self, centred: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+        """The configurations' factor basis (columns x rank)."""
+        params = self.params
+        n_cols = centred.shape[1]
+        rank = min(params.rank, n_cols)
+        if anchors.size >= 2:
+            rank = min(rank, anchors.size)
+            _, _, vt = np.linalg.svd(centred[anchors], full_matrices=False)
+            return vt[:rank].T
+        # Degenerate case (no offline-characterised rows): fall back to
+        # a small random basis, as in the original Alg. 1.
+        rng = np.random.default_rng(params.seed)
+        return rng.normal(0.0, 1.0 / np.sqrt(n_cols), size=(n_cols, rank))
+
     def _refine(
         self,
         centred: np.ndarray,
@@ -231,17 +284,21 @@ class PQReconstructor:
         """SGD epochs over the observed entries (Alg. 1)."""
         params = self.params
         rng = np.random.default_rng(params.seed)
-        rows_idx, cols_idx = np.nonzero(mask)
-        n_observed = rows_idx.size
+        n_observed = np.count_nonzero(mask)
         # The mask is fixed for the whole refinement.
+        unobserved = ~mask
         counts_row = np.maximum(mask.sum(axis=1, keepdims=True), 1)
         counts_col = np.maximum(mask.sum(axis=0)[:, None], 1)
 
         def residual() -> np.ndarray:
-            return np.where(mask, centred - q @ p.T, 0.0)
+            err = centred - q @ p.T
+            np.copyto(err, 0.0, where=unobserved)
+            return err
 
         def rmse(err: np.ndarray) -> float:
-            return float(np.sqrt(np.sum(err**2) / n_observed))
+            # np.sum's reduction, without its Python wrapper.
+            total = np.add.reduce(err**2, axis=None)
+            return float(np.sqrt(total / n_observed))
 
         # The residual that scores the factors is the next epoch's
         # gradient input: both read the same factor state.
@@ -253,7 +310,7 @@ class PQReconstructor:
             if params.parallel:
                 self._epoch_parallel(err, q, p, counts_row, counts_col)
             else:
-                self._epoch_serial(centred, rows_idx, cols_idx, q, p, rng)
+                self._epoch_serial(centred, *np.nonzero(mask), q, p, rng)
             err = residual()
             current = rmse(err)
             if last_rmse - current < params.tol:
