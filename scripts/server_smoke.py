@@ -8,12 +8,13 @@ diffs the daemon's decision stream against the committed golden file.
 Any byte of drift fails the job, and so does a final state file above
 ``MAX_STATE_BYTES``.
 
-Usage (from the repository root)::
+Usage, from any working directory (the script finds ``src`` itself)::
 
-    PYTHONPATH=src python scripts/server_smoke.py [OUT_DIR]
+    python scripts/server_smoke.py [OUT_DIR]
 
-OUT_DIR (default ``server_smoke_out``) receives the daemon's state
-file and the decision stream; CI uploads it as an artifact.
+OUT_DIR (default ``server_smoke_out``, relative to the working
+directory) receives the daemon's state file and the decision stream;
+CI uploads it as an artifact.
 """
 
 import os

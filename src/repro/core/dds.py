@@ -29,10 +29,13 @@ reservation, not as a pinned dimension).  Out-of-range perturbations
 are *reflected* about the violated bound (Alg. 2 lines 14-15).
 
 The round loop runs ``max_iter * rounds_per_iteration`` times per
-search.  Each round's perturbation works in place on one thread-major
-float array and draws the RNG in a fixed order and shape (dimension
-subset, forced dimensions when a candidate chose none, steps): a given
-seed and round count always yield the same search.
+search.  A round's perturbation draws the RNG in a fixed order
+(dimension subset, forced dimensions when a candidate chose none, then
+one normal step per chosen entry, in row-major order of the
+thread-major candidate array) and changes only the chosen entries: a
+given seed and round count always yield the same search.  The
+sequential step draws through the same kernel: it is the reference for
+the search algorithm, not for a particular RNG stream.
 """
 
 from __future__ import annotations
@@ -205,23 +208,23 @@ class DDSSearch:
             # Perturbation probability shrinks with iteration (line 10).
             prob = 1.0 - math.log(iteration) / math.log(params.max_iter)
             prob = max(prob, 1.0 / n_dims)
-            local_x = np.repeat(best_x[None, :], params.n_threads, axis=0)
+            local_x = best_x[None, :].repeat(params.n_threads, axis=0)
             local_val = np.full(params.n_threads, best_val)
             for _ in range(params.rounds_per_iteration):
                 new_x = self._perturb_batch(
-                    np.repeat(local_x, per_round, axis=0), prob, scale,
-                    n_confs, rng,
+                    local_x.repeat(per_round, axis=0), prob, scale, n_confs,
+                    rng,
                 )
                 new_val = evaluate_many(new_x)
                 # Each thread keeps its best candidate if it improves.
-                pick = first + np.argmax(
-                    new_val.reshape(params.n_threads, per_round), axis=1
-                )
+                pick = first + new_val.reshape(
+                    params.n_threads, per_round
+                ).argmax(axis=1)
                 improved = new_val[pick] > local_val
                 np.copyto(local_x, new_x[pick], where=improved[:, None])
                 np.copyto(local_val, new_val[pick], where=improved)
             # Barrier: thread 0 aggregates (lines 18-21).
-            top = int(np.argmax(local_val))
+            top = int(local_val.argmax())
             if local_val[top] > best_val:
                 best_val = float(local_val[top])
                 best_x = local_x[top].copy()
@@ -242,25 +245,32 @@ class DDSSearch:
         """Perturb each row's point on a random dimension subset.
 
         A row is one candidate; ``scale`` is each row's step scale,
-        ``radius * n_confs`` of its thread, as a column.  Out-of-range
-        values are reflected about the violated bound.  The RNG is
-        drawn in a fixed order: the dimension subset, then (only when
-        some row chose no dimension) the forced dimensions, then the
-        steps.
+        ``radius * n_confs`` of its thread, as a column.  Only the
+        chosen entries move, each by one normal step, drawn in
+        row-major order; out-of-range values are reflected about the
+        violated bound.  The RNG is drawn in a fixed order: the
+        dimension subset, then (only when some row chose no dimension)
+        the forced dimensions, then one step per chosen entry.
         """
         shape = local_x.shape
         chosen = rng.random(shape) < prob
         # Every candidate perturbs at least one dimension (Alg. 2).
-        empty = np.flatnonzero(~chosen.any(axis=1))
+        empty = (~chosen.any(axis=1)).nonzero()[0]
         if empty.size:
             chosen[empty, rng.integers(0, shape[1], size=empty.size)] = True
-        # Unchosen steps become (signed) zeros, which leave x unchanged.
-        values = scale * rng.standard_normal(shape)
-        values *= chosen
-        values += local_x
+        # Flat indices of the chosen entries, in row-major order.
+        moved = chosen.ravel().nonzero()[0]
+        values = scale.take(moved // shape[1]) * rng.standard_normal(
+            moved.size
+        )
+        values += local_x.take(moved)
+        # Reflect into [0, upper]: below 0 about 0, above upper about
+        # upper (Alg. 2 lines 14-15).
         upper = n_confs - 1
         np.abs(values, out=values)
-        np.subtract(2 * upper, values, out=values, where=values > upper)
-        np.clip(values, 0, upper, out=values)
+        np.minimum(values, 2 * upper - values, out=values)
+        np.maximum(values, 0, out=values)
         np.rint(values, out=values)
-        return values.astype(int)
+        new_x = local_x.astype(int)
+        new_x.put(moved, values)
+        return new_x

@@ -46,27 +46,39 @@ PART_TWO = [
 ]
 
 
-def boot_daemon(tmp_path, tag, resume=False, extra=()):
+def daemon_argv(directory, tag, resume=False, extra=()):
+    """The ``repro serve`` argv of a daemon writing into ``directory``,
+    and its port file.
+
+    The daemon runs with ``cwd=REPO_ROOT``, so every path it is given
+    is resolved against the caller's working directory first.
+    """
+    directory = Path(directory).resolve()
+    port_file = directory / f"{tag}.port"
+    argv = [
+        sys.executable, "-m", "repro", "--seed", str(SEED), "serve",
+        "--mix", str(MIX),
+        "--max-quanta", "50",
+        "--port-file", str(port_file),
+        "--state", str(directory / "daemon_state.json"),
+        "--decisions", str(directory / "daemon_dec.jsonl"),
+        "--whatif-jobs", "1",
+    ]
+    if resume:
+        argv.append("--resume")
+    argv.extend(extra)
+    return argv, port_file
+
+
+def boot_daemon(directory, tag, resume=False, extra=()):
     """Start ``repro serve`` and wait for its port file."""
-    port_file = tmp_path / f"{tag}.port"
+    argv, port_file = daemon_argv(directory, tag, resume, extra)
     if port_file.exists():
         port_file.unlink()
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    argv = [
-        sys.executable, "-m", "repro", "--seed", str(SEED), "serve",
-        "--mix", str(MIX),
-        "--max-quanta", "50",
-        "--port-file", str(port_file),
-        "--state", str(tmp_path / "daemon_state.json"),
-        "--decisions", str(tmp_path / "daemon_dec.jsonl"),
-        "--whatif-jobs", "1",
-    ]
-    if resume:
-        argv.append("--resume")
-    argv.extend(extra)
     proc = subprocess.Popen(argv, cwd=REPO_ROOT, env=env)
     deadline = time.time() + 120
     while time.time() < deadline:
@@ -103,6 +115,22 @@ def golden_bytes():
         "scripts/regen_server_golden.py"
     )
     return GOLDEN.read_bytes()
+
+
+def test_daemon_argv_paths_are_absolute(tmp_path, monkeypatch):
+    # The daemon starts in the repository root; a relative path would
+    # land there instead of under the caller's working directory.
+    monkeypatch.chdir(tmp_path)
+    argv, port_file = daemon_argv("out", "smoke", resume=True)
+    out = tmp_path.resolve() / "out"
+    paths = [
+        argv[i + 1] for i, arg in enumerate(argv)
+        if arg in ("--port-file", "--state", "--decisions")
+    ]
+    assert len(paths) == 3
+    for path in [argv[0], *paths, str(port_file)]:
+        assert Path(path).is_absolute(), path
+    assert all(Path(path).parent == out for path in paths)
 
 
 class TestScriptedSession:
