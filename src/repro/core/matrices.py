@@ -31,7 +31,7 @@ import numpy as np
 from repro.sim.coreconfig import N_JOINT_CONFIGS
 from repro.sim.perf import AppProfile, PerformanceModel
 from repro.sim.power import PowerModel
-from repro.snapshot import Codec, Match
+from repro.snapshot import Codec, Match, SnapshotError
 from repro.workloads.latency_critical import LCService, service_time_rows
 from repro.workloads.queueing import p99_latency_rows
 
@@ -162,15 +162,18 @@ class ObservedMatrix:
         return hit[1]
 
 
-class _RuntimeRows(Codec):
+class _RuntimeEntries(Codec):
     """Snapshot codec of an :class:`ObservedMatrix`: only what the run
-    learned.
+    observed.
 
     Known rows are offline characterisations, a pure function of the
-    configuration, so a snapshot names them (a :class:`Match`) and
-    carries ``values``, ``mask`` and ``age`` of the other rows only.
-    Restore lays those rows over the current matrix, which must already
-    hold the same known rows.
+    configuration, so a snapshot names them (a :class:`Match`).  Of the
+    other rows it carries the observed entries alone: their flat
+    indices (row-major within those rows), values and ages.  That is
+    exact because an unobserved entry always holds value 0 and age 0
+    (``__post_init__``, ``expire`` and ``clear_row`` keep it so).
+    Restore lays the entries over the current matrix, which must
+    already hold the same known rows.
     """
 
     N_ROWS = Match("matrix rows")
@@ -179,13 +182,14 @@ class _RuntimeRows(Codec):
 
     def encode(self, value: ObservedMatrix) -> Dict[str, Any]:
         runtime = ~value.known_rows
+        index = np.flatnonzero(value.mask[runtime])
         return {
             "n_rows": value.n_rows,
             "n_cols": value.n_cols,
             "known_rows": np.flatnonzero(value.known_rows).tolist(),
-            "values": value.values[runtime].tolist(),
-            "mask": value.mask[runtime].tolist(),
-            "age": value.age[runtime].tolist(),
+            "index": index.tolist(),
+            "values": value.values[runtime].ravel()[index].tolist(),
+            "age": value.age[runtime].ravel()[index].tolist(),
         }
 
     def decode(self, data: Any, current: ObservedMatrix) -> ObservedMatrix:
@@ -196,18 +200,29 @@ class _RuntimeRows(Codec):
         )
         runtime = ~current.known_rows
         shape = (int(np.count_nonzero(runtime)), current.n_cols)
-        values = np.asarray(data["values"], dtype=float).reshape(shape)
-        mask = np.asarray(data["mask"], dtype=bool).reshape(shape)
-        age = np.asarray(data["age"], dtype=int).reshape(shape)
-        current.values[runtime] = values
-        current.mask[runtime] = mask
-        current.age[runtime] = age
+        size = shape[0] * shape[1]
+        index = np.asarray(data["index"], dtype=int).reshape(-1)
+        entries = np.asarray(data["values"], dtype=float).reshape(index.shape)
+        ages = np.asarray(data["age"], dtype=int).reshape(index.shape)
+        if index.size and not 0 <= index.min() <= index.max() < size:
+            raise SnapshotError(f"entry index out of range [0, {size})")
+        if np.unique(index).size != index.size:
+            raise SnapshotError("repeated entry index")
+        values = np.zeros(size)
+        mask = np.zeros(size, dtype=bool)
+        age = np.zeros(size, dtype=int)
+        values[index] = entries
+        mask[index] = True
+        age[index] = ages
+        current.values[runtime] = values.reshape(shape)
+        current.mask[runtime] = mask.reshape(shape)
+        current.age[runtime] = age.reshape(shape)
         current.version += 1
         return current
 
 
 #: The one snapshot codec of an :class:`ObservedMatrix`.
-MATRIX = _RuntimeRows()
+MATRIX = _RuntimeEntries()
 
 
 def throughput_rows(

@@ -26,7 +26,7 @@ from repro.sim.machine import (
 from repro.sim.perf import PerformanceModel
 from repro.sim.power import PowerModel
 from repro.snapshot import (
-    FLOAT, INT, RNG, STR, Match, Nested, Seq, Snapshottable, Tup,
+    FLOAT, INT, RNG, STR, History, Match, Nested, Seq, Snapshottable, Tup,
 )
 from repro.telemetry.live import current_emitter
 from repro.telemetry.metrics import DecisionRecord
@@ -88,14 +88,15 @@ def reference_power_for_mix(
 @dataclass
 class PolicyRun(Snapshottable):
     """Everything measured over one policy execution (the snapshot
-    carries what the quantum loop appends to)."""
+    carries what the quantum loop appends to; the per-quantum lists are
+    histories, journaled beside the daemon's state file)."""
 
     SNAPSHOT_FIELDS = {
         "degraded_quanta": INT,
         "churn_events": Seq(Tup(INT, INT, STR)),
-        "loads": Seq(FLOAT),
-        "budgets": Seq(FLOAT),
-        "measurements": Seq(MEASUREMENT),
+        "loads": History(FLOAT),
+        "budgets": History(FLOAT),
+        "measurements": History(MEASUREMENT),
     }
 
     policy_name: str

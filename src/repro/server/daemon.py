@@ -85,7 +85,7 @@ class SchedulerDaemon:
         if config.resume and config.state_path is not None and (
             Path(config.state_path).exists()
         ):
-            self.driver.resume_from(config.state_path)
+            self.driver.resume_from()
         #: What-if pool, shared across every FleetRun the daemon's
         #: lifetime sees: its workers start with the first multi-app
         #: probe and persist until shutdown closes it.

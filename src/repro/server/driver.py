@@ -36,8 +36,8 @@ from repro.experiments.harness import (
 from repro.logs import get_logger
 from repro.server.admission import AdmissionLimits, JobQueueManager
 from repro.snapshot import (
-    FLOAT, INT, STR, Match, Nested, Seq, Snapshottable, Transient,
-    atomic_write_text,
+    FLOAT, STR, History, Journal, Match, Nested, Seq, Snapshottable, Tail,
+    Transient, atomic_write_text,
 )
 from repro.telemetry.live import CallbackSink, LiveEmitter, install_emitter
 from repro.workloads.batch import SPEC_APPS, batch_profile
@@ -51,6 +51,9 @@ __all__ = ["QuantumDriver", "ServerConfig", "SlotLoad"]
 #: negligible, high enough that the queueing model never divides by a
 #: zero arrival rate.
 IDLE_LC_LOAD = 0.05
+
+#: Decision lines kept in memory for the ``decisions`` query.
+DECISION_TAIL = 4096
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -87,8 +90,12 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.max_quanta < 1:
             raise ValueError("max_quanta must be >= 1")
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
+        if not 1 <= self.snapshot_every <= DECISION_TAIL:
+            # A longer gap would drop decision lines from memory before
+            # a snapshot journals them.
+            raise ValueError(
+                f"snapshot_every must be in [1, {DECISION_TAIL}]"
+            )
         if self.quantum_s <= 0:
             raise ValueError("quantum_s must be positive")
 
@@ -114,7 +121,10 @@ class QuantumDriver(Snapshottable):
     """Runs the quantum loop incrementally under control-plane input.
 
     Its snapshot is everything a resume needs; a configuration
-    fingerprint mismatch names the setting that changed.
+    fingerprint mismatch names the setting that changed.  The state
+    file holds what does not grow with the session; the histories (the
+    run's per-quantum lists and the decision lines) go to the journal
+    beside it.
     """
 
     SNAPSHOT_FIELDS = {
@@ -122,8 +132,7 @@ class QuantumDriver(Snapshottable):
         "stepper": Nested(),
         "admission": Nested(),
         "lc_loads": Seq(Nested()),
-        "decision_count": INT,
-        "_decision_tail": Seq(STR),
+        "_decision_tail": History(STR, keep=DECISION_TAIL),
         "snapshots_written": Transient(int),
     }
 
@@ -193,9 +202,11 @@ class QuantumDriver(Snapshottable):
             limits=config.limits,
             telemetry=telemetry,
         )
-        #: Decision-stream lines written so far (count = file lines).
-        self.decision_count = 0
-        self._decision_tail: List[str] = []
+        self._decision_tail = Tail(DECISION_TAIL)
+        self.journal: Optional[Journal] = (
+            Journal(config.state_path)
+            if config.state_path is not None else None
+        )
         self.snapshots_written = 0
         if config.decisions_path is not None and not config.resume:
             # A fresh boot owns the stream file outright.
@@ -364,13 +375,15 @@ class QuantumDriver(Snapshottable):
             "degraded": run.degraded_quanta,
         }
 
+    @property
+    def decision_count(self) -> int:
+        """Decision-stream lines written so far (count = file lines)."""
+        return self._decision_tail.start + len(self._decision_tail)
+
     def _append_decision(self, line: str) -> None:
-        self.decision_count += 1
+        # The in-memory tail backs the `decisions` query; it is bounded
+        # so a long-lived daemon cannot grow without limit.
         self._decision_tail.append(line)
-        # The in-memory tail backs the `decisions` query; bound it so
-        # a long-lived daemon cannot grow without limit.
-        if len(self._decision_tail) > 4096:
-            del self._decision_tail[:-4096]
         if self.config.decisions_path is not None:
             with open(
                 self.config.decisions_path, "a", encoding="utf-8"
@@ -382,15 +395,17 @@ class QuantumDriver(Snapshottable):
     def recent_decisions(
         self, since: int = 0, limit: int = 100
     ) -> List[Dict[str, Any]]:
-        """Decision records with ``quantum >= since`` (bounded tail)."""
-        out: List[Dict[str, Any]] = []
-        for line in self._decision_tail:
-            record = json.loads(line)
-            if record["quantum"] >= since:
-                out.append(record)
-                if len(out) >= limit:
-                    break
-        return out
+        """Decision records with ``quantum >= since`` (bounded tail);
+        at least one when any matches.
+
+        Line ``i`` of the stream is quantum ``i``, so only the returned
+        lines are parsed.
+        """
+        tail = self._decision_tail
+        first = min(len(tail), max(0, since - tail.start))
+        return [
+            json.loads(line) for line in tail[first:first + max(limit, 1)]
+        ]
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -442,30 +457,34 @@ class QuantumDriver(Snapshottable):
         }
 
     def write_snapshot(self) -> None:
-        """Atomically persist everything a resume needs."""
-        path = self.config.state_path
-        if path is None:
+        """Durably persist everything a resume needs: the new history
+        lines to the journal, then the state file atomically."""
+        if self.journal is None:
             return
-        target = Path(path)
+        target = Path(self.config.state_path)
         target.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(
-            target, json.dumps(self.snapshot(), sort_keys=True) + "\n"
-        )
+        state = self.journal.write(self)
+        atomic_write_text(target, json.dumps(state, sort_keys=True) + "\n")
         self.snapshots_written += 1
         if self.telemetry is not None:
             self.telemetry.metrics.counter("server.snapshots").inc()
 
-    def resume_from(self, path: str) -> None:
-        """Restore a snapshot and realign the decision-stream file.
+    def resume_from(self) -> None:
+        """Restore the state file and its journal, and realign the
+        decision-stream file.
 
-        A SIGKILL can land between a decision append and its snapshot;
-        the stream file may then hold lines *beyond* the snapshot.
-        Those quanta re-execute deterministically, so the file is
-        truncated back to ``decision_count`` lines and the replayed
-        lines land byte-identically.
+        A SIGKILL can land between a journal or decision append and the
+        snapshot; the files may then hold lines *beyond* the snapshot.
+        Those quanta re-execute deterministically, so the journal is
+        truncated to the snapshot's line count, the stream file back to
+        ``decision_count`` lines, and the replayed lines land
+        byte-identically.  A journal shorter than the snapshot's count,
+        or with another digest, raises :class:`SnapshotError`.
         """
-        with open(path, "r", encoding="utf-8") as handle:
-            self.restore(json.load(handle))
+        if self.journal is None:
+            raise ValueError("resume needs a state file")
+        with open(self.config.state_path, "r", encoding="utf-8") as handle:
+            self.journal.restore(self, json.load(handle))
         if self.config.decisions_path is not None:
             self._truncate_decisions(self.config.decisions_path)
         log.info(

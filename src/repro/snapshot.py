@@ -9,21 +9,30 @@ leading underscore.  Every snapshot carries ``version``; restore raises
 field, or an identity value (:class:`Match`) another run wrote.  Floats
 round-trip exactly through JSON (shortest ``repr``), so a restored
 object continues bit-exactly.  SNAP701 lints the declarations.
+
+Per-quantum history is declared with :class:`History`.  A snapshot
+walk is self-contained by default; written through a :class:`Journal`,
+each history appends only its new items to the journal beside the
+state file, and the snapshot keeps the history's length instead.
 """
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
+import hashlib
+import json
 import os
 from pathlib import Path
 from typing import (
-    Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple, Type, Union,
+    Any, Callable, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple,
+    Type, Union,
 )
 
 import numpy as np
 
 #: The one schema version every snapshot carries.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 class SnapshotError(ValueError):
@@ -271,6 +280,84 @@ class Transient(Codec):
         self.reset = reset
 
 
+class Tail(list):
+    """The newest ``keep`` items of an append-only history; ``start``
+    counts the older items dropped from its head.  Append only."""
+
+    def __init__(
+        self, keep: int, items: Iterable[Any] = (), start: int = 0
+    ) -> None:
+        super().__init__(items)
+        self.keep = keep
+        self.start = start
+        self._trim()
+
+    def append(self, item: Any) -> None:
+        super().append(item)
+        self._trim()
+
+    def _trim(self) -> None:
+        excess = len(self) - self.keep
+        if excess > 0:
+            del self[:excess]
+            self.start += excess
+
+
+#: The journal the running snapshot walk writes to or reads from.
+#: Codecs take no context, so :meth:`Journal.write` and
+#: :meth:`Journal.restore` set it around their one walk.
+_JOURNAL: "contextvars.ContextVar[Optional[Journal]]" = (
+    contextvars.ContextVar("journal", default=None)
+)
+
+
+class History(Codec):
+    """An append-only list of ``item`` values, or a :class:`Tail` of
+    the newest ``keep`` of them.
+
+    Self-contained it is ``{"length": n, "items": [...]}``, the items
+    held in memory.  Under a :class:`Journal` the walk appends the items
+    not yet journaled and keeps ``{"length": n}``; restore reads the
+    items back from the journal.  :class:`Snapshottable` keys each
+    declared history by class and field name.
+    """
+
+    def __init__(self, item: Codec, keep: Optional[int] = None) -> None:
+        self.item = item
+        self.keep = keep
+        self.key: Optional[str] = None
+
+    def encode(self, value: List[Any]) -> Dict[str, Any]:
+        start = getattr(value, "start", 0)
+        journal = _JOURNAL.get()
+        if journal is not None:
+            journal.append(self, value, start)
+            return {"length": start + len(value)}
+        return {
+            "length": start + len(value),
+            "items": [self.item.encode(v) for v in value],
+        }
+
+    def decode(self, data: Any, current: Any) -> List[Any]:
+        length = int(data["length"])
+        journal = _JOURNAL.get()
+        items = (
+            data["items"] if journal is None else journal.items(self, length)
+        )
+        if len(items) > length or (
+            self.keep is None and len(items) != length
+        ):
+            raise SnapshotError(
+                f"{len(items)} items for a history of {length}"
+            )
+        if self.keep is not None:
+            items = items[max(0, len(items) - self.keep):]
+        values = [self.item.decode(d, None) for d in items]
+        if self.keep is None:
+            return values
+        return Tail(self.keep, values, start=length - len(values))
+
+
 class Snapshottable:
     """Base of every class whose state survives a crash-safe resume.
     Restore walks ``SNAPSHOT_FIELDS`` in order, so :class:`Match`
@@ -279,6 +366,15 @@ class Snapshottable:
     __slots__ = ()
 
     SNAPSHOT_FIELDS: ClassVar[Mapping[str, Codec]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        for attr, codec in vars(cls).get("SNAPSHOT_FIELDS", {}).items():
+            if isinstance(codec, History):
+                key = f"{cls.__name__}.{attr.lstrip('_')}"
+                if codec.key not in (None, key):
+                    raise TypeError(f"{key} reuses the history {codec.key}")
+                codec.key = key
 
     def snapshot(self) -> Dict[str, Any]:
         """JSONable state of every declared field, plus the version."""
@@ -330,3 +426,131 @@ def atomic_write_text(path: Union[str, "os.PathLike[str]"], text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+class Journal:
+    """The append-only file that holds a state file's histories
+    (``<state>.journal.jsonl``, one ``[key, item]`` JSON line per item).
+
+    :meth:`write` runs an object's snapshot walk, appends the items no
+    earlier write journaled with one fsync, and returns the state to
+    persist: each :class:`History` as its length, plus the journal's
+    line count and running sha256 under ``"journal"``.  Append the
+    journal first and replace the state file second: a crash in between
+    leaves orphan lines past the count, which :meth:`restore` drops
+    before it replays the rest into the object's restore walk.
+    """
+
+    def __init__(self, state_path: Union[str, "os.PathLike[str]"]) -> None:
+        self.path = Path(f"{os.fspath(state_path)}.journal.jsonl")
+        self.lines = 0
+        self._size = 0
+        self._sha = hashlib.sha256()
+        #: Items journaled so far, per history key.
+        self._counts: Dict[str, int] = {}
+        self._staged: Dict[str, int] = {}
+        self._pending: List[str] = []
+        self._loaded: Dict[str, List[Any]] = {}
+
+    def append(self, history: History, value: List[Any], start: int) -> None:
+        """Stage the items of ``value`` (the items from absolute index
+        ``start`` on) that are not journaled yet."""
+        key = history.key
+        if key is None or key in self._staged:
+            raise SnapshotError(f"history {key!r} cannot be journaled twice")
+        done = self._counts.get(key, 0)
+        if not start <= done <= start + len(value):
+            raise SnapshotError(
+                f"history {key} holds items {start}..{start + len(value)}, "
+                f"journal has {done}"
+            )
+        for item in value[done - start:]:
+            self._pending.append(json.dumps(
+                [key, history.item.encode(item)],
+                sort_keys=True, separators=(",", ":"),
+            ) + "\n")
+        self._staged[key] = start + len(value)
+
+    def items(self, history: History, length: int) -> List[Any]:
+        """The journaled items of ``history``; ``length`` of them."""
+        items = self._loaded.get(history.key or "", [])
+        if len(items) != length:
+            raise SnapshotError(
+                f"journal holds {len(items)} items, snapshot expects {length}"
+            )
+        return items
+
+    def write(self, obj: "Snapshottable") -> Dict[str, Any]:
+        """Journal ``obj``'s new history and return its state."""
+        token = _JOURNAL.set(self)
+        try:
+            state = obj.snapshot()
+        finally:
+            _JOURNAL.reset(token)
+            staged, self._staged = self._staged, {}
+            pending, self._pending = self._pending, []
+        if pending:
+            data = "".join(pending).encode("utf-8")
+            with open(self.path, "r+b" if self._size else "wb") as handle:
+                # Write from the journaled end, over anything a failed
+                # write left past it.
+                handle.seek(self._size)
+                handle.write(data)
+                handle.flush()
+                if os.fstat(handle.fileno()).st_size > handle.tell():
+                    handle.truncate()
+                os.fsync(handle.fileno())
+            self._sha.update(data)
+            self._size += len(data)
+            self.lines += len(pending)
+        self._counts.update(staged)
+        state["journal"] = {
+            "lines": self.lines, "sha256": self._sha.hexdigest(),
+        }
+        return state
+
+    def restore(self, obj: "Snapshottable", state: Mapping[str, Any]) -> None:
+        """Check the journal against ``state``, restore ``obj`` from
+        both, and drop the journal's orphan lines."""
+        try:
+            lines = int(state["journal"]["lines"])
+            digest = str(state["journal"]["sha256"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SnapshotError(
+                f"malformed ({exc!r})", ("journal",)
+            ) from exc
+        data = self.path.read_bytes() if self.path.exists() else b""
+        parts = data.split(b"\n", lines)
+        if len(parts) <= lines:
+            raise SnapshotError(
+                f"{self.path} has {len(parts) - 1} line(s), "
+                f"the snapshot expects {lines}"
+            )
+        size = len(data) - len(parts[-1])
+        sha = hashlib.sha256(data[:size])
+        if sha.hexdigest() != digest:
+            raise SnapshotError(
+                f"{self.path} does not match the snapshot's digest"
+            )
+        loaded: Dict[str, List[Any]] = {}
+        try:
+            for line in parts[:-1]:
+                key, item = json.loads(line)
+                loaded.setdefault(key, []).append(item)
+        except (TypeError, ValueError) as exc:
+            raise SnapshotError(
+                f"malformed ({exc!r})", ("journal",)
+            ) from exc
+        self._loaded = loaded
+        token = _JOURNAL.set(self)
+        try:
+            obj.restore(state)
+        finally:
+            _JOURNAL.reset(token)
+            self._loaded = {}
+        if size < len(data):
+            with open(self.path, "r+b") as handle:
+                handle.truncate(size)
+                os.fsync(handle.fileno())
+        self.lines, self._size, self._sha = lines, size, sha
+        self._counts = {key: len(items) for key, items in loaded.items()}

@@ -770,7 +770,7 @@ class TestKnownRowMemo:
         check_population_memo(matrix)
         data = json.loads(json.dumps(MATRIX.encode(matrix)))
         assert set(data) == {
-            "n_rows", "n_cols", "known_rows", "values", "mask", "age",
+            "n_rows", "n_cols", "known_rows", "index", "values", "age",
         }
         fresh = ObservedMatrix(matrix.n_rows, matrix.n_cols)
         for row in np.flatnonzero(matrix.known_rows):
@@ -778,3 +778,32 @@ class TestKnownRowMemo:
         restored = MATRIX.decode(data, fresh)
         assert not restored._derived
         assert np.array_equal(restored.values, matrix.values)
+
+
+class TestSparseMatrixCodec:
+    """``MATRIX`` writes observed runtime entries only; a restore into
+    the same known rows rebuilds every dense array exactly."""
+
+    @given(sparse_matrices(), st.integers(0, 3), st.integers(0, 2),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_restores_dense_arrays(self, matrix, ticks, max_age,
+                                              clear_last):
+        for _ in range(ticks):
+            matrix.tick()
+        matrix.expire(max_age)
+        if clear_last:
+            matrix.clear_row(matrix.n_rows - 1)
+        # What makes the sparse form exact: nothing hides off the mask.
+        assert not matrix.values[~matrix.mask].any()
+        assert not matrix.age[~matrix.mask].any()
+        data = json.loads(json.dumps(MATRIX.encode(matrix)))
+        runtime = ~matrix.known_rows
+        assert data["index"] == sorted(set(data["index"]))
+        assert len(data["index"]) == int(matrix.mask[runtime].sum())
+        fresh = ObservedMatrix(matrix.n_rows, matrix.n_cols)
+        for row in np.flatnonzero(matrix.known_rows):
+            fresh.set_known_row(row, matrix.values[row])
+        assert MATRIX.decode(data, fresh) is fresh
+        for name in ("values", "mask", "age", "known_rows"):
+            assert np.array_equal(getattr(fresh, name), getattr(matrix, name))

@@ -223,11 +223,14 @@ def _learned_matrix():
 
 
 class TestMatrixCodec:
-    def test_snapshot_carries_runtime_rows_only(self):
+    def test_snapshot_carries_observed_runtime_entries_only(self):
         state = MATRIX.encode(_learned_matrix())
         assert state["known_rows"] == [0, 2]
-        assert len(state["values"]) == len(state["mask"]) == 2
-        assert len(state["age"]) == 2
+        # Runtime rows 1 and 3, row-major: (1, 4) -> 4 and (3, 0) -> 6.
+        assert state["index"] == [4, 6]
+        assert state["values"] == [0.1 + 0.2, 7.0]
+        assert state["age"] == [1, 0]
+        assert "mask" not in state
 
     def test_restore_lays_runtime_rows_over_known_rows(self):
         source = _learned_matrix()
@@ -255,4 +258,15 @@ class TestMatrixCodec:
         state = MATRIX.encode(_learned_matrix())
         state["values"] = state["values"][:1]
         with pytest.raises(ValueError):
+            MATRIX.decode(state, _known_only())
+
+    @pytest.mark.parametrize("index, match", [
+        ([4, 12], "out of range"),
+        ([-1, 6], "out of range"),
+        ([6, 6], "repeated"),
+    ])
+    def test_bad_entry_indices_rejected(self, index, match):
+        state = MATRIX.encode(_learned_matrix())
+        state["index"] = index
+        with pytest.raises(SnapshotError, match=match):
             MATRIX.decode(state, _known_only())

@@ -6,16 +6,25 @@ decision stream must come out byte-identical to an uninterrupted run.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.server import driver as driver_module
 from repro.server.admission import JobSpec
 from repro.server.driver import (
+    DECISION_TAIL,
     IDLE_LC_LOAD,
     QuantumDriver,
     ServerConfig,
 )
 from repro.server.session import CommandExecutor
+from repro.snapshot import SnapshotError
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SEED = 3
 MIX = 0
@@ -100,6 +109,13 @@ class TestDriverBasics:
         with pytest.raises(ValueError):
             QuantumDriver(ServerConfig(mix=999))
 
+    @pytest.mark.parametrize("every", [0, DECISION_TAIL + 1])
+    def test_snapshot_every_within_the_decision_tail(self, every):
+        # A longer gap would drop decision lines before they are journaled.
+        ServerConfig(snapshot_every=DECISION_TAIL)
+        with pytest.raises(ValueError, match="snapshot_every"):
+            ServerConfig(snapshot_every=every)
+
     def test_tick_beyond_max_quanta_raises(self, tmp_path):
         driver = make_driver(tmp_path, max_quanta=2)
         driver.tick()
@@ -119,7 +135,7 @@ class TestCrashResume:
         del victim  # simulated SIGKILL: no shutdown hook runs
 
         resumed = make_driver(tmp_path, "vic", resume=True)
-        resumed.resume_from(str(tmp_path / "vic_state.json"))
+        resumed.resume_from()
         assert resumed.quantum == 6
         run_quanta(resumed, 6, 12)
         assert (tmp_path / "vic_dec.jsonl").read_bytes() == ref_bytes
@@ -140,7 +156,7 @@ class TestCrashResume:
         resumed = make_driver(
             tmp_path, "vic", resume=True, snapshot_every=4
         )
-        resumed.resume_from(str(tmp_path / "vic_state.json"))
+        resumed.resume_from()
         assert resumed.quantum == 4
         assert len(
             (tmp_path / "vic_dec.jsonl").read_text().splitlines()
@@ -148,12 +164,104 @@ class TestCrashResume:
         run_quanta(resumed, 4, 10)
         assert (tmp_path / "vic_dec.jsonl").read_bytes() == ref_bytes
 
+    def test_crash_between_journal_append_and_state_rename(
+        self, tmp_path, monkeypatch
+    ):
+        """A kill after the journal append but before the state file
+        is replaced leaves orphan journal lines; the resume drops them
+        and the replayed quanta land byte-identically."""
+        reference = make_driver(tmp_path, "ref")
+        run_quanta(reference, 0, 10)
+
+        class Killed(BaseException):
+            pass
+
+        def killed(path, text):
+            raise Killed()
+
+        victim = make_driver(tmp_path, "vic")
+        run_quanta(victim, 0, 5)
+        journal = victim.journal.path
+        lines_at_snapshot = len(journal.read_bytes().splitlines())
+        monkeypatch.setattr(driver_module, "atomic_write_text", killed)
+        with pytest.raises(Killed):
+            run_quanta(victim, 5, 6)
+        monkeypatch.undo()
+        del victim
+        assert len(journal.read_bytes().splitlines()) > lines_at_snapshot
+
+        resumed = make_driver(tmp_path, "vic", resume=True)
+        resumed.resume_from()
+        assert resumed.quantum == 5
+        assert len(journal.read_bytes().splitlines()) == lines_at_snapshot
+        run_quanta(resumed, 5, 10)
+        for suffix in ("_dec.jsonl", "_state.json", "_state.json.journal.jsonl"):
+            assert (tmp_path / f"vic{suffix}").read_bytes() == (
+                tmp_path / f"ref{suffix}"
+            ).read_bytes(), suffix
+
+    @pytest.mark.parametrize("damage", ["short", "flipped"])
+    def test_damaged_journal_refuses_resume(self, tmp_path, damage):
+        victim = make_driver(tmp_path, "vic")
+        run_quanta(victim, 0, 4)
+        journal = victim.journal.path
+        data = journal.read_bytes()
+        if damage == "short":
+            data = b"".join(data.splitlines(keepends=True)[:-1])
+            match = "line"
+        else:
+            at = data.index(b"[", len(data) // 2) + 1
+            data = data[:at] + b" " + data[at + 1:]
+            match = "digest"
+        journal.write_bytes(data)
+        resumed = make_driver(tmp_path, "vic", resume=True)
+        with pytest.raises(SnapshotError, match=match):
+            resumed.resume_from()
+        assert journal.read_bytes() == data
+
+    def test_serve_resume_on_damaged_journal_exits_2(self, tmp_path):
+        victim = make_driver(tmp_path, "vic")
+        run_quanta(victim, 0, 2)
+        journal = victim.journal.path
+        lines = journal.read_bytes().splitlines(keepends=True)
+        journal.write_bytes(b"".join(lines[:-1]))
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "--seed", str(SEED), "serve",
+             "--mix", str(MIX), "--max-quanta", "30", "--port", "0",
+             "--state", victim.config.state_path,
+             "--decisions", victim.config.decisions_path,
+             "--whatif-jobs", "1", "--resume"],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 2
+        errors = [line for line in proc.stderr.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1 and "journal" in errors[0]
+        assert "Traceback" not in proc.stderr
+
+    def test_decision_tail_rebuilt_from_journal(self, tmp_path):
+        """Without a decision file the tail still survives a resume:
+        the journal is its one source."""
+        reference = make_driver(tmp_path, "ref", decisions_path=None)
+        run_quanta(reference, 0, 6)
+        victim = make_driver(tmp_path, "vic", decisions_path=None)
+        run_quanta(victim, 0, 6)
+        del victim
+        resumed = make_driver(
+            tmp_path, "vic", resume=True, decisions_path=None
+        )
+        resumed.resume_from()
+        assert resumed.decision_count == 6
+        assert resumed.recent_decisions() == reference.recent_decisions()
+
     def test_resume_rejects_config_mismatch(self, tmp_path):
         driver = make_driver(tmp_path, "a")
         driver.tick()
         other = make_driver(tmp_path, "a", resume=True, seed=SEED + 1)
         with pytest.raises(ValueError):
-            other.resume_from(str(tmp_path / "a_state.json"))
+            other.resume_from()
 
 
 class TestCommandExecutor:
@@ -220,6 +328,63 @@ class TestCommandExecutor:
             json.dumps(executor.execute(dict(op)), sort_keys=True)
 
 
+def scan_decisions(tail, since, limit):
+    """The decisions query as a scan of every tail line (the oracle)."""
+    out = []
+    for line in tail:
+        record = json.loads(line)
+        if record["quantum"] >= since:
+            out.append(record)
+            if len(out) >= limit:
+                break
+    return out
+
+
+QUERIES = [
+    (since, limit)
+    for since in (-3, 0, 1, 2, 3, 4, 5, 6, 50, 4095, 4096, 4100,
+                  4120, 4123, 4124, 10**6)
+    for limit in (0, 1, 2, 5, 100, 10**6)
+]
+
+
+class TestRecentDecisions:
+    """``recent_decisions`` parses only the lines it returns; it must
+    answer as the full scan does."""
+
+    def test_matches_scan_at_head_middle_and_past_end(self, tmp_path):
+        driver = make_driver(tmp_path)
+        run_quanta(driver, 0, 6)
+        for since, limit in QUERIES:
+            assert driver.recent_decisions(since, limit) == scan_decisions(
+                driver._decision_tail, since, limit
+            ), (since, limit)
+
+    def test_matches_scan_after_the_tail_cap(self, tmp_path):
+        driver = make_driver(tmp_path, decisions_path=None)
+        for quantum in range(DECISION_TAIL + 28):
+            driver._append_decision(json.dumps({"quantum": quantum}))
+        tail = driver._decision_tail
+        assert len(tail) == DECISION_TAIL and tail.start == 28
+        assert driver.decision_count == DECISION_TAIL + 28
+        for since, limit in QUERIES:
+            assert driver.recent_decisions(since, limit) == scan_decisions(
+                tail, since, limit
+            ), (since, limit)
+
+    def test_matches_scan_after_a_resume(self, tmp_path):
+        victim = make_driver(tmp_path, "vic")
+        run_quanta(victim, 0, 5)
+        del victim
+        resumed = make_driver(tmp_path, "vic", resume=True)
+        resumed.resume_from()
+        run_quanta(resumed, 5, 7)
+        for since, limit in QUERIES:
+            assert resumed.recent_decisions(since, limit) == scan_decisions(
+                resumed._decision_tail, since, limit
+            ), (since, limit)
+
+
 #: LOAD_GRID buckets the LC job's rate walks, one step every 5 ticks.
 SIZE_LC_BUCKETS = (0.5, 0.3, 0.6, 0.4, 0.7, 0.5, 0.3, 0.6, 0.4, 0.7)
 SIZE_BATCH_APPS = ("astar", "bzip2", "gcc", "mcf", "milc", "namd")
@@ -260,7 +425,46 @@ class TestSnapshotSize:
         controller = state["stepper"]["policy"]["controller"]
         regimes = controller["latency_matrices"]
         assert len({bucket for (_, bucket, _), _ in regimes}) >= 4
+        matrices = [matrix for _, matrix in regimes] + [
+            controller["bips_matrix"], controller["power_matrix"]]
+        for matrix in matrices:
+            # Observed runtime entries only, as flat row-major indices.
+            runtime_rows = matrix["n_rows"] - len(matrix["known_rows"])
+            n_entries = len(matrix["index"])
+            assert len(matrix["values"]) == len(matrix["age"]) == n_entries
+            assert n_entries < runtime_rows * matrix["n_cols"]
+            assert all(0 <= i < runtime_rows * matrix["n_cols"]
+                       for i in matrix["index"])
         for _, matrix in regimes:
-            assert len(matrix["values"]) == 1
-            assert len(matrix["values"][0]) == matrix["n_cols"] == 108
-        assert (tmp_path / "run_state.json").stat().st_size <= 250_000
+            assert matrix["n_rows"] - len(matrix["known_rows"]) == 1
+            assert matrix["n_cols"] == 108
+        assert sum(len(m["index"]) for m in matrices) > 0
+        # The per-quantum history lives in the journal, not the state.
+        run = state["stepper"]["run"]
+        for name in ("measurements", "loads", "budgets"):
+            assert run[name] == {"length": 50}
+        assert state["decision_tail"] == {"length": 50}
+        assert state["journal"]["lines"] == 4 * 50
+        assert (tmp_path / "run_state.json").stat().st_size <= 40_000
+
+    def test_state_file_bounded_at_a_constant_load(self, tmp_path):
+        """With one rate and a fixed job set nothing in the state file
+        grows with the session: the history is in the journal."""
+        driver = make_driver(tmp_path, max_quanta=300)
+        service = driver.machine.lc_services[0]
+        driver.admission.submit(
+            JobSpec(kind="lc", name=service.name, rps=service.max_qps * 0.5),
+            driver.quantum,
+        )
+        for app in SIZE_BATCH_APPS[:3]:
+            driver.admission.submit(
+                JobSpec(kind="batch", name=app), driver.quantum
+            )
+        state = tmp_path / "run_state.json"
+        sizes = {}
+        for tick in range(1, 301):
+            driver.tick()
+            if tick in (20, 300):
+                sizes[tick] = state.stat().st_size
+        assert sizes[300] <= 1.1 * sizes[20], sizes
+        assert driver.journal.lines == 4 * 300

@@ -17,13 +17,18 @@ from repro.fleet.checkpoint import CheckpointStore
 from repro.server.driver import QuantumDriver, ServerConfig
 from repro.sim.machine import measurement_state
 from repro.snapshot import (
+    FLOAT,
     INT,
     RNG,
     SNAPSHOT_VERSION,
+    STR,
+    History,
+    Journal,
     Match,
     Nested,
     SnapshotError,
     Snapshottable,
+    Tail,
     Transient,
     atomic_write_text,
 )
@@ -95,6 +100,146 @@ class TestSnapshottable:
             Holder(child=False).restore(Holder().snapshot())
         with pytest.raises(SnapshotError, match="child"):
             Holder().restore(Holder(child=False).snapshot())
+
+
+class Log(Snapshottable):
+    SNAPSHOT_FIELDS = {
+        "ticks": INT,
+        "readings": History(FLOAT),
+        "_lines": History(STR, keep=3),
+    }
+
+    def __init__(self):
+        self.ticks = 0
+        self.readings = []
+        self._lines = Tail(3)
+
+    def step(self):
+        self.ticks += 1
+        self.readings.append(self.ticks / 10)
+        self._lines.append(f"line {self.ticks}")
+
+
+def _logged(steps):
+    log = Log()
+    for _ in range(steps):
+        log.step()
+    return log
+
+
+def _journaled(journal, steps):
+    """A log journaled after every step, and its last state."""
+    log = Log()
+    state = None
+    for _ in range(steps):
+        log.step()
+        state = journal.write(log)
+    return log, json.loads(json.dumps(state))
+
+
+def _same(a, b):
+    return (a.ticks, a.readings, list(a._lines), a._lines.start) == (
+        b.ticks, b.readings, list(b._lines), b._lines.start)
+
+
+class TestHistory:
+    def test_histories_are_keyed_by_class_and_field(self):
+        codecs = Log.SNAPSHOT_FIELDS
+        assert codecs["readings"].key == "Log.readings"
+        assert codecs["_lines"].key == "Log.lines"
+
+    def test_one_history_declares_one_field(self):
+        with pytest.raises(TypeError, match="reuses"):
+            class Copy(Snapshottable):
+                SNAPSHOT_FIELDS = {"readings": Log.SNAPSHOT_FIELDS["readings"]}
+
+    def test_tail_keeps_the_newest_items_and_counts_the_rest(self):
+        tail = Tail(3, range(5))
+        tail.append(5)
+        assert list(tail) == [3, 4, 5] and tail.start == 3
+
+    def test_self_contained_round_trip(self):
+        source = _logged(5)
+        state = json.loads(json.dumps(source.snapshot()))
+        assert state["readings"] == {
+            "length": 5, "items": [0.1, 0.2, 0.3, 0.4, 0.5]}
+        assert state["lines"] == {
+            "length": 5, "items": ["line 3", "line 4", "line 5"]}
+        target = Log()
+        target.restore(state)
+        assert _same(target, source)
+
+    @pytest.mark.parametrize("field, items", [
+        ("readings", [0.1]), ("lines", ["a", "b", "c", "d", "e", "f"]),
+    ])
+    def test_item_count_must_fit_the_length(self, field, items):
+        state = _logged(5).snapshot()
+        state[field]["items"] = items
+        with pytest.raises(SnapshotError, match=field):
+            Log().restore(state)
+
+
+class TestJournal:
+    def test_state_keeps_lengths_and_the_journal_only_new_items(
+        self, tmp_path
+    ):
+        source = _logged(2)
+        journal = Journal(tmp_path / "s.json")
+        assert journal.path == tmp_path / "s.json.journal.jsonl"
+        journal.write(source)
+        source.step()
+        state = journal.write(source)
+        assert state["readings"] == {"length": 3}
+        assert state["lines"] == {"length": 3}
+        lines = journal.path.read_text().splitlines()
+        assert [json.loads(line)[0] for line in lines] == [
+            "Log.readings", "Log.readings", "Log.lines", "Log.lines",
+            "Log.readings", "Log.lines",
+        ]
+        assert state["journal"]["lines"] == 6
+        # Nothing new: nothing appended, the same state.
+        assert journal.write(source) == state
+        assert journal.path.read_text().splitlines() == lines
+
+    def test_restore_replays_the_journal_and_drops_orphans(self, tmp_path):
+        writer = Journal(tmp_path / "s.json")
+        source, state = _journaled(writer, 5)
+        kept = writer.path.read_bytes()
+        source.step()
+        writer.write(source)  # its state file is never written: a kill
+        assert writer.path.read_bytes() != kept
+
+        target = Log()
+        reader = Journal(tmp_path / "s.json")
+        reader.restore(target, state)
+        assert _same(target, _logged(5))
+        assert writer.path.read_bytes() == kept
+        # The restored journal appends where the snapshot left off.
+        target.step()
+        reference = Journal(tmp_path / "r.json")
+        _, want = _journaled(reference, 6)
+        assert json.loads(json.dumps(reader.write(target))) == want
+        assert reader.path.read_bytes() == reference.path.read_bytes()
+
+    @pytest.mark.parametrize("damage", ["short", "flipped", "missing"])
+    def test_damaged_journal_is_refused_untouched(self, tmp_path, damage):
+        journal = Journal(tmp_path / "s.json")
+        _, state = _journaled(journal, 3)
+        data = journal.path.read_bytes()
+        if damage == "short":
+            data = data[:data.rindex(b"\n", 0, -1) + 1]
+        elif damage == "flipped":
+            data = data.replace(b"0.3", b"0.4", 1)
+        else:
+            data = b""
+        journal.path.write_bytes(data)
+        with pytest.raises(SnapshotError, match="line|digest"):
+            Journal(tmp_path / "s.json").restore(Log(), state)
+        assert journal.path.read_bytes() == data
+
+    def test_items_dropped_before_journaling_are_refused(self, tmp_path):
+        with pytest.raises(SnapshotError, match="Log.lines"):
+            Journal(tmp_path / "s.json").write(_logged(4))
 
 
 def _stepper():
@@ -172,9 +317,13 @@ class TestAtomicWrite:
         ))
         driver.tick()
         written = (tmp_path / "state.json").read_bytes()
+        journal = driver.journal.path.read_bytes()
+        # Everything is journaled already, so this write appends nothing.
         assert written == _formerly_written(
-            tmp_path / "old.json", driver.snapshot(), sort_keys=True
+            tmp_path / "old.json", driver.journal.write(driver),
+            sort_keys=True,
         )
+        assert driver.journal.path.read_bytes() == journal
         assert not (tmp_path / "state.json.tmp").exists()
 
     def test_checkpoint_bytes_match_json_dump(self, tmp_path):
