@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """Regenerate the committed decision corpus.
 
-Runs the fixed set of CuttleSys runs defined in
-``tests/experiments/test_decision_corpus.py`` (mixes 0-4 for 30 quanta,
-one faulted run, two runs under a decision budget) and rewrites
+Runs the fixed set of runs defined in
+``tests/experiments/test_decision_corpus.py`` (CuttleSys on mixes 0-4
+for 30 quanta, one faulted run, two runs under a decision budget, and
+a 10-quantum run at a 30 % power cap for every policy with a hard
+power fallback) and rewrites
 ``tests/experiments/golden/decision_corpus.jsonl`` with one canonical
 record per decision quantum.
 

@@ -4,12 +4,20 @@ A fresh run of a fixed set of CuttleSys runs is diffed line by line
 against the committed corpus ``golden/decision_corpus.jsonl``: one
 canonical JSON record per decision quantum (the load, the budget, the
 controller's prediction, the assignment that ran and its measured
-tail latency and power).  The runs are mixes 0-4 for 30 quanta each,
-one hardened run under injected faults and two under a decision
-budget, so the corpus covers the normal and sanitising paths and
-three rungs of the deadline ladder: ``deadline`` (budget 2000) reaches
-``reduced_dds``, and ``starved`` (budget 100) reaches ``last_good``
-and ``fair_share``.
+tail latency and power).  The CuttleSys runs are mixes 0-4 for 30
+quanta each, one hardened run under injected faults and two under a
+decision budget, so the corpus covers the normal and sanitising paths
+and three rungs of the deadline ladder: ``deadline`` (budget 2000)
+reaches ``reduced_dds``, and ``starved`` (budget 100) reaches
+``last_good`` and ``fair_share``.
+
+The hard power fallback (§VI-B: gate batch cores in descending
+predicted power while the plan is over the cap) is pinned by one
+10-quantum run at a 30 % cap for every policy that has one, built
+through :func:`repro.experiments.policies.build_policy`: CuttleSys,
+the reconfiguration oracle, Flicker, both asymmetric designs and both
+core-gating variants.  At that cap every one of them gates batch
+cores.  Baselines keep no prediction, so their ``predicted`` is null.
 
 Regenerate the corpus only for an intended change of decisions::
 
@@ -19,7 +27,7 @@ Regenerate the corpus only for an intended change of decisions::
 import json
 import math
 from pathlib import Path
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 import pytest
 
@@ -30,6 +38,7 @@ from repro.experiments.harness import (
     build_machine_for_mix,
     reference_power_for_mix,
 )
+from repro.experiments.policies import build_policy
 from repro.faults import FaultInjector, parse_fault_spec
 from repro.sim.machine import ASSIGNMENT
 from repro.workloads.loadgen import LoadTrace
@@ -52,20 +61,41 @@ FAULTS = (
 DECISION_BUDGET = 2000
 #: Too small for any search: the ladder serves from its fallback rungs.
 STARVED_BUDGET = 100
+#: Every policy with a hard power fallback, run on mix 0 under a cap
+#: tight enough that each one gates batch cores.
+FALLBACK_POLICIES = (
+    "cuttlesys", "oracle-reconfig", "flicker", "asymm-oracle",
+    "asymm-50-50", "core-gating", "core-gating+wp",
+)
+FALLBACK_CAP = 0.3
+FALLBACK_QUANTA = 10
 
 
-def _runs() -> Iterator[Tuple[str, int, Optional[ControllerConfig], Any]]:
+def _runs() -> Iterator[Tuple[str, int, Any, int, Dict[str, Any]]]:
+    """``(name, mix, (machine, policy), quanta, stepper kwargs)``."""
+    mixes = paper_mixes()
+
+    def cuttlesys(mix, config=None):
+        machine = build_machine_for_mix(mixes[mix], seed=SEED)
+        return machine, CuttleSysPolicy.for_machine(
+            machine, seed=SEED, config=config
+        )
+
     for mix in MIXES:
-        yield f"mix{mix}", mix, None, None
-    yield "faults", 0, None, FaultInjector(
-        parse_fault_spec(FAULTS), seed=SEED
-    )
-    yield "deadline", 1, ControllerConfig(
+        yield f"mix{mix}", mix, cuttlesys(mix), N_QUANTA, {}
+    yield "faults", 0, cuttlesys(0), N_QUANTA, {
+        "faults": FaultInjector(parse_fault_spec(FAULTS), seed=SEED)
+    }
+    yield "deadline", 1, cuttlesys(1, ControllerConfig(
         seed=SEED, decision_budget=DECISION_BUDGET
-    ), None
-    yield "starved", 1, ControllerConfig(
+    )), N_QUANTA, {}
+    yield "starved", 1, cuttlesys(1, ControllerConfig(
         seed=SEED, decision_budget=STARVED_BUDGET
-    ), None
+    )), N_QUANTA, {}
+    for name in FALLBACK_POLICIES:
+        yield f"fallback-{name}", 0, build_policy(
+            name, mixes[0], SEED
+        ), FALLBACK_QUANTA, {"power_cap_fraction": FALLBACK_CAP}
 
 
 def _finite(values: Any) -> Any:
@@ -79,18 +109,15 @@ def decision_corpus() -> List[str]:
     """Canonical records (sorted keys, no whitespace) of every run."""
     lines = []
     mixes = paper_mixes()
-    for name, mix, config, faults in _runs():
-        machine = build_machine_for_mix(mixes[mix], seed=SEED)
-        policy = CuttleSysPolicy.for_machine(machine, seed=SEED,
-                                             config=config)
+    for name, mix, (machine, policy), n_quanta, kwargs in _runs():
         stepper = QuantumStepper(
-            machine, policy, LOAD, n_slices=N_QUANTA,
+            machine, policy, LOAD, n_slices=n_quanta,
             max_power_w=reference_power_for_mix(mixes[mix], seed=SEED),
-            faults=faults,
+            **kwargs,
         )
-        for quantum in range(N_QUANTA):
+        for quantum in range(n_quanta):
             measurement = stepper.step()
-            prediction = policy.last_prediction
+            prediction = getattr(policy, "last_prediction", None)
             record = {
                 "run": name,
                 "quantum": quantum,
