@@ -10,6 +10,9 @@
 * :class:`StaticAsymmetricPolicy` — a realistic fixed 50/50 big.LITTLE.
 * :class:`FlickerPolicy` — Flicker's 3MM3 + RBF estimation and GA
   search, in both evaluation methodologies of §VIII-E.
+
+Every baseline that gates cores for the power cap does so through the
+runtime's hard fallback, :func:`repro.core.objective.power_fallback`.
 """
 
 from repro.baselines.asymmetric import AsymmetricOraclePolicy, StaticAsymmetricPolicy

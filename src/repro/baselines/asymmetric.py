@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.baselines.core_gating import ucp_way_allocation
+from repro.core.objective import power_fallback
 from repro.sim.coreconfig import CACHE_ALLOCS, CoreConfig, JointConfig
 from repro.sim.machine import Assignment, Machine, SliceMeasurement
 
@@ -69,7 +70,6 @@ class AsymmetricOraclePolicy:
         # when even the all-small design busts the budget.
         gain_order = np.argsort(-np.log(bips_big / bips_small))
         best: Optional[Tuple[float, List[Optional[JointConfig]]]] = None
-        residual = machine.power.gated_core_power()
         for n_big in range(n_jobs + 1):
             on_big = set(gain_order[:n_big].tolist())
             is_big = np.array([j in on_big for j in range(n_jobs)])
@@ -88,19 +88,15 @@ class AsymmetricOraclePolicy:
             configs = best[1]
         else:
             # Fallback: all-small, gating in descending power until the
-            # budget is met (same last resort as core-level gating).
-            configs = list(small_joints)
-            power = power_small.copy()
-            order = np.argsort(-power_small)
-            active = set(range(n_jobs))
-            def total() -> float:
-                running = sum(power_small[j] for j in active)
-                return running + (n_jobs - len(active)) * residual + reserved
-            for victim in order:
-                if total() <= max_power:
-                    break
-                active.discard(int(victim))
-                configs[int(victim)] = None
+            # budget is met (the runtime's hard fallback).
+            on = power_fallback(
+                power_small, reserved, max_power,
+                machine.power.gated_core_power(),
+            )
+            configs = [
+                joint if keep else None
+                for joint, keep in zip(small_joints, on)
+            ]
         return Assignment(
             lc_cores=self.lc_cores,
             lc_config=lc_joint,
@@ -124,7 +120,8 @@ class StaticAsymmetricPolicy:
     """Fixed 50 % big / 50 % small multicore (§VIII-C).
 
     The LC service owns the big half; batch jobs run on the small half
-    and are gated in descending measured power to meet the budget.
+    and are gated in descending measured power to meet the budget (the
+    runtime's hard fallback).
     """
 
     name = "asymm-50-50"
@@ -135,7 +132,6 @@ class StaticAsymmetricPolicy:
 
     def decide(self, machine: Machine, load: float, max_power: float) -> Assignment:
         """Batch on small cores; gate by measured power to fit the budget."""
-        n_jobs = len(machine.batch_profiles)
         n_big = machine.params.n_cores // 2
         budget = machine.params.llc_ways - self.lc_ways
         ways = ucp_way_allocation(machine.batch_profiles, budget)
@@ -150,18 +146,10 @@ class StaticAsymmetricPolicy:
             machine.true_lc_power(lc_joint, load, n_big) * n_big
             + machine.power.llc_power()
         )
-        residual = machine.power.gated_core_power()
-        keep = np.ones(n_jobs, dtype=bool)
-        order = np.argsort(-power)
-        while (
-            power[keep].sum() + (~keep).sum() * residual + reserved > max_power
-            and keep.any()
-        ):
-            victim = next((j for j in order if keep[j]), None)
-            if victim is None:
-                break
-            keep[victim] = False
-        configs = [joints[j] if keep[j] else None for j in range(n_jobs)]
+        on = power_fallback(
+            power, reserved, max_power, machine.power.gated_core_power()
+        )
+        configs = [joint if keep else None for joint, keep in zip(joints, on)]
         return Assignment(
             lc_cores=n_big,
             lc_config=lc_joint,

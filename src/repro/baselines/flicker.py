@@ -34,7 +34,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.ga import GAParams, GeneticSearch
-from repro.core.objective import SystemObjective
+from repro.core.objective import SystemObjective, power_fallback
 from repro.core.rbf import RBFSurrogate, l9_sample_configs
 from repro.sim.coreconfig import (
     CACHE_ALLOCS,
@@ -134,26 +134,17 @@ class FlickerPolicy:
         x = result.best_x
         self._last_x = x.copy()
 
-        configs: List[Optional[JointConfig]] = [
+        # Hard fallback, the runtime's own: gate in descending
+        # predicted power.
+        on = power_fallback(
+            power_hat[np.arange(n_jobs), x], reserved, max_power,
+            machine.power.gated_core_power(),
+        )
+        configs = [
             JointConfig(CoreConfig.from_index(int(c)), CACHE_ALLOCS[0])
-            for c in x
+            if keep else None
+            for c, keep in zip(x, on)
         ]
-        # Flicker's own fallback: gate in descending predicted power.
-        def total() -> float:
-            acc = reserved
-            for j, cfg in enumerate(configs):
-                if cfg is None:
-                    acc += machine.power.gated_core_power()
-                else:
-                    acc += power_hat[j, cfg.core.index]
-            return acc
-
-        while total() > max_power:
-            active = [j for j, cfg in enumerate(configs) if cfg is not None]
-            if not active:
-                break
-            victim = max(active, key=lambda j: power_hat[j, configs[j].core.index])
-            configs[victim] = None
 
         return Assignment(
             lc_cores=self.lc_cores,

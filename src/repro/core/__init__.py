@@ -22,7 +22,7 @@ Baseline estimators/search algorithms used in the paper's comparisons
 from repro.core.controller import ControllerConfig, ResourceController
 from repro.core.dds import DDSParams, DDSResult, DDSSearch
 from repro.core.ga import GAParams, GAResult, GeneticSearch
-from repro.core.matrices import ObservedMatrix, TruthTables
+from repro.core.matrices import ObservedMatrix
 from repro.core.objective import SystemObjective
 from repro.core.oracle import OracleReconfigPolicy
 from repro.core.rbf import RBFSurrogate, l9_sample_configs
@@ -45,6 +45,5 @@ __all__ = [
     "ResourceController",
     "SGDParams",
     "SystemObjective",
-    "TruthTables",
     "l9_sample_configs",
 ]

@@ -14,7 +14,9 @@ Per decision quantum the controller:
 4. searches the batch jobs' joint-configuration space with parallel DDS
    (or the GA ablation) under soft power/cache penalties, and
 5. applies the hard fallback: if the power budget is busted even so,
-   gates cores in descending predicted power (§VI-B).
+   gates cores in descending predicted power (§VI-B) through
+   :func:`repro.core.objective.power_fallback`, the one fallback the
+   oracle and the baselines share.
 
 The controller never reads ground truth — only profiling samples and
 end-of-slice measurements, like the real system.
@@ -55,7 +57,7 @@ from repro.core.matrices import (
     power_rows,
     throughput_rows,
 )
-from repro.core.objective import SystemObjective
+from repro.core.objective import SystemObjective, power_fallback
 from repro.core.sgd import PQReconstructor, SGDParams
 from repro.sim.coreconfig import (
     CACHE_ALLOCS,
@@ -1109,12 +1111,12 @@ class ResourceController(Snapshottable):
             JointConfig.from_index(int(i)) for i in x
         ]
         with self.tracer.span("power_fallback", category="controller"):
-            active_before = sum(1 for c in configs if c is not None)
-            configs = self._power_fallback(
-                configs, batch_power * time_share, reserved_power,
-                target_power,
+            on = power_fallback(
+                objective.power[np.arange(self.n_batch), x], reserved_power,
+                target_power, self.machine.power.gated_core_power(),
             )
-            gated = active_before - sum(1 for c in configs if c is not None)
+            configs = [cfg if keep else None for cfg, keep in zip(configs, on)]
+            gated = int(np.count_nonzero(~on))
             if gated > 0:
                 self._count("controller.emergency_core_off", gated)
                 log.info(
@@ -1661,30 +1663,3 @@ class ResourceController(Snapshottable):
         return np.exp(
             np.log(to_rows).mean(axis=0) - np.log(from_rows).mean(axis=0)
         )
-
-    def _power_fallback(
-        self,
-        configs: List[Optional[JointConfig]],
-        power_table: np.ndarray,
-        reserved_power: float,
-        max_power: float,
-    ) -> List[Optional[JointConfig]]:
-        """Gate cores in descending predicted power if still over budget."""
-        def predicted_total() -> float:
-            total = reserved_power
-            for j, cfg in enumerate(configs):
-                if cfg is not None:
-                    total += power_table[j, cfg.index]
-                else:
-                    total += self.machine.power.gated_core_power()
-            return total
-
-        while predicted_total() > max_power:
-            active = [j for j, cfg in enumerate(configs) if cfg is not None]
-            if not active:
-                break
-            hungriest = max(
-                active, key=lambda j: power_table[j, configs[j].index]
-            )
-            configs[hungriest] = None
-        return configs

@@ -6,9 +6,10 @@ whose rows are either *known* applications characterised offline on all
 108 joint configurations, or currently-running applications observed on
 just a couple of configurations (two profiling samples plus whatever
 steady states they have visited).  :class:`ObservedMatrix` is the sparse
-container the controller fills at runtime; :class:`TruthTables`
-pre-computes the noise-free ground truth the oracle baselines and the
-accuracy experiments (Fig. 5) compare against.
+container the controller fills at runtime; the row builders
+(:func:`throughput_rows`, :func:`power_rows`, :func:`latency_row`, ...)
+compute noise-free rows of the substrate's models, which give the
+known rows and the experiments' true tables.
 """
 
 from __future__ import annotations
@@ -297,29 +298,3 @@ def _latency_rows(
         n_cores,
         distributions=[service.service_distribution for service in services],
     )
-
-
-@dataclass(frozen=True)
-class TruthTables:
-    """Noise-free per-job metric tables for one machine/workload.
-
-    ``batch_bips``/``batch_power`` are [n_batch x 108]; ``lc_latency``
-    and ``lc_power`` are dictionaries keyed by (load, n_cores) filled
-    lazily by :meth:`for_machine`-style helpers in the experiments.
-    """
-
-    batch_bips: np.ndarray
-    batch_power: np.ndarray
-
-    @classmethod
-    def build(
-        cls,
-        profiles: Sequence[AppProfile],
-        perf: PerformanceModel,
-        power: PowerModel,
-    ) -> "TruthTables":
-        """Compute both batch tables in one pass."""
-        return cls(
-            batch_bips=throughput_rows(profiles, perf),
-            batch_power=power_rows(profiles, power),
-        )

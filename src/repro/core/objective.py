@@ -24,12 +24,17 @@ gathers all four per-job terms (log throughput, power, whole ways,
 half-way flag) from one table built at construction and sums them in
 one reduction, with results bit-identical to gathering each metric on
 its own.
+
+:func:`power_fallback` is the hard constraint behind the soft power
+penalty (§VI-B): when the chosen plan still exceeds the cap it gates
+batch cores, hungriest first, until the plan fits.  The controller,
+the oracle and every baseline with a power fallback call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +44,10 @@ from repro.sim.coreconfig import CACHE_ALLOCS, N_CACHE_ALLOCS, N_JOINT_CONFIGS
 _WAYS_BY_JOINT = np.array(
     [CACHE_ALLOCS[i % N_CACHE_ALLOCS] for i in range(N_JOINT_CONFIGS)]
 )
+
+#: Per-slot watts, or per-slot on flags: a list or a 1-D array.
+Watts = Union[Sequence[float], np.ndarray]
+Flags = Union[Sequence[bool], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -222,3 +231,51 @@ class SystemObjective:
             self.total_power(x) <= self.max_power + power_slack
             and self.total_ways(x) <= self.max_ways + 1e-9
         )
+
+
+def hungriest_first(power: Watts) -> List[int]:
+    """Slot indices in descending power; equal powers lowest index first."""
+    return sorted(range(len(power)), key=lambda j: -power[j])
+
+
+def planned_power(
+    power: Watts,
+    on: Flags,
+    reserved_power: float,
+    gated_residual: float,
+) -> float:
+    """Chip power of a plan in which only the ``on`` slots run.
+
+    Sums the reserved power first, then the slots by index, a gated
+    slot adding ``gated_residual``: the runtime's order of addition,
+    on which :func:`power_fallback`'s decisions depend bit for bit.
+    """
+    total = reserved_power
+    for watts, is_on in zip(power, on):
+        total += watts if is_on else gated_residual
+    return float(total)
+
+
+def power_fallback(
+    power: Watts,
+    reserved_power: float,
+    max_power: float,
+    gated_residual: float,
+    order: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """The hard power fallback (§VI-B): which batch slots stay on.
+
+    ``power[j]`` is slot j's predicted power at its chosen
+    configuration.  While :func:`planned_power` exceeds ``max_power``,
+    the next slot of ``order`` (default :func:`hungriest_first`) is
+    gated.  Gating stops at the cap or when ``order`` is exhausted, so
+    every slot is off when the reservation and the residuals alone
+    exceed the cap.
+    """
+    power = [float(watts) for watts in power]
+    on = [True] * len(power)
+    for j in hungriest_first(power) if order is None else order:
+        if planned_power(power, on, reserved_power, gated_residual) <= max_power:
+            break
+        on[j] = False
+    return np.array(on, dtype=bool)

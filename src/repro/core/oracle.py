@@ -14,13 +14,13 @@ reconstructions, with no profiling overhead.  Two uses:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.dds import DDSParams, DDSSearch
 from repro.core.matrices import latency_row, power_rows
-from repro.core.objective import SystemObjective
+from repro.core.objective import SystemObjective, power_fallback
 from repro.sim.coreconfig import (
     CACHE_ALLOCS,
     N_JOINT_CONFIGS,
@@ -50,7 +50,7 @@ class OracleReconfigPolicy:
     def decide(self, machine: Machine, load: float, max_power: float) -> Assignment:
         """True-table LC scan + DDS over the batch jobs."""
         n_jobs = len(machine.batch_profiles)
-        lc_joint, lc_watts = self._select_lc(machine, load)
+        lc_joint, lc_watts = self.select_lc(machine, load)
         reserved = lc_watts * self.lc_cores + machine.power.llc_power()
 
         bips = np.vstack(
@@ -80,26 +80,15 @@ class OracleReconfigPolicy:
         )
         x = result.best_x
         self._last_x = x.copy()
-        configs: List[Optional[JointConfig]] = [
-            JointConfig.from_index(int(i)) for i in x
+        # Hard fallback, the runtime's own: gate hungriest-first.
+        on = power_fallback(
+            power[np.arange(n_jobs), x], reserved, max_power,
+            machine.power.gated_core_power(),
+        )
+        configs = [
+            JointConfig.from_index(int(i)) if keep else None
+            for i, keep in zip(x, on)
         ]
-        # Hard fallback, same as the runtime: gate hungriest-first.
-        def total() -> float:
-            acc = reserved
-            for j, cfg in enumerate(configs):
-                acc += (
-                    machine.power.gated_core_power()
-                    if cfg is None
-                    else power[j, cfg.index]
-                )
-            return acc
-
-        while total() > max_power:
-            active = [j for j, cfg in enumerate(configs) if cfg is not None]
-            if not active:
-                break
-            victim = max(active, key=lambda j: power[j, configs[j].index])
-            configs[victim] = None
 
         return Assignment(
             lc_cores=self.lc_cores,
@@ -110,9 +99,14 @@ class OracleReconfigPolicy:
     def observe(self, measurement: SliceMeasurement) -> None:
         """Oracle carries no state."""
 
-    def _select_lc(
+    def select_lc(
         self, machine: Machine, load: float
     ) -> Tuple[JointConfig, float]:
+        """The LC configuration and its per-core true power.
+
+        The least-power configuration whose true p99 meets QoS at
+        ``lc_cores`` cores, or the widest one when none does.
+        """
         latency = latency_row(
             machine.lc_service, machine.perf, load, self.lc_cores
         )

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.dds import DDSParams, DDSSearch
 from repro.core.matrices import latency_row, power_rows, throughput_rows
-from repro.core.objective import SystemObjective
+from repro.core.objective import SystemObjective, power_fallback
 from repro.experiments.harness import build_machine_for_mix
 from repro.experiments.reporting import format_table
 from repro.sim.coreconfig import N_JOINT_CONFIGS, CoreConfig, JointConfig
@@ -164,13 +164,7 @@ def _gating_allocation(machine: Machine, budget: float) -> float:
     bips = np.array(
         [machine.perf.bips(p, wide, cache_ways=2.0) for p in profiles]
     )
-    residual = machine.power.gated_core_power()
-    keep = np.ones(len(profiles), dtype=bool)
-    order = np.argsort(-power)
-    i = 0
-    while power[keep].sum() + (~keep).sum() * residual > budget and keep.any():
-        keep[order[i]] = False
-        i += 1
+    keep = power_fallback(power, 0.0, budget, machine.power.gated_core_power())
     return float(bips[keep].sum())
 
 
@@ -194,22 +188,15 @@ def _reconfig_allocation(
         rng=np.random.default_rng(seed),
     )
     x = result.best_x
+    chosen = bips[np.arange(len(x)), x]
     if not objective.is_feasible(x, power_slack=budget * 0.01):
         # Gate hungriest until feasible (mirrors the runtime fallback).
-        chosen = [JointConfig.from_index(int(i)) for i in x]
-        idx = list(range(len(chosen)))
-        idx.sort(key=lambda j: -power[j, chosen[j].index])
-        total = sum(power[j, chosen[j].index] for j in range(len(chosen)))
-        kept = set(range(len(chosen)))
-        for j in idx:
-            if total <= budget:
-                break
-            total -= power[j, chosen[j].index]
-            kept.discard(j)
-        return float(
-            sum(bips[j, chosen[j].index] for j in kept)
+        keep = power_fallback(
+            power[np.arange(len(x)), x], 0.0, budget,
+            machine.power.gated_core_power(),
         )
-    return float(bips[np.arange(len(x)), x].sum())
+        return float(chosen[keep].sum())
+    return float(chosen.sum())
 
 
 def run_dvfs_comparison(

@@ -20,8 +20,9 @@ import numpy as np
 from repro.core.controller import ControllerConfig
 from repro.core.dds import DDSParams, DDSSearch
 from repro.core.ga import GAParams, GeneticSearch
-from repro.core.matrices import latency_row, power_rows, throughput_rows
+from repro.core.matrices import power_rows, throughput_rows
 from repro.core.objective import SystemObjective
+from repro.core.oracle import OracleReconfigPolicy
 from repro.core.runtime import CuttleSysPolicy
 from repro.experiments.harness import (
     build_machine_for_mix,
@@ -29,7 +30,6 @@ from repro.experiments.harness import (
     run_policy,
 )
 from repro.experiments.reporting import format_table
-from repro.sim.coreconfig import N_JOINT_CONFIGS, JointConfig
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
 
@@ -63,16 +63,9 @@ def _frozen_objective(mix_index: int, cap: float, seed: int):
     load = 0.8
     bips = throughput_rows(machine.batch_profiles, machine.perf)
     power = power_rows(machine.batch_profiles, machine.power)
-    latency = latency_row(machine.lc_service, machine.perf, load, 16)
-    qos = machine.lc_service.qos_latency_s
-    best_lc, best_lc_power = None, np.inf
-    for i in range(N_JOINT_CONFIGS):
-        if latency[i] <= qos:
-            joint = JointConfig.from_index(i)
-            watts = machine.true_lc_power(joint, load, 16)
-            if watts < best_lc_power:
-                best_lc, best_lc_power = joint, watts
-    reserved = best_lc_power * 16 + machine.power.llc_power()
+    oracle = OracleReconfigPolicy(lc_cores=16)
+    best_lc, best_lc_power = oracle.select_lc(machine, load)
+    reserved = best_lc_power * oracle.lc_cores + machine.power.llc_power()
     objective = SystemObjective(
         bips=bips,
         power=power,

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.core.matrices import ObservedMatrix, power_rows, throughput_rows
-from repro.core.rbf import RBFSurrogate, l9_sample_configs
+from repro.core.rbf import RBFSurrogate
 from repro.core.sgd import PQReconstructor, SGDParams
 from repro.experiments.reporting import (
     format_table,
@@ -119,8 +119,3 @@ def render_fig9(result: Fig9Result) -> str:
             )
         )
     return format_table(headers, rows)
-
-
-def l9_reference() -> List[CoreConfig]:
-    """The nine 3MM3 sample configurations (exported for inspection)."""
-    return l9_sample_configs()

@@ -395,8 +395,8 @@ class QuantumDriver(Snapshottable):
     def recent_decisions(
         self, since: int = 0, limit: int = 100
     ) -> List[Dict[str, Any]]:
-        """Decision records with ``quantum >= since`` (bounded tail);
-        at least one when any matches.
+        """At most ``limit`` decision records with ``quantum >= since``
+        (bounded tail); none when ``limit <= 0``.
 
         Line ``i`` of the stream is quantum ``i``, so only the returned
         lines are parsed.
@@ -404,7 +404,7 @@ class QuantumDriver(Snapshottable):
         tail = self._decision_tail
         first = min(len(tail), max(0, since - tail.start))
         return [
-            json.loads(line) for line in tail[first:first + max(limit, 1)]
+            json.loads(line) for line in tail[first:first + max(limit, 0)]
         ]
 
     # ------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from repro.core.matrices import (
     MATRIX,
     ObservedMatrix,
-    TruthTables,
     latency_row,
     latency_training_rows,
     power_rows,
@@ -89,11 +88,6 @@ class TestBuilders:
         assert np.all(row > 0)
         # Widest config with max ways must be among the fastest.
         assert row[-1] <= np.percentile(row, 10)
-
-    def test_truth_tables(self, perf, power):
-        profiles = [batch_profile("mcf"), batch_profile("lbm")]
-        tables = TruthTables.build(profiles, perf, power)
-        assert tables.batch_bips.shape == tables.batch_power.shape
 
 
 class TestLatencyTrainingRows:

@@ -332,11 +332,11 @@ def scan_decisions(tail, since, limit):
     """The decisions query as a scan of every tail line (the oracle)."""
     out = []
     for line in tail:
+        if len(out) >= limit:
+            break
         record = json.loads(line)
         if record["quantum"] >= since:
             out.append(record)
-            if len(out) >= limit:
-                break
     return out
 
 
@@ -344,7 +344,7 @@ QUERIES = [
     (since, limit)
     for since in (-3, 0, 1, 2, 3, 4, 5, 6, 50, 4095, 4096, 4100,
                   4120, 4123, 4124, 10**6)
-    for limit in (0, 1, 2, 5, 100, 10**6)
+    for limit in (-1, 0, 1, 2, 5, 100, 10**6)
 ]
 
 
@@ -359,6 +359,15 @@ class TestRecentDecisions:
             assert driver.recent_decisions(since, limit) == scan_decisions(
                 driver._decision_tail, since, limit
             ), (since, limit)
+
+    def test_limit_zero_or_less_answers_no_records(self, tmp_path):
+        driver = make_driver(tmp_path)
+        run_quanta(driver, 0, 2)
+        executor = CommandExecutor(driver)
+        for limit in (0, -1):
+            response = executor.execute({"op": "decisions", "limit": limit})
+            assert response["decisions"] == []
+        assert len(executor.execute({"op": "decisions"})["decisions"]) == 2
 
     def test_matches_scan_after_the_tail_cap(self, tmp_path):
         driver = make_driver(tmp_path, decisions_path=None)
