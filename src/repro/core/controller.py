@@ -61,6 +61,7 @@ from repro.core.objective import SystemObjective, power_fallback
 from repro.core.sgd import PQReconstructor, SGDParams
 from repro.sim.coreconfig import (
     CACHE_ALLOCS,
+    JOINT_CONFIGS,
     N_JOINT_CONFIGS,
     CoreConfig,
     JointConfig,
@@ -97,6 +98,11 @@ POWER_READING_EPS_W = 1e-9
 Searcher = Union[DDSSearch, GeneticSearch]
 
 log = get_logger("core.controller")
+
+#: Each joint configuration's LLC ways, in dense-index order.
+_CACHE_WAYS = np.array([joint.cache_ways for joint in JOINT_CONFIGS])
+#: Dense index of the widest core with the full cache allocation.
+_WIDEST_INDEX = JointConfig(CoreConfig.widest(), CACHE_ALLOCS[-1]).index
 
 
 def nearest_load_bucket(load: float) -> float:
@@ -739,82 +745,122 @@ class ResourceController(Snapshottable):
     # Observation sanitisation (hardened mode; docs/robustness.md).
     # ------------------------------------------------------------------
 
-    def _sample_ok(self, matrix: ObservedMatrix, col: int,
-                   value: float, mad_check: bool = True) -> bool:
-        """Whether a runtime observation is credible enough to ingest.
+    def _credible(
+        self,
+        matrices: Sequence[ObservedMatrix],
+        which: np.ndarray,
+        cols: np.ndarray,
+        values: np.ndarray,
+        mad_check: Union[bool, np.ndarray] = True,
+    ) -> np.ndarray:
+        """Which runtime observations are credible enough to ingest.
 
-        Rejects non-finite and negative values outright, then applies a
-        MAD-based outlier test against the offline-characterised
-        (known-row) population at the same configuration: a sample more
-        than ``outlier_mad_threshold`` robust standard deviations from
-        the training median — with a floor of half the median, so
-        heterogeneous-but-legitimate applications are not rejected — is
-        treated as corrupted.
+        Entry ``k`` is ``values[k]`` at column ``cols[k]`` of
+        ``matrices[which[k]]``.  Rejects non-finite and negative values
+        outright, then applies a MAD-based outlier test against the
+        offline-characterised (known-row) population at the same
+        configuration: a sample more than ``outlier_mad_threshold``
+        robust standard deviations from the training median — with a
+        floor of half the median, so heterogeneous-but-legitimate
+        applications are not rejected — is treated as corrupted.
 
-        ``mad_check=False`` skips the population test; tail-latency
-        samples use it because a saturated service legitimately posts
-        p99s tens of times above the historical median, and rejecting
-        them would hide exactly the QoS violations the reclaim ladder
-        must react to.
-
-        Each column's ``(median, scale)`` is derived once per version of
-        the matrix's known rows (:meth:`_population`).
+        Entries whose ``mad_check`` is False skip the population test;
+        tail-latency samples do, because a saturated service
+        legitimately posts p99s tens of times above the historical
+        median, and rejecting them would hide exactly the QoS
+        violations the reclaim ladder must react to.
         """
-        if not np.isfinite(value) or value < 0:
-            return False
-        if not mad_check:
-            return True
-        population = self._population(matrix, col)
-        if population is None:
-            return True
-        med, scale = population
-        return abs(value - med) <= self.config.outlier_mad_threshold * scale
-
-    @classmethod
-    def _population(
-        cls, matrix: ObservedMatrix, col: int
-    ) -> Optional[Tuple[float, float]]:
-        """:meth:`_population_stats`, derived once per version of the
-        matrix's known rows (:meth:`ObservedMatrix.derived`)."""
-        return matrix.derived(
-            ("sanitise.population", col),
-            lambda: cls._population_stats(matrix, col),
-        )
+        ok = np.isfinite(values) & (values >= 0)
+        tested = ok & mad_check
+        if not tested.any():
+            return ok
+        threshold = self.config.outlier_mad_threshold
+        for index, matrix in enumerate(matrices):
+            test = np.flatnonzero(tested & (which == index))
+            if not test.size:
+                continue
+            population = self._population(matrix)
+            if population is None:
+                continue
+            med, scale = population
+            col = cols[test]
+            ok[test] = (
+                np.abs(values[test] - med[col]) <= threshold * scale[col]
+            )
+        return ok
 
     @staticmethod
-    def _population_stats(
-        matrix: ObservedMatrix, col: int
-    ) -> Optional[Tuple[float, float]]:
-        """Median and outlier scale of the known rows at ``col``; None
-        when fewer than four rows are known."""
-        known = matrix.values[matrix.known_rows, col]
-        if known.size < 4:
-            return None
-        med = float(np.median(known))
-        mad_sigma = float(np.median(np.abs(known - med))) * 1.4826
-        return med, max(mad_sigma, abs(med) * 0.5, 1e-12)
+    def _population(
+        matrix: ObservedMatrix,
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Median and outlier scale of the known rows, per column; None
+        when fewer than four rows are known.  Derived once per version
+        of the known rows (:meth:`ObservedMatrix.derived`)."""
 
-    def _observe(self, matrix: ObservedMatrix, row: int, col: int,
-                 value: float, mad_check: bool = True) -> bool:
-        """Ingest one runtime observation, sanitised when hardened.
+        def build() -> Optional[Tuple[np.ndarray, np.ndarray]]:
+            known = matrix.values[matrix.known_rows]
+            if known.shape[0] < 4:
+                return None
+            med = np.median(known, axis=0)
+            mad_sigma = np.median(np.abs(known - med), axis=0) * 1.4826
+            scale = np.maximum(np.maximum(mad_sigma, np.abs(med) * 0.5), 1e-12)
+            return med, scale
 
-        Returns True if the observation entered the matrix.  Unhardened
-        controllers keep the original behaviour: the matrix itself
-        raises on non-finite values (the failure mode the fault study's
-        unhardened arm exhibits).
+        return matrix.derived("sanitise.population", build)
+
+    def _sanitise(
+        self,
+        matrices: Sequence[ObservedMatrix],
+        which: np.ndarray,
+        cols: np.ndarray,
+        values: np.ndarray,
+        mad_check: Union[bool, np.ndarray] = True,
+    ) -> np.ndarray:
+        """Which runtime observations, in arrival order, may enter their
+        matrix (entry ``k`` is ``values[k]`` at column ``cols[k]`` of
+        ``matrices[which[k]]``).
+
+        Hardened controllers drop what :meth:`_credible` rejects, and
+        count it.  Unhardened controllers keep the original behaviour:
+        the entries before the first non-finite value, at which
+        :meth:`_observe` then raises (the failure mode the fault
+        study's unhardened arm exhibits).
         """
-        if self.config.hardened and not self._sample_ok(
-            matrix, col, value, mad_check=mad_check
-        ):
-            self._rejections_this_quantum += 1
-            self._count("faults.detected.bad_sample")
-            log.debug(
-                "rejected observation %.4g at config %d (non-finite or "
-                "outlier)", value, col,
-            )
-            return False
-        matrix.observe(row, col, value)
-        return True
+        if not self.config.hardened:
+            accepted = np.isfinite(values)
+            if not accepted.all():
+                accepted[np.argmin(accepted):] = False
+            return accepted
+        accepted = self._credible(matrices, which, cols, values, mad_check)
+        if not accepted.all():
+            rejected = np.flatnonzero(~accepted)
+            self._rejections_this_quantum += int(rejected.size)
+            self._count("faults.detected.bad_sample", int(rejected.size))
+            for k in rejected:
+                log.debug(
+                    "rejected observation %.4g at config %d (non-finite "
+                    "or outlier)", values[k], cols[k],
+                )
+        return accepted
+
+    def _observe(
+        self,
+        matrices: Sequence[ObservedMatrix],
+        which: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        values: np.ndarray,
+        accepted: np.ndarray,
+    ) -> None:
+        """Write the entries :meth:`_sanitise` accepted, one write per
+        matrix; unhardened, then let the first non-finite value's
+        matrix raise."""
+        for index, matrix in enumerate(matrices):
+            take = accepted & (which == index)
+            matrix.observe_many(rows[take], cols[take], values[take])
+        if not self.config.hardened and not accepted.all():
+            bad = int(np.argmin(accepted))
+            matrices[which[bad]].observe(rows[bad], cols[bad], values[bad])
 
     def _detect_stuck_sensor(self, sample: ProfilingSample) -> bool:
         """Flag bit-identical consecutive power samples (frozen sensor).
@@ -857,36 +903,32 @@ class ResourceController(Snapshottable):
                 "power sensors returned bit-identical samples two quanta "
                 "running; discarding this quantum's power samples"
             )
-        for j in range(self.n_batch):
-            row = self._batch_row(j)
-            self._observe(self._bips_matrix, row, sample.hi_joint_index,
-                          sample.batch_bips_hi[j])
-            self._observe(self._bips_matrix, row, sample.lo_joint_index,
-                          sample.batch_bips_lo[j])
-            if power_ok:
-                self._observe(self._power_matrix, row,
-                              sample.hi_joint_index,
-                              sample.batch_power_hi[j])
-                self._observe(self._power_matrix, row,
-                              sample.lo_joint_index,
-                              sample.batch_power_lo[j])
+        # The samples in arrival order: per job its BIPS at the hi and
+        # lo configurations, then its power at both; then every LC
+        # service's power.
+        hi_lo = (sample.hi_joint_index, sample.lo_joint_index)
+        per_job = [sample.batch_bips_hi, sample.batch_bips_lo]
         if power_ok:
-            self._observe(self._power_matrix, self._lc_power_row(0),
-                          sample.hi_joint_index, sample.lc_power_hi)
-            self._observe(self._power_matrix, self._lc_power_row(0),
-                          sample.lo_joint_index, sample.lc_power_lo)
-            for idx, (hi, lo) in enumerate(
-                zip(sample.extra_lc_power_hi, sample.extra_lc_power_lo),
-                start=1,
-            ):
-                self._observe(
-                    self._power_matrix, self._lc_power_row(idx),
-                    sample.hi_joint_index, hi,
-                )
-                self._observe(
-                    self._power_matrix, self._lc_power_row(idx),
-                    sample.lo_joint_index, lo,
-                )
+            per_job += [sample.batch_power_hi, sample.batch_power_lo]
+        which = np.tile([0, 0, 1, 1][:len(per_job)], self.n_batch)
+        rows = np.repeat(self._batch_row(0) + np.arange(self.n_batch),
+                         len(per_job))
+        cols = np.resize(hi_lo, which.size)
+        values = np.column_stack(per_job).ravel()
+        if power_ok:
+            lc_power = np.column_stack((
+                (sample.lc_power_hi, *sample.extra_lc_power_hi),
+                (sample.lc_power_lo, *sample.extra_lc_power_lo),
+            ))
+            which = np.concatenate((which, np.ones(lc_power.size, int)))
+            rows = np.concatenate((rows, np.repeat(
+                self._lc_power_row(0) + np.arange(len(lc_power)), 2
+            )))
+            cols = np.concatenate((cols, np.resize(hi_lo, lc_power.size)))
+            values = np.concatenate((values, lc_power.ravel()))
+        matrices = (self._bips_matrix, self._power_matrix)
+        accepted = self._sanitise(matrices, which, cols, values)
+        self._observe(matrices, which, rows, cols, values, accepted)
 
     def _detect_failed_reconfigs(self, ran: Assignment) -> None:
         """Diff what ran against what was requested; quarantine repeat
@@ -965,18 +1007,24 @@ class ResourceController(Snapshottable):
         batch_cores = self.machine.params.n_cores - assignment.total_lc_cores
         active = assignment.active_batch_indices
         share = min(1.0, batch_cores / len(active)) if active else 0.0
-        for j in active:
-            joint = assignment.batch_configs[j]
-            if share <= 0:
-                continue
-            row = self._batch_row(j)
-            bips = measurement.batch_bips[j] / share
-            power = measurement.batch_power[j] / share
-            if bips > 0:
-                self._observe(self._bips_matrix, row, joint.index, bips)
-            if power > 0:
-                self._observe(self._power_matrix, row, joint.index, power)
-
+        # The readings in arrival order, as (matrix, row, column,
+        # value): per running job its BIPS and its power per core, a
+        # non-positive reading skipped; then per LC service its p99 and
+        # its core power.
+        matrices = [self._bips_matrix, self._power_matrix]
+        readings: List[Tuple[int, int, int, float]] = []
+        if share > 0:
+            for j in active:
+                row = self._batch_row(j)
+                col = assignment.batch_configs[j].index
+                bips = measurement.batch_bips[j] / share
+                power = measurement.batch_power[j] / share
+                if bips > 0:
+                    readings.append((0, row, col, bips))
+                if power > 0:
+                    readings.append((1, row, col, power))
+        # Position of each LC p99 among the readings, with its regime.
+        p99_at: Dict[int, Tuple[int, float, int]] = {}
         lc_blocks = zip(
             assignment.lc_allocations(),
             (measurement.lc_load, *measurement.extra_lc_loads),
@@ -988,19 +1036,31 @@ class ResourceController(Snapshottable):
         ):
             if config is None or p99 <= 0:
                 continue
+            if not self.config.hardened and not all(
+                math.isfinite(reading[3]) for reading in readings
+            ):
+                # Ingest raises at that reading, before this regime.
+                break
             bucket = nearest_load_bucket(lc_load)
-            matrix = self._latency_matrix(bucket, cores, idx)
-            if self._observe(matrix, matrix.n_rows - 1, config.index, p99,
-                             mad_check=False):
-                key = (idx, bucket, cores)
-                self._latency_evidence.setdefault(key, set()).add(
-                    config.index
-                )
+            matrices.append(self._latency_matrix(bucket, cores, idx))
+            p99_at[len(readings)] = (idx, bucket, cores)
+            readings.append((len(matrices) - 1, matrices[-1].n_rows - 1,
+                             config.index, p99))
             if core_power > 0:
-                self._observe(
-                    self._power_matrix, self._lc_power_row(idx),
-                    config.index, core_power,
+                readings.append(
+                    (1, self._lc_power_row(idx), config.index, core_power)
                 )
+        table = np.array(readings, dtype=float).reshape(-1, 4)
+        which, rows, cols = table[:, :3].T.astype(int)
+        values = table[:, 3]
+        # A saturated service's p99 is no outlier (see _credible).
+        mad_check = np.ones(len(readings), dtype=bool)
+        mad_check[list(p99_at)] = False
+        accepted = self._sanitise(matrices, which, cols, values, mad_check)
+        for k, key in p99_at.items():
+            if accepted[k]:
+                self._latency_evidence.setdefault(key, set()).add(int(cols[k]))
+        self._observe(matrices, which, rows, cols, values, accepted)
 
     # ------------------------------------------------------------------
     # Decision.
@@ -1493,21 +1553,11 @@ class ResourceController(Snapshottable):
             samples is uncertain); ties break toward smaller cache
             allocations, freeing ways for the batch jobs (§VI-A).
             """
-            latency = predict(n_cores)
             if guard is None:
                 guard = self._qos_guard(bucket, n_cores, service_idx)
-            target = qos * (1.0 - guard)
-            best = None
-            best_key = (np.inf, np.inf)
-            for index in range(N_JOINT_CONFIGS):
-                if latency[index] > target:
-                    continue
-                joint = JointConfig.from_index(index)
-                key = (lc_power_row[index], joint.cache_ways)
-                if key < best_key:
-                    best = joint
-                    best_key = key
-            return best
+            return self._least_power(
+                predict(n_cores), lc_power_row, qos * (1.0 - guard)
+            )
 
         reclaimed = False
         choice = best_config(lc_cores)
@@ -1563,23 +1613,39 @@ class ResourceController(Snapshottable):
         )
 
     @staticmethod
+    def _least_power(
+        latency: np.ndarray, lc_power_row: np.ndarray, target: float
+    ) -> Optional[JointConfig]:
+        """Least power among configs whose latency is not above
+        ``target``; ties break toward fewer cache ways, then the lower
+        index.
+
+        A NaN latency is not above the target, so its config competes.
+        The powers are finite (a reconstruction).
+        """
+        meets = np.flatnonzero(~(latency > target))
+        if not meets.size:
+            return None
+        # lexsort is stable and sorts by its last key first.
+        order = np.lexsort((_CACHE_WAYS[meets], lc_power_row[meets]))
+        return JointConfig.from_index(int(meets[order[0]]))
+
+    @staticmethod
     def _safest_downgrade(
         latency: np.ndarray, lc_power_row: np.ndarray, qos: float
     ) -> Optional[JointConfig]:
-        """Lowest-latency config that meets raw QoS and saves power."""
-        wide_power = lc_power_row[
-            JointConfig(CoreConfig.widest(), CACHE_ALLOCS[-1]).index
-        ]
-        best = None
-        best_key = (np.inf, np.inf)
-        for index in range(N_JOINT_CONFIGS):
-            if latency[index] > qos or lc_power_row[index] >= wide_power:
-                continue
-            key = (latency[index], lc_power_row[index])
-            if key < best_key:
-                best = JointConfig.from_index(index)
-                best_key = key
-        return best
+        """Lowest-latency config that meets raw QoS and saves power;
+        ties break toward less power, then the lower index.
+
+        A config with a NaN latency is never chosen.  The powers are
+        finite (a reconstruction).
+        """
+        wide_power = lc_power_row[_WIDEST_INDEX]
+        meets = np.flatnonzero((latency <= qos) & (lc_power_row < wide_power))
+        if not meets.size:
+            return None
+        order = np.lexsort((lc_power_row[meets], latency[meets]))
+        return JointConfig.from_index(int(meets[order[0]]))
 
     def _latency_observations(
         self, bucket: float, n_cores: int, service_idx: int = 0

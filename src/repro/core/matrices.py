@@ -48,10 +48,12 @@ class ObservedMatrix:
     reconstruction.  Known (offline-characterised) rows are fully
     observed.
 
-    ``version`` counts changes to the known rows.  Quantities derived
+    ``version`` counts changes to the known rows and ``revision``
+    changes to any entry of ``values`` or ``mask``.  Quantities derived
     from the known rows alone (the reconstruction's anchor statistics,
     the sanitiser's population statistics) are memoised per version by
-    :meth:`derived`; the memo is neither copied nor snapshotted.
+    :meth:`derived`, and the reconstruction itself per revision; the
+    memo is neither copied nor snapshotted.
     """
 
     n_rows: int
@@ -65,6 +67,8 @@ class ObservedMatrix:
     known_rows: np.ndarray = field(init=False)
     #: Bumped by every change to a known row and by snapshot restore.
     version: int = field(init=False, default=0)
+    #: Bumped by every change to ``values`` or ``mask``.
+    revision: int = field(init=False, default=0)
     _derived: Dict[Hashable, Tuple[int, Any]] = field(
         init=False, default_factory=dict, repr=False, compare=False
     )
@@ -89,16 +93,56 @@ class ObservedMatrix:
         self.age[row] = 0
         self.known_rows[row] = True
         self.version += 1
+        self.revision += 1
 
     def observe(self, row: int, col: int, value: float) -> None:
         """Record one runtime measurement (later samples overwrite)."""
-        if not np.isfinite(value):
-            raise ValueError(f"observation must be finite, got {value}")
-        if self.known_rows[row]:
-            self.version += 1
-        self.values[row, col] = value
-        self.mask[row, col] = True
-        self.age[row, col] = 0
+        self.observe_many(np.array([row]), np.array([col]), np.array([value]))
+
+    def observe_many(
+        self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Record ``values[k]`` at ``(rows[k], cols[k])`` for every
+        ``k``, in order, as one write.
+
+        Raises ValueError for an index that is not an integer or lies
+        outside the matrix, before writing anything; for a non-finite
+        value, after writing the entries before it.  A later entry
+        overwrites an earlier one at the same position (``put``
+        writes in order).
+        """
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        values = np.asarray(values, dtype=float)
+        if not rows.shape == cols.shape == values.shape or rows.ndim != 1:
+            raise ValueError("rows, cols and values must be equal 1-D arrays")
+        if not rows.size:
+            return
+        if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+            raise ValueError("entry indices must be integers")
+        rows = rows.astype(np.intp, copy=False)
+        cols = cols.astype(np.intp, copy=False)
+        # Viewed unsigned, a negative index is larger than any bound.
+        if (
+            rows.view(np.uintp).max() >= self.n_rows
+            or cols.view(np.uintp).max() >= self.n_cols
+        ):
+            raise ValueError(
+                f"entry index outside a {self.n_rows}x{self.n_cols} matrix"
+            )
+        finite = np.isfinite(values)
+        n = rows.size
+        if np.count_nonzero(finite) < n:
+            n = int(np.argmin(finite))
+        if n:
+            flat = rows[:n] * self.n_cols + cols[:n]
+            if self.known_rows[rows[:n]].any():
+                self.version += 1
+            self.values.put(flat, values[:n])
+            self.mask.put(flat, True)
+            self.age.put(flat, 0)
+            self.revision += 1
+        if n < rows.size:
+            raise ValueError(f"observation must be finite, got {values[n]}")
 
     def observed_count(self, row: int) -> int:
         """Number of observed entries in ``row``."""
@@ -109,7 +153,7 @@ class ObservedMatrix:
 
         Known rows never expire, so they are never aged either.
         """
-        self.age[self.mask & ~self.known_rows[:, None]] += 1
+        self.age += self.mask & ~self.known_rows[:, None]
 
     def expire(self, max_age: int) -> int:
         """Drop runtime observations older than ``max_age`` quanta.
@@ -122,11 +166,13 @@ class ObservedMatrix:
         if max_age < 0:
             raise ValueError("max_age must be non-negative")
         stale = self.mask & (self.age > max_age)
-        stale[self.known_rows] = False
-        dropped = int(np.sum(stale))
-        self.mask[stale] = False
-        self.values[stale] = 0.0
-        self.age[stale] = 0
+        stale &= ~self.known_rows[:, None]
+        dropped = int(np.count_nonzero(stale))
+        if dropped:
+            self.mask[stale] = False
+            self.values[stale] = 0.0
+            self.age[stale] = 0
+            self.revision += 1
         return dropped
 
     def clear_row(self, row: int) -> None:
@@ -137,6 +183,7 @@ class ObservedMatrix:
         self.mask[row] = False
         self.age[row] = 0
         self.known_rows[row] = False
+        self.revision += 1
 
     def copy(self) -> "ObservedMatrix":
         """Deep copy (used to snapshot before what-if reconstructions)."""
@@ -147,19 +194,26 @@ class ObservedMatrix:
         out.known_rows = self.known_rows.copy()
         return out
 
-    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
-        """``build()``, computed once per :attr:`version` under ``key``.
+    def derived(
+        self, key: Hashable, build: Callable[[], T], stamp: Hashable = None
+    ) -> T:
+        """``build()``, computed once per ``stamp`` under ``key``.
 
-        ``build`` must depend on the known rows alone: runtime
-        observations change without bumping the version.  Every caller
-        gets the same value, so an array is made read-only.
+        The stamp defaults to :attr:`version`, and then ``build`` must
+        depend on the known rows alone: runtime observations change
+        without bumping the version.  A stamp holding :attr:`revision`
+        covers every entry.  Each key keeps one value, that of the last
+        stamp.  Every caller gets the same value, so an array is made
+        read-only.
         """
+        if stamp is None:
+            stamp = self.version
         hit = self._derived.get(key)
-        if hit is None or hit[0] != self.version:
+        if hit is None or hit[0] != stamp:
             value = build()
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-            hit = self._derived[key] = (self.version, value)
+            hit = self._derived[key] = (stamp, value)
         return hit[1]
 
 
@@ -219,6 +273,7 @@ class _RuntimeEntries(Codec):
         current.mask[runtime] = mask.reshape(shape)
         current.age[runtime] = age.reshape(shape)
         current.version += 1
+        current.revision += 1
         return current
 
 

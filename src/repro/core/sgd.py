@@ -26,6 +26,7 @@ their log matrices close to low-rank.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -79,6 +80,8 @@ class SGDParams:
             raise ValueError("fold_in_ridge must be positive")
         if not 0 < self.anchor_fraction <= 1:
             raise ValueError("anchor_fraction must be in (0, 1]")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError("tol must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -109,21 +112,33 @@ class PQReconstructor:
 
         Observed entries are copied through verbatim — the controller
         always trusts measurements over predictions (§IV-B).
+
+        The result is memoised per matrix revision and parameters
+        (:meth:`ObservedMatrix.derived`): a repeat returns a fresh copy
+        of the same estimate and reports and charges the same
+        iterations, so the meter and the trace cannot tell it from a
+        recomputation.
         """
         with self.tracer.span(
             "sgd.reconstruct", category="sgd", n_rows=matrix.n_rows
         ) as span:
-            result = self._reconstruct(matrix)
-            if self.last_diagnostics is not None:
-                span.set(iterations=self.last_diagnostics.iterations)
-                if self.budget is not None:
-                    self.budget.charge(
-                        self.last_diagnostics.iterations,
-                        phase="sgd.reconstruct",
-                    )
-            return result
+            estimate, diagnostics = matrix.derived(
+                "sgd.reconstruct",
+                lambda: self._reconstruct(matrix),
+                stamp=(self.params, matrix.revision),
+            )
+            self.last_diagnostics = diagnostics
+            span.set(iterations=diagnostics.iterations)
+            if self.budget is not None:
+                self.budget.charge(
+                    diagnostics.iterations, phase="sgd.reconstruct"
+                )
+            return estimate.copy()
 
-    def _reconstruct(self, matrix: ObservedMatrix) -> np.ndarray:
+    def _reconstruct(
+        self, matrix: ObservedMatrix
+    ) -> Tuple[np.ndarray, SGDDiagnostics]:
+        """The reconstruction (read-only) and what its refinement did."""
         mask = matrix.mask
         if not mask.any():
             raise ValueError("cannot reconstruct a matrix with no observations")
@@ -150,7 +165,6 @@ class PQReconstructor:
         baseline, centred = self._baseline(work, mask, anchors, memo)
         q, p = self._init_factors(centred, mask, anchors, memo)
         diagnostics = self._refine(centred, mask, q, p)
-        self.last_diagnostics = diagnostics
 
         estimate = baseline + q @ p.T
         if self.params.log_space:
@@ -159,7 +173,8 @@ class PQReconstructor:
             np.clip(estimate, -60.0, 60.0, out=estimate)
             np.exp(estimate, out=estimate, where=~mask)
         np.copyto(estimate, values, where=mask)
-        return estimate
+        estimate.flags.writeable = False
+        return estimate, diagnostics
 
     # ------------------------------------------------------------------
 
@@ -254,7 +269,7 @@ class PQReconstructor:
         outer = (p[:, :, None] * p[:, None, :]).reshape(n_cols, rank * rank)
         gram = (mask.astype(float) @ outer).reshape(n_rows, rank, rank)
         ridge = params.fold_in_ridge * (
-            np.trace(gram, axis1=1, axis2=2) / rank + 1e-12
+            gram.trace(axis1=1, axis2=2) / rank + 1e-12
         )
         gram += ridge[:, None, None] * np.eye(rank)
         q = np.linalg.solve(gram, (centred @ p)[:, :, None])[:, :, 0]
@@ -281,38 +296,61 @@ class PQReconstructor:
         q: np.ndarray,
         p: np.ndarray,
     ) -> SGDDiagnostics:
-        """SGD epochs over the observed entries (Alg. 1)."""
+        """SGD epochs over the observed entries (Alg. 1).
+
+        Every epoch writes into the same buffers: the residual, its
+        square and the gradient and temporary of each factor.
+        """
         params = self.params
-        rng = np.random.default_rng(params.seed)
         n_observed = np.count_nonzero(mask)
         # The mask is fixed for the whole refinement.
-        unobserved = ~mask
-        counts_row = np.maximum(mask.sum(axis=1, keepdims=True), 1)
-        counts_col = np.maximum(mask.sum(axis=0)[:, None], 1)
+        weight = mask.astype(float)
+        # As floats: a division by an int array casts it every epoch.
+        counts_row = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
+        counts_col = np.maximum(mask.sum(axis=0)[:, None], 1.0)
+        err = np.empty(centred.shape)
+        square = np.empty(centred.shape)
+        if params.parallel:
+            # C-ordered like the fresh arrays the plain expressions
+            # make, so BLAS sums in the same order.
+            grads = (
+                np.empty(q.shape), np.empty(q.shape),
+                np.empty(p.shape), np.empty(p.shape),
+            )
+        else:
+            rng = np.random.default_rng(params.seed)
+            rows_idx, cols_idx = np.nonzero(mask)
 
-        def residual() -> np.ndarray:
-            err = centred - q @ p.T
-            np.copyto(err, 0.0, where=unobserved)
-            return err
-
-        def rmse(err: np.ndarray) -> float:
+        def residual() -> float:
+            """Refresh ``err`` for the current factors; its RMSE."""
+            np.matmul(q, p.T, out=err)
+            np.subtract(centred, err, out=err)
+            # Zeroes the residual off the mask, up to the sign of a
+            # zero, which no sum sees.
+            np.multiply(err, weight, out=err)
+            np.square(err, out=square)
             # np.sum's reduction, without its Python wrapper.
-            total = np.add.reduce(err**2, axis=None)
-            return float(np.sqrt(total / n_observed))
+            total = np.add.reduce(square, axis=None)
+            if not math.isfinite(total):
+                # Overflowed factors: inf * 0 left NaN off the mask.
+                np.copyto(err, 0.0, where=~mask)
+                np.square(err, out=square)
+                total = np.add.reduce(square, axis=None)
+            return math.sqrt(total / n_observed)
 
         # The residual that scores the factors is the next epoch's
         # gradient input: both read the same factor state.
-        err = residual()
-        last_rmse = rmse(err)
+        last_rmse = residual()
         iterations = 0
         converged = False
         for iterations in range(1, params.max_iter + 1):
             if params.parallel:
-                self._epoch_parallel(err, q, p, counts_row, counts_col)
+                self._epoch_parallel(
+                    err, q, p, counts_row, counts_col, *grads
+                )
             else:
-                self._epoch_serial(centred, *np.nonzero(mask), q, p, rng)
-            err = residual()
-            current = rmse(err)
+                self._epoch_serial(centred, rows_idx, cols_idx, q, p, rng)
+            current = residual()
             if last_rmse - current < params.tol:
                 converged = True
                 last_rmse = min(last_rmse, current)
@@ -350,6 +388,10 @@ class PQReconstructor:
         p: np.ndarray,
         counts_row: np.ndarray,
         counts_col: np.ndarray,
+        grad_q: np.ndarray,
+        temp_q: np.ndarray,
+        grad_p: np.ndarray,
+        temp_p: np.ndarray,
     ) -> None:
         """One lock-free epoch: all updates computed from stale factors.
 
@@ -358,9 +400,20 @@ class PQReconstructor:
         parameters; the accumulated updates are then applied at once.
         ``err`` is that state's residual on the observed entries (zero
         elsewhere); ``counts_row`` (rows x 1) and ``counts_col``
-        (columns x 1) count the observed entries, floored at 1.
+        (columns x 1) count the observed entries, floored at 1.  The
+        updates are ``q += eta * (err @ p / counts_row - lam * q)`` and
+        then the same for ``p`` with the new ``q``, evaluated in that
+        order into the gradient and temporary buffers.
         """
         eta = self.params.learning_rate
         lam = self.params.regularization
-        q += eta * (err @ p / counts_row - lam * q)
-        p += eta * (err.T @ q / counts_col - lam * p)
+        for grad, temp, factor, other, resid, counts in (
+            (grad_q, temp_q, q, p, err, counts_row),
+            (grad_p, temp_p, p, q, err.T, counts_col),
+        ):
+            np.matmul(resid, other, out=grad)
+            np.divide(grad, counts, out=grad)
+            np.multiply(lam, factor, out=temp)
+            np.subtract(grad, temp, out=grad)
+            np.multiply(eta, grad, out=grad)
+            np.add(factor, grad, out=factor)

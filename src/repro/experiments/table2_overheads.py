@@ -81,13 +81,19 @@ def run_table2(
     seed: int = 7,
 ) -> OverheadResult:
     """Measure the three overhead components on this implementation."""
-    matrix, _, _ = _profiled_matrix(n_train=16)
+    matrix, _, n_train = _profiled_matrix(n_train=16)
     tracer = Tracer()
     reconstructor = PQReconstructor(sgd_params)
     reconstructor.tracer = tracer
     for _ in range(repeats):
         # Three reconstructions per quantum (throughput, latency, power).
         for _ in range(3):
+            # Each quantum brings new samples, so each reconstruction
+            # sees a new matrix state: re-record one sample unchanged.
+            # A repeat of an unchanged state would be served by the
+            # per-revision memo instead of being reconstructed.
+            value = matrix.values[n_train, HI.index]
+            matrix.observe(n_train, HI.index, value)
             reconstructor.reconstruct(matrix)
     # One quantum's SGD cost = three consecutive reconstruction spans.
     per_call = np.array(tracer.durations_s("sgd.reconstruct"))

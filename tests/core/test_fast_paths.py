@@ -7,12 +7,18 @@ leave the RNG in the same state as the straightforward versions kept
 here as reference oracles, or a seeded run would decide differently.
 
 SGD's refinement reuses each epoch's scoring residual as the next
-epoch's gradient input and must match the per-epoch recomputation bit
-for bit.  Its fold-in solves every row's ridge system in one stacked
-solve; that changes the summation order, so it is held to the per-row
-loop within rounding.  What the known rows alone determine is memoised
-per matrix version; a warm reconstruction must equal a cold one on a
-copy bit for bit, also after any change to the known rows.
+epoch's gradient input and writes every epoch into preallocated
+buffers; it must match both the per-epoch recomputation and the
+unbuffered refinement bit for bit (up to the sign of a zero).  Its
+fold-in solves every row's ridge system in one stacked solve; that
+changes the summation order, so it is held to the per-row loop within
+rounding.  What the known rows alone determine is memoised per matrix
+version, and the whole reconstruction per matrix revision; a warm
+reconstruction must equal a cold one on a copy bit for bit, also after
+any sequence of changes to the matrix, and a memo hit must report and
+charge the same iterations.  ``ObservedMatrix``'s batched write, aging
+and expiry are held to the scalar and boolean-indexing forms they
+replaced.
 
 The latency regimes' known rows are array passes over all 108 joint
 configurations (``latency_row``, ``latency_training_rows``,
@@ -33,6 +39,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.controller import LOAD_GRID, ResourceController
+from repro.core.deadline import DecisionBudget
 from repro.core.dds import DDSParams, DDSSearch
 from repro.core.matrices import (
     MATRIX,
@@ -46,6 +53,7 @@ from repro.sim.cache import MissRateCurve
 from repro.sim.coreconfig import JOINT_CONFIGS, N_CORE_CONFIGS, N_JOINT_CONFIGS
 from repro.sim.perf import AppProfile, PerformanceModel
 from repro.telemetry.provenance import classify_candidates
+from repro.telemetry.tracer import Tracer
 from repro.workloads.batch import SPEC_APPS, batch_profile
 from repro.workloads.latency_critical import (
     LC_SERVICE_NAMES,
@@ -575,6 +583,49 @@ def reference_refine(reconstructor, centred, mask, q, p):
     )
 
 
+def unbuffered_refine(reconstructor, centred, mask, q, p):
+    """The refinement whose epochs made fresh arrays (verbatim, with
+    the parallel epoch inlined)."""
+    params = reconstructor.params
+    rng = np.random.default_rng(params.seed)
+    n_observed = np.count_nonzero(mask)
+    unobserved = ~mask
+    counts_row = np.maximum(mask.sum(axis=1, keepdims=True), 1)
+    counts_col = np.maximum(mask.sum(axis=0)[:, None], 1)
+
+    def residual():
+        err = centred - q @ p.T
+        np.copyto(err, 0.0, where=unobserved)
+        return err
+
+    def rmse(err):
+        total = np.add.reduce(err**2, axis=None)
+        return float(np.sqrt(total / n_observed))
+
+    err = residual()
+    last_rmse = rmse(err)
+    iterations = 0
+    converged = False
+    for iterations in range(1, params.max_iter + 1):
+        if params.parallel:
+            eta = params.learning_rate
+            lam = params.regularization
+            q += eta * (err @ p / counts_row - lam * q)
+            p += eta * (err.T @ q / counts_col - lam * p)
+        else:
+            reconstructor._epoch_serial(centred, *np.nonzero(mask), q, p, rng)
+        err = residual()
+        current = rmse(err)
+        if last_rmse - current < params.tol:
+            converged = True
+            last_rmse = min(last_rmse, current)
+            break
+        last_rmse = current
+    return SGDDiagnostics(
+        iterations=iterations, observed_rmse=last_rmse, converged=converged
+    )
+
+
 @st.composite
 def sparse_matrices(draw):
     """Known rows plus sparse runtime rows, some of them unobserved."""
@@ -625,22 +676,36 @@ class TestSGDFastPaths:
         # Unobserved rows fold in to exactly zero, as the loop skips them.
         assert not q[~mask.any(axis=1)].any()
 
-    @given(sparse_matrices(), st.booleans(), st.sampled_from([1e-5, 0.0]))
+    @given(sparse_matrices(), st.booleans(), st.sampled_from([1e-5, 0.0]),
+           st.sampled_from([1, 3, 5]))
     @settings(max_examples=80, deadline=None)
     def test_refine_bit_identical_to_per_epoch_residual(
-        self, matrix, parallel, tol
+        self, matrix, parallel, tol, rank
     ):
-        reconstructor = PQReconstructor(SGDParams(parallel=parallel, tol=tol))
+        reconstructor = PQReconstructor(
+            SGDParams(parallel=parallel, tol=tol, rank=rank)
+        )
         centred, mask, anchors = sgd_problem(reconstructor, matrix)
         q, p = reconstructor._init_factors(centred, mask, anchors)
-        # Same memory layout (p is a transposed SVD slice), so BLAS
-        # sums in the same order.
-        want_q, want_p = q.copy(order="K"), p.copy(order="K")
+        if anchors.size >= 2 and p.shape[1] > 1:
+            # The SVD basis is a transposed slice: F-ordered.
+            assert p.flags.f_contiguous and not p.flags.c_contiguous
+        # Same memory layout, so BLAS sums in the same order.
+        start = q.copy(order="K"), p.copy(order="K")
         got = reconstructor._refine(centred, mask, q, p)
-        want = reference_refine(reconstructor, centred, mask, want_q, want_p)
-        assert got == want
-        assert np.array_equal(q, want_q)
-        assert np.array_equal(p, want_p)
+        for reference in (reference_refine, unbuffered_refine):
+            want_q, want_p = (factor.copy(order="K") for factor in start)
+            want = reference(reconstructor, centred, mask, want_q, want_p)
+            # Equal up to the sign of a zero.  The serial epoch can
+            # overflow, and then both sides read NaN.
+            assert (got.iterations, got.converged) == (
+                want.iterations, want.converged
+            )
+            assert np.array_equal(
+                got.observed_rmse, want.observed_rmse, equal_nan=True
+            )
+            assert np.array_equal(q, want_q, equal_nan=True)
+            assert np.array_equal(p, want_p, equal_nan=True)
 
 
 def reconstruct_cold(params, matrix):
@@ -657,11 +722,25 @@ def known_rows_are_anchors(params, matrix):
     )
 
 
+def reference_population_stats(matrix, col):
+    """Median and outlier scale of the known rows at ``col``; None
+    when fewer than four rows are known (the per-column form)."""
+    known = matrix.values[matrix.known_rows, col]
+    if known.size < 4:
+        return None
+    med = float(np.median(known))
+    mad_sigma = float(np.median(np.abs(known - med))) * 1.4826
+    return med, max(mad_sigma, abs(med) * 0.5, 1e-12)
+
+
 def check_population_memo(matrix):
+    population = ResourceController._population(matrix)
     for col in range(matrix.n_cols):
-        assert ResourceController._population(
-            matrix, col
-        ) == ResourceController._population_stats(matrix, col)
+        want = reference_population_stats(matrix, col)
+        if want is None:
+            assert population is None
+        else:
+            assert (population[0][col], population[1][col]) == want
 
 
 class TestKnownRowMemo:
@@ -676,11 +755,15 @@ class TestKnownRowMemo:
         reconstructor = PQReconstructor(params)
         reconstructor.reconstruct(matrix)
         assert not matrix.copy()._derived
+        # Drop the memoised estimate, so the known-row memo serves.
+        del matrix._derived["sgd.reconstruct"]
         warm = reconstructor.reconstruct(matrix)
         cold, diagnostics = reconstruct_cold(params, matrix)
         assert np.array_equal(warm, cold)
         assert reconstructor.last_diagnostics == diagnostics
-        assert bool(matrix._derived) == known_rows_are_anchors(params, matrix)
+        assert (("sgd.basis", params) in matrix._derived) == (
+            known_rows_are_anchors(params, matrix)
+        )
         # Other parameters sharing the matrix get their own entries.
         other = dataclasses.replace(params, rank=rank + 1)
         assert np.array_equal(
@@ -755,7 +838,9 @@ class TestKnownRowMemo:
         for col in range(math.ceil(params.anchor_fraction * matrix.n_cols)):
             matrix.observe(row, col, 1.0 + col / 10)
 
-        def consulted(key, build):
+        def consulted(key, build, stamp=None):
+            if key == "sgd.reconstruct":
+                return build()
             raise AssertionError(f"memo consulted for {key}")
 
         matrix.derived = consulted
@@ -807,3 +892,269 @@ class TestSparseMatrixCodec:
         assert MATRIX.decode(data, fresh) is fresh
         for name in ("values", "mask", "age", "known_rows"):
             assert np.array_equal(getattr(fresh, name), getattr(matrix, name))
+
+
+# ----------------------------------------------------------------------
+# One reconstruction per matrix revision.
+# ----------------------------------------------------------------------
+
+
+MUTATORS = [
+    "observe", "observe_many", "tick", "expire", "clear_row",
+    "set_known_row", "decode", "copy", "none",
+]
+
+
+def mutate(matrix, mutator, seed):
+    """Apply one mutator; returns the matrix to use next (``copy``
+    swaps in a copy, whose memo starts empty)."""
+    rng = np.random.default_rng(seed)
+    row = int(rng.integers(matrix.n_rows))
+    col = int(rng.integers(matrix.n_cols))
+    if mutator == "observe":
+        matrix.observe(row, col, float(np.exp(rng.normal())))
+    elif mutator == "observe_many":
+        k = int(rng.integers(1, 4))
+        matrix.observe_many(
+            rng.integers(matrix.n_rows, size=k),
+            rng.integers(matrix.n_cols, size=k),
+            np.exp(rng.normal(size=k)),
+        )
+    elif mutator == "tick":
+        matrix.tick()
+    elif mutator == "expire":
+        matrix.expire(int(rng.integers(0, 3)))
+    elif mutator == "clear_row":
+        matrix.clear_row(row)
+    elif mutator == "set_known_row":
+        matrix.set_known_row(row, np.exp(rng.normal(size=matrix.n_cols)))
+    elif mutator == "decode":
+        snapshot = json.loads(json.dumps(MATRIX.encode(matrix)))
+        runtime = np.flatnonzero(~matrix.known_rows)
+        if runtime.size:
+            matrix.clear_row(int(rng.choice(runtime)))
+        MATRIX.decode(snapshot, matrix)
+    elif mutator == "copy":
+        return matrix.copy()
+    return matrix
+
+
+def bits(matrix):
+    return (matrix.values.tobytes(), matrix.mask.tobytes())
+
+
+class TestReconstructionMemo:
+    @given(
+        sparse_matrices(),
+        st.lists(
+            st.tuples(st.sampled_from(MUTATORS), st.integers(0, 2**32 - 1)),
+            min_size=1, max_size=6,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_memoised_matches_cold_after_any_mutation(
+        self, matrix, mutations, log_space
+    ):
+        params = SGDParams(log_space=log_space)
+        reconstructor = PQReconstructor(params)
+        reconstructor.budget = DecisionBudget()
+        for mutator, seed in mutations:
+            before = (bits(matrix), matrix.revision)
+            matrix = mutate(matrix, mutator, seed)
+            if mutator != "copy" and bits(matrix) != before[0]:
+                assert matrix.revision > before[1]
+            if not matrix.mask.any():
+                continue
+            want, diagnostics = reconstruct_cold(params, matrix)
+            for _ in range(2):  # the second is a hit
+                spent = reconstructor.budget.total_spent
+                got = reconstructor.reconstruct(matrix)
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.writeable
+                assert reconstructor.last_diagnostics == diagnostics
+                assert (
+                    reconstructor.budget.total_spent - spent
+                    == diagnostics.iterations
+                )
+
+    def test_revision_counts_changes_to_values_and_mask(self):
+        matrix = ObservedMatrix(6, 5)
+        for row in range(4):
+            matrix.set_known_row(row, np.arange(1.0, 6.0) + row)
+        assert matrix.revision == 4
+        matrix.observe(5, 0, 2.0)
+        matrix.observe_many(np.array([5, 4]), np.array([1, 2]),
+                            np.array([1.0, 3.0]))
+        assert matrix.revision == 6
+        matrix.observe_many(np.array([], int), np.array([], int),
+                            np.array([]))
+        matrix.tick()
+        assert matrix.expire(5) == 0
+        assert matrix.revision == 6  # nothing changed
+        assert matrix.expire(0) == 3
+        assert matrix.revision == 7
+        matrix.clear_row(4)
+        MATRIX.decode(json.loads(json.dumps(MATRIX.encode(matrix))), matrix)
+        assert matrix.revision == 9
+
+    def test_hit_reports_and_charges_like_a_recomputation(self):
+        rng = np.random.default_rng(3)
+        first, second = ObservedMatrix(6, 27), ObservedMatrix(6, 27)
+        for matrix in (first, second):
+            for row in range(4):
+                matrix.set_known_row(row, np.exp(rng.normal(size=27)))
+            matrix.observe(5, 3, 1.5)
+        tracer = Tracer()
+        reconstructor = PQReconstructor()
+        reconstructor.tracer = tracer
+        reconstructor.budget = DecisionBudget()
+        cold = reconstructor.reconstruct(first)
+        diagnostics = reconstructor.last_diagnostics
+        reconstructor.reconstruct(second)
+        assert reconstructor.last_diagnostics != diagnostics
+        charged = reconstructor.budget.spent_by_phase["sgd.reconstruct"]
+        cold[:] = 0.0  # a caller's copy; the memo is not touched
+        hit = reconstructor.reconstruct(first)
+        assert hit.tobytes() == reconstruct_cold(
+            reconstructor.params, first
+        )[0].tobytes()
+        assert reconstructor.last_diagnostics == diagnostics
+        assert (
+            reconstructor.budget.spent_by_phase["sgd.reconstruct"] - charged
+            == diagnostics.iterations
+        )
+        spans = [s for s in tracer.spans if s.name == "sgd.reconstruct"]
+        assert len(spans) == 3
+        assert spans[2].args["iterations"] == spans[0].args["iterations"]
+
+
+# ----------------------------------------------------------------------
+# ObservedMatrix: batched observations, indices, aging.
+# ----------------------------------------------------------------------
+
+
+def reference_observe(matrix, row, col, value):
+    """The scalar observe before the batched write (verbatim)."""
+    if not np.isfinite(value):
+        raise ValueError(f"observation must be finite, got {value}")
+    if matrix.known_rows[row]:
+        matrix.version += 1
+    matrix.values[row, col] = value
+    matrix.mask[row, col] = True
+    matrix.age[row, col] = 0
+
+
+def reference_tick(matrix):
+    matrix.age[matrix.mask & ~matrix.known_rows[:, None]] += 1
+
+
+def reference_expire(matrix, max_age):
+    stale = matrix.mask & (matrix.age > max_age)
+    stale[matrix.known_rows] = False
+    dropped = int(np.sum(stale))
+    matrix.mask[stale] = False
+    matrix.values[stale] = 0.0
+    matrix.age[stale] = 0
+    return dropped
+
+
+def dense(matrix):
+    return (matrix.values.tobytes(), matrix.mask.tobytes(),
+            matrix.age.tobytes())
+
+
+class TestObservedMatrixFastPaths:
+    @given(
+        sparse_matrices(),
+        st.lists(
+            st.tuples(
+                st.integers(0, 99), st.integers(0, 199),
+                st.one_of(
+                    st.floats(0.01, 100.0),
+                    st.sampled_from([math.nan, math.inf, -math.inf, -2.0]),
+                ),
+            ),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_observe_many_matches_scalar_loop(self, matrix, entries):
+        rows = np.array([r % matrix.n_rows for r, _, _ in entries], int)
+        cols = np.array([c % matrix.n_cols for _, c, _ in entries], int)
+        values = np.array([v for _, _, v in entries], float)
+        matrix.tick()  # an observation resets its entry's age
+        loop, batch = matrix.copy(), matrix.copy()
+        outcomes = []
+        for target, write in (
+            (loop, lambda m: [reference_observe(m, r, c, v)
+                              for r, c, v in zip(rows, cols, values)]),
+            (batch, lambda m: m.observe_many(rows, cols, values)),
+        ):
+            version = target.version
+            try:
+                write(target)
+                error = None
+            except ValueError as exc:
+                error = str(exc)
+            outcomes.append(
+                (dense(target), error, target.version > version)
+            )
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("row, col", [(-1, 0), (0, -1), (4, 0), (0, 5),
+                                          (-5, -1)])
+    def test_indices_outside_the_matrix_raise(self, row, col):
+        matrix = ObservedMatrix(4, 5)
+        with pytest.raises(ValueError, match="outside"):
+            matrix.observe(row, col, 1.0)
+        # The batch is checked as a whole before anything is written.
+        with pytest.raises(ValueError, match="outside"):
+            matrix.observe_many(np.array([0, row]), np.array([0, col]),
+                                np.array([1.0, 2.0]))
+        assert not matrix.mask.any() and matrix.revision == 0
+
+    @pytest.mark.parametrize("row, col", [(1.0, 0), (0, 2.5), (True, 0)])
+    def test_indices_must_be_integers(self, row, col):
+        matrix = ObservedMatrix(4, 5)
+        with pytest.raises(ValueError, match="integers"):
+            matrix.observe(row, col, 1.0)
+        assert not matrix.mask.any()
+
+    @given(
+        sparse_matrices(),
+        st.lists(st.sampled_from(["tick", "expire", "observe", "clear",
+                                  "decode"]),
+                 max_size=10),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tick_and_expire_match_boolean_indexing(
+        self, matrix, steps, seed
+    ):
+        rng = np.random.default_rng(seed)
+        fast, slow = matrix.copy(), matrix.copy()
+        for step in steps:
+            if step == "tick":
+                fast.tick()
+                reference_tick(slow)
+            elif step == "expire":
+                max_age = int(rng.integers(0, 3))
+                assert fast.expire(max_age) == reference_expire(
+                    slow, max_age
+                )
+            elif step == "decode":
+                # A restore brings back ages from the snapshot.
+                data = json.loads(json.dumps(MATRIX.encode(fast)))
+                fast.clear_row(fast.n_rows - 1)
+                MATRIX.decode(data, fast)
+            else:
+                row = int(rng.integers(matrix.n_rows))
+                col = int(rng.integers(matrix.n_cols))
+                if step == "observe":
+                    fast.observe(row, col, 1.5)
+                    reference_observe(slow, row, col, 1.5)
+                else:
+                    fast.clear_row(row)
+                    slow.clear_row(row)
+            assert dense(fast) == dense(slow)

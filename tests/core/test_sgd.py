@@ -1,5 +1,7 @@
 """Tests for PQ-reconstruction with SGD (accuracy bands of Fig. 5a)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,11 @@ class TestMechanics:
             SGDParams(anchor_fraction=0.0)
         with pytest.raises(ValueError):
             SGDParams(fold_in_ridge=0.0)
+        # A NaN tolerance never stops, a negative one never converges.
+        for tol in (math.nan, -1e-5, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                SGDParams(tol=tol)
+        assert SGDParams(tol=0.0).tol == 0.0
 
 
 class TestMoreObservationsHelp:

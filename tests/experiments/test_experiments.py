@@ -11,6 +11,7 @@ import pytest
 from repro.core.controller import ControllerConfig
 from repro.core.dds import DDSParams
 from repro.core.ga import GAParams
+from repro.core.sgd import PQReconstructor
 from repro.experiments.fig1_characterization import (
     run_fig1,
     render_fig1,
@@ -233,6 +234,19 @@ class TestTable2:
         assert result.sgd_ms > 0
         assert result.dds_ms > 0
         assert result.total_ms > 2.0
+
+    def test_every_timed_reconstruction_is_computed(self, monkeypatch):
+        # The SGD column times reconstructions, not memo hits.
+        computed = []
+        cold = PQReconstructor._reconstruct
+
+        def counted(self, matrix):
+            computed.append(matrix.revision)
+            return cold(self, matrix)
+
+        monkeypatch.setattr(PQReconstructor, "_reconstruct", counted)
+        run_table2(repeats=2)
+        assert len(set(computed)) == len(computed) == 6
 
     def test_sensitivity_sizes(self):
         result = run_training_set_sensitivity(sizes=(8, 16))

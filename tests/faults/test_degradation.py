@@ -44,13 +44,23 @@ def counters(telemetry):
     return telemetry.metrics.as_dict()["counters"]
 
 
+def observe_one(controller, matrix, row, col, value, mad_check=True):
+    """Ingest one observation; whether it entered the matrix."""
+    which, rows, cols = np.zeros(1, int), np.array([row]), np.array([col])
+    values = np.array([value])
+    accepted = controller._sanitise((matrix,), which, cols, values, mad_check)
+    controller._observe((matrix,), which, rows, cols, values, accepted)
+    return bool(accepted[0])
+
+
 class TestSanitisation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
     def test_bad_values_rejected(self, small_machine, bad):
         telemetry = Telemetry()
         controller = build_controller(small_machine, telemetry)
         matrix = controller._bips_matrix
-        assert controller._observe(matrix, matrix.n_rows - 1, 0, bad) is False
+        row = matrix.n_rows - 1
+        assert observe_one(controller, matrix, row, 0, bad) is False
         assert counters(telemetry)["faults.detected.bad_sample"] == 1
 
     def test_outlier_rejected_plausible_accepted(self, small_machine):
@@ -60,8 +70,8 @@ class TestSanitisation:
         known = matrix.values[matrix.known_rows, col]
         med = float(np.median(known))
         row = matrix.n_rows - 1
-        assert controller._observe(matrix, row, col, med) is True
-        assert controller._observe(matrix, row, col, med * 1000.0) is False
+        assert observe_one(controller, matrix, row, col, med) is True
+        assert observe_one(controller, matrix, row, col, med * 1000.0) is False
 
     def test_shared_stats_memo_matches_fresh_checks(self, small_machine):
         # Each matrix memoises its columns' population statistics per
@@ -71,17 +81,22 @@ class TestSanitisation:
         threshold = controller.config.outlier_mad_threshold
         for matrix in (controller._bips_matrix, controller._power_matrix):
             for col in (0, 17, 53, 107):
-                med, scale = controller._population_stats(matrix, col)
-                for value in (
+                known = matrix.values[matrix.known_rows, col]
+                med = float(np.median(known))
+                scale = max(
+                    float(np.median(np.abs(known - med))) * 1.4826,
+                    abs(med) * 0.5, 1e-12,
+                )
+                values = np.array([
                     med + threshold * scale * 0.999,
                     med + threshold * scale * 1.001,
                     max(0.0, med - threshold * scale * 0.999),
-                ):
-                    fresh = abs(value - med) <= threshold * scale
-                    for _ in range(2):  # cold, then memoised
-                        assert controller._sample_ok(
-                            matrix, col, value
-                        ) == fresh
+                ])
+                fresh = [abs(v - med) <= threshold * scale for v in values]
+                for _ in range(2):  # cold, then memoised
+                    assert controller._credible(
+                        (matrix,), np.zeros(3, int), np.full(3, col), values
+                    ).tolist() == fresh
 
     def test_noise_free_machine_never_flags_stuck_sensor(self, quiet_machine):
         # With profiling_noise=0, bit-identical repeats are honest;
@@ -104,18 +119,18 @@ class TestSanitisation:
         known = matrix.values[matrix.known_rows, col]
         huge = float(np.median(known)) * 50.0
         row = matrix.n_rows - 1
-        assert controller._observe(matrix, row, col, huge,
-                                   mad_check=False) is True
+        assert observe_one(controller, matrix, row, col, huge,
+                           mad_check=False) is True
         assert controller._rejections_this_quantum == 0
         # Non-finite latency is still rejected even without the MAD test.
-        assert controller._observe(matrix, row, col, math.nan,
-                                   mad_check=False) is False
+        assert observe_one(controller, matrix, row, col, math.nan,
+                           mad_check=False) is False
 
     def test_unhardened_matrix_raises_on_nan(self, small_machine):
         controller = build_controller(small_machine, hardened=False)
         matrix = controller._bips_matrix
         with pytest.raises(ValueError):
-            controller._observe(matrix, matrix.n_rows - 1, 0, math.nan)
+            observe_one(controller, matrix, matrix.n_rows - 1, 0, math.nan)
 
     def test_nan_profiling_sample_survives_ingest(self, small_machine):
         controller = build_controller(small_machine)
