@@ -82,9 +82,7 @@ class SchedulerDaemon:
         self.driver = QuantumDriver(
             config, telemetry=telemetry, on_event=self._publish_event
         )
-        if config.resume and config.state_path is not None and (
-            Path(config.state_path).exists()
-        ):
+        if self.driver.resumable:
             self.driver.resume_from()
         #: What-if pool, shared across every FleetRun the daemon's
         #: lifetime sees: its workers start with the first multi-app
@@ -164,6 +162,7 @@ class SchedulerDaemon:
                     pass
             self.whatif_pool.close()
             self.driver.write_snapshot()
+            self.driver.close()
             log.info("scheduler daemon stopped at quantum %d",
                      self.driver.quantum)
 

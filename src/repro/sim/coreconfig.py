@@ -16,7 +16,7 @@ the DDS search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Tuple
 
 #: Widths a core section can be configured to, narrowest first.
@@ -45,6 +45,8 @@ class CoreConfig:
     fe: int
     be: int
     ls: int
+    #: Dense index in ``[0, N_CORE_CONFIGS)``, computed at construction.
+    index: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         for name, width in (("fe", self.fe), ("be", self.be), ("ls", self.ls)):
@@ -52,13 +54,9 @@ class CoreConfig:
                 raise ValueError(
                     f"{name} width must be one of {SECTION_WIDTHS}, got {width}"
                 )
-
-    @property
-    def index(self) -> int:
-        """Dense index in ``[0, N_CORE_CONFIGS)``."""
-        return (
+        object.__setattr__(self, "index", (
             _WIDTH_INDEX[self.fe] * len(SECTION_WIDTHS) + _WIDTH_INDEX[self.be]
-        ) * len(SECTION_WIDTHS) + _WIDTH_INDEX[self.ls]
+        ) * len(SECTION_WIDTHS) + _WIDTH_INDEX[self.ls])
 
     @classmethod
     def from_index(cls, index: int) -> "CoreConfig":
@@ -114,6 +112,8 @@ class JointConfig:
 
     core: CoreConfig
     cache_ways: float
+    #: Dense index in ``[0, N_JOINT_CONFIGS)``, computed at construction.
+    index: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if self.cache_ways not in CACHE_ALLOCS:
@@ -121,16 +121,14 @@ class JointConfig:
                 f"cache allocation must be one of {CACHE_ALLOCS}, "
                 f"got {self.cache_ways}"
             )
+        object.__setattr__(
+            self, "index", self.core.index * N_CACHE_ALLOCS + self.cache_index
+        )
 
     @property
     def cache_index(self) -> int:
         """Index of :attr:`cache_ways` within :data:`CACHE_ALLOCS`."""
         return CACHE_ALLOCS.index(self.cache_ways)
-
-    @property
-    def index(self) -> int:
-        """Dense index in ``[0, N_JOINT_CONFIGS)``."""
-        return self.core.index * N_CACHE_ALLOCS + self.cache_index
 
     @classmethod
     def from_index(cls, index: int) -> "JointConfig":

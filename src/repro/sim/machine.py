@@ -22,9 +22,14 @@ measurements), mirroring the Configuration Controller's interface.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -37,8 +42,8 @@ from repro.sim.memory import MemoryDemand, MemorySystem
 from repro.sim.perf import AppProfile, PerformanceModel
 from repro.sim.power import PowerModel
 from repro.snapshot import (
-    ARRAY, BOOL, FLOAT, INT, RNG, STR, Indexed, Opt, Record, Seq,
-    Snapshottable,
+    ARRAY, BOOL, FLOAT, INT, RNG, STR, History, Indexed, Match, Opt, Record,
+    Seq, Snapshottable, Transient, Tup,
 )
 from repro.telemetry.tracer import NULL_TRACER, tracer_of
 from repro.workloads.latency_critical import LCService
@@ -270,6 +275,8 @@ ASSIGNMENT = Record(
 PROFILE = Record(
     AppProfile, FLOAT, name=STR, miss_curve=Record(MissRateCurve, FLOAT)
 )
+#: One batch-slot replacement: (slot, the profile installed).
+REPLACEMENT = Tup(INT, PROFILE)
 MEASUREMENT = Record(
     SliceMeasurement,
     FLOAT,
@@ -292,13 +299,18 @@ class Machine(Snapshottable):
 
     Snapshots carry what :meth:`run_slice` and :meth:`profile` mutate;
     a resumed run rebuilds the static structure before it restores.
+    The batch profiles travel as the history of slot replacements,
+    which restore replays over the initial profiles (named by digest).
     """
 
     SNAPSHOT_FIELDS = {
+        "profiles_sha256": Match("initial batch profiles"),
         "time_s": FLOAT,
         "_rng": RNG,
         "_log_phase": ARRAY,
-        "batch_profiles": Seq(PROFILE),
+        "_replacements": History(REPLACEMENT),
+        # Rebuilt from the replacements by restore().
+        "batch_profiles": Transient(list),
         "_previous_assignment": Opt(ASSIGNMENT),
     }
 
@@ -319,6 +331,9 @@ class Machine(Snapshottable):
         #: All hosted LC services, primary first.
         self.lc_services = [lc_service, *extra_services]
         self.batch_profiles = list(batch_profiles)
+        self._initial_profiles = tuple(self.batch_profiles)
+        #: (slot, profile) per :meth:`replace_batch_job`, in order.
+        self._replacements: List[Tuple[int, AppProfile]] = []
         self.params = params
         self.perf = perf if perf is not None else PerformanceModel()
         self.power = (
@@ -957,7 +972,24 @@ class Machine(Snapshottable):
         if not 0 <= job < len(self.batch_profiles):
             raise ValueError(f"batch job index out of range: {job}")
         self.batch_profiles[job] = profile
+        self._replacements.append((job, profile))
         self._log_phase[job] = 0.0
+
+    @functools.cached_property
+    def profiles_sha256(self) -> str:
+        """Digest of the initial batch profiles (computed on first use:
+        a machine that is never snapshotted does not pay for it)."""
+        return hashlib.sha256(json.dumps(
+            [PROFILE.encode(p) for p in self._initial_profiles],
+            sort_keys=True,
+        ).encode()).hexdigest()
+
+    def restore(self, state: Mapping[str, Any]) -> None:
+        """Restore the snapshot, then replay its slot replacements."""
+        super().restore(state)
+        self.batch_profiles = list(self._initial_profiles)
+        for job, profile in self._replacements:
+            self.batch_profiles[job] = profile
 
     def reference_max_power(self) -> float:
         """The paper's 100 % power budget for this workload.

@@ -192,6 +192,41 @@ class TestSnapshotRestore:
         nxt = other.submit(JobSpec(kind="batch", name="beta"), 2)
         assert nxt.job_id == f"j{state['next_seq']:06d}"
 
+    def test_state_keeps_live_jobs_and_journals_each_ended_job_once(
+        self, tmp_path
+    ):
+        import json
+
+        from repro.snapshot import Journal
+
+        mgr = make_manager()
+        mgr.submit(JobSpec(kind="batch", name="alpha"), 0)
+        mgr.submit(JobSpec(kind="lc", name="svc", rps=250.0), 0)
+        mgr.submit(JobSpec(kind="batch", name="zzz"), 0)  # rejected
+        mgr.drain(1)
+        journal = Journal(tmp_path / "state.json")
+        journal.write(mgr)
+        mgr.cancel("j000001", 2)
+        mgr.submit(JobSpec(kind="batch", name="beta"), 2)
+        state = json.loads(json.dumps(journal.write(mgr)))
+        assert sorted(state["jobs"]) == ["j000002", "j000004"]
+        assert state["ended"] == {"length": 2}
+        journal.write(mgr)
+        lines = journal.path.read_text().splitlines()
+        ended = [json.loads(line)[1]["job_id"] for line in lines]
+        assert ended == ["j000003", "j000001"]  # in the order they ended
+
+        other = make_manager()
+        Journal(tmp_path / "state.json").restore(other, state)
+        # One ledger again, in submission order, answering as before.
+        assert list(other.jobs) == list(mgr.jobs)
+        assert [j.describe() for j in other.jobs.values()] == [
+            j.describe() for j in mgr.jobs.values()
+        ]
+        assert other.describe() == mgr.describe()
+        assert other.cancel("j000001", 3).state == "cancelled"
+        assert other.cancelled == mgr.cancelled
+
     def test_restore_rejects_unknown_version(self):
         with pytest.raises(ValueError):
             make_manager().restore({"version": 99})

@@ -132,3 +132,39 @@ class TestJointConfig:
 
     def test_all_unique(self):
         assert len(set(JOINT_CONFIGS)) == 108
+
+
+class TestStoredIndex:
+    """``index`` is computed once at construction; it must equal the
+    dense-index formula and stay out of equality, hashing, ordering and
+    the repr."""
+
+    def test_every_core_index_equals_the_formula(self):
+        position = {width: i for i, width in enumerate(SECTION_WIDTHS)}
+        for i, core in enumerate(CORE_CONFIGS):
+            want = (
+                position[core.fe] * 3 + position[core.be]
+            ) * 3 + position[core.ls]
+            fresh = CoreConfig(core.fe, core.be, core.ls)
+            assert core.index == fresh.index == want == i
+            assert CoreConfig.from_index(core.index) is core
+
+    def test_every_joint_index_equals_the_formula(self):
+        for i, joint in enumerate(JOINT_CONFIGS):
+            want = (
+                joint.core.index * N_CACHE_ALLOCS
+                + CACHE_ALLOCS.index(joint.cache_ways)
+            )
+            fresh = JointConfig(joint.core, joint.cache_ways)
+            assert joint.index == fresh.index == want == i
+            assert JointConfig.from_index(joint.index) is joint
+
+    def test_index_is_not_part_of_the_value(self):
+        core = CoreConfig(6, 2, 4)
+        joint = JointConfig(core, 2.0)
+        assert "index" not in repr(core) and "index" not in repr(joint)
+        assert hash(core) == hash(CoreConfig(6, 2, 4))
+        assert hash(joint) == hash(JointConfig(CoreConfig(6, 2, 4), 2.0))
+        assert sorted(JOINT_CONFIGS[::-1]) == list(JOINT_CONFIGS)
+        with pytest.raises(TypeError):
+            CoreConfig(2, 2, 2, index=0)

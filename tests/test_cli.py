@@ -452,9 +452,11 @@ class TestVersionTwoStateFiles:
     """Version 3 carries only runtime matrix rows; a version-2 state
     file (full matrices) is refused with a one-line error."""
 
+    VERSION = 2
+
     def _assert_version_error(self, capsys):
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "version 2" in err
+        assert err.startswith("error: ") and f"version {self.VERSION}" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_run_resume_state(self, capsys, tmp_path):
@@ -463,7 +465,7 @@ class TestVersionTwoStateFiles:
                      "--stop-after", "2", "--save-state", str(state)]) == 0
         capsys.readouterr()
         state.write_text(json.dumps(_as_version(
-            json.loads(state.read_text()), 2
+            json.loads(state.read_text()), self.VERSION
         )))
         assert main(["--seed", "7", "run", "--slices", "4",
                      "--resume-state", str(state)]) == 2
@@ -484,12 +486,20 @@ class TestVersionTwoStateFiles:
         ))
         driver.tick()
         state.write_text(json.dumps(_as_version(
-            json.loads(state.read_text()), 2
+            json.loads(state.read_text()), self.VERSION
         )))
         assert main(["--seed", "3", "serve", "--mix", "0", "--port", "0",
                      "--max-quanta", "50", "--state", str(state),
                      "--resume"]) == 2
         self._assert_version_error(capsys)
+
+
+class TestVersionFourStateFiles(TestVersionTwoStateFiles):
+    """Version 5 journals the batch-slot replacements and the ended
+    jobs; a version-4 state file (batch profiles and every job in the
+    state) is refused the same way."""
+
+    VERSION = 4
 
 
 class TestAuditCommand:

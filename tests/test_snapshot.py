@@ -2,6 +2,7 @@
 explicit rejections, and the durable file write every snapshot uses."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -309,6 +310,43 @@ def _formerly_written(path, payload, **kwargs):
     return path.read_bytes()
 
 
+class TestMachineReplacements:
+    """The batch profiles travel as the history of slot replacements,
+    replayed over the initial profiles the snapshot names by digest."""
+
+    def test_restore_replays_the_replacements(self, small_machine):
+        machine = small_machine
+        for slot, name in ((2, "mcf"), (2, "namd"), (0, "gcc")):
+            machine.replace_batch_job(slot, batch_profile(name))
+        state = json.loads(json.dumps(machine.snapshot()))
+        assert "batch_profiles" not in state
+        assert state["replacements"]["length"] == 3
+        assert [slot for slot, _ in state["replacements"]["items"]] == [
+            2, 2, 0,
+        ]
+        fresh = type(machine)(
+            lc_service=machine.lc_service,
+            batch_profiles=list(machine._initial_profiles),
+            params=machine.params, seed=11,
+        )
+        fresh.restore(state)
+        assert fresh.batch_profiles == machine.batch_profiles
+        assert fresh.batch_profiles[2].name == "namd"
+        assert fresh.snapshot() == machine.snapshot()
+
+    def test_other_initial_profiles_are_refused(self, small_machine):
+        state = small_machine.snapshot()
+        other = type(small_machine)(
+            lc_service=small_machine.lc_service,
+            batch_profiles=[batch_profile("mcf")] * len(
+                small_machine.batch_profiles
+            ),
+            params=small_machine.params, seed=11,
+        )
+        with pytest.raises(SnapshotError, match="initial batch profiles"):
+            other.restore(state)
+
+
 class TestAtomicWrite:
     def test_server_state_bytes_match_json_dump(self, tmp_path):
         driver = QuantumDriver(ServerConfig(
@@ -334,6 +372,23 @@ class TestAtomicWrite:
             tmp_path / "old.json", payload, indent=2, sort_keys=True
         )
         assert not (tmp_path / "ck.json.tmp").exists()
+
+    def test_the_rename_is_synced_through_its_directory(
+        self, tmp_path, monkeypatch
+    ):
+        synced = []
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(os.path.realpath(f"/proc/self/fd/{fd}"))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        atomic_write_text(tmp_path / "state.json", "new\n")
+        assert synced == [
+            str((tmp_path / "state.json.tmp").resolve()),
+            str(tmp_path.resolve()),
+        ]
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "state.json"
