@@ -235,6 +235,8 @@ class ProgramContext:
         self.method_index: Dict[str, Set[str]] = {}
         #: caller qualname -> callee qualnames.
         self.call_graph: Dict[str, Set[str]] = {}
+        #: Top-level package of every indexed module.
+        self.packages: Set[str] = set()
         self.rng_for_calls: List[RngForCall] = []
         #: Functions handed to ``Process(target=...)`` inside
         #: ``repro.fleet`` or to ``WorkUnit(fn=...)`` anywhere.
@@ -260,6 +262,7 @@ class ProgramContext:
             return False
         mod = ModuleInfo(module=ctx.module, path=ctx.path, tree=ctx.tree)
         self.modules[ctx.module] = mod
+        self.packages.add(ctx.module.split(".", 1)[0])
         for stmt in ctx.tree.body:
             self._index_statement(mod, stmt)
         return True
@@ -628,6 +631,10 @@ class ProgramContext:
         # Tier 4: dotted module/class paths through import aliases.
         if head in mod.aliases or head in mod.classes:
             base = mod.aliases.get(head) or mod.classes[head]
+            if base.split(".", 1)[0] not in self.packages:
+                # A module outside the program (``os.close``) never
+                # runs a project method of the same name.
+                return set()
             full = ".".join([base, *rest])
             if full in self.functions:
                 return {full}

@@ -110,6 +110,38 @@ def test_call_graph_cha_fallback_links_by_method_name():
     assert "mod0.Alpha.act" in program.call_graph["mod0.dispatch"]
 
 
+def test_calls_into_modules_outside_the_program_have_no_fallback():
+    program = build(
+        "import os\n"
+        "import os.path as osp\n"
+        "from subprocess import Popen\n"
+        "\n"
+        "class Pool:\n"
+        "    def close(self):\n"
+        "        return 1\n"
+        "    def exists(self):\n"
+        "        return 2\n"
+        "    def wait(self):\n"
+        "        return 3\n"
+        "\n"
+        "def release(fd, path):\n"
+        "    os.close(fd)\n"
+        "    osp.exists(path)\n"
+        "    Popen.wait(fd)\n"
+        "\n"
+        "def shut(pool):\n"
+        "    return pool.close()\n",
+        "import mod0\n"
+        "\n"
+        "def caller(x):\n"
+        "    return mod0.Pool.close(x)\n",
+    )
+    assert program.call_graph.get("mod0.release", set()) == set()
+    # Unknown receivers and program modules keep their edges.
+    assert "mod0.Pool.close" in program.call_graph["mod0.shut"]
+    assert "mod0.Pool.close" in program.call_graph["mod1.caller"]
+
+
 def test_cross_module_calls_resolve_through_aliases():
     program = build(
         "def shared():\n"
