@@ -1,20 +1,23 @@
 """Ablation benches for the design choices DESIGN.md calls out."""
 
 from repro.experiments.ablations import (
-    ablate_dds_budget,
-    ablate_guards,
-    ablate_inference,
-    ablate_penalty_weight,
-    ablate_training_size,
-    ablate_transition_cost,
-    ablate_variants,
+    ABLATIONS,
+    ablation_row,
     render_ablation,
 )
 
 
+def declared_rows(ablation):
+    """Every declared variant of one ablation, at the default scale."""
+    return tuple(
+        ablation_row(ablation, value)
+        for value in ABLATIONS[ablation].variants.values()
+    )
+
+
 def test_bench_ablation_inference(once, capsys):
     """What imperfect (two-sample SGD) inference costs vs an oracle."""
-    sgd, oracle = once(ablate_inference)
+    sgd, oracle = once(declared_rows, "inference")
     with capsys.disabled():
         print()
         print(render_ablation("SGD vs oracle inference", [sgd, oracle]))
@@ -26,8 +29,8 @@ def test_bench_ablation_inference(once, capsys):
 
 def test_bench_ablation_guards_and_variants(once, capsys):
     """QoS guardbands and historical latency variants."""
-    with_guards, without_guards = once(ablate_guards)
-    with_variants, without_variants = ablate_variants()
+    with_guards, without_guards = once(declared_rows, "guards")
+    with_variants, without_variants = declared_rows("variants")
     with capsys.disabled():
         print()
         print(render_ablation("QoS guardbands",
@@ -51,7 +54,7 @@ def test_bench_ablation_guards_and_variants(once, capsys):
 
 def test_bench_ablation_training_size(once, capsys):
     """End-to-end training-set-size effect (§VIII-A2)."""
-    rows = once(ablate_training_size)
+    rows = once(declared_rows, "training-size")
     with capsys.disabled():
         print()
         print(render_ablation("offline training-set size", rows))
@@ -60,7 +63,7 @@ def test_bench_ablation_training_size(once, capsys):
 
 def test_bench_ablation_transition_cost(once, capsys):
     """How expensive would per-core reconfiguration have to be to hurt?"""
-    rows = once(ablate_transition_cost)
+    rows = once(declared_rows, "transition-cost")
     with capsys.disabled():
         print()
         print(render_ablation("reconfiguration transition cost", rows))
@@ -72,8 +75,11 @@ def test_bench_ablation_transition_cost(once, capsys):
 
 def test_bench_ablation_search(once, capsys):
     """DDS iteration budget and the soft power-penalty weight."""
-    budgets = once(ablate_dds_budget)
-    penalties = ablate_penalty_weight()
+    budgets = once(lambda: {
+        max_iter: ablation_row("dds-budget", max_iter).batch_instructions_b
+        for max_iter in ABLATIONS["dds-budget"].variants.values()
+    })
+    penalties = declared_rows("penalty-weight")
     with capsys.disabled():
         print()
         print("DDS maxIter -> objective:",

@@ -628,22 +628,17 @@ def _cmd_fault_study(args: argparse.Namespace) -> int:
     from repro.experiments.fault_study import (
         render_fault_study, run_fault_study, study_totals,
     )
-    from repro.faults import default_scenarios, scenario_by_name
+    from repro.faults import scenario_by_name
 
     code = _fleet_flags_error(args)
     if code:
         return code
-    if args.scenario:
-        try:
-            scenarios = tuple(
-                scenario_by_name(name, seed=args.seed)
-                for name in args.scenario
-            )
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-    else:
-        scenarios = default_scenarios(args.seed)
+    try:
+        for name in args.scenario or ():
+            scenario_by_name(name, seed=args.seed)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     n_mixes = len(paper_mixes())
     for mix_index in args.mixes:
         if not 0 <= mix_index < n_mixes:
@@ -659,7 +654,7 @@ def _cmd_fault_study(args: argparse.Namespace) -> int:
         load=args.load,
         n_slices=args.slices,
         seed=args.seed,
-        scenarios=scenarios,
+        scenarios=args.scenario or None,
         jobs=args.jobs,
         checkpoint=args.checkpoint,
         resume=args.resume,
@@ -941,11 +936,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     print(f"schema:     {payload.get('schema')}")
     print(f"fleet:      {fingerprint.get('fleet')}")
     print(f"seed:       {fingerprint.get('seed')}")
-    print(f"context:    {json.dumps(fingerprint.get('context'), sort_keys=True)}")
     stats = payload.get("stats")
     if stats:
         print(f"stats:      {json.dumps(stats, sort_keys=True)}")
-    units = fingerprint.get("units", [])
+    units = [unit["id"] for unit in fingerprint.get("units", [])]
     print(f"completed:  {len(completed)}/{len(units)} unit(s)")
     # Checkpoints that predate `executed_ids` cannot tell a freshly
     # executed unit from a restored one; fall back to the plain marker

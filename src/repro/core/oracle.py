@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.dds import DDSParams, DDSSearch
-from repro.core.matrices import latency_row, power_rows
+from repro.core.matrices import latency_row
 from repro.core.objective import SystemObjective, power_fallback
 from repro.sim.coreconfig import (
     CACHE_ALLOCS,
@@ -53,16 +53,7 @@ class OracleReconfigPolicy:
         lc_joint, lc_watts = self.select_lc(machine, load)
         reserved = lc_watts * self.lc_cores + machine.power.llc_power()
 
-        bips = np.vstack(
-            [
-                [
-                    machine.true_batch_bips(j, JointConfig.from_index(i))
-                    for i in range(N_JOINT_CONFIGS)
-                ]
-                for j in range(n_jobs)
-            ]
-        )
-        power = power_rows(machine.batch_profiles, machine.power)
+        bips, power = machine.true_batch_tables()
         objective = SystemObjective(
             bips=bips,
             power=power,

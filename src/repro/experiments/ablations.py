@@ -13,18 +13,27 @@ on useful work, QoS, and the power budget:
 * **training size** — 8/16/24 offline-characterised batch apps,
   end-to-end (the §VIII-A2 study measured in throughput, not error).
 * **penalty weight** — the soft power penalty of §VI-A: too low busts
-  the budget, too high leaves throughput on the table.
+  the budget, too high leaves throughput on the table.  The controller
+  fixes the weight, so this re-runs Fig. 10a's frozen search per weight.
+* **transition cost** — the paper treats quantum-boundary
+  reconfiguration as free and AnyCore's RTL suggests tens of
+  microseconds; raising it to milliseconds checks how much
+  CuttleSys's configuration churn would hurt on slower hardware.
 * **dds budget** — DDS iterations vs solution quality (the maxIter
   trade-off discussed in §V/VI).
 * **dds step** — the default population step (each thread's points of
   an iteration drawn from one point and scored as one batch) vs Alg. 2's
   sequential step, on the same frozen problem.
+
+:data:`ABLATIONS` declares each one once (title, power cap, variants);
+:func:`ablation_row` runs one variant and :func:`run_ablation_matrix`
+runs them all as one fleet grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,45 +67,29 @@ class AblationRow:
     power_violations: int
 
 
-def _run_cuttlesys(
+def _closed_loop_row(
     mix_index: int,
     cap: float,
     n_slices: int,
     seed: int,
-    config: ControllerConfig,
     label: str,
-    telemetry: Any = None,
+    telemetry: Any,
+    config: Optional[ControllerConfig],
     train_profiles: Optional[Sequence] = None,
     machine_params: Optional[MachineParams] = None,
 ) -> AblationRow:
+    """One run at a constant 0.8 load: CuttleSys under ``config``, or
+    the perfect-inference oracle when ``config`` is ``None``."""
     mix = paper_mixes()[mix_index]
     reference = reference_power_for_mix(mix, seed=seed)
     machine = build_machine_for_mix(mix, seed=seed, params=machine_params)
-    policy = CuttleSysPolicy.for_machine(
-        machine, seed=seed, config=config, train_profiles=train_profiles
-    )
-    return _policy_row(
-        machine, policy, reference, cap, n_slices, label, telemetry
-    )
-
-
-def _run_oracle(
-    mix_index: int, cap: float, n_slices: int, seed: int, label: str,
-    telemetry: Any = None,
-) -> AblationRow:
-    mix = paper_mixes()[mix_index]
-    reference = reference_power_for_mix(mix, seed=seed)
-    machine = build_machine_for_mix(mix, seed=seed)
-    return _policy_row(
-        machine, OracleReconfigPolicy(seed=seed), reference, cap, n_slices,
-        label, telemetry,
-    )
-
-
-def _policy_row(
-    machine: Any, policy: Any, reference: float, cap: float,
-    n_slices: int, label: str, telemetry: Any,
-) -> AblationRow:
+    if config is None:
+        policy: Any = OracleReconfigPolicy(seed=seed)
+    else:
+        policy = CuttleSysPolicy.for_machine(
+            machine, seed=seed, config=config,
+            train_profiles=train_profiles,
+        )
     run = run_policy(
         machine, policy, LoadTrace.constant(0.8),
         power_cap_fraction=cap, n_slices=n_slices, max_power_w=reference,
@@ -186,64 +179,78 @@ DDS_STEPS: Dict[str, Tuple[str, DDSParams]] = {
 }
 
 
-#: (label, ControllerConfig overrides) of the variants that only change
-#: the controller configuration.
-_CONFIG_VARIANTS: Dict[Tuple[str, str], Tuple[str, Dict[str, Any]]] = {
-    ("inference", "sgd"): ("cuttlesys (SGD inference)", {}),
-    ("guards", "on"): ("guards on (default)", {}),
-    ("guards", "off"): ("guards off", {
-        "qos_guard_sparse": 1e-6,
-        "qos_guard_medium": 1e-6,
-        "qos_guard_dense": 1e-6,
-    }),
-    ("variants", "default"): ("3 variants/service (default)", {}),
-    ("variants", "none"): (
-        "no variants", {"latency_variants_per_service": 0}
+@dataclass(frozen=True)
+class Ablation:
+    """One ablation's declaration.
+
+    ``variants`` maps each variant's name (its unit id is
+    ``ablate/<ablation>/<name>``) to the typed value
+    :func:`ablation_row` takes, in render order.
+    """
+
+    title: str
+    cap: float
+    variants: Mapping[str, Any]
+
+
+#: Every ablation of the matrix, in render order.  Each (ablation,
+#: variant) pair is one independent simulation, so the whole matrix
+#: shards as fleet work units (``repro experiment ablations --jobs N
+#: --checkpoint ...``).
+ABLATIONS: Dict[str, Ablation] = {
+    "inference": Ablation(
+        "inference: SGD vs oracle", 0.6,
+        {"sgd": "sgd", "oracle": "oracle"},
+    ),
+    "guards": Ablation("QoS guardbands", 0.7, {"on": True, "off": False}),
+    "variants": Ablation(
+        "latency training variants", 0.7,
+        {"default": ControllerConfig().latency_variants_per_service,
+         "none": 0},
+    ),
+    "training-size": Ablation(
+        "offline training-set size", 0.6, {"8": 8, "16": 16, "24": 24},
+    ),
+    "penalty-weight": Ablation(
+        "power-penalty weight (frozen search)", 0.6,
+        {"0.25": 0.25, "2": 2.0, "16": 16.0},
+    ),
+    "transition-cost": Ablation(
+        "reconfiguration transition cost", 0.6,
+        {"50us": 50e-6, "2ms": 2e-3, "10ms": 10e-3},
+    ),
+    "dds-budget": Ablation(
+        "DDS iteration budget (objective, frozen search)", 0.6,
+        {"5": 5, "40": 40, "120": 120},
+    ),
+    "dds-step": Ablation(
+        "DDS step (objective, frozen search)", 0.6,
+        {step: step for step in DDS_STEPS},
     ),
 }
 
 
-def _ablation_row(
+def ablation_row(
     ablation: str,
     value: Any,
-    mix_index: int,
-    cap: float,
-    n_slices: int,
-    seed: int,
+    mix_index: int = 0,
+    n_slices: int = 10,
+    seed: int = 7,
     telemetry: Any = None,
 ) -> AblationRow:
-    """The one simulation of one (ablation, variant value).
+    """The one simulation of one ablation at one variant value.
 
-    ``value`` is typed per ablation: a training-set size (int), a
-    penalty weight (float), a transition cost in seconds (float), a DDS
-    iteration budget (int), or one of the variant names of
-    :data:`ABLATION_MATRIX` for the others.
+    ``value`` is typed per ablation, as in :data:`ABLATIONS`, and need
+    not be one the matrix declares: ``"sgd"``/``"oracle"`` inference,
+    guardbands on (bool), latency variants per service (int), a
+    training-set size (int), a penalty weight (float), a transition
+    cost in seconds (float), a DDS iteration budget (int) or a
+    :data:`DDS_STEPS` name.  The power cap is the ablation's declared
+    one; the frozen-search ablations ignore ``n_slices``.
     """
-    if (ablation, value) == ("inference", "oracle"):
-        return _run_oracle(
-            mix_index, cap, n_slices, seed, "oracle inference",
-            telemetry=telemetry,
-        )
-    if (ablation, value) in _CONFIG_VARIANTS:
-        label, overrides = _CONFIG_VARIANTS[(ablation, value)]
-        return _run_cuttlesys(
-            mix_index, cap, n_slices, seed,
-            ControllerConfig(seed=seed, **overrides), label,
-            telemetry=telemetry,
-        )
-    if ablation == "training-size":
-        train_names, _ = train_test_split(n_train=value)
-        return _run_cuttlesys(
-            mix_index, cap, n_slices, seed, ControllerConfig(seed=seed),
-            f"{value} training apps", telemetry=telemetry,
-            train_profiles=[batch_profile(n) for n in train_names],
-        )
-    if ablation == "transition-cost":
-        return _run_cuttlesys(
-            mix_index, cap, n_slices, seed, ControllerConfig(seed=seed),
-            f"transition {value * 1e3:g} ms", telemetry=telemetry,
-            machine_params=MachineParams(reconfig_transition_s=value),
-        )
+    if ablation not in ABLATIONS:
+        raise ValueError(f"unknown ablation {ablation!r}")
+    cap = ABLATIONS[ablation].cap
     if ablation == "penalty-weight":
         return _frozen_search_row(
             mix_index, cap, seed, f"penalty={value:g}",
@@ -257,109 +264,38 @@ def _ablation_row(
     if ablation == "dds-step":
         label, params = DDS_STEPS[value]
         return _frozen_search_row(mix_index, cap, seed, label, dds=params)
-    raise ValueError(f"unknown ablation variant {ablation}/{value!r}")
-
-
-def ablate_inference(
-    mix_index: int = 0, cap: float = 0.6, n_slices: int = 10, seed: int = 7
-) -> Tuple[AblationRow, AblationRow]:
-    """SGD inference vs the perfect-inference oracle."""
-    return (
-        _ablation_row("inference", "sgd", mix_index, cap, n_slices, seed),
-        _ablation_row("inference", "oracle", mix_index, cap, n_slices, seed),
-    )
-
-
-def ablate_guards(
-    mix_index: int = 0, cap: float = 0.7, n_slices: int = 10, seed: int = 7
-) -> Tuple[AblationRow, AblationRow]:
-    """QoS guardbands on (default) vs effectively off."""
-    return (
-        _ablation_row("guards", "on", mix_index, cap, n_slices, seed),
-        _ablation_row("guards", "off", mix_index, cap, n_slices, seed),
-    )
-
-
-def ablate_variants(
-    mix_index: int = 0, cap: float = 0.7, n_slices: int = 10, seed: int = 7
-) -> Tuple[AblationRow, AblationRow]:
-    """Historical latency variants (default 3/service) vs none."""
-    return (
-        _ablation_row("variants", "default", mix_index, cap, n_slices, seed),
-        _ablation_row("variants", "none", mix_index, cap, n_slices, seed),
-    )
-
-
-def ablate_training_size(
-    sizes: Sequence[int] = (8, 16, 24),
-    mix_index: int = 0,
-    cap: float = 0.6,
-    n_slices: int = 10,
-    seed: int = 7,
-) -> Tuple[AblationRow, ...]:
-    """End-to-end effect of the offline training-set size (§VIII-A2)."""
-    return tuple(
-        _ablation_row("training-size", size, mix_index, cap, n_slices, seed)
-        for size in sizes
-    )
-
-
-def ablate_penalty_weight(
-    weights: Sequence[float] = (0.25, 2.0, 16.0),
-    mix_index: int = 0,
-    cap: float = 0.6,
-    n_slices: int = 10,
-    seed: int = 7,
-) -> Tuple[AblationRow, ...]:
-    """Soft power-penalty weight of the DDS objective (§VI-A).
-
-    Exposed through a dedicated objective run because the controller
-    fixes the weight: we re-run the frozen search of Fig. 10a per
-    weight and report predicted feasibility + throughput.
-    """
-    return tuple(
-        _ablation_row(
-            "penalty-weight", weight, mix_index, cap, n_slices, seed
+    config: Optional[ControllerConfig] = ControllerConfig(seed=seed)
+    inputs: Dict[str, Any] = {}
+    if (ablation, value) == ("inference", "sgd"):
+        label = "cuttlesys (SGD inference)"
+    elif (ablation, value) == ("inference", "oracle"):
+        label, config = "oracle inference", None
+    elif ablation == "guards":
+        label = "guards on (default)" if value else "guards off"
+        if not value:
+            config = ControllerConfig(
+                seed=seed, qos_guard_sparse=1e-6, qos_guard_medium=1e-6,
+                qos_guard_dense=1e-6,
+            )
+    elif ablation == "variants":
+        label = f"{value} variants/service" if value else "no variants"
+        if value == ControllerConfig().latency_variants_per_service:
+            label += " (default)"
+        config = ControllerConfig(
+            seed=seed, latency_variants_per_service=value
         )
-        for weight in weights
+    elif ablation == "training-size":
+        label = f"{value} training apps"
+        train_names, _ = train_test_split(n_train=value)
+        inputs["train_profiles"] = [batch_profile(n) for n in train_names]
+    elif ablation == "transition-cost":
+        label = f"transition {value * 1e3:g} ms"
+        inputs["machine_params"] = MachineParams(reconfig_transition_s=value)
+    else:
+        raise ValueError(f"unknown ablation variant {ablation}/{value!r}")
+    return _closed_loop_row(
+        mix_index, cap, n_slices, seed, label, telemetry, config, **inputs
     )
-
-
-def ablate_transition_cost(
-    transitions_s: Sequence[float] = (50e-6, 2e-3, 10e-3),
-    mix_index: int = 0,
-    cap: float = 0.6,
-    n_slices: int = 10,
-    seed: int = 7,
-) -> Tuple[AblationRow, ...]:
-    """Sensitivity to the core-reconfiguration transition cost.
-
-    The paper treats quantum-boundary reconfiguration as free; AnyCore's
-    RTL suggests tens of microseconds.  This ablation raises the cost to
-    the milliseconds regime to check how much CuttleSys's configuration
-    churn would hurt on slower hardware.
-    """
-    return tuple(
-        _ablation_row(
-            "transition-cost", transition, mix_index, cap, n_slices, seed
-        )
-        for transition in transitions_s
-    )
-
-
-def ablate_dds_budget(
-    iterations: Sequence[int] = (5, 40, 120),
-    mix_index: int = 0,
-    cap: float = 0.6,
-    seed: int = 7,
-) -> Dict[int, float]:
-    """DDS maxIter vs achieved objective on a frozen problem."""
-    return {
-        max_iter: _ablation_row(
-            "dds-budget", max_iter, mix_index, cap, 0, seed
-        ).batch_instructions_b
-        for max_iter in iterations
-    }
 
 
 def render_ablation(title: str, rows: Sequence[AblationRow]) -> str:
@@ -381,47 +317,6 @@ def render_ablation(title: str, rows: Sequence[AblationRow]) -> str:
 # Fleet-sharded ablation matrix.
 # ----------------------------------------------------------------------
 
-#: The matrix's (ablation, variants) grid, in render order.  Every
-#: (ablation, variant) pair is one independent simulation, so the whole
-#: matrix shards as fleet work units (``repro experiment ablations
-#: --jobs N --checkpoint ...``).
-ABLATION_MATRIX: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("inference", ("sgd", "oracle")),
-    ("guards", ("on", "off")),
-    ("variants", ("default", "none")),
-    ("training-size", ("8", "16", "24")),
-    ("penalty-weight", ("0.25", "2", "16")),
-    ("transition-cost", ("50us", "2ms", "10ms")),
-    ("dds-budget", ("5", "40", "120")),
-    ("dds-step", tuple(DDS_STEPS)),
-)
-
-#: Per-ablation power cap, matching the standalone ablate_* defaults.
-_ABLATION_CAPS: Dict[str, float] = {
-    "inference": 0.6,
-    "guards": 0.7,
-    "variants": 0.7,
-    "training-size": 0.6,
-    "penalty-weight": 0.6,
-    "transition-cost": 0.6,
-    "dds-budget": 0.6,
-    "dds-step": 0.6,
-}
-
-_TRANSITION_SECONDS: Dict[str, float] = {
-    "50us": 50e-6, "2ms": 2e-3, "10ms": 10e-3,
-}
-
-#: Decoders from a matrix variant name to its :func:`_ablation_row`
-#: value; ablations not listed take the name itself.
-_VARIANT_VALUES: Dict[str, Callable[[str], Any]] = {
-    "training-size": int,
-    "penalty-weight": float,
-    "transition-cost": _TRANSITION_SECONDS.__getitem__,
-    "dds-budget": int,
-}
-
-
 def _ablation_cell(
     ablation: str,
     variant: str,
@@ -431,18 +326,11 @@ def _ablation_cell(
     telemetry: Any = None,
 ) -> Dict[str, Any]:
     """One (ablation, variant) simulation as a JSONable fleet unit."""
-    row = _ablation_row(
-        ablation, _VARIANT_VALUES.get(ablation, str)(variant), mix_index,
-        _ABLATION_CAPS[ablation], n_slices, seed, telemetry=telemetry,
+    row = ablation_row(
+        ablation, ABLATIONS[ablation].variants[variant], mix_index,
+        n_slices, seed, telemetry=telemetry,
     )
-    return {
-        "ablation": ablation,
-        "variant": variant,
-        "label": row.label,
-        "batch_instructions_b": row.batch_instructions_b,
-        "qos_violations": row.qos_violations,
-        "power_violations": row.power_violations,
-    }
+    return {"ablation": ablation, "variant": variant, **asdict(row)}
 
 
 def ablation_units(
@@ -458,8 +346,8 @@ def ablation_units(
                 "mix_index": mix_index, "n_slices": n_slices, "seed": seed,
             },
         )
-        for ablation, variants in ABLATION_MATRIX
-        for variant in variants
+        for ablation, declared in ABLATIONS.items()
+        for variant in declared.variants
     ]
 
 
@@ -468,19 +356,16 @@ def rows_from_cells(
 ) -> Dict[str, Tuple[AblationRow, ...]]:
     """Regroup matrix cells into per-ablation row tuples (matrix order)."""
     by_key = {(c["ablation"], c["variant"]): c for c in cells}
-    out: Dict[str, Tuple[AblationRow, ...]] = {}
-    for ablation, variants in ABLATION_MATRIX:
-        rows = []
-        for variant in variants:
-            cell = by_key[(ablation, variant)]
-            rows.append(AblationRow(
-                label=str(cell["label"]),
-                batch_instructions_b=float(cell["batch_instructions_b"]),
-                qos_violations=int(cell["qos_violations"]),
-                power_violations=int(cell["power_violations"]),
+    return {
+        ablation: tuple(
+            AblationRow(*(
+                by_key[(ablation, variant)][f.name]
+                for f in fields(AblationRow)
             ))
-        out[ablation] = tuple(rows)
-    return out
+            for variant in declared.variants
+        )
+        for ablation, declared in ABLATIONS.items()
+    }
 
 
 def run_ablation_matrix(
@@ -489,15 +374,13 @@ def run_ablation_matrix(
     seed: int = 7,
     **fleet: Any,
 ) -> Dict[str, Tuple[AblationRow, ...]]:
-    """Every ablation of :data:`ABLATION_MATRIX` as one sharded grid.
+    """Every ablation of :data:`ABLATIONS` as one sharded grid.
 
     ``fleet`` takes the execution and telemetry keywords of
     :func:`repro.fleet.run_grid`.
     """
     outcome = run_grid(
-        "ablations",
-        ablation_units(mix_index, n_slices, seed),
-        seed=seed, context={"mix_index": mix_index, "n_slices": n_slices},
+        "ablations", ablation_units(mix_index, n_slices, seed), seed=seed,
         **fleet,
     )
     return rows_from_cells(outcome.values())
@@ -506,24 +389,13 @@ def run_ablation_matrix(
 def render_ablation_matrix(
     rows_by_ablation: Dict[str, Tuple[AblationRow, ...]],
 ) -> str:
-    """All matrix tables, in :data:`ABLATION_MATRIX` order.
+    """All matrix tables, in :data:`ABLATIONS` order.
 
     ``dds-budget`` and ``dds-step`` rows carry the achieved search
-    *objective* in the instructions column, so their headings say so.
+    *objective* in the instructions column, so their titles say so.
     """
-    titles = {
-        "inference": "inference: SGD vs oracle",
-        "guards": "QoS guardbands",
-        "variants": "latency training variants",
-        "training-size": "offline training-set size",
-        "penalty-weight": "power-penalty weight (frozen search)",
-        "transition-cost": "reconfiguration transition cost",
-        "dds-budget": "DDS iteration budget (objective, frozen search)",
-        "dds-step": "DDS step (objective, frozen search)",
-    }
-    sections = []
-    for ablation, _variants in ABLATION_MATRIX:
-        rows = rows_by_ablation.get(ablation)
-        if rows:
-            sections.append(render_ablation(titles[ablation], rows))
-    return "\n\n".join(sections)
+    return "\n\n".join(
+        render_ablation(declared.title, rows_by_ablation[ablation])
+        for ablation, declared in ABLATIONS.items()
+        if rows_by_ablation.get(ablation)
+    )

@@ -395,13 +395,6 @@ def run_chaos_study(
             load, cap,
         ),
         seed=min(seeds) if seeds else 0,
-        context={
-            "seeds": list(seeds), "mix_indices": list(mix_indices),
-            "scenarios": [s or FAULT_FREE for s in scenarios],
-            "budgets": [b for b in budgets],
-            "n_slices": n_slices, "cooldown": cooldown,
-            "load": load, "cap": cap,
-        },
         **fleet,
     )
     return outcomes_from_cells(outcome.values())

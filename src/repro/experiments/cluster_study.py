@@ -154,7 +154,7 @@ def run_cluster_study(
     outcome = run_grid(
         "cluster_study",
         cluster_units(n_slices, seed),
-        seed=seed, context={"n_slices": n_slices}, **fleet,
+        seed=seed, **fleet,
     )
     return outcomes_from_cells(outcome.values())
 

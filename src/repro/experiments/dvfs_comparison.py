@@ -37,8 +37,9 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.core.dds import DDSParams, DDSSearch
-from repro.core.matrices import latency_row, power_rows, throughput_rows
+from repro.core.matrices import power_rows, throughput_rows
 from repro.core.objective import SystemObjective, power_fallback
+from repro.core.oracle import OracleReconfigPolicy
 from repro.experiments.harness import build_machine_for_mix
 from repro.experiments.reporting import format_table
 from repro.sim.coreconfig import N_JOINT_CONFIGS, CoreConfig, JointConfig
@@ -273,15 +274,9 @@ def run_dvfs_comparison(
             fixed, chip_budget - reserved
         )
         # Reconfigurable: LC at its true least-power QoS config.
-        latency = latency_row(reconf.lc_service, reconf.perf, load, lc_cores)
-        qos = reconf.lc_service.qos_latency_s
-        best_lc, best_watts = None, np.inf
-        for i in range(N_JOINT_CONFIGS):
-            if latency[i] <= qos:
-                joint = JointConfig.from_index(i)
-                watts = reconf.true_lc_power(joint, load, lc_cores)
-                if watts < best_watts:
-                    best_lc, best_watts = joint, watts
+        _, best_watts = OracleReconfigPolicy(lc_cores=lc_cores).select_lc(
+            reconf, load
+        )
         reserved = best_watts * lc_cores + reconf.power.llc_power()
         per_scheme["reconfig"] = _reconfig_allocation(
             reconf, chip_budget - reserved, seed

@@ -31,7 +31,12 @@ from repro.experiments.harness import (
     run_policy,
 )
 from repro.experiments.reporting import format_table
-from repro.faults import FaultInjector, FaultScenario, default_scenarios
+from repro.faults import (
+    FaultInjector,
+    FaultScenario,
+    default_scenarios,
+    scenario_by_name,
+)
 from repro.fleet import WorkUnit, run_grid
 from repro.logs import get_logger
 from repro.telemetry import Telemetry
@@ -136,7 +141,7 @@ def _run_arm(
 
 
 def _fault_cell(
-    scenario: FaultScenario,
+    scenario: str,
     hardened: bool,
     mix_index: int,
     cap: float,
@@ -148,15 +153,15 @@ def _fault_cell(
     """One (scenario, arm) cell as a JSONable fleet unit value.
 
     Top-level so worker processes can unpickle it by reference.  The
-    mix and power reference are rebuilt from ``mix_index`` inside the
-    unit (both are deterministic in the seed), keeping the kwargs
-    picklable and the value plain JSON.
+    scenario, mix and power reference are rebuilt from their names and
+    indices inside the unit (all deterministic in the seed), keeping
+    the kwargs plain JSON for the checkpoint fingerprint.
     """
     mix = paper_mixes()[mix_index]
     reference = reference_power_for_mix(mix, seed=seed)
     outcome = _run_arm(
-        scenario, hardened, mix, reference, cap, load, n_slices, seed,
-        telemetry,
+        scenario_by_name(scenario, seed=seed), hardened, mix, reference,
+        cap, load, n_slices, seed, telemetry,
     )
     return asdict(replace(outcome, mix_index=mix_index))
 
@@ -167,9 +172,9 @@ def fault_study_units(
     load: float,
     n_slices: int,
     seed: int,
-    scenarios: Sequence[FaultScenario],
+    scenarios: Sequence[str],
 ) -> List[WorkUnit]:
-    """The study's fleet work units, one per (mix, scenario, arm).
+    """The study's fleet work units, one per (mix, scenario name, arm).
 
     Unit ids are mix-qualified so one checkpoint file can snapshot a
     whole multi-mix sweep (the single-mix limitation of the original
@@ -178,7 +183,7 @@ def fault_study_units(
     return [
         WorkUnit(
             unit_id=(
-                f"faults/m{mix_index}/{scenario.name}/"
+                f"faults/m{mix_index}/{scenario}/"
                 f"{'hardened' if hardened else 'unhardened'}"
             ),
             fn=_fault_cell,
@@ -213,7 +218,7 @@ def run_fault_study(
     load: float = 0.7,
     n_slices: int = 12,
     seed: int = 7,
-    scenarios: Optional[Sequence[FaultScenario]] = None,
+    scenarios: Optional[Sequence[str]] = None,
     **fleet: Any,
 ) -> Tuple[FaultStudyOutcome, ...]:
     """Hardened vs unhardened CuttleSys across the fault scenarios.
@@ -227,21 +232,17 @@ def run_fault_study(
     and telemetry keywords of :func:`repro.fleet.run_grid`, and
     ``--jobs N`` output is byte-identical to serial.  ``mix_indices``
     sweeps several mixes in one fleet run — one checkpoint file then
-    covers the whole grid.
+    covers the whole grid.  ``scenarios`` names default scenarios
+    (:func:`repro.faults.scenario_by_name`); ``None`` runs them all.
     """
     if scenarios is None:
-        scenarios = default_scenarios(seed)
+        scenarios = [s.name for s in default_scenarios(seed)]
     outcome = run_grid(
         "fault_study",
         fault_study_units(
             mix_indices, cap, load, n_slices, seed, scenarios
         ),
         seed=seed,
-        context={
-            "mix_indices": list(mix_indices), "cap": cap, "load": load,
-            "n_slices": n_slices,
-            "scenarios": [s.name for s in scenarios],
-        },
         **fleet,
     )
     return outcomes_from_cells(outcome.values())

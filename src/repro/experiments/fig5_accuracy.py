@@ -196,21 +196,22 @@ def run_fig5b(
     perf = machine.perf
     power = machine.power
     train_profiles = [batch_profile(n) for n in train_names]
+    truth_bips, truth_power = machine.true_batch_tables()
     results = {}
-    for label, train_rows, observed_hi, observed_lo, truth_fn in (
+    for label, train_rows, observed_hi, observed_lo, truth in (
         (
             "throughput",
             throughput_rows(train_profiles, perf),
             sample.batch_bips_hi,
             sample.batch_bips_lo,
-            lambda j, joint: machine.true_batch_bips(j, joint),
+            truth_bips,
         ),
         (
             "power",
             power_rows(train_profiles, power),
             sample.batch_power_hi,
             sample.batch_power_lo,
-            lambda j, joint: machine.true_batch_power(j, joint.core),
+            truth_power,
         ),
     ):
         n_test = len(test_names)
@@ -221,10 +222,6 @@ def run_fig5b(
             matrix.observe(train_rows.shape[0] + t, HI_JOINT.index, observed_hi[t])
             matrix.observe(train_rows.shape[0] + t, LO_JOINT.index, observed_lo[t])
         full = reconstructor.reconstruct(matrix)
-        truth = np.empty((n_test, matrix.n_cols))
-        for t in range(n_test):
-            for c in range(matrix.n_cols):
-                truth[t, c] = truth_fn(t, JointConfig.from_index(c))
         results[label] = relative_error_percent(
             full[train_rows.shape[0]:], truth
         )

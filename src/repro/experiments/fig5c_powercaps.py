@@ -167,10 +167,6 @@ def run_fig5c(
         "fig5c",
         fig5c_units(mix_indices, caps, n_slices, load, seed),
         seed=seed,
-        context={
-            "mix_indices": list(mix_indices), "caps": list(caps),
-            "n_slices": n_slices, "load": load,
-        },
         **fleet,
     )
     return result_from_cells(outcome.values(), tuple(caps), FIG5C_POLICIES)

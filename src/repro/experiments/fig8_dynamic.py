@@ -231,10 +231,6 @@ def run_fig8_grid(
         "fig8",
         fig8_units(scenarios, mix_index, n_slices, seed),
         seed=seed,
-        context={
-            "scenarios": list(scenarios), "mix_index": mix_index,
-            "n_slices": n_slices,
-        },
         **fleet,
     )
     return {

@@ -277,7 +277,7 @@ def run_full_evaluation(
             )
             for name in names
         ],
-        seed=0, context={"n_slices": n_slices}, jobs=jobs,
+        seed=0, jobs=jobs,
         checkpoint=checkpoint, resume=resume,
     )
     if fleet_stats is not None:

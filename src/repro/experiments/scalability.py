@@ -204,10 +204,6 @@ def run_scalability(
         "scalability",
         scalability_units(core_counts, cap, load, n_slices, seed),
         seed=seed,
-        context={
-            "core_counts": list(core_counts), "cap": cap, "load": load,
-            "n_slices": n_slices,
-        },
         **fleet,
     )
     return points_from_cells(outcome.values())

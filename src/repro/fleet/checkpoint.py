@@ -3,9 +3,9 @@
 The checkpoint file is a single JSON document::
 
     {
-      "schema": 1,
-      "fingerprint": {"fleet": ..., "seed": ..., "context": {...},
-                       "units": [...]},
+      "schema": 2,
+      "fingerprint": {"fleet": ..., "seed": ...,
+                      "units": [{"id": ..., "kwargs": {...}}, ...]},
       "completed": {"<unit id>": <JSON value>, ...}
     }
 
@@ -13,7 +13,8 @@ Writes are atomic (:func:`repro.snapshot.atomic_write_text`), so a run
 killed mid-write leaves either the previous snapshot or the new one —
 never a torn file.  The fingerprint pins the run configuration: a
 ``--resume`` against a checkpoint written by a different fleet, seed,
-scale, or unit set refuses loudly instead of silently mixing results.
+unit set, or any unit's arguments refuses loudly instead of silently
+mixing results.
 
 Float values round-trip exactly through JSON (``repr`` shortest-round-
 trip), so a resumed run's merged report is byte-identical to an
@@ -34,7 +35,7 @@ log = get_logger("fleet.checkpoint")
 __all__ = ["CheckpointError", "CheckpointStore", "inspect_checkpoint"]
 
 #: Bumped whenever the file layout changes incompatibly.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -59,11 +60,20 @@ def _read_payload(path: Path) -> Dict[str, Any]:
         raise CheckpointError(
             f"corrupt checkpoint {path}: expected a JSON object"
         )
+    schema = data.get("schema")
+    if schema != SCHEMA_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path} has schema {schema!r}; this "
+            f"toolkit reads schema {SCHEMA_VERSION}"
+        )
     return data
 
 
 def inspect_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
-    """Raw payload of a checkpoint file (the ``fleet status`` CLI)."""
+    """Raw payload of a checkpoint file (the ``fleet status`` CLI).
+
+    Like :meth:`CheckpointStore.load`, refuses a file of another schema.
+    """
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"no such checkpoint: {path}")
@@ -96,17 +106,11 @@ class CheckpointStore:
         if not self.path.exists():
             return {}
         data = _read_payload(self.path)
-        schema = data.get("schema")
-        if schema != SCHEMA_VERSION:
-            raise CheckpointError(
-                f"checkpoint {self.path} has schema {schema!r}; this "
-                f"toolkit reads schema {SCHEMA_VERSION}"
-            )
         if data.get("fingerprint") != self.fingerprint:
             raise CheckpointError(
                 f"checkpoint {self.path} was written by a different run "
-                "configuration (fleet/seed/scale/unit set changed); "
-                "delete it or drop --resume to start fresh"
+                "configuration (fleet, seed, units or unit arguments "
+                "changed); delete it or drop --resume to start fresh"
             )
         completed = data.get("completed", {})
         if not isinstance(completed, dict):

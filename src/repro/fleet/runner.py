@@ -26,16 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.fleet.checkpoint import CheckpointStore
 from repro.fleet.pool import FleetPool, PoolParams
@@ -152,7 +143,6 @@ class FleetRun:
         units: Sequence[WorkUnit],
         params: FleetParams = FleetParams(),
         seed: int = 0,
-        context: Optional[Mapping[str, Any]] = None,
         telemetry: Any = None,
         live: Optional[LiveAggregator] = None,
         pool: Union[FleetPool, PoolParams] = PoolParams(),
@@ -168,9 +158,6 @@ class FleetRun:
             raise ValueError("unit ids must be unique within one fleet")
         self.params = params
         self.seed = seed
-        #: Extra run configuration folded into the checkpoint
-        #: fingerprint (scale knobs like n_slices).
-        self.context: Dict[str, Any] = dict(context or {})
         self.telemetry = telemetry
         #: Optional :class:`LiveAggregator`: streams worker events and
         #: folds each unit's counters and drift instants into the live
@@ -184,12 +171,19 @@ class FleetRun:
             )
 
     def fingerprint(self) -> Dict[str, Any]:
-        """What must match for a checkpoint to be resumable."""
+        """What must match for a checkpoint to be resumable.
+
+        Built from what runs: the fleet name, the seed, and each unit's
+        id with its kwargs, so a resume after any unit's arguments
+        change is refused.
+        """
         return {
             "fleet": self.name,
             "seed": self.seed,
-            "context": self.context,
-            "units": [u.unit_id for u in self.units],
+            "units": [
+                {"id": u.unit_id, "kwargs": dict(u.kwargs)}
+                for u in self.units
+            ],
         }
 
     # ------------------------------------------------------------------
@@ -332,7 +326,6 @@ def run_grid(
     name: str,
     units: Sequence[WorkUnit],
     seed: int,
-    context: Mapping[str, Any],
     jobs: int = 1,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
@@ -360,7 +353,6 @@ def run_grid(
         units,
         FleetParams(checkpoint=checkpoint, resume=resume),
         seed=seed,
-        context=context,
         telemetry=telemetry,
         live=live,
         pool=PoolParams(jobs=jobs),

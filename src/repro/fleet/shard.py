@@ -55,8 +55,9 @@ class WorkUnit:
 
     ``fn`` must be an importable module-level callable (worker
     processes unpickle it by reference) and ``kwargs`` its keyword
-    arguments.  The return value is the unit's *result*; when the run
-    is checkpointed it must be JSON-serializable.
+    arguments.  The return value is the unit's *result*.  When the run
+    is checkpointed both must be JSON-serializable: the checkpoint's
+    fingerprint records every unit's kwargs.
     """
 
     unit_id: str

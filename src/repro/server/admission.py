@@ -135,20 +135,6 @@ JOB = Record(
     spec=Record(JobSpec, JSON, kind=STR, name=STR, tenant=STR, priority=INT),
 )
 
-class _LiveJobs(Map):
-    """The ledger's queued and running jobs, by id; terminal jobs are
-    journaled once, in :attr:`JobQueueManager.ended`."""
-
-    def __init__(self) -> None:
-        super().__init__(JOB)
-
-    def encode(self, value: Mapping[str, Job]) -> Any:
-        return super().encode({
-            job_id: job for job_id, job in value.items()
-            if job.live
-        })
-
-
 class JobQueueManager(Snapshottable):
     """Admission ledger: validate, queue, and admit jobs per tick.
 
@@ -163,15 +149,15 @@ class JobQueueManager(Snapshottable):
       budget times ``AdmissionLimits.power_fill_fraction``.
 
     Jobs failing a *capacity* check stay queued (and may time out);
-    jobs failing a *static* check are rejected immediately.  Snapshots
-    carry the live jobs, and each terminal job once, as a history;
-    restore merges the two back into one ledger in submission order.
-    The capacity model and limits are rebuilt from the daemon's
+    jobs failing a *static* check are rejected immediately.  Each job
+    lives in one place: :attr:`jobs` while queued or running, then
+    :attr:`ended`, which snapshots journal once as a history.  The
+    capacity model and limits are rebuilt from the daemon's
     configuration.
     """
 
     SNAPSHOT_FIELDS = {
-        "jobs": _LiveJobs(),
+        "jobs": Map(JOB),
         "ended": History(JOB),
         "queue": Seq(STR),
         "batch_slot_job": Seq(JSON),
@@ -217,7 +203,7 @@ class JobQueueManager(Snapshottable):
         # after restore), so the snapshot contract excludes it.
         self.telemetry = telemetry
 
-        #: Every job ever submitted, by id, in submission order.
+        #: Queued and running jobs, by id, in submission order.
         self.jobs: Dict[str, Job] = {}
         #: Terminal jobs, in the order they ended.
         self.ended: List[Job] = []
@@ -247,16 +233,18 @@ class JobQueueManager(Snapshottable):
         """Move ``job`` to a terminal ``state``; it never changes again."""
         job.state = state
         job.finished_tick = tick
+        self.jobs.pop(job.job_id, None)
         self.ended.append(job)
 
-    def restore(self, state: Mapping[str, Any]) -> None:
-        """Restore the snapshot, then merge the live and the ended jobs
-        back into one ledger in submission order."""
-        super().restore(state)
-        jobs = [*self.jobs.values(), *self.ended]
-        self.jobs = {
-            job.job_id: job for job in sorted(jobs, key=lambda j: j.seq)
-        }
+    def job(self, job_id: str) -> Optional[Job]:
+        """The job with ``job_id``, live or ended; None when unknown."""
+        live = self.jobs.get(job_id)
+        if live is not None:
+            return live
+        return next(
+            (job for job in reversed(self.ended) if job.job_id == job_id),
+            None,
+        )
 
     # ------------------------------------------------------------------
     # Client-facing operations.
@@ -267,8 +255,7 @@ class JobQueueManager(Snapshottable):
         if spec.kind not in ("batch", "lc"):
             return "bad_kind"
         tenant_live = sum(
-            1 for job in self.jobs.values()
-            if job.spec.tenant == spec.tenant and job.live
+            1 for job in self.jobs.values() if job.spec.tenant == spec.tenant
         )
         if tenant_live >= self.limits.max_jobs_per_tenant:
             return "tenant_quota"
@@ -309,10 +296,11 @@ class JobQueueManager(Snapshottable):
         job_id = f"j{self.next_seq:06d}"
         job = Job(job_id, self.next_seq, spec, tick)
         self.next_seq += 1
-        self.jobs[job_id] = job
         self.submitted += 1
         self._count("server.jobs_submitted")
-        if reason is not None:
+        if reason is None:
+            self.jobs[job_id] = job
+        else:
             job.reason = reason
             self._end(job, "rejected", tick)
             self.rejected += 1
@@ -332,10 +320,8 @@ class JobQueueManager(Snapshottable):
         Running jobs release their slot immediately; the caller
         unbinds the machine side before the next tick.
         """
-        job = self.jobs.get(job_id)
-        if job is None:
-            return None
-        if not job.live:
+        job = self.job(job_id)
+        if job is None or not job.live:
             return job
         if job.state == "queued":
             self.queue.remove(job_id)
@@ -353,7 +339,7 @@ class JobQueueManager(Snapshottable):
         Raises ``ValueError`` for non-LC jobs or rates beyond the
         service's knee.
         """
-        job = self.jobs.get(job_id)
+        job = self.job(job_id)
         if job is None:
             return None
         if job.spec.kind != "lc":
@@ -388,12 +374,8 @@ class JobQueueManager(Snapshottable):
     def _power_in_use(self) -> float:
         total = 0.0
         for job in self.jobs.values():
-            if job.state != "running":
-                continue
-            if job.spec.kind == "batch":
-                total += self.batch_power_w.get(job.spec.name, 0.0)
-            else:
-                total += self.lc_power_w.get(job.spec.name, 0.0)
+            if job.state == "running":
+                total += self._estimate_w(job.spec)
         return total
 
     def _estimate_w(self, spec: JobSpec) -> float:

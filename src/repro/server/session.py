@@ -146,9 +146,13 @@ class CommandExecutor:
 
     def _op_jobs(self, request: Dict[str, Any]) -> Dict[str, Any]:
         state = request.get("state")
+        admission = self.driver.admission
         jobs = [
             job.describe()
-            for _, job in sorted(self.driver.admission.jobs.items())
+            for job in sorted(
+                [*admission.jobs.values(), *admission.ended],
+                key=lambda job: job.job_id,
+            )
             if state is None or job.state == state
         ]
         return ok_response("jobs", request, jobs=jobs)
@@ -174,7 +178,7 @@ class CommandExecutor:
         return ok_response(
             "audit", request,
             report=render_accuracy_report(self.telemetry),
-            drifting=list(self.telemetry.auditor.drifting_metrics()),
+            drifting=list(self.telemetry.auditor.drifting_metrics),
         )
 
     def _op_metrics(self, request: Dict[str, Any]) -> Dict[str, Any]:

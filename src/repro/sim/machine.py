@@ -439,21 +439,27 @@ class Machine(Snapshottable):
         so callers auditing a decision must snapshot before running the
         slice it applies to.
         """
-        n = len(self.batch_profiles)
-        bips = np.empty((n, N_JOINT_CONFIGS))
-        power = np.empty((n, N_JOINT_CONFIGS))
         # Oracle table fills are the auditor's dominant cost; the span
         # feeds the virtual-cost profiler (evaluations = model calls).
         with self.trace.span(
             "mgk.latency", category="oracle", kind="batch_tables",
-            evaluations=n * N_JOINT_CONFIGS,
+            evaluations=len(self.batch_profiles) * N_JOINT_CONFIGS,
         ):
-            for idx in range(N_JOINT_CONFIGS):
-                joint = JointConfig.from_index(idx)
-                for j in range(n):
-                    bips[j, idx] = self.true_batch_bips(j, joint)
-                    power[j, idx] = self.true_batch_power(j, joint.core)
-        return bips, power
+            return self.true_batch_tables()
+
+    def true_batch_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`oracle_batch_tables` without the profiler span.
+
+        Entry ``[j, i]`` equals ``true_batch_bips(j, JOINT_CONFIGS[i])``
+        and ``true_batch_power(j, JOINT_CONFIGS[i].core)`` bit for bit.
+        """
+        # repro.core imports this module, so the shared row builder is
+        # imported at call time.
+        from repro.core.matrices import power_rows
+
+        phase = np.array([math.exp(v) for v in self._log_phase])
+        bips = self.perf.bips_rows(self.batch_profiles) / phase[:, None]
+        return bips, power_rows(self.batch_profiles, self.power)
 
     def oracle_lc_latency_row(
         self, load: float, n_cores: int, service_idx: int = 0

@@ -30,6 +30,8 @@ import queue as queue_mod
 from collections import deque
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
+from repro.telemetry.metrics import percentile
+
 __all__ = [
     "CallbackSink",
     "LiveAggregator",
@@ -204,16 +206,7 @@ class RollingWindow:
 
     def percentile(self, q: float) -> float:
         """Linear-interpolated percentile; NaN when empty."""
-        if not self.samples:
-            return math.nan
-        data = sorted(self.samples)
-        if len(data) == 1:
-            return data[0]
-        pos = (len(data) - 1) * q / 100.0
-        lo = int(math.floor(pos))
-        hi = min(lo + 1, len(data) - 1)
-        frac = pos - lo
-        return data[lo] * (1.0 - frac) + data[hi] * frac
+        return percentile(self.samples, q)
 
     def summary(self) -> Dict[str, float]:
         """count (lifetime) / windowed mean / last / p50 / p95 / p99."""

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.experiments.ablations import (
-    ablate_dds_budget,
-    ablate_guards,
-    ablate_inference,
-    ablate_penalty_weight,
-    ablate_training_size,
-    ablate_variants,
-    render_ablation,
-)
+from repro.experiments.ablations import ablation_row, render_ablation
 from repro.experiments.dvfs_comparison import (
     SCHEMES,
     render_dvfs_comparison,
@@ -50,12 +42,14 @@ class TestDVFSComparison:
 
 class TestAblations:
     def test_inference_gap(self):
-        sgd, oracle = ablate_inference(n_slices=4)
+        sgd = ablation_row("inference", "sgd", n_slices=4)
+        oracle = ablation_row("inference", "oracle", n_slices=4)
         assert oracle.batch_instructions_b >= sgd.batch_instructions_b * 0.95
         assert sgd.qos_violations == 0
 
     def test_guards(self):
-        with_guards, without = ablate_guards(n_slices=4)
+        with_guards = ablation_row("guards", True, n_slices=4)
+        without = ablation_row("guards", False, n_slices=4)
         assert with_guards.qos_violations == 0
         # Disabling guards may or may not violate on a short run, but
         # must not be safer than the default.
@@ -63,26 +57,36 @@ class TestAblations:
             with_guards.qos_violations + with_guards.power_violations
 
     def test_variants(self):
-        with_variants, without = ablate_variants(n_slices=4)
+        with_variants = ablation_row("variants", 3, n_slices=4)
         assert with_variants.qos_violations == 0
 
     def test_training_size(self):
-        rows = ablate_training_size(sizes=(8, 16), n_slices=3)
-        assert len(rows) == 2
+        rows = [
+            ablation_row("training-size", size, n_slices=3)
+            for size in (8, 16)
+        ]
         assert all(r.batch_instructions_b > 0 for r in rows)
 
     def test_penalty_weight(self):
-        rows = ablate_penalty_weight(weights=(0.25, 16.0))
-        assert len(rows) == 2
         # A heavy penalty must not bust the budget.
-        assert rows[-1].power_violations == 0
+        assert ablation_row("penalty-weight", 16.0).power_violations == 0
 
     def test_dds_budget_monotone_ish(self):
-        result = ablate_dds_budget(iterations=(5, 80))
-        assert result[80] >= result[5]
+        def objective(max_iter):
+            return ablation_row(
+                "dds-budget", max_iter
+            ).batch_instructions_b
+
+        assert objective(80) >= objective(5)
+
+    def test_unknown_ablation_or_variant_raises(self):
+        with pytest.raises(ValueError, match="unknown ablation"):
+            ablation_row("no-such-ablation", 1)
+        with pytest.raises(ValueError, match="unknown ablation variant"):
+            ablation_row("inference", "psychic")
 
     def test_render(self):
-        rows = ablate_training_size(sizes=(8,), n_slices=2)
+        rows = [ablation_row("training-size", 8, n_slices=2)]
         text = render_ablation("probe", rows)
         assert "probe" in text
         assert "8 training apps" in text
@@ -112,10 +116,9 @@ class TestAreaEquivalence:
 
 class TestTransitionCostAblation:
     def test_higher_cost_never_helps(self):
-        from repro.experiments.ablations import ablate_transition_cost
-
-        rows = ablate_transition_cost(
-            transitions_s=(50e-6, 10e-3), n_slices=4
+        cheap, dear = (
+            ablation_row("transition-cost", seconds, n_slices=4)
+            for seconds in (50e-6, 10e-3)
         )
-        assert rows[0].batch_instructions_b >= \
-            rows[1].batch_instructions_b * 0.98
+        assert cheap.batch_instructions_b >= \
+            dear.batch_instructions_b * 0.98

@@ -112,7 +112,7 @@ class TestMultiMix:
 
     @pytest.fixture(scope="class")
     def scenarios(self):
-        return (scenario_by_name("sensor-noise", seed=7),)
+        return ("sensor-noise",)
 
     def test_mix_qualified_unit_ids(self, scenarios):
         from repro.experiments.fault_study import fault_study_units

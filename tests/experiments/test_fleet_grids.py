@@ -5,17 +5,17 @@ ablation matrix all execute as sharded fleet work units.  These tests
 pin the contract the conversion must keep: sharded execution is
 byte-identical to serial, a checkpoint file resumes the whole grid,
 unit ids are fully qualified, and the grid cells reproduce the
-standalone single-run entry points.
+single-run entry points.
 """
 
 import pytest
 
 from repro.experiments.ablations import (
-    ABLATION_MATRIX,
-    _ablation_cell,
-    ablate_guards,
+    ABLATIONS,
+    ablation_row,
     ablation_units,
     rows_from_cells,
+    run_ablation_matrix,
 )
 from repro.experiments.fig5c_powercaps import (
     fig5c_units,
@@ -82,35 +82,30 @@ class TestAblationFleet:
     def test_matrix_units_cover_every_variant(self):
         units = ablation_units(0, 3, 7)
         ids = [u.unit_id for u in units]
-        expected = sum(len(v) for _, v in ABLATION_MATRIX)
+        expected = sum(len(a.variants) for a in ABLATIONS.values())
         assert len(ids) == len(set(ids)) == expected
         assert "ablate/guards/off" in ids
         assert "ablate/dds-budget/120" in ids
 
-    def test_cells_reproduce_standalone_ablation(self):
-        cells = [
-            _ablation_cell("guards", variant, mix_index=0, n_slices=3,
-                           seed=7)
-            for variant in ("on", "off")
-        ]
-        # rows_from_cells wants the full matrix; check the slice directly.
-        standalone = ablate_guards(mix_index=0, n_slices=3, seed=7)
-        for cell, row in zip(cells, standalone):
-            assert cell["label"] == row.label
-            assert cell["batch_instructions_b"] == row.batch_instructions_b
-            assert cell["qos_violations"] == row.qos_violations
-            assert cell["power_violations"] == row.power_violations
+    def test_matrix_rows_equal_declared_variant_rows(self):
+        matrix = run_ablation_matrix(mix_index=0, n_slices=2, seed=7)
+        assert list(matrix) == list(ABLATIONS)
+        for ablation, declared in ABLATIONS.items():
+            assert matrix[ablation] == tuple(
+                ablation_row(ablation, value, 0, 2, 7)
+                for value in declared.variants.values()
+            ), ablation
 
     def test_rows_regroup_in_matrix_order(self):
         cells = [
             {"ablation": a, "variant": v, "label": f"{a}/{v}",
              "batch_instructions_b": 1.0, "qos_violations": 0,
              "power_violations": 0}
-            for a, variants in ABLATION_MATRIX for v in variants
+            for a, declared in ABLATIONS.items() for v in declared.variants
         ]
         rows = rows_from_cells(list(reversed(cells)))
-        assert list(rows) == [a for a, _ in ABLATION_MATRIX]
-        for ablation, variants in ABLATION_MATRIX:
+        assert list(rows) == list(ABLATIONS)
+        for ablation, declared in ABLATIONS.items():
             assert tuple(r.label for r in rows[ablation]) == tuple(
-                f"{ablation}/{v}" for v in variants
+                f"{ablation}/{v}" for v in declared.variants
             )

@@ -5,10 +5,12 @@ import json
 import pytest
 
 from repro.fleet import CheckpointError, CheckpointStore, inspect_checkpoint
+from repro.fleet.checkpoint import SCHEMA_VERSION
 
 FINGERPRINT = {
-    "fleet": "test", "seed": 7, "context": {"n_slices": 4},
-    "units": ["a", "b"],
+    "fleet": "test", "seed": 7,
+    "units": [{"id": "a", "kwargs": {"n_slices": 4}},
+              {"id": "b", "kwargs": {"n_slices": 4}}],
 }
 
 
@@ -42,7 +44,7 @@ class TestRoundTrip:
 
     def test_tuples_normalise_to_lists(self, tmp_path):
         path = tmp_path / "ck.json"
-        fingerprint = dict(FINGERPRINT, units=("a", "b"))
+        fingerprint = dict(FINGERPRINT, units=tuple(FINGERPRINT["units"]))
         CheckpointStore(path, fingerprint).save({"a": 1})
         # A later run passing lists must still match.
         assert CheckpointStore(path, FINGERPRINT).load() == {"a": 1}
@@ -87,9 +89,17 @@ class TestInspect:
         path = tmp_path / "ck.json"
         CheckpointStore(path, FINGERPRINT).save({"a": 1})
         payload = inspect_checkpoint(path)
-        assert payload["schema"] == 1
+        assert payload["schema"] == SCHEMA_VERSION == 2
         assert payload["fingerprint"]["fleet"] == "test"
         assert payload["completed"] == {"a": 1}
+
+    def test_inspect_refuses_another_schema(self, tmp_path):
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps({
+            "schema": 1, "fingerprint": FINGERPRINT, "completed": {},
+        }))
+        with pytest.raises(CheckpointError, match="schema 1"):
+            inspect_checkpoint(path)
 
     def test_inspect_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="no such checkpoint"):

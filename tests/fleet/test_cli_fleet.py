@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.fleet.checkpoint import SCHEMA_VERSION
 
 #: One cheap invocation of every verb that takes --checkpoint.
 CHECKPOINT_VERBS = {
@@ -136,7 +137,7 @@ class TestCommands:
             ck.write_bytes(b"")
         else:
             ck.write_text(json.dumps({
-                "schema": 1,
+                "schema": SCHEMA_VERSION,
                 "fingerprint": {"fleet": "some-other-run", "seed": 1},
                 "completed": {},
             }))

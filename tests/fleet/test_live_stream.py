@@ -26,6 +26,7 @@ from repro.fleet import (
     merge_unit_telemetry,
     run_grid,
 )
+from repro.fleet.checkpoint import SCHEMA_VERSION
 from repro.telemetry import Telemetry
 from repro.telemetry.exporters import telemetry_records
 from repro.telemetry.live import LiveAggregator
@@ -188,7 +189,7 @@ class TestLiveRunEndToEnd:
             "retries": 0, "serial_fallbacks": 0,
         }
         # Additive only: schema and load behaviour are untouched.
-        assert payload["schema"] == 1
+        assert payload["schema"] == SCHEMA_VERSION
 
 
 class TestStudyStreaming:
@@ -199,7 +200,7 @@ class TestStudyStreaming:
         live = LiveAggregator()
         outcomes = run_fault_study(
             n_slices=2, seed=7,
-            scenarios=default_scenarios(7)[:1], live=live,
+            scenarios=[default_scenarios(7)[0].name], live=live,
         )
         assert len(outcomes) == 2  # hardened + unhardened
         assert live.counter_totals  # unit telemetry was collected
@@ -228,7 +229,7 @@ class TestRunGrid:
     """The fleet owns per-unit telemetry: cells take ``telemetry``."""
 
     def test_no_consumer_opens_no_session(self):
-        outcome = run_grid("grid-test", session_units(2), seed=7, context={})
+        outcome = run_grid("grid-test", session_units(2), seed=7)
         assert len(outcome.results) == 2
         for value in outcome.values():
             assert value == {"had_session": False}
@@ -238,7 +239,7 @@ class TestRunGrid:
         merged = [] if case in ("merged-only", "both") else None
         live = LiveAggregator() if case != "merged-only" else None
         outcome = run_grid(
-            "grid-test", session_units(3), seed=7, context={},
+            "grid-test", session_units(3), seed=7,
             merged_telemetry=merged, live=live,
         )
         for i, value in enumerate(outcome.values()):
@@ -260,11 +261,11 @@ class TestRunGrid:
     def test_parallel_units_export_their_sessions(self):
         merged = []
         serial = run_grid(
-            "grid-test", session_units(4), seed=7, context={},
+            "grid-test", session_units(4), seed=7,
             merged_telemetry=[],
         )
         parallel = run_grid(
-            "grid-test", session_units(4), seed=7, context={}, jobs=2,
+            "grid-test", session_units(4), seed=7, jobs=2,
             merged_telemetry=merged,
         )
         assert parallel.values() == serial.values()
@@ -285,9 +286,8 @@ def _grid_units(name: str):
         return cluster_units(2, 7)[:1]
     if name == "faults":
         from repro.experiments.fault_study import fault_study_units
-        from repro.faults import scenario_by_name
         return fault_study_units(
-            (0,), 0.7, 0.7, 2, 7, (scenario_by_name("sensor-noise", seed=7),)
+            (0,), 0.7, 0.7, 2, 7, ("sensor-noise",)
         )[:1]
     if name == "fig5c":
         from repro.experiments.fig5c_powercaps import fig5c_units
@@ -312,7 +312,7 @@ class TestGridCells:
     def test_cell_runs_with_a_fleet_session(self, name):
         merged = []
         outcome = run_grid(
-            name, _grid_units(name), seed=7, context={},
+            name, _grid_units(name), seed=7,
             merged_telemetry=merged,
         )
         (value,) = outcome.values()

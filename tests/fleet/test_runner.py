@@ -7,6 +7,8 @@ exercised with the deterministic ``inject_abort_after`` fault hook
 than a timing-dependent SIGKILL race.
 """
 
+import json
+
 import pytest
 
 from repro.fleet import (
@@ -116,6 +118,54 @@ class TestAbortResume:
             FleetRun(
                 "t", units, FleetParams(checkpoint=str(ck), resume=True),
                 seed=8,
+            ).execute()
+
+    def test_fingerprint_is_built_from_the_units(self):
+        run = FleetRun("t", make_units(2), seed=7)
+        assert run.fingerprint() == {
+            "fleet": "t", "seed": 7,
+            "units": [
+                {"id": "u0", "kwargs": {"unit_id": "u0", "seed": 7}},
+                {"id": "u1", "kwargs": {"unit_id": "u1", "seed": 7}},
+            ],
+        }
+
+    def test_unit_kwarg_change_invalidates_checkpoint(self, tmp_path):
+        ck = tmp_path / "ck.json"
+        units = make_units(3)
+        FleetRun("t", units, FleetParams(checkpoint=str(ck)), seed=7).execute()
+        # Same fleet, seed and unit ids; one unit's arguments differ.
+        changed = units[:2] + [
+            WorkUnit("u2", cell, {"unit_id": "u2", "seed": 8})
+        ]
+        with pytest.raises(CheckpointError, match="different run"):
+            FleetRun(
+                "t", changed, FleetParams(checkpoint=str(ck), resume=True),
+                seed=7,
+            ).execute()
+
+    def test_unjsonable_unit_kwargs_refuse_a_checkpoint(self, tmp_path):
+        units = [WorkUnit("u0", cell, {"unit_id": object(), "seed": 7})]
+        with pytest.raises(CheckpointError, match="JSON-serializable"):
+            FleetRun(
+                "t", units, FleetParams(checkpoint=str(tmp_path / "ck")),
+            )
+
+    def test_schema_1_checkpoint_is_refused(self, tmp_path):
+        ck = tmp_path / "ck.json"
+        units = make_units(2)
+        ck.write_text(json.dumps({
+            "schema": 1,
+            "fingerprint": {
+                "fleet": "t", "seed": 7, "context": {},
+                "units": ["u0", "u1"],
+            },
+            "completed": {"u0": cell("u0", 7)},
+        }))
+        with pytest.raises(CheckpointError, match="schema 1; .* schema 2"):
+            FleetRun(
+                "t", units, FleetParams(checkpoint=str(ck), resume=True),
+                seed=7,
             ).execute()
 
     def test_without_resume_checkpoint_is_overwritten(self, tmp_path):

@@ -132,7 +132,8 @@ class TestCapacityAndDrain:
         assert [e["job_id"] for e in events["timed_out"]] == [
             blocked.job_id
         ]
-        job = mgr.jobs[blocked.job_id]
+        job = mgr.job(blocked.job_id)
+        assert job is blocked and blocked.job_id not in mgr.jobs
         assert (job.state, job.reason) == ("rejected", "wait_timeout")
         assert job.waited_quanta == 4
         assert mgr.timed_out == 1
@@ -160,6 +161,24 @@ class TestCapacityAndDrain:
         with pytest.raises(ValueError):
             mgr.set_rps(batch.job_id, 10.0)  # not an LC job
         assert mgr.set_rps("j999999", 10.0) is None
+
+    def test_each_job_lives_in_one_place(self):
+        mgr = make_manager()
+        lc = mgr.submit(JobSpec(kind="lc", name="svc", rps=10.0), 0)
+        rejected = mgr.submit(JobSpec(kind="batch", name="zzz"), 0)
+        kept = mgr.submit(JobSpec(kind="batch", name="alpha"), 0)
+        mgr.drain(0)
+        mgr.cancel(lc.job_id, 1)
+        # Live jobs in `jobs`, terminal ones in `ended`, never both.
+        assert list(mgr.jobs) == [kept.job_id]
+        assert mgr.ended == [rejected, lc]
+        for job in (lc, rejected, kept):
+            assert mgr.job(job.job_id) is job
+        assert mgr.job("j999999") is None
+        # Ended jobs still answer cancel and set_rps as before.
+        assert mgr.cancel(lc.job_id, 2) is lc and lc.finished_tick == 1
+        with pytest.raises(ValueError, match="cancelled"):
+            mgr.set_rps(lc.job_id, 20.0)
 
     def test_counters_track_accept_and_reject(self):
         mgr = make_manager()
@@ -218,8 +237,12 @@ class TestSnapshotRestore:
 
         other = make_manager()
         Journal(tmp_path / "state.json").restore(other, state)
-        # One ledger again, in submission order, answering as before.
+        # The same live jobs in submission order, answering as before.
+        assert list(other.jobs) == ["j000002", "j000004"]
         assert list(other.jobs) == list(mgr.jobs)
+        assert [j.describe() for j in other.ended] == [
+            j.describe() for j in mgr.ended
+        ]
         assert [j.describe() for j in other.jobs.values()] == [
             j.describe() for j in mgr.jobs.values()
         ]

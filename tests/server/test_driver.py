@@ -25,6 +25,7 @@ from repro.server.driver import (
 )
 from repro.server.session import CommandExecutor
 from repro.snapshot import SnapshotError
+from repro.telemetry import Telemetry
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -32,7 +33,9 @@ SEED = 3
 MIX = 0
 
 
-def make_driver(tmp_path, name="run", resume=False, **overrides):
+def make_driver(
+    tmp_path, name="run", resume=False, telemetry=None, **overrides
+):
     kwargs = dict(
         mix=MIX, seed=SEED, max_quanta=30,
         state_path=str(tmp_path / f"{name}_state.json"),
@@ -40,7 +43,7 @@ def make_driver(tmp_path, name="run", resume=False, **overrides):
         resume=resume,
     )
     kwargs.update(overrides)
-    return QuantumDriver(ServerConfig(**kwargs))
+    return QuantumDriver(ServerConfig(**kwargs), telemetry=telemetry)
 
 
 def scripted_actions(driver):
@@ -409,6 +412,27 @@ class TestCommandExecutor:
             {"op": "decisions", "since": 1}
         )["decisions"]
         assert [d["quantum"] for d in decisions] == [1]
+
+    def test_audit_answers_report_and_drifting_metrics(self, tmp_path):
+        # The daemon's default telemetry: a session with the auditor on.
+        telemetry = Telemetry()
+        telemetry.enable_accuracy_audit()
+        executor = CommandExecutor(
+            make_driver(tmp_path, telemetry=telemetry), telemetry=telemetry
+        )
+        executor.execute({"op": "tick", "count": 2})
+        resp = executor.execute({"op": "audit"})
+        assert resp["ok"] is True
+        assert isinstance(resp["report"], str) and resp["report"]
+        assert resp["drifting"] == list(
+            telemetry.auditor.drifting_metrics
+        )
+        json.dumps(resp, sort_keys=True)
+
+    def test_audit_without_auditor_is_a_protocol_error(self, tmp_path):
+        executor = CommandExecutor(make_driver(tmp_path))
+        resp = executor.execute({"op": "audit"})
+        assert resp["ok"] is False and resp["code"] == "no_audit"
 
     def test_responses_are_json_serializable(self, tmp_path):
         executor = CommandExecutor(make_driver(tmp_path))

@@ -230,6 +230,33 @@ class TestPhasesAndReference:
             ])
             assert np.array_equal(row, want)
 
+    @pytest.mark.parametrize("mix_index", [0, 7, 12, 25, 37, 44, 49])
+    def test_batch_tables_match_per_config_truth(self, mix_index):
+        """The table builders equal ``true_batch_bips``/``_power`` on
+        every (job, joint config) bit for bit, phases included."""
+        from repro.experiments.harness import build_machine_for_mix
+        from repro.workloads.mixes import paper_mixes
+
+        machine = build_machine_for_mix(paper_mixes()[mix_index], seed=7)
+        for _ in range(5):
+            machine.run_slice(uniform_assignment(machine), load=0.5)
+        assert np.any(machine._log_phase != 0.0)
+        n = len(machine.batch_profiles)
+        joints = [JointConfig.from_index(i) for i in range(108)]
+        want_bips = np.array([
+            [machine.true_batch_bips(j, joint) for joint in joints]
+            for j in range(n)
+        ])
+        want_power = np.array([
+            [machine.true_batch_power(j, joint.core) for joint in joints]
+            for j in range(n)
+        ])
+        for bips, power in (
+            machine.true_batch_tables(), machine.oracle_batch_tables()
+        ):
+            assert np.array_equal(bips, want_bips)
+            assert np.array_equal(power, want_power)
+
     def test_describe_mentions_key_parameters(self, small_machine):
         text = small_machine.describe()
         assert "32-core" in text

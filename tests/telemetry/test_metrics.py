@@ -11,6 +11,7 @@ from repro.telemetry.metrics import (
     DecisionRecord,
     Histogram,
     MetricsRegistry,
+    percentile,
     signed_error_percent,
 )
 
@@ -38,6 +39,22 @@ class TestHistogram:
         assert s["p50"] == pytest.approx(50.5)
         assert s["p95"] == pytest.approx(95.05)
         assert s["p99"] == pytest.approx(99.01)
+
+    def test_window_and_histogram_share_one_percentile(self):
+        from repro.telemetry.live import RollingWindow
+
+        rng = np.random.default_rng(1)
+        samples = [float(v) for v in rng.normal(10.0, 3.0, size=40)]
+        h, window = Histogram("x"), RollingWindow("x", size=64)
+        for v in samples:
+            h.observe(v)
+            window.observe(v)
+        for q in (0, 50, 95, 99, 100):
+            assert h.percentile(q) == window.percentile(q) == percentile(
+                samples, q
+            )
+        assert math.isnan(percentile([], 50))
+        assert percentile([3.0], 99) == 3.0
 
     def test_matches_numpy_percentile(self):
         rng = np.random.default_rng(0)
