@@ -24,6 +24,7 @@ end-of-slice measurements, like the real system.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import (
@@ -83,8 +84,10 @@ from repro.snapshot import (
 from repro.workloads.latency_critical import (
     LC_SERVICE_NAMES,
     LCService,
+    service_times,
     service_variants,
 )
+from repro.workloads.queueing import ServiceTimes
 
 #: Load grid used to bucket latency observations and training rows.
 LOAD_GRID: Tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(1, 11))
@@ -320,6 +323,12 @@ class LatencyRegimes(Dict[Regime, ObservedMatrix]):
         self.train_services = train_services
         self.perf = perf
 
+    @functools.cached_property
+    def train_times(self) -> ServiceTimes:
+        """The training services' load-independent half
+        (:func:`service_times`), built at the first regime build."""
+        return service_times(self.train_services, self.perf)
+
     def known(self, key: Regime) -> ObservedMatrix:
         """A regime's latency matrix holding only its known rows.
 
@@ -336,6 +345,7 @@ class LatencyRegimes(Dict[Regime, ObservedMatrix]):
             self.perf,
             n_cores,
             exclude=(self.services[service_idx].name, bucket),
+            times=self.train_times,
         )
         matrix = ObservedMatrix(rows.shape[0] + 1)
         for i in range(rows.shape[0]):

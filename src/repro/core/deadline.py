@@ -108,9 +108,11 @@ class DecisionBudget(Snapshottable):
 #: ``ResourceController._latency_matrix``).  The build is array
 #: arithmetic, not SGD iterations or candidate evaluations, so it is
 #: priced in their currency: ~2.4 ms per 19-row build divided by the
-#: ~6 us a metered operation took when it was set.  Batched DDS brought
-#: an operation to ~2 us; the price is not yet recalibrated
-#: (docs/robustness.md, "Pricing a regime build").
+#: ~6 us a metered operation took when it was set.  Now a build takes
+#: ~1.3 ms and an operation ~1.6 us, so a build is worth ~840
+#: operations and these 400 ~0.63 ms; the price is not yet recalibrated,
+#: since changing it moves every budgeted decision (docs/robustness.md,
+#: "Pricing a regime build").
 REGIME_BUILD_COST = 400
 
 

@@ -33,8 +33,8 @@ from repro.sim.coreconfig import N_JOINT_CONFIGS
 from repro.sim.perf import AppProfile, PerformanceModel
 from repro.sim.power import PowerModel
 from repro.snapshot import Codec, Match, SnapshotError
-from repro.workloads.latency_critical import LCService, service_time_rows
-from repro.workloads.queueing import p99_latency_rows
+from repro.workloads.latency_critical import LCService, service_times
+from repro.workloads.queueing import ServiceTimes
 
 T = TypeVar("T")
 
@@ -307,7 +307,9 @@ def latency_row(
     joint.cache_ways, load, n_cores)`` for ``joint = JOINT_CONFIGS[i]``
     bit for bit: one array evaluation of the same M/G/k model.
     """
-    return _latency_rows([(service, load)], perf, n_cores)[0]
+    return service_times([service], perf).p99_rows(
+        [service.qps_at_load(load)], n_cores
+    )[0]
 
 
 def latency_training_rows(
@@ -316,18 +318,21 @@ def latency_training_rows(
     perf: PerformanceModel,
     n_cores: int,
     exclude: Optional[Tuple[str, float]] = None,
+    times: Optional[ServiceTimes] = None,
 ) -> Tuple[np.ndarray, List[Tuple[str, float]]]:
     """Offline latency characterisations of (service, load) combinations.
 
     The latency matrix's "known applications" are previously-seen
     services at a grid of loads.  ``exclude`` removes one (name, load)
     pair so a service under test never trains on its own exact row.
-    Returns the matrix and the (name, load) key per row; every row is
-    :func:`latency_row` of its pair, all computed in one array pass.
+    ``times`` is :func:`service_times` of ``services``, built here when
+    not given.  Returns the matrix and the (name, load) key per row;
+    every row is :func:`latency_row` of its pair, all computed in one
+    array pass.
     """
     pairs = [
-        (service, load)
-        for service in services
+        (index, load)
+        for index, service in enumerate(services)
         for load in loads
         if exclude is None
         or service.name != exclude[0]
@@ -335,21 +340,11 @@ def latency_training_rows(
     ]
     if not pairs:
         raise ValueError("latency training set is empty")
-    keys = [(service.name, load) for service, load in pairs]
-    return _latency_rows(pairs, perf, n_cores), keys
-
-
-def _latency_rows(
-    pairs: Sequence[Tuple[LCService, float]],
-    perf: PerformanceModel,
-    n_cores: int,
-) -> np.ndarray:
-    """p99 rows of (service, load) pairs sharing ``n_cores`` cores."""
-    services = [service for service, _ in pairs]
-    return p99_latency_rows(
-        [service.qps_at_load(load) for service, load in pairs],
-        service_time_rows(services, perf),
-        [service.service_scv for service in services],
+    if times is None:
+        times = service_times(services, perf)
+    rows = times.p99_rows(
+        [services[index].qps_at_load(load) for index, load in pairs],
         n_cores,
-        distributions=[service.service_distribution for service in services],
+        rows=[index for index, _ in pairs],
     )
+    return rows, [(services[index].name, load) for index, load in pairs]

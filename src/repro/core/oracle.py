@@ -19,7 +19,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.dds import DDSParams, DDSSearch
-from repro.core.matrices import latency_row
 from repro.core.objective import SystemObjective, power_fallback
 from repro.sim.coreconfig import (
     CACHE_ALLOCS,
@@ -98,9 +97,7 @@ class OracleReconfigPolicy:
         The least-power configuration whose true p99 meets QoS at
         ``lc_cores`` cores, or the widest one when none does.
         """
-        latency = latency_row(
-            machine.lc_service, machine.perf, load, self.lc_cores
-        )
+        latency = machine.true_lc_latency_row(load, self.lc_cores)
         qos = machine.lc_service.qos_latency_s
         best, best_watts = None, np.inf
         for i in range(N_JOINT_CONFIGS):

@@ -369,17 +369,35 @@ class PQReconstructor:
         p: np.ndarray,
         rng: np.random.Generator,
     ) -> None:
-        """One pass of per-entry SGD updates in random order (Alg. 1)."""
+        """One pass of per-entry SGD updates in random order (Alg. 1).
+
+        The step is bounded twice.  Each entry's rate on ``q[i]``
+        (``p[j]``) is the learning rate divided by row ``i``'s (column
+        ``j``'s) observed count, as the parallel epoch divides its
+        summed gradient: at the full rate a fully observed row takes 108
+        steps an epoch.  And both rates shrink together until the step
+        moves the entry's own residual by at most the residual itself
+        (``a * |p[j]|^2 + b * |q[i]|^2 <= 1``): a row folded in from
+        one observation can carry a factor in the thousands, and an
+        unbounded step on it overflows the factors.
+        """
         eta = self.params.learning_rate
         lam = self.params.regularization
+        rate_q = eta / np.maximum(np.bincount(rows_idx, minlength=q.shape[0]), 1)
+        rate_p = eta / np.maximum(np.bincount(cols_idx, minlength=p.shape[0]), 1)
         order = rng.permutation(rows_idx.size)
         for k in order:
             i = rows_idx[k]
             j = cols_idx[k]
-            err = centred[i, j] - q[i] @ p[j]
             q_i = q[i].copy()
-            q[i] += eta * (err * p[j] - lam * q_i)
-            p[j] += eta * (err * q_i - lam * p[j])
+            p_j = p[j]
+            err = centred[i, j] - q_i @ p_j
+            a, b = rate_q[i], rate_p[j]
+            gain = a * (p_j @ p_j) + b * (q_i @ q_i)
+            if gain > 1.0:
+                a, b = a / gain, b / gain
+            q[i] += a * (err * p_j - lam * q_i)
+            p[j] += b * (err * q_i - lam * p_j)
 
     def _epoch_parallel(
         self,

@@ -46,7 +46,8 @@ from repro.snapshot import (
     Seq, Snapshottable, Transient, Tup,
 )
 from repro.telemetry.tracer import NULL_TRACER, tracer_of
-from repro.workloads.latency_critical import LCService
+from repro.workloads.latency_critical import LCService, service_times
+from repro.workloads.queueing import ServiceTimes
 
 #: Readings at or below this magnitude are treated as exactly zero by
 #: the sensor path: an idle core reports 0.0 by construction, and
@@ -470,17 +471,31 @@ class Machine(Snapshottable):
         load, cores), so this is the oracle row the controller's
         reconstructed latency predictions are audited against.
         """
-        # repro.core imports this module, so the shared row builder is
-        # imported at call time.
-        from repro.core.matrices import latency_row
-
         with self.trace.span(
             "mgk.latency", category="oracle", kind="lc_row",
             evaluations=N_JOINT_CONFIGS,
         ):
-            return latency_row(
-                self.lc_services[service_idx], self.perf, load, n_cores
-            )
+            return self.true_lc_latency_row(load, n_cores, service_idx)
+
+    @functools.cached_property
+    def _lc_times(self) -> ServiceTimes:
+        """The load-independent half of every true LC latency row."""
+        return service_times(self.lc_services, self.perf)
+
+    def true_lc_latency_row(
+        self, load: float, n_cores: int, service_idx: int = 0
+    ) -> np.ndarray:
+        """:meth:`oracle_lc_latency_row` without the profiler span.
+
+        Entry ``i`` equals ``tail_latency(joint.core, joint.cache_ways,
+        load, n_cores)`` of the service for ``joint = JOINT_CONFIGS[i]``
+        bit for bit; the service times and service p99 are the
+        machine's own, built once.
+        """
+        service = self.lc_services[service_idx]
+        return self._lc_times.p99_rows(
+            [service.qps_at_load(load)], n_cores, rows=[service_idx]
+        )[0]
 
     # ------------------------------------------------------------------
     # Scheduler-facing interface.

@@ -34,7 +34,7 @@ from repro.rng import rng_for
 from repro.sim.cache import MissRateCurve
 from repro.sim.coreconfig import CoreConfig
 from repro.sim.perf import AppProfile, PerformanceModel
-from repro.workloads.queueing import MGkQueue
+from repro.workloads.queueing import MGkQueue, ServiceTimes
 
 #: Utilization at the max-QPS knee; loads are fractions of the knee QPS.
 KNEE_UTILIZATION = 0.85
@@ -181,6 +181,23 @@ def service_time_rows(
     """
     work = np.array([[service.work_instructions] for service in services])
     return work / (perf.bips_rows([s.profile for s in services]) * 1e9)
+
+
+def service_times(
+    services: Sequence[LCService], perf: PerformanceModel
+) -> ServiceTimes:
+    """The load-independent half of every p99 latency row of ``services``.
+
+    Row ``s`` holds ``services[s]``'s mean service time and service
+    p99 on every joint configuration.  An owner of a fixed service set
+    builds it once and reads every (load, core count) from it with
+    :meth:`ServiceTimes.p99_rows`.
+    """
+    return ServiceTimes(
+        service_time_rows(services, perf),
+        [service.service_scv for service in services],
+        [service.service_distribution for service in services],
+    )
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -93,6 +93,33 @@ def erlang_c_array(servers: int, offered_loads: np.ndarray) -> np.ndarray:
     top = _map(math.exp, log_top - log_max)
     out[live] = top / (top + np.sum(np.exp(lower - log_max[:, None]), axis=1))
     return out
+
+
+#: Utilisations at which :func:`erlang_c_floor` reads Erlang C:
+#: geometric, each 5.5 % above the last.
+_FLOOR_GRID = np.geomspace(1e-3, 1.0, 129)[:-1]
+#: Relative slack below 0.01 that a grid load's Erlang C must keep to
+#: become the floor.  Computed Erlang C can step down by a few ulps
+#: between neighbouring loads (about 2e-15 relative); the slack is far
+#: wider, so no load below the floor computes above 0.01.
+_FLOOR_MARGIN = 1e-9
+
+
+def erlang_c_floor(servers: int) -> float:
+    """An offered load below which ``erlang_c(servers, a)`` is <= 0.01.
+
+    Erlang C does not decrease as the offered load grows at a fixed
+    server count, so every load below a load whose Erlang C is at most
+    ``0.01 * (1 - margin)`` has Erlang C at most 0.01.  The floor is the
+    highest such load of a grid of utilisations, all of it read from
+    one :func:`erlang_c_array` call; 0.0 when no grid load qualifies.
+    """
+    grid = servers * _FLOOR_GRID
+    above = np.flatnonzero(
+        erlang_c_array(servers, grid) > 0.01 * (1.0 - _FLOOR_MARGIN)
+    )
+    first = int(above[0]) if above.size else grid.size
+    return float(grid[first - 1]) if first else 0.0
 
 
 @dataclass(frozen=True)
@@ -205,71 +232,109 @@ class MGkQueue:
         return self.service_time_mean + self.mean_wait()
 
 
-def p99_latency_rows(
-    arrival_rates: Sequence[float],
-    service_time_means: np.ndarray,
-    service_scvs: Sequence[float],
-    servers: int,
-    distributions: "Optional[Sequence[Optional[ServiceDistribution]]]" = None,
-    overload_horizon: float = 0.1,
-) -> np.ndarray:
-    """:meth:`MGkQueue.p99_latency` of many queues sharing ``servers``.
+class ServiceTimes:
+    """The analytical p99 of many services' M/G/k queues, in two halves.
 
-    Row ``r`` describes one service (``arrival_rates[r]``,
-    ``service_scvs[r]``, ``distributions[r]``); entry ``[r, i]`` equals
-    ``MGkQueue(arrival_rates[r], service_time_means[r, i],
-    service_scvs[r], servers, overload_horizon,
-    distributions[r]).p99_latency()`` bit for bit: the same operations
-    in the same order, over arrays.  The overload regime's knee term
-    ``erlang_c(k, knee_rho * k)`` depends on ``k`` alone, so it is
-    computed once, and every stable queue's Erlang C is one
-    :func:`erlang_c_array` pass.
+    The constructor computes the load-independent half.  Row ``r`` is
+    one service: its mean service time on every
+    configuration (``means[r]``), its SCV (``scvs[r, 0]``) and its
+    service-time p99 on every configuration (``p99s[r]``, which is
+    ``MGkQueue._service_quantile(0.99)`` of each mean).  None of these
+    depend on the load or the core count, so the owner of a fixed set
+    of services builds them once and answers every (load, core count)
+    with :meth:`p99_rows`, the load- and core-dependent half.  The
+    :func:`erlang_c_floor` of each core count is memoised here too, so
+    no memo outlives its owner.
     """
-    means = np.asarray(service_time_means, dtype=float)
-    n_rows = means.shape[0]
-    rates = np.asarray(arrival_rates, dtype=float).reshape(n_rows, 1)
-    scvs = np.asarray(service_scvs, dtype=float).reshape(n_rows, 1)
-    if np.any(rates < 0):
-        raise ValueError("arrival_rate must be non-negative")
-    if np.any(means <= 0):
-        raise ValueError("service_time_mean must be positive")
-    if np.any(scvs < 0):
-        raise ValueError("service_scv must be non-negative")
-    if servers <= 0:
-        raise ValueError("servers must be positive")
-    if distributions is None:
-        distributions = [None] * n_rows
-    out = np.vstack([
-        _service_p99_row(row, scv, distribution)
-        for row, scv, distribution in zip(means, scvs[:, 0], distributions)
-    ])
-    scv_of = np.broadcast_to(scvs, means.shape)
-    offered = rates * means
-    rho = offered / servers
-    over = rho >= _SATURATION_RHO
-    if over.any():
-        knee_rho = _SATURATION_RHO * 0.99
-        knee_wait = (
-            erlang_c(servers, knee_rho * servers)
-            * means[over]
-            / (servers * (1.0 - knee_rho))
-            * (1.0 + scv_of[over])
-            / 2.0
+
+    def __init__(
+        self,
+        means: np.ndarray,
+        service_scvs: Sequence[float],
+        distributions: "Optional[Sequence[Optional[ServiceDistribution]]]" = None,
+    ) -> None:
+        self.means = np.asarray(means, dtype=float)
+        n_rows = self.means.shape[0]
+        self.scvs = np.asarray(service_scvs, dtype=float).reshape(n_rows, 1)
+        if np.any(self.means <= 0):
+            raise ValueError("service_time_mean must be positive")
+        if np.any(self.scvs < 0):
+            raise ValueError("service_scv must be non-negative")
+        if distributions is None:
+            distributions = [None] * n_rows
+        self.p99s = np.vstack([
+            _service_p99_row(row, scv, distribution)
+            for row, scv, distribution in zip(
+                self.means, self.scvs[:, 0], distributions
+            )
+        ])
+        self._floors: Dict[int, float] = {}
+
+    def p99_rows(
+        self,
+        arrival_rates: Sequence[float],
+        servers: int,
+        rows: Optional[Sequence[int]] = None,
+        overload_horizon: float = 0.1,
+    ) -> np.ndarray:
+        """:meth:`MGkQueue.p99_latency` of queues sharing ``servers``.
+
+        Output row ``i`` is service ``rows[i]`` (every service in
+        order when ``rows`` is None) at ``arrival_rates[i]``; entry
+        ``[i, c]`` equals ``MGkQueue(arrival_rates[i], means[rows[i],
+        c], scvs[rows[i], 0], servers, overload_horizon,
+        distribution).p99_latency()`` bit for bit: the same operations
+        in the same order, over arrays.  The overload regime's knee term
+        ``erlang_c(k, knee_rho * k)`` depends on ``k`` alone, so it is
+        computed once.  Erlang C is evaluated, in one
+        :func:`erlang_c_array` pass, only for the stable queues whose
+        offered load reaches :func:`erlang_c_floor`: below it Erlang C
+        is at most 0.01, where the scalar model adds no wait either.
+        """
+        if rows is None:
+            means, scvs, out = self.means, self.scvs, self.p99s.copy()
+        else:
+            index = np.asarray(rows, dtype=int)
+            means, scvs, out = (
+                self.means[index], self.scvs[index], self.p99s[index]
+            )
+        rates = np.asarray(arrival_rates, dtype=float).reshape(-1, 1)
+        if rates.shape[0] != means.shape[0]:
+            raise ValueError("one arrival rate per row is needed")
+        if np.any(rates < 0):
+            raise ValueError("arrival_rate must be non-negative")
+        if servers <= 0:
+            raise ValueError("servers must be positive")
+        scv_of = np.broadcast_to(scvs, means.shape)
+        offered = rates * means
+        rho = offered / servers
+        over = rho >= _SATURATION_RHO
+        if over.any():
+            knee_rho = _SATURATION_RHO * 0.99
+            knee_wait = (
+                erlang_c(servers, knee_rho * servers)
+                * means[over]
+                / (servers * (1.0 - knee_rho))
+                * (1.0 + scv_of[over])
+                / 2.0
+            )
+            wait = knee_wait + np.maximum(0.0, rho[over] - 1.0) * overload_horizon
+            out[over] += wait * math.log(100.0)
+        floor = self._floors.get(servers)
+        if floor is None:
+            floor = self._floors[servers] = erlang_c_floor(servers)
+        # An idle queue (zero arrival rate) never waits: Erlang C is 0.
+        stable = ~over & (offered > 0) & (offered >= floor)
+        p_wait = erlang_c_array(servers, offered[stable])
+        waiting = np.zeros_like(stable)
+        waiting[stable] = p_wait > 0.01
+        theta = (
+            servers * (1.0 - rho[waiting]) / means[waiting]
+            * 2.0 / (1.0 + scv_of[waiting])
         )
-        wait = knee_wait + np.maximum(0.0, rho[over] - 1.0) * overload_horizon
-        out[over] += wait * math.log(100.0)
-    # An idle queue (zero arrival rate) never waits: Erlang C is 0.
-    stable = ~over & (offered > 0)
-    p_wait = erlang_c_array(servers, offered[stable])
-    waiting = np.zeros_like(stable)
-    waiting[stable] = p_wait > 0.01
-    theta = (
-        servers * (1.0 - rho[waiting]) / means[waiting]
-        * 2.0 / (1.0 + scv_of[waiting])
-    )
-    w99 = _map(math.log, 100.0 * p_wait[p_wait > 0.01]) / theta
-    out[waiting] += np.maximum(0.0, w99)
-    return out
+        w99 = _map(math.log, 100.0 * p_wait[p_wait > 0.01]) / theta
+        out[waiting] += np.maximum(0.0, w99)
+        return out
 
 
 def _service_p99_row(

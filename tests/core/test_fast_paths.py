@@ -22,20 +22,23 @@ replaced.
 
 The latency regimes' known rows are array passes over all 108 joint
 configurations (``latency_row``, ``latency_training_rows``,
-``erlang_c_array``, ``PerformanceModel.bips_rows``); their oracles are
-the scalar ``erlang_c``, ``MGkQueue.p99_latency`` (through
-``LCService.tail_latency``) and ``PerformanceModel.bips``, which the
-machine's per-measurement path still uses.
+``ServiceTimes``, ``erlang_c_array``, ``PerformanceModel.bips_rows``);
+their oracles are the scalar ``erlang_c``, ``MGkQueue.p99_latency``
+(through ``LCService.tail_latency``) and ``PerformanceModel.bips``,
+which the machine's per-measurement path still uses.  The array path
+skips Erlang C below ``erlang_c_floor``; the floor's premise (Erlang C
+does not decrease in the load) is tested on its own.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.controller import LOAD_GRID, ResourceController
@@ -60,12 +63,14 @@ from repro.workloads.latency_critical import (
     make_services,
     service_variants,
 )
+from repro.workloads import queueing
 from repro.workloads.queueing import (
     MGkQueue,
     ServiceDistribution,
+    ServiceTimes,
     erlang_c,
     erlang_c_array,
-    p99_latency_rows,
+    erlang_c_floor,
 )
 
 
@@ -392,8 +397,8 @@ class TestP99Rows:
             ]
             for rate, scv, row in zip(rates, scvs, means)
         ])
-        got = p99_latency_rows(
-            rates, means, scvs, servers, overload_horizon=horizon
+        got = ServiceTimes(means, scvs).p99_rows(
+            rates, servers, overload_horizon=horizon
         )
         assert np.array_equal(got, want)
 
@@ -406,7 +411,163 @@ class TestP99Rows:
             ([1.0], means, [1.0], 0),
         ):
             with pytest.raises(ValueError):
-                p99_latency_rows(rates, row, scvs, servers)
+                ServiceTimes(row, scvs).p99_rows(rates, servers)
+
+
+@functools.lru_cache(maxsize=None)
+def erlang_c_crossing(servers):
+    """The offered load where ``erlang_c(servers, .)`` crosses 0.01,
+    bisected to the last bit."""
+    lo, hi = 0.0, float(servers)
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        if erlang_c(servers, mid) <= 0.01:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+#: Relative amount by which computed Erlang C may step down between
+#: neighbouring loads: a few ulps (about 2e-15 measured), far inside
+#: the floor's margin.
+ROUNDING = 1e-13
+
+
+@st.composite
+def offered_loads(draw, servers):
+    """Anywhere in [0, k), or within 1e-9 of the 0.01 crossing."""
+    if draw(st.booleans()):
+        return draw(st.floats(
+            0.0, float(servers), exclude_max=True, allow_subnormal=False
+        ))
+    return erlang_c_crossing(servers) * (1.0 + draw(st.floats(-1e-9, 1e-9)))
+
+
+class TestErlangCFloor:
+    """The floor's premise: Erlang C does not decrease in the load."""
+
+    def test_rounding_is_inside_the_margin(self):
+        assert ROUNDING < queueing._FLOOR_MARGIN
+
+    @given(st.integers(1, 64).flatmap(
+        lambda k: st.tuples(st.just(k), offered_loads(k), offered_loads(k))
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_does_not_decrease_in_load(self, drawn):
+        servers, a, b = drawn
+        lo, hi = min(a, b), max(a, b)
+        assert erlang_c(servers, lo) <= erlang_c(servers, hi) * (1 + ROUNDING)
+
+    @pytest.mark.parametrize("servers", range(1, 65))
+    def test_neighbours_of_the_crossing(self, servers):
+        loads = [erlang_c_crossing(servers)]
+        for _ in range(40):
+            loads.insert(0, np.nextafter(loads[0], 0.0))
+            loads.append(np.nextafter(loads[-1], np.inf))
+        values = [erlang_c(servers, a) for a in loads]
+        for lower, higher in zip(values, values[1:]):
+            assert lower <= higher * (1 + ROUNDING)
+
+    # Loads from zero up; not subnormal ones, where erlang_c(1, a)
+    # overflows an intermediate exp on its way to 0.0.
+    @given(st.integers(1, 64), st.one_of(
+        st.just(0.0), st.floats(1e-12, 1.0, exclude_max=True)
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_every_load_below_the_floor_waits_at_most_one_percent(
+        self, servers, fraction
+    ):
+        floor = erlang_c_floor(servers)
+        below = np.array([floor * fraction, np.nextafter(floor, 0.0)])
+        assert all(erlang_c(servers, a) <= 0.01 for a in below)
+        assert np.all(erlang_c_array(servers, below) <= 0.01)
+
+    @pytest.mark.parametrize("servers", range(1, 65))
+    def test_floor_sits_just_below_the_crossing(self, servers):
+        floor = erlang_c_floor(servers)
+        assert erlang_c(servers, floor) <= 0.01
+        # One 5.5 % grid step at most: the floor prunes nearly every
+        # queue that cannot wait.
+        assert erlang_c_crossing(servers) / 1.06 < floor
+
+
+#: (SCV, distribution) of a service: lognormal by SCV (including SCV
+#: 0), and explicit lognormal, bimodal and deterministic shapes.
+SERVICE_SHAPES = [
+    (1.0, None),
+    (0.0, None),
+    (1.3, ServiceDistribution("lognormal", scv=1.3)),
+    (2.0, ServiceDistribution("bimodal", scv=2.0)),
+    (0.7, ServiceDistribution("bimodal", scv=0.7)),
+    (0.5, ServiceDistribution("deterministic")),
+]
+
+#: Where a row's offered load sits, as a function of the core count:
+#: idle, below, at and above the floor, waiting, and overloaded.
+LOAD_PLACES = {
+    "idle": lambda k: 0.0,
+    "below": lambda k: 0.5 * erlang_c_floor(k),
+    "floor": lambda k: erlang_c_floor(k),
+    "crossing": lambda k: erlang_c_crossing(k),
+    "waiting": lambda k: 0.5 * (erlang_c_crossing(k) + 0.995 * k),
+    "overloaded": lambda k: 0.995 * k,
+    "beyond": lambda k: 1.7 * k,
+}
+
+
+class TestOwnedServiceTimes:
+    """One :class:`ServiceTimes` answers many (load, cores) questions,
+    with the floor, exactly as :meth:`MGkQueue.p99_latency`."""
+
+    @given(
+        st.lists(st.sampled_from(SERVICE_SHAPES), min_size=1, max_size=4),
+        st.lists(
+            st.tuples(st.integers(1, 64), st.sampled_from(sorted(LOAD_PLACES))),
+            min_size=1, max_size=6,
+        ),
+        st.floats(0.01, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_mgk_queue_on_both_sides_of_the_floor(
+        self, shapes, questions, horizon, seed
+    ):
+        rng = np.random.default_rng(seed)
+        base = 10.0 ** rng.uniform(-4.0, -2.0, len(shapes))
+        # Each row spreads +-5 % around its base mean, so a row placed
+        # at the floor or the crossing has queues on both sides of it.
+        means = base[:, None] * rng.uniform(0.95, 1.05, (len(shapes), 40))
+        times = ServiceTimes(
+            means, [scv for scv, _ in shapes], [d for _, d in shapes]
+        )
+        for servers, place in questions:
+            rows = rng.integers(0, len(shapes), rng.integers(1, 5))
+            rates = [LOAD_PLACES[place](servers) / base[r] for r in rows]
+            want = np.array([
+                [
+                    MGkQueue(
+                        rate, mean, shapes[r][0], servers, horizon,
+                        shapes[r][1],
+                    ).p99_latency()
+                    for mean in means[r]
+                ]
+                for rate, r in zip(rates, rows)
+            ])
+            got = times.p99_rows(
+                rates, servers, rows=rows, overload_horizon=horizon
+            )
+            assert np.array_equal(got, want)
+
+    def test_rows_default_to_every_service_in_order(self):
+        means = np.full((2, 3), 1e-3)
+        times = ServiceTimes(means, [1.0, 0.5])
+        assert np.array_equal(
+            times.p99_rows([100.0, 200.0], 4),
+            times.p99_rows([100.0, 200.0], 4, rows=[0, 1]),
+        )
+        with pytest.raises(ValueError):
+            times.p99_rows([100.0], 4)
 
 
 class TestLatencyRows:
@@ -626,13 +787,8 @@ def unbuffered_refine(reconstructor, centred, mask, q, p):
     )
 
 
-@st.composite
-def sparse_matrices(draw):
+def sparse_matrix(seed, n_known, n_sparse, n_cols):
     """Known rows plus sparse runtime rows, some of them unobserved."""
-    seed = draw(st.integers(0, 2**32 - 1))
-    n_known = draw(st.integers(0, 6))
-    n_sparse = draw(st.integers(1, 8))
-    n_cols = draw(st.sampled_from([5, 27, N_JOINT_CONFIGS]))
     rng = np.random.default_rng(seed)
     truth = np.exp(
         rng.normal(size=(n_known + n_sparse, 2))
@@ -648,6 +804,17 @@ def sparse_matrices(draw):
     if not matrix.mask.any():
         matrix.observe(0, 0, float(truth[0, 0]))
     return matrix
+
+
+@st.composite
+def sparse_matrices(draw, n_cols=st.sampled_from([5, 27, N_JOINT_CONFIGS])):
+    """:func:`sparse_matrix` of drawn sizes."""
+    return sparse_matrix(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(0, 6)),
+        draw(st.integers(1, 8)),
+        draw(n_cols),
+    )
 
 
 def sgd_problem(reconstructor, matrix):
@@ -696,16 +863,28 @@ class TestSGDFastPaths:
         for reference in (reference_refine, unbuffered_refine):
             want_q, want_p = (factor.copy(order="K") for factor in start)
             want = reference(reconstructor, centred, mask, want_q, want_p)
-            # Equal up to the sign of a zero.  The serial epoch can
-            # overflow, and then both sides read NaN.
+            # Equal up to the sign of a zero.
             assert (got.iterations, got.converged) == (
                 want.iterations, want.converged
             )
-            assert np.array_equal(
-                got.observed_rmse, want.observed_rmse, equal_nan=True
-            )
-            assert np.array_equal(q, want_q, equal_nan=True)
-            assert np.array_equal(p, want_p, equal_nan=True)
+            assert got.observed_rmse == want.observed_rmse
+            assert np.array_equal(q, want_q)
+            assert np.array_equal(p, want_p)
+
+    @given(sparse_matrices(n_cols=st.just(N_JOINT_CONFIGS)))
+    # Sparse 7x108 and 10x108 matrices whose folded-in factors made
+    # the unbounded serial epoch overflow to inf/NaN at rank 1.
+    @example(sparse_matrix(3, 5, 2, N_JOINT_CONFIGS))
+    @example(sparse_matrix(3, 6, 4, N_JOINT_CONFIGS))
+    @settings(max_examples=60, deadline=None)
+    def test_serial_reference_stays_finite(self, matrix):
+        reconstructor = PQReconstructor(SGDParams(parallel=False, rank=1))
+        centred, mask, anchors = sgd_problem(reconstructor, matrix)
+        q, p = reconstructor._init_factors(centred, mask, anchors)
+        with np.errstate(over="raise", invalid="raise"):
+            diagnostics = reconstructor._refine(centred, mask, q, p)
+        assert math.isfinite(diagnostics.observed_rmse)
+        assert np.isfinite(q).all() and np.isfinite(p).all()
 
 
 def reconstruct_cold(params, matrix):
