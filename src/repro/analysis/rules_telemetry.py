@@ -131,8 +131,8 @@ class MetricNameConventionRule(Rule):
     scope = "file"
     title = "metric name off-convention or registered as two kinds"
     rationale = (
-        "Exporters, docs, and the bench/CI baselines key on metric "
-        "names, so they must be stable dot-namespaced identifiers "
+        "Exporters, docs, and the operation-counter golden key on "
+        "metric names, so they must be stable dot-namespaced identifiers "
         "(`owner.event`, lowercase, at least one dot).  Registering "
         "the same name as two instrument kinds (counter and gauge, "
         "say) silently forks state in the registry, and the exports "

@@ -47,9 +47,6 @@ Commands:
 * ``audit``                 — run one mix with the prediction-accuracy
   auditor attached: per-metric error percentiles against the oracle,
   EWMA drift flags, QoS-violation attribution (docs/observability.md)
-* ``bench``                 — deterministic operation counters of the
-  hot paths; writes BENCH.json, and ``--compare BASELINE.json`` is the
-  regression gate (wall time is perfbench's, perfbench/README.md)
 * ``serve``                 — run the scheduler daemon: an asyncio
   control plane accepting live job submissions over NDJSON/TCP (plus a
   read-only HTTP status surface) and ticking the decision-quantum loop
@@ -61,6 +58,10 @@ Commands:
 * ``lint``                  — project-specific static analysis
   (determinism / RNG-stream / unit-invariant / telemetry rules; see
   docs/static-analysis.md)
+
+The hot paths' deterministic operation counters are an exact golden,
+``tests/telemetry/test_op_counters.py``; wall time is perfbench's
+(``perfbench/README.md``).
 
 ``--verbose/-v`` (repeatable) raises logging of the ``repro.*``
 hierarchy to INFO then DEBUG.
@@ -546,55 +547,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     print(run.summary())
     print()
     print(render_accuracy_report(telemetry))
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        BenchReport,
-        case_names,
-        compare_reports,
-        render_comparison,
-        render_report,
-        run_bench,
-    )
-
-    if args.list:
-        for name in case_names():
-            print(name)
-        return 0
-    if args.input:
-        try:
-            current = BenchReport.read(args.input)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        try:
-            current = run_bench(seed=args.seed, only=args.only)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(render_report(current))
-    if args.out:
-        try:
-            current.write(args.out)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {args.out}")
-    if args.compare:
-        try:
-            baseline = BenchReport.read(args.compare)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read {args.compare}: {exc}",
-                  file=sys.stderr)
-            return 2
-        comparison = compare_reports(
-            current, baseline, threshold_pct=args.threshold,
-        )
-        print(render_comparison(comparison))
-        return 0 if comparison.ok else 1
     return 0
 
 
@@ -1222,26 +1174,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_single_run_flags(audit)
 
-    bench = sub.add_parser(
-        "bench",
-        help="deterministic operation-counter gate of the hot paths",
-    )
-    bench.add_argument("--only", nargs="+", default=None, metavar="CASE",
-                       help="restrict to named cases (see --list)")
-    bench.add_argument("--list", action="store_true",
-                       help="list the benchmark case names and exit")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="write the BENCH.json report")
-    bench.add_argument("--input", default=None, metavar="PATH",
-                       help="load a previously written BENCH.json instead "
-                       "of re-running (for gating an existing artifact)")
-    bench.add_argument("--compare", default=None, metavar="BASELINE",
-                       help="compare against a baseline BENCH.json; "
-                       "exit 1 on regression")
-    bench.add_argument("--threshold", type=float, default=10.0,
-                       metavar="PCT",
-                       help="regression threshold percent (default 10)")
-
     serve = sub.add_parser(
         "serve",
         help="run the scheduler daemon (docs/server.md)",
@@ -1349,7 +1281,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "replay": _cmd_replay,
         "profile": _cmd_profile,
         "audit": _cmd_audit,
-        "bench": _cmd_bench,
         "lint": _cmd_lint,
         "fleet": _cmd_fleet,
         "serve": _cmd_serve,

@@ -351,11 +351,12 @@ class PQReconstructor:
             else:
                 self._epoch_serial(centred, rows_idx, cols_idx, q, p, rng)
             current = residual()
-            if last_rmse - current < params.tol:
-                converged = True
-                last_rmse = min(last_rmse, current)
-                break
+            # The returned factors are this epoch's, so their RMSE is
+            # reported even when the epoch raised it.
+            converged = last_rmse - current < params.tol
             last_rmse = current
+            if converged:
+                break
         return SGDDiagnostics(
             iterations=iterations, observed_rmse=last_rmse, converged=converged
         )

@@ -11,8 +11,8 @@ execute on the daemon's shared pool.
 
 Telemetry: when a session is attached the runner publishes the
 ``fleet.*`` counters (units total/executed/resumed, retries, serial
-fallbacks) that the ``fleet.pool`` bench case and CI's counter gate
-read.
+fallbacks) that the ``fleet.pool`` case of the operation-counter
+golden (``tests/telemetry/test_op_counters.py``) reads.
 
 Fault injection: ``FleetParams.inject_abort_after`` kills the run —
 *after* the checkpoint is flushed — once that many units complete.

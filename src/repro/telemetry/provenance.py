@@ -49,7 +49,9 @@ class ProvenanceRecorder:
     the controller emits one record per ``decide()`` call (including
     the degraded early-return paths).  ``max_records`` bounds memory on
     long soaks — drops are counted, never silent, and the
-    ``profiler.overhead`` bench case pins the dropped count at zero.
+    ``profiler.overhead`` case of the operation-counter golden
+    (``tests/telemetry/test_op_counters.py``) pins the dropped count at
+    zero.
     """
 
     def __init__(self, top_k: int = 5, max_records: int = 4096) -> None:

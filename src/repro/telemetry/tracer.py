@@ -12,8 +12,10 @@ When tracing is off the module-level :data:`NULL_TRACER` is used: its
 ``span``/``instant`` calls return a shared singleton whose
 ``__enter__``/``__exit__`` do nothing, so instrumented code pays a
 single attribute lookup and no allocation — near-zero cost on hot
-paths (the acceptance bar: scheduler microbenchmarks regress < 5 %
-with telemetry disabled).
+paths.  Tracing changes no RNG draw and no decision, so a traced run
+does exactly an untraced run's work: the exact operation-counter
+golden (``tests/telemetry/test_op_counters.py``) reads its counts from
+a traced run's spans.
 
 Exporters (see :mod:`repro.telemetry.exporters`) turn the recorded
 spans into JSONL event logs or Chrome ``trace_event`` JSON loadable in

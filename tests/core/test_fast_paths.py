@@ -41,7 +41,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.controller import LOAD_GRID, ResourceController
+from repro.core.controller import (
+    LOAD_GRID,
+    ResourceController,
+    _diagnostics_state,
+)
 from repro.core.deadline import DecisionBudget
 from repro.core.dds import DDSParams, DDSSearch
 from repro.core.matrices import (
@@ -734,11 +738,10 @@ def reference_refine(reconstructor, centred, mask, q, p):
                 centred, rows_idx, cols_idx, q, p, rng
             )
         current = rmse()
-        if last_rmse - current < params.tol:
-            converged = True
-            last_rmse = min(last_rmse, current)
-            break
+        converged = last_rmse - current < params.tol
         last_rmse = current
+        if converged:
+            break
     return SGDDiagnostics(
         iterations=iterations, observed_rmse=last_rmse, converged=converged
     )
@@ -777,11 +780,10 @@ def unbuffered_refine(reconstructor, centred, mask, q, p):
             reconstructor._epoch_serial(centred, *np.nonzero(mask), q, p, rng)
         err = residual()
         current = rmse(err)
-        if last_rmse - current < params.tol:
-            converged = True
-            last_rmse = min(last_rmse, current)
-            break
+        converged = last_rmse - current < params.tol
         last_rmse = current
+        if converged:
+            break
     return SGDDiagnostics(
         iterations=iterations, observed_rmse=last_rmse, converged=converged
     )
@@ -827,6 +829,12 @@ def sgd_problem(reconstructor, matrix):
     return centred, mask, anchors
 
 
+def rmse_on_mask(centred, mask, q, p):
+    """The factors' RMSE over the observed entries, from scratch."""
+    residual = (centred - q @ p.T)[mask]
+    return math.sqrt(float(np.mean(residual**2)))
+
+
 class TestSGDFastPaths:
     @given(sparse_matrices(), st.sampled_from([1, 3, 5]))
     @settings(max_examples=80, deadline=None)
@@ -860,6 +868,10 @@ class TestSGDFastPaths:
         # Same memory layout, so BLAS sums in the same order.
         start = q.copy(order="K"), p.copy(order="K")
         got = reconstructor._refine(centred, mask, q, p)
+        # The diagnostics describe the factors returned.
+        assert got.observed_rmse == pytest.approx(
+            rmse_on_mask(centred, mask, q, p), rel=1e-9, abs=1e-12
+        )
         for reference in (reference_refine, unbuffered_refine):
             want_q, want_p = (factor.copy(order="K") for factor in start)
             want = reference(reconstructor, centred, mask, want_q, want_p)
@@ -870,6 +882,55 @@ class TestSGDFastPaths:
             assert got.observed_rmse == want.observed_rmse
             assert np.array_equal(q, want_q)
             assert np.array_equal(p, want_p)
+
+    def test_epoch_that_raises_the_rmse_reports_its_own(self):
+        # One epoch takes this matrix from RMSE 0.139 to 0.268 and
+        # ends the refinement; its factors are the ones returned.
+        matrix = sparse_matrix(2, 5, 2, N_JOINT_CONFIGS)
+        reconstructor = PQReconstructor(SGDParams())
+        centred, mask, anchors = sgd_problem(reconstructor, matrix)
+        q, p = reconstructor._init_factors(centred, mask, anchors)
+        start = rmse_on_mask(centred, mask, q, p)
+        diagnostics = reconstructor._refine(centred, mask, q, p)
+        returned = rmse_on_mask(centred, mask, q, p)
+        assert returned > 1.5 * start
+        assert diagnostics.observed_rmse == pytest.approx(returned, rel=1e-12)
+        # Provenance records the same number.
+        assert _diagnostics_state(diagnostics)["rmse"] == (
+            diagnostics.observed_rmse
+        )
+
+    @pytest.mark.parametrize("parallel, seed, n_known, n_sparse", [
+        (True, 0, 5, 2),
+        (True, 3, 5, 2),
+        (True, 2, 6, 8),
+        (False, 14, 5, 2),
+        (False, 25, 6, 8),
+        (False, 55, 6, 8),
+    ])
+    def test_last_epoch_raising_the_rmse_is_reported(
+        self, parallel, seed, n_known, n_sparse
+    ):
+        # Refinements whose final epoch raised the RMSE, in both epoch
+        # modes: the diagnostics report the raised RMSE, not the
+        # previous epoch's.
+        matrix = sparse_matrix(seed, n_known, n_sparse, N_JOINT_CONFIGS)
+        params = SGDParams(parallel=parallel)
+        reconstructor = PQReconstructor(params)
+        centred, mask, anchors = sgd_problem(reconstructor, matrix)
+        q, p = reconstructor._init_factors(centred, mask, anchors)
+        diagnostics = reconstructor._refine(centred, mask, q, p)
+        # The same refinement stopped one epoch earlier.
+        shorter = PQReconstructor(
+            dataclasses.replace(params, max_iter=diagnostics.iterations - 1)
+        )
+        prior_q, prior_p = shorter._init_factors(centred, mask, anchors)
+        shorter._refine(centred, mask, prior_q, prior_p)
+        prior = rmse_on_mask(centred, mask, prior_q, prior_p)
+        returned = rmse_on_mask(centred, mask, q, p)
+        assert diagnostics.converged
+        assert returned > 1.05 * prior
+        assert diagnostics.observed_rmse == pytest.approx(returned, rel=1e-9)
 
     @given(sparse_matrices(n_cols=st.just(N_JOINT_CONFIGS)))
     # Sparse 7x108 and 10x108 matrices whose folded-in factors made

@@ -98,11 +98,6 @@ class TestCommands:
         )
         assert code != 0
 
-    def test_bench_list_includes_fleet_case(self, capsys):
-        assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "fleet.pool" in out
-
     def test_fleet_status_marks_checkpoint_restored_units(
         self, tmp_path, capsys
     ):

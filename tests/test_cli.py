@@ -39,6 +39,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    def test_bench_verb_is_gone(self, capsys):
+        # Operation counters are pinned by the golden test
+        # tests/telemetry/test_op_counters.py, not by a CLI verb.
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(["bench"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_experiment_catalogue_complete(self):
         assert "fig5c" in EXPERIMENTS
         assert "dvfs" in EXPERIMENTS
@@ -515,23 +523,6 @@ class TestAuditCommand:
         assert "prediction-accuracy audit" in out
         assert "quanta audited: " in out
         assert "bips" in out and "lc_p99" in out
-
-
-class TestBenchParser:
-    def test_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.threshold == 10.0
-        assert args.only is None
-        assert args.compare is None
-
-    def test_gate_invocation_shape(self):
-        args = build_parser().parse_args([
-            "bench", "--input", "BENCH.json",
-            "--compare", "benchmarks/BENCH_BASELINE.json",
-            "--threshold", "10",
-        ])
-        assert args.input == "BENCH.json"
-        assert args.compare == "benchmarks/BENCH_BASELINE.json"
 
 
 class TestExplainCommand:
