@@ -89,3 +89,16 @@ def test_bench_ablation_search(once, capsys):
     # More iterations never hurt; the default (40) captures most gains.
     assert budgets[iters[-1]] >= budgets[iters[0]]
     assert budgets[40] >= 0.95 * budgets[iters[-1]]
+
+
+def test_bench_ablation_sgd_epochs(once, capsys):
+    """SGD refinement's relative stopping tolerance."""
+    rows = once(declared_rows, "sgd-epochs")
+    with capsys.disabled():
+        print()
+        print(render_ablation("SGD refinement stopping rule", rows))
+    # After the SVD fold-in the epochs move little: every stopping rule
+    # keeps QoS and stays within a few percent of every other.
+    assert all(r.qos_violations == 0 for r in rows)
+    work = [r.batch_instructions_b for r in rows]
+    assert min(work) > 0.95 * max(work)

@@ -49,8 +49,10 @@ class SGDParams:
     regularization: float = 0.05
     #: Maximum SGD refinement epochs.
     max_iter: int = 20
-    #: Stop refinement when observed RMSE improves less than this.
-    tol: float = 1e-5
+    #: Relative stopping tolerance: refinement stops after an epoch that
+    #: lowers the observed RMSE by at most ``tol`` times the RMSE before
+    #: it (0 runs every epoch that lowers it at all).
+    tol: float = 1e-2
     #: Lock-free parallel refinement (True) or literal Alg. 1 (False).
     parallel: bool = True
     #: Reconstruct log-metrics (positive, multiplicative quantities).
@@ -298,8 +300,13 @@ class PQReconstructor:
     ) -> SGDDiagnostics:
         """SGD epochs over the observed entries (Alg. 1).
 
-        Every epoch writes into the same buffers: the residual, its
-        square and the gradient and temporary of each factor.
+        Epochs run until one lowers the observed RMSE by at most
+        ``tol`` times the RMSE before it, or ``max_iter`` have run.  The
+        factors returned are the best seen: an epoch that raised the
+        RMSE is undone, and its run still counts as an iteration.
+        Every epoch writes into the same buffers: the factors before
+        it, the residual, its square and the gradient and temporary of
+        each factor.
         """
         params = self.params
         n_observed = np.count_nonzero(mask)
@@ -338,12 +345,17 @@ class PQReconstructor:
                 total = np.add.reduce(square, axis=None)
             return math.sqrt(total / n_observed)
 
+        # The factors before the epoch, kept in case it raises the RMSE.
+        prev_q = np.empty_like(q)
+        prev_p = np.empty_like(p)
         # The residual that scores the factors is the next epoch's
         # gradient input: both read the same factor state.
         last_rmse = residual()
         iterations = 0
         converged = False
         for iterations in range(1, params.max_iter + 1):
+            np.copyto(prev_q, q)
+            np.copyto(prev_p, p)
             if params.parallel:
                 self._epoch_parallel(
                     err, q, p, counts_row, counts_col, *grads
@@ -351,9 +363,11 @@ class PQReconstructor:
             else:
                 self._epoch_serial(centred, rows_idx, cols_idx, q, p, rng)
             current = residual()
-            # The returned factors are this epoch's, so their RMSE is
-            # reported even when the epoch raised it.
-            converged = last_rmse - current < params.tol
+            converged = last_rmse - current <= params.tol * last_rmse
+            if current > last_rmse:
+                np.copyto(q, prev_q)
+                np.copyto(p, prev_p)
+                break
             last_rmse = current
             if converged:
                 break

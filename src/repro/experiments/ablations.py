@@ -24,6 +24,9 @@ on useful work, QoS, and the power budget:
 * **dds step** — the default population step (each thread's points of
   an iteration drawn from one point and scored as one batch) vs Alg. 2's
   sequential step, on the same frozen problem.
+* **sgd epochs** — SGD refinement's relative stopping tolerance: every
+  improving epoch (``tol`` 0), a tighter tolerance, the default, and
+  no refinement after the SVD fold-in (``max_iter`` 0).
 
 :data:`ABLATIONS` declares each one once (title, power cap, variants);
 :func:`ablation_row` runs one variant and :func:`run_ablation_matrix`
@@ -43,6 +46,7 @@ from repro.core.matrices import power_rows, throughput_rows
 from repro.core.objective import SystemObjective
 from repro.core.oracle import OracleReconfigPolicy
 from repro.core.runtime import CuttleSysPolicy
+from repro.core.sgd import SGDParams
 from repro.experiments.harness import (
     build_machine_for_mix,
     reference_power_for_mix,
@@ -227,6 +231,11 @@ ABLATIONS: Dict[str, Ablation] = {
         "DDS step (objective, frozen search)", 0.6,
         {step: step for step in DDS_STEPS},
     ),
+    "sgd-epochs": Ablation(
+        "SGD refinement stopping rule", 0.6,
+        {"tol-0": SGDParams(tol=0.0), "tol-3e-3": SGDParams(tol=3e-3),
+         "default": SGDParams(), "max-iter-0": SGDParams(max_iter=0)},
+    ),
 }
 
 
@@ -244,9 +253,10 @@ def ablation_row(
     not be one the matrix declares: ``"sgd"``/``"oracle"`` inference,
     guardbands on (bool), latency variants per service (int), a
     training-set size (int), a penalty weight (float), a transition
-    cost in seconds (float), a DDS iteration budget (int) or a
-    :data:`DDS_STEPS` name.  The power cap is the ablation's declared
-    one; the frozen-search ablations ignore ``n_slices``.
+    cost in seconds (float), a DDS iteration budget (int), a
+    :data:`DDS_STEPS` name or the controller's :class:`SGDParams`.  The
+    power cap is the ablation's declared one; the frozen-search
+    ablations ignore ``n_slices``.
     """
     if ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}")
@@ -291,6 +301,14 @@ def ablation_row(
     elif ablation == "transition-cost":
         label = f"transition {value * 1e3:g} ms"
         inputs["machine_params"] = MachineParams(reconfig_transition_s=value)
+    elif ablation == "sgd-epochs":
+        label = (
+            f"tol={value.tol:g}" if value.max_iter
+            else "no refinement (maxIter=0)"
+        )
+        if value == SGDParams():
+            label += " (default)"
+        config = ControllerConfig(seed=seed, sgd=value)
     else:
         raise ValueError(f"unknown ablation variant {ablation}/{value!r}")
     return _closed_loop_row(

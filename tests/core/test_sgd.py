@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.matrices import ObservedMatrix, power_rows, throughput_rows
+from repro.core.runtime import CuttleSysPolicy
 from repro.core.sgd import PQReconstructor, SGDParams
+from repro.experiments.harness import QuantumStepper, build_machine_for_mix
 from repro.sim.coreconfig import CoreConfig, JointConfig, N_JOINT_CONFIGS
 from repro.workloads.batch import batch_profile, train_test_split
+from repro.workloads.loadgen import LoadTrace
+from repro.workloads.mixes import paper_mixes
 
 HI = JointConfig(CoreConfig.widest(), 1.0).index
 LO = JointConfig(CoreConfig.narrowest(), 1.0).index
@@ -168,3 +172,44 @@ class TestMoreObservationsHelp:
         rich_full = PQReconstructor().reconstruct(richer)
         rich_err = np.abs(rich_full[n_train:] - test) / test
         assert np.median(rich_err) < np.median(base_err)
+
+
+class TestStoppingRule:
+    """The relative tolerance stops refinement in the controller."""
+
+    def test_steady_reconstructions_converge_before_max_iter(
+        self, monkeypatch
+    ):
+        # The inputs of perfbench's ``steady`` workload: mix 0, seed 7,
+        # a constant 0.63 load.  Under the old absolute tolerance the
+        # bips matrix ran all max_iter epochs on every quantum.
+        machine = build_machine_for_mix(paper_mixes()[0], seed=7)
+        policy = CuttleSysPolicy.for_machine(machine, seed=7)
+        controller = policy.controller
+        seen = {"bips": [], "power": [], "latency": []}
+        reconstruct = PQReconstructor.reconstruct
+
+        def recording(self, matrix):
+            estimate = reconstruct(self, matrix)
+            if matrix is controller._bips_matrix:
+                kind = "bips"
+            elif matrix is controller._power_matrix:
+                kind = "power"
+            else:
+                kind = "latency"
+            seen[kind].append(self.last_diagnostics)
+            return estimate
+
+        monkeypatch.setattr(PQReconstructor, "reconstruct", recording)
+        stepper = QuantumStepper(
+            machine, policy, LoadTrace.constant(0.63), n_slices=40
+        )
+        for _ in range(40):
+            stepper.step()
+        max_iter = SGDParams().max_iter
+        assert len(seen["bips"]) == len(seen["power"]) == 40
+        assert seen["latency"]
+        for kind, diagnostics in seen.items():
+            for d in diagnostics:
+                assert d.converged, kind
+                assert d.iterations < max_iter, kind

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.experiments.ablations import ablation_row, render_ablation
+from repro.experiments.ablations import (
+    ABLATIONS,
+    ablation_row,
+    render_ablation,
+)
 from repro.experiments.dvfs_comparison import (
     SCHEMES,
     render_dvfs_comparison,
@@ -84,6 +88,18 @@ class TestAblations:
             ablation_row("no-such-ablation", 1)
         with pytest.raises(ValueError, match="unknown ablation variant"):
             ablation_row("inference", "psychic")
+
+    def test_sgd_epochs_variants(self):
+        rows = {
+            name: ablation_row("sgd-epochs", params, n_slices=4)
+            for name, params in ABLATIONS["sgd-epochs"].variants.items()
+        }
+        assert list(rows) == ["tol-0", "tol-3e-3", "default", "max-iter-0"]
+        assert rows["tol-0"].label == "tol=0"
+        assert rows["default"].label == "tol=0.01 (default)"
+        assert rows["max-iter-0"].label == "no refinement (maxIter=0)"
+        # The refinement never costs QoS, at any stopping rule.
+        assert all(r.qos_violations == 0 for r in rows.values())
 
     def test_render(self):
         rows = [ablation_row("training-size", 8, n_slices=2)]

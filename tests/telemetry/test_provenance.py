@@ -181,13 +181,15 @@ class TestRunIntegration:
 
 
 #: Decision budget and warm-up decisions that put the next decide()
-#: in each mode.  Safe mode follows one rejected sample, since the
-#: controllers here enter it after a single bad quantum.
+#: in each mode.  A budget of 50 leaves less than the reduced search's
+#: 91 evaluations after the reconstructions.  Safe mode follows one
+#: rejected sample, since the controllers here enter it after a single
+#: bad quantum.
 MODE_SETUPS = {
     "normal": (None, 0),
     "reduced_dds": (2000, 0),
-    "fair_share": (100, 0),  # cold start: nothing to re-serve yet
-    "last_good": (100, 1),   # re-serves the fair share decided first
+    "fair_share": (50, 0),  # cold start: nothing to re-serve yet
+    "last_good": (50, 1),   # re-serves the fair share decided first
     "safe_mode": (None, 0),
 }
 STAMP = {"type", "quantum", "mode", "rungs", "safety", "budget"}
