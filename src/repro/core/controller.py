@@ -38,8 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.core.dds import DDSParams, DDSSearch
 from repro.core.deadline import (
-    REGIME_BUILD_COST,
     DecisionBudget,
+    PhaseMeter,
     dds_search_cost,
     reduced_dds_params,
 )
@@ -50,7 +50,7 @@ from repro.telemetry.provenance import (
     candidate_provenance,
     classify_candidates,
 )
-from repro.telemetry.tracer import NullTracer, Tracer, tracer_of
+from repro.telemetry.tracer import MGK_LATENCY, NullTracer, Tracer, tracer_of
 from repro.core.matrices import (
     MATRIX,
     ObservedMatrix,
@@ -416,10 +416,7 @@ class ResourceController(Snapshottable):
     ) -> None:
         self.machine = machine
         self.config = config
-        # Without a session the phase spans go to the shared null
-        # tracer, which records nothing.
         self.telemetry: Optional["Telemetry"] = telemetry
-        self.tracer: "Tracer | NullTracer" = tracer_of(telemetry)
         self._rng = np.random.default_rng(config.seed)
         self.n_batch = len(machine.batch_profiles)
         self.n_train = len(train_profiles)
@@ -513,13 +510,13 @@ class ResourceController(Snapshottable):
             self._searcher = GeneticSearch(config.ga)
 
         # Virtual-time deadline metering (docs/robustness.md): the
-        # reconstructor and searchers charge their operation counts
-        # against this budget; exhaustion walks the degradation ladder
-        # in decide().
+        # reconstructor and searchers share this meter, whose budget's
+        # exhaustion walks the degradation ladder in decide().
         self.budget = DecisionBudget(config.decision_budget)
-        for phase in self._metered():
-            phase.tracer = self.tracer
-            phase.budget = self.budget
+        self.meter = PhaseMeter(tracer_of(telemetry), self.budget)
+        self._reconstructor.meter = self._searcher.meter = self.meter
+        if self._reduced_searcher is not None:
+            self._reduced_searcher.meter = self.meter
         #: True while the most recent decide() took a degradation rung;
         #: the accuracy auditor attributes that quantum's QoS
         #: violations to the deadline_degraded cause.
@@ -552,18 +549,12 @@ class ResourceController(Snapshottable):
         the ``sgd``, ``lc_scan`` and ``search`` phases attach a bare
         :class:`~repro.telemetry.tracer.Tracer`.
         """
-        self.tracer = tracer  # repro: noqa[SNAP701]
-        for phase in self._metered():
-            phase.tracer = tracer
+        self.meter.tracer = tracer  # repro: noqa[SNAP701]
 
-    def _metered(self) -> Tuple[Union[PQReconstructor, Searcher], ...]:
-        """The phases that record spans and charge the decision budget."""
-        phases: List[Union[PQReconstructor, Searcher]] = [
-            self._reconstructor, self._searcher,
-        ]
-        if self._reduced_searcher is not None:
-            phases.append(self._reduced_searcher)
-        return tuple(phases)
+    @property
+    def tracer(self) -> "Tracer | NullTracer":
+        """Where the controller's and its metered phases' spans go."""
+        return self.meter.tracer
 
     def _count(self, name: str, n: int = 1) -> None:
         """Increment a session counter, if a session is attached."""
@@ -652,16 +643,13 @@ class ResourceController(Snapshottable):
     ) -> ObservedMatrix:
         key = (service_idx, bucket, n_cores)
         if key not in self._latency_matrices:
-            with self.tracer.span(
-                "mgk.latency", category="controller", kind="regime"
-            ) as span:
-                matrix = self._latency_matrices.known(key)
-                span.set(evaluations=(matrix.n_rows - 1) * matrix.n_cols)
             # Charged once per regime this controller builds: the key's
             # presence in _latency_matrices (snapshot state) decides,
             # and restore rebuilds its regimes without charging, so a
             # resumed run charges exactly what an uninterrupted one does.
-            self.budget.charge(REGIME_BUILD_COST, phase="mgk.latency")
+            with self.meter.phase(MGK_LATENCY, kind="regime") as charge:
+                matrix = self._latency_matrices.known(key)
+                charge((matrix.n_rows - 1) * matrix.n_cols)
             self._latency_matrices[key] = matrix
         return self._latency_matrices[key]
 

@@ -46,8 +46,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.deadline import DecisionBudget
-from repro.telemetry.tracer import NULL_TRACER
+from repro.core.deadline import PhaseMeter
+from repro.telemetry.tracer import DDS_SEARCH
 
 Objective = Callable[[np.ndarray], float]
 
@@ -109,15 +109,9 @@ class DDSResult:
 class DDSSearch:
     """Parallel DDS over discrete decision vectors."""
 
-    #: Telemetry tracer; the shared no-op unless a session attaches one.
-    tracer = NULL_TRACER
-    #: Decision-budget meter (repro.core.deadline); when a controller
-    #: attaches one, every search charges its candidate evaluations
-    #: against the current quantum.
-    budget: Optional[DecisionBudget] = None
-
     def __init__(self, params: DDSParams = DDSParams()) -> None:
         self.params = params
+        self.meter = PhaseMeter()
 
     def search(
         self,
@@ -135,15 +129,11 @@ class DDSSearch:
         a dimension.  ``initial`` seeds one starting point (e.g. the
         previous quantum's decision) alongside the random ones.
         """
-        with self.tracer.span(
-            "dds.search", category="dds", n_dims=n_dims
-        ) as span:
+        with self.meter.phase(DDS_SEARCH, n_dims=n_dims) as charge:
             result = self._search(
                 objective, n_dims, n_confs, rng, initial, record_explored,
             )
-            span.set(evaluations=result.evaluations)
-            if self.budget is not None:
-                self.budget.charge(result.evaluations, phase="dds.search")
+            charge(result.evaluations)
             return result
 
     def _search(

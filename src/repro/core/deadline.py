@@ -17,10 +17,14 @@ auditor as the ``deadline_degraded`` QoS-violation cause.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional
 
 from repro.snapshot import INT, Map, Match, Snapshottable
+from repro.telemetry.tracer import (
+    DDS_SEARCH, NULL_TRACER, MeteredPhase, NullTracer, Tracer,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.dds import DDSParams
@@ -29,16 +33,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class DecisionBudget(Snapshottable):
     """Per-quantum operation budget for one controller's decision loop.
 
-    ``limit`` is the number of metered operations (SGD iterations,
-    search-candidate evaluations and latency-regime builds priced at
-    :data:`REGIME_BUILD_COST`) one decision quantum may spend; None
-    meters without ever degrading.  The budget is charged by the
-    reconstructor and the searcher through their ``budget`` hook — the
-    same wiring pattern as their telemetry ``tracer`` — so nested uses
-    (e.g. latency reconstructions inside the LC scan) are captured
-    without the controller enumerating call sites.  The limit comes
-    from the controller's configuration; a snapshot taken under another
-    limit is rejected.
+    ``limit`` is the number of operations (priced by the
+    :data:`~repro.telemetry.tracer.METERED_PHASES` rows) one decision
+    quantum may spend; None meters without ever degrading.  The metered
+    phases charge it through the controller's :class:`PhaseMeter`.  The
+    limit comes from the controller's configuration; a snapshot taken
+    under another limit is rejected.
     """
 
     SNAPSHOT_FIELDS = {
@@ -59,9 +59,8 @@ class DecisionBudget(Snapshottable):
         self.total_spent = 0
         #: Quanta started (``begin_quantum`` calls).
         self.quanta = 0
-        #: Lifetime operations per phase label (``charge(..., phase=)``).
-        #: Purely additive attribution for the virtual-cost profiler;
-        #: the ``spent``/``total_spent`` arithmetic is unchanged.
+        #: Lifetime operations per phase name; they sum to
+        #: ``total_spent``.
         self.spent_by_phase: Dict[str, int] = {}
 
     @property
@@ -74,21 +73,15 @@ class DecisionBudget(Snapshottable):
         self.spent = 0
         self.quanta += 1
 
-    def charge(self, units: int, phase: Optional[str] = None) -> None:
-        """Record ``units`` operations against the current quantum.
-
-        ``phase`` attributes the charge to a named hot-path phase
-        (``sgd.reconstruct``, ``dds.search``, ...) without altering the
-        deadline arithmetic itself.
-        """
+    def charge(self, units: int, phase: MeteredPhase) -> None:
+        """Record ``units`` operations of ``phase`` in this quantum."""
         if units < 0:
             raise ValueError("cannot charge a negative operation count")
         self.spent += units
         self.total_spent += units
-        if phase is not None:
-            self.spent_by_phase[phase] = (
-                self.spent_by_phase.get(phase, 0) + units
-            )
+        self.spent_by_phase[phase.name] = (
+            self.spent_by_phase.get(phase.name, 0) + units
+        )
 
     def can_afford(self, units: int) -> bool:
         """Whether ``units`` more operations fit in this quantum."""
@@ -103,31 +96,47 @@ class DecisionBudget(Snapshottable):
         return max(0, self.limit - self.spent)
 
 
-#: Operations charged when a controller first builds a latency regime
-#: (the known rows of one (service, load bucket, cores) matrix, in
-#: ``ResourceController._latency_matrix``).  The build is array
-#: arithmetic, not SGD iterations or candidate evaluations, so it is
-#: priced in their currency: ~2.4 ms per 19-row build divided by the
-#: ~6 us a metered operation took when it was set.  Now a build takes
-#: ~1.3 ms and an operation ~1.6 us, so a build is worth ~840
-#: operations and these 400 ~0.63 ms; the price is not yet recalibrated,
-#: since changing it moves every budgeted decision (docs/robustness.md,
-#: "Pricing a regime build").
-REGIME_BUILD_COST = 400
+class PhaseMeter:
+    """Where every metered phase records its span and charges its price.
+
+    A controller shares one meter with its reconstructor and searchers;
+    a component built on its own meters into the null tracer and a
+    private unlimited budget.
+    """
+
+    __slots__ = ("tracer", "budget")
+
+    def __init__(self, tracer: "Tracer | NullTracer" = NULL_TRACER,
+                 budget: Optional[DecisionBudget] = None) -> None:
+        self.tracer = tracer
+        self.budget = DecisionBudget() if budget is None else budget
+
+    @contextmanager
+    def phase(
+        self, phase: MeteredPhase, **args: Any
+    ) -> Iterator[Callable[[int], None]]:
+        """Time ``phase``'s span; the yielded ``charge(units)`` sets the
+        span's ``phase.unit`` arg and charges ``phase.price(units)``."""
+        with self.tracer.span(phase.name, category=phase.category, **args) as span:
+            def charge(units: int) -> None:
+                span.set(**{phase.unit: units})
+                self.budget.charge(phase.price(units), phase)
+
+            yield charge
 
 
 def dds_search_cost(params: "DDSParams", seeded: bool) -> int:
-    """Exact candidate-evaluation count of one DDS search.
+    """Exact operation charge of one DDS search.
 
-    The initial random population, the optional seeded point (the
-    previous quantum's decision), then ``max_iter`` barrier iterations
-    in which each of ``n_threads`` logical searchers evaluates
-    ``points_per_iteration`` candidates, however many rounds
-    (``rounds_per_iteration``) it draws them in.  Deterministic by
-    construction — DDS never early-exits — so the ladder can price a
-    search before running it.
+    The price of its evaluations: the initial random population, the
+    optional seeded point (the previous quantum's decision), then
+    ``max_iter`` barrier iterations in which each of ``n_threads``
+    logical searchers evaluates ``points_per_iteration`` candidates,
+    however many rounds (``rounds_per_iteration``) it draws them in.
+    Deterministic by construction — DDS never early-exits — so the
+    ladder can price a search before running it.
     """
-    return (
+    return DDS_SEARCH.price(
         params.initial_random_points
         + (1 if seeded else 0)
         + params.max_iter * params.points_per_iteration * params.n_threads

@@ -15,8 +15,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.deadline import DecisionBudget
-from repro.telemetry.tracer import NULL_TRACER
+from repro.core.deadline import PhaseMeter
+from repro.telemetry.tracer import GA_SEARCH
 
 Objective = Callable[[np.ndarray], float]
 
@@ -61,15 +61,9 @@ class GAResult:
 class GeneticSearch:
     """Discrete GA over joint-configuration decision vectors."""
 
-    #: Telemetry tracer; the shared no-op unless a session attaches one.
-    tracer = NULL_TRACER
-    #: Decision-budget meter (repro.core.deadline); when a controller
-    #: attaches one, every search charges its candidate evaluations
-    #: against the current quantum.
-    budget: Optional[DecisionBudget] = None
-
     def __init__(self, params: GAParams = GAParams()) -> None:
         self.params = params
+        self.meter = PhaseMeter()
 
     def search(
         self,
@@ -85,51 +79,51 @@ class GeneticSearch:
             raise ValueError("n_dims must be positive")
         if n_confs <= 1:
             raise ValueError("n_confs must exceed 1")
-        params = self.params
-        result = GAResult(best_x=np.zeros(n_dims, dtype=int),
-                          best_objective=-np.inf)
-        batch_eval = getattr(objective, "evaluate_batch", None)
+        with self.meter.phase(GA_SEARCH, n_dims=n_dims) as charge:
+            params = self.params
+            result = GAResult(best_x=np.zeros(n_dims, dtype=int),
+                              best_objective=-np.inf)
+            batch_eval = getattr(objective, "evaluate_batch", None)
 
-        def evaluate_all(xs: List[np.ndarray]) -> np.ndarray:
-            stacked = np.vstack(xs)
-            if batch_eval is not None:
-                values = np.asarray(batch_eval(stacked), dtype=float)
-            else:
-                values = np.array([float(objective(x)) for x in stacked])
-            result.evaluations += stacked.shape[0]
-            if record_explored:
-                for x, v in zip(stacked, values):
-                    result.explored.append((x.copy(), float(v)))
-            return values
+            def evaluate_all(xs: List[np.ndarray]) -> np.ndarray:
+                stacked = np.vstack(xs)
+                if batch_eval is not None:
+                    values = np.asarray(batch_eval(stacked), dtype=float)
+                else:
+                    values = np.array([float(objective(x)) for x in stacked])
+                result.evaluations += stacked.shape[0]
+                if record_explored:
+                    for x, v in zip(stacked, values):
+                        result.explored.append((x.copy(), float(v)))
+                return values
 
-        population = [
-            rng.integers(0, n_confs, size=n_dims)
-            for _ in range(params.population)
-        ]
-        if initial is not None:
-            population[0] = np.asarray(initial, dtype=int).copy()
-        fitness = evaluate_all(population)
-
-        for _ in range(params.generations):
-            order = np.argsort(fitness)[::-1]
-            next_pop: List[np.ndarray] = [
-                population[i].copy() for i in order[: params.elites]
+            population = [
+                rng.integers(0, n_confs, size=n_dims)
+                for _ in range(params.population)
             ]
-            while len(next_pop) < params.population:
-                parent_a = self._tournament(population, fitness, rng)
-                parent_b = self._tournament(population, fitness, rng)
-                child = self._crossover(parent_a, parent_b, rng)
-                child = self._mutate(child, n_confs, rng)
-                next_pop.append(child)
-            population = next_pop
+            if initial is not None:
+                population[0] = np.asarray(initial, dtype=int).copy()
             fitness = evaluate_all(population)
-            result.history.append(float(fitness.max()))
 
-        best = int(np.argmax(fitness))
-        result.best_x = population[best]
-        result.best_objective = float(fitness[best])
-        if self.budget is not None:
-            self.budget.charge(result.evaluations, phase="ga.search")
+            for _ in range(params.generations):
+                order = np.argsort(fitness)[::-1]
+                next_pop: List[np.ndarray] = [
+                    population[i].copy() for i in order[: params.elites]
+                ]
+                while len(next_pop) < params.population:
+                    parent_a = self._tournament(population, fitness, rng)
+                    parent_b = self._tournament(population, fitness, rng)
+                    child = self._crossover(parent_a, parent_b, rng)
+                    child = self._mutate(child, n_confs, rng)
+                    next_pop.append(child)
+                population = next_pop
+                fitness = evaluate_all(population)
+                result.history.append(float(fitness.max()))
+
+            best = int(np.argmax(fitness))
+            result.best_x = population[best]
+            result.best_objective = float(fitness[best])
+            charge(result.evaluations)
         return result
 
     def _tournament(

@@ -32,9 +32,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.deadline import DecisionBudget
+from repro.core.deadline import PhaseMeter
 from repro.core.matrices import ObservedMatrix
-from repro.telemetry.tracer import NULL_TRACER
+from repro.telemetry.tracer import SGD_RECONSTRUCT
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,10 @@ class SGDDiagnostics:
 class PQReconstructor:
     """Reconstructs missing entries of an :class:`ObservedMatrix`."""
 
-    #: Telemetry tracer; the shared no-op unless a session attaches one.
-    tracer = NULL_TRACER
-    #: Decision-budget meter (repro.core.deadline); when a controller
-    #: attaches one, every reconstruction charges its refinement
-    #: iterations against the current quantum.
-    budget: Optional[DecisionBudget] = None
-
     def __init__(self, params: SGDParams = SGDParams()) -> None:
         self.params = params
         self.last_diagnostics: Optional[SGDDiagnostics] = None
+        self.meter = PhaseMeter()
 
     def reconstruct(self, matrix: ObservedMatrix) -> np.ndarray:
         """Return the dense reconstruction; observed entries are kept.
@@ -121,20 +115,14 @@ class PQReconstructor:
         iterations, so the meter and the trace cannot tell it from a
         recomputation.
         """
-        with self.tracer.span(
-            "sgd.reconstruct", category="sgd", n_rows=matrix.n_rows
-        ) as span:
+        with self.meter.phase(SGD_RECONSTRUCT, n_rows=matrix.n_rows) as charge:
             estimate, diagnostics = matrix.derived(
                 "sgd.reconstruct",
                 lambda: self._reconstruct(matrix),
                 stamp=(self.params, matrix.revision),
             )
             self.last_diagnostics = diagnostics
-            span.set(iterations=diagnostics.iterations)
-            if self.budget is not None:
-                self.budget.charge(
-                    diagnostics.iterations, phase="sgd.reconstruct"
-                )
+            charge(diagnostics.iterations)
             return estimate.copy()
 
     def _reconstruct(

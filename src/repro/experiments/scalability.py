@@ -37,7 +37,9 @@ from repro.experiments.harness import run_policy
 from repro.experiments.reporting import format_table
 from repro.fleet import WorkUnit, run_grid
 from repro.sim.machine import Machine, MachineParams
-from repro.telemetry.tracer import Span, Tracer
+from repro.telemetry.tracer import (
+    METERED_PHASES, SGD_RECONSTRUCT, Span, Tracer,
+)
 from repro.workloads.batch import batch_profile, train_test_split
 from repro.workloads.latency_critical import lc_service
 from repro.workloads.loadgen import LoadTrace
@@ -45,9 +47,9 @@ from repro.workloads.loadgen import LoadTrace
 #: Grid arms per machine size, in merge order.
 ARMS: Tuple[str, ...] = ("cuttlesys", "oracle")
 
-#: The controller phases whose wall time is the decision cost (the
-#: fixed profiling interval excluded).
-DECISION_PHASES = ("sgd", "lc_scan", "search")
+#: The controller stages whose wall time is the decision cost: those
+#: that run a metered phase (the fixed profiling interval excluded).
+DECISION_PHASES = tuple(dict.fromkeys(p.stage for p in METERED_PHASES))
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,14 @@ def _machine(n_cores: int, seed: int, service_name: str = "xapian") -> Machine:
 def median_decision_ms(spans: Sequence[Span]) -> float:
     """Median over quanta of the summed decision-phase durations, ms.
 
-    Each decision opens exactly one ``sgd`` span, so an ``sgd`` span
-    starts the next quantum's sum.
+    Each decision opens exactly one SGD stage span, so that span starts
+    the next quantum's sum.
     """
     per_quantum: List[float] = []
     for span in spans:
         if span.category != "controller" or span.name not in DECISION_PHASES:
             continue
-        if span.name == "sgd":
+        if span.name == SGD_RECONSTRUCT.stage:
             per_quantum.append(0.0)
         per_quantum[-1] += span.duration_s
     return float(np.median(per_quantum) * 1e3)

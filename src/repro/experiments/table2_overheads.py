@@ -30,7 +30,7 @@ from repro.experiments.reporting import format_table, relative_error_percent
 from repro.sim.coreconfig import CoreConfig, JointConfig, N_JOINT_CONFIGS
 from repro.sim.perf import PerformanceModel
 from repro.sim.power import PowerModel
-from repro.telemetry.tracer import Tracer
+from repro.telemetry.tracer import DDS_SEARCH, SGD_RECONSTRUCT, Tracer
 from repro.workloads.batch import SPEC_APPS, batch_profile, train_test_split
 
 HI = JointConfig(CoreConfig.widest(), 1.0)
@@ -84,7 +84,7 @@ def run_table2(
     matrix, _, n_train = _profiled_matrix(n_train=16)
     tracer = Tracer()
     reconstructor = PQReconstructor(sgd_params)
-    reconstructor.tracer = tracer
+    reconstructor.meter.tracer = tracer
     for _ in range(repeats):
         # Three reconstructions per quantum (throughput, latency, power).
         for _ in range(3):
@@ -96,7 +96,7 @@ def run_table2(
             matrix.observe(n_train, HI.index, value)
             reconstructor.reconstruct(matrix)
     # One quantum's SGD cost = three consecutive reconstruction spans.
-    per_call = np.array(tracer.durations_s("sgd.reconstruct"))
+    per_call = np.array(tracer.durations_s(SGD_RECONSTRUCT.name))
     sgd_times = per_call.reshape(repeats, 3).sum(axis=1)
 
     perf = PerformanceModel()
@@ -109,11 +109,11 @@ def run_table2(
         max_ways=32,
     )
     searcher = DDSSearch(dds_params)
-    searcher.tracer = tracer
+    searcher.meter.tracer = tracer
     for r in range(repeats):
         rng = np.random.default_rng(seed + r)
         searcher.search(objective, n_dims=16, n_confs=N_JOINT_CONFIGS, rng=rng)
-    dds_times = tracer.durations_s("dds.search")
+    dds_times = tracer.durations_s(DDS_SEARCH.name)
 
     return OverheadResult(
         profiling_ms=2.0,  # two 1 ms samples (fixed by the schedule)
@@ -133,9 +133,9 @@ def run_training_set_sensitivity(
     for size in sizes:
         matrix, test, n_train = _profiled_matrix(n_train=size)
         reconstructor = PQReconstructor(sgd_params)
-        reconstructor.tracer = tracer
+        reconstructor.meter.tracer = tracer
         full = reconstructor.reconstruct(matrix)
-        times[size] = tracer.durations_s("sgd.reconstruct")[-1] * 1e3
+        times[size] = tracer.durations_s(SGD_RECONSTRUCT.name)[-1] * 1e3
         err = relative_error_percent(full[n_train:], test)
         errors[size] = float(np.median(np.abs(err)))
     return TrainingSetSensitivity(

@@ -21,15 +21,16 @@ across runs and ``--jobs`` levels** — that is what CI diffs.  Exports:
   depth-first), loadable in Perfetto;
 * :func:`render_profile_table` — the "top N costs" table behind
   ``python -m repro profile``;
-* :func:`render_phase_table` — the per-phase attribution
-  (``sgd.reconstruct`` / ``dds.search`` / ``mgk.latency`` /
-  ``controller.overhead``) that sizes the ROADMAP's "vectorize the
-  decision hot path" item.
+* :func:`render_phase_table` — one row per metered phase
+  (:data:`~repro.telemetry.tracer.METERED_PHASES`), plus
+  ``controller.overhead``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Tuple
+
+from repro.telemetry.tracer import METERED_PHASES
 
 __all__ = [
     "OP_KEYS",
@@ -46,21 +47,13 @@ __all__ = [
     "write_profile_chrome_trace",
 ]
 
-#: Span args treated as RNG-safe operation counters.  These are the
-#: quantities the instrumented phases attach deterministically
-#: (``dds.search``/``ga.search`` evaluations, ``sgd.reconstruct`` and
-#: ``mgk.latency`` iterations/evaluations) — never wall-derived.
-OP_KEYS: Tuple[str, ...] = ("evaluations", "iterations")
+#: Span args treated as RNG-safe operation counters: the units the
+#: metered phases count their work in — never wall-derived.
+OP_KEYS: Tuple[str, ...] = tuple(sorted({p.unit for p in METERED_PHASES}))
 
-#: Spans whose *exclusive* time is controller bookkeeping rather than
-#: a metered phase — the ``controller.overhead`` row of the phase
-#: table.
-_CONTROLLER_SPANS = (
-    "decide", "sgd", "lc_scan", "search", "power_fallback", "observe",
-)
-
-#: The phase rows the vectorization work is sized against.
-_PHASES = ("sgd.reconstruct", "dds.search", "ga.search", "mgk.latency")
+#: Harness spans whose *exclusive* time, with that of every other
+#: ``controller``-category span, is the ``controller.overhead`` row.
+_CONTROLLER_SPANS = ("decide", "observe")
 
 
 class ProfileNode:
@@ -301,39 +294,32 @@ def render_profile_table(
 def phase_summary(root: ProfileNode) -> List[Dict[str, Any]]:
     """Aggregate the tree into the hot-path phase rows.
 
-    ``sgd.reconstruct`` / ``dds.search`` / ``ga.search`` /
-    ``mgk.latency`` sum every node of that name wherever it appears;
-    ``controller.overhead`` is the *exclusive* time of the controller's
-    own spans — the bookkeeping left after the metered phases are
-    subtracted out.
+    Each metered phase sums every node of its span name *and* category
+    wherever it appears (an ``oracle`` ``mgk.latency`` span is no
+    regime build); ``controller.overhead`` is the *exclusive* time of
+    the controller's own spans — the bookkeeping left after the metered
+    phases are subtracted out.
     """
-    phases: Dict[str, Dict[str, Any]] = {}
-
-    def row(name: str) -> Dict[str, Any]:
-        return phases.setdefault(name, {
-            "phase": name, "count": 0,
-            "inclusive_us": 0.0, "exclusive_us": 0.0, "ops": {},
-        })
-
+    metered = {(p.name, p.category) for p in METERED_PHASES}
+    phases: Dict[str, Dict[str, Any]] = {
+        name: {"phase": name, "count": 0,
+               "inclusive_us": 0.0, "exclusive_us": 0.0, "ops": {}}
+        for name in [p.name for p in METERED_PHASES] + ["controller.overhead"]
+    }
     for _, node in iter_nodes(root):
-        if node.name in _PHASES:
-            entry = row(node.name)
+        if (node.name, node.category) in metered:
+            entry = phases[node.name]
+            entry["inclusive_us"] += node.inclusive_us
+            for key, value in node.ops.items():
+                entry["ops"][key] = entry["ops"].get(key, 0) + value
         elif node.name in _CONTROLLER_SPANS or node.category == "controller":
-            entry = row("controller.overhead")
-            entry["count"] += node.count
+            entry = phases["controller.overhead"]
             entry["inclusive_us"] += node.exclusive_us
-            entry["exclusive_us"] += node.exclusive_us
-            continue
         else:
             continue
         entry["count"] += node.count
-        entry["inclusive_us"] += node.inclusive_us
         entry["exclusive_us"] += node.exclusive_us
-        for key, value in node.ops.items():
-            entry["ops"][key] = entry["ops"].get(key, 0) + value
-
-    order = list(_PHASES) + ["controller.overhead"]
-    return [phases[name] for name in order if name in phases]
+    return [entry for entry in phases.values() if entry["count"]]
 
 
 def render_phase_table(root: ProfileNode) -> str:

@@ -245,3 +245,44 @@ def tracer_of(telemetry: Optional[object]) -> "Tracer | NullTracer":
     if isinstance(inner, (Tracer, NullTracer)):
         return inner
     return NULL_TRACER
+
+
+@dataclass(frozen=True)
+class MeteredPhase:
+    """One row of :data:`METERED_PHASES`: a phase's span and its price.
+
+    Each run records a span ``name`` of ``category`` whose arg ``unit``
+    counts its work, and charges ``price(units)`` budget operations
+    under ``name`` (:class:`repro.core.deadline.PhaseMeter`).  ``stage``
+    is the controller span of ``decide()`` that runs it.
+    """
+
+    name: str
+    category: str
+    unit: str
+    stage: str
+    #: Operations charged per unit of work.
+    unit_price: int = 1
+    #: Operations charged per span, whatever its work.
+    call_price: int = 0
+
+    def price(self, units: int) -> int:
+        """Operations one span that did ``units`` of work costs."""
+        return self.call_price + self.unit_price * units
+
+
+#: Operations one latency-regime build costs, whatever its rows: array
+#: arithmetic priced in SGD-iteration and DDS-evaluation currency, and
+#: not yet recalibrated (docs/robustness.md, "Pricing a regime build").
+REGIME_BUILD_COST = 400
+
+SGD_RECONSTRUCT = MeteredPhase("sgd.reconstruct", "sgd", "iterations", "sgd")
+DDS_SEARCH = MeteredPhase("dds.search", "dds", "evaluations", "search")
+GA_SEARCH = MeteredPhase("ga.search", "ga", "evaluations", "search")
+MGK_LATENCY = MeteredPhase(
+    "mgk.latency", "controller", "evaluations", "lc_scan",
+    unit_price=0, call_price=REGIME_BUILD_COST,
+)
+
+#: Every metered phase, in the profiler's phase-table order.
+METERED_PHASES = (SGD_RECONSTRUCT, DDS_SEARCH, GA_SEARCH, MGK_LATENCY)

@@ -14,7 +14,6 @@ import pytest
 from repro.core.controller import ControllerConfig
 from repro.core.dds import DDSParams, DDSSearch
 from repro.core.deadline import (
-    REGIME_BUILD_COST,
     DecisionBudget,
     dds_search_cost,
     reduced_dds_params,
@@ -29,7 +28,13 @@ from repro.experiments.harness import (
 from repro.sim.coreconfig import N_JOINT_CONFIGS
 from repro.snapshot import SNAPSHOT_VERSION, SnapshotError
 from repro.telemetry import Telemetry
-from repro.telemetry.tracer import Tracer
+from repro.telemetry.tracer import (
+    DDS_SEARCH,
+    MGK_LATENCY,
+    REGIME_BUILD_COST,
+    SGD_RECONSTRUCT,
+    Tracer,
+)
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
 
@@ -70,7 +75,7 @@ class TestDecisionBudget:
     def test_metering(self):
         budget = DecisionBudget(100)
         budget.begin_quantum()
-        budget.charge(30)
+        budget.charge(30, DDS_SEARCH)
         assert budget.spent == 30 and budget.total_spent == 30
         assert budget.can_afford(70) and not budget.can_afford(71)
         assert budget.remaining() == 70
@@ -80,7 +85,7 @@ class TestDecisionBudget:
 
     def test_unlimited(self):
         budget = DecisionBudget(None)
-        budget.charge(10**9)
+        budget.charge(10**9, DDS_SEARCH)
         assert not budget.limited
         assert budget.can_afford(10**12)
         assert budget.remaining() is None
@@ -89,12 +94,12 @@ class TestDecisionBudget:
         with pytest.raises(ValueError):
             DecisionBudget(0)
         with pytest.raises(ValueError):
-            DecisionBudget(10).charge(-1)
+            DecisionBudget(10).charge(-1, DDS_SEARCH)
 
     def test_state_round_trip(self):
         budget = DecisionBudget(100)
         budget.begin_quantum()
-        budget.charge(42)
+        budget.charge(42, DDS_SEARCH)
         clone = DecisionBudget(100)
         clone.restore(budget.snapshot())
         assert clone.spent == 42
@@ -104,22 +109,22 @@ class TestDecisionBudget:
     def test_phase_attribution_is_additive_only(self):
         budget = DecisionBudget(100)
         budget.begin_quantum()
-        budget.charge(30, phase="sgd.reconstruct")
-        budget.charge(20, phase="dds.search")
-        budget.charge(5)  # unattributed charges meter all the same
+        budget.charge(30, SGD_RECONSTRUCT)
+        budget.charge(20, DDS_SEARCH)
+        budget.charge(5, MGK_LATENCY)
         assert budget.spent == 55 and budget.total_spent == 55
         assert budget.spent_by_phase == {
-            "sgd.reconstruct": 30, "dds.search": 20,
+            "sgd.reconstruct": 30, "dds.search": 20, "mgk.latency": 5,
         }
         budget.begin_quantum()
-        budget.charge(10, phase="sgd.reconstruct")
+        budget.charge(10, SGD_RECONSTRUCT)
         # Phase tallies are lifetime totals, not per-quantum.
         assert budget.spent_by_phase["sgd.reconstruct"] == 40
 
     def test_phase_attribution_round_trips_through_state(self):
         budget = DecisionBudget(100)
         budget.begin_quantum()
-        budget.charge(7, phase="mgk.latency")
+        budget.charge(7, MGK_LATENCY)
         state = budget.snapshot()
         assert state["spent_by_phase"] == {"mgk.latency": 7}
         clone = DecisionBudget(100)
@@ -239,6 +244,10 @@ class TestRegimeBuildCharge:
         assert controller._latency_matrices
         assert controller.budget.spent_by_phase["mgk.latency"] == (
             REGIME_BUILD_COST * len(controller._latency_matrices)
+        )
+        # Every charge names its phase, so the tallies add up.
+        assert sum(controller.budget.spent_by_phase.values()) == (
+            controller.budget.total_spent
         )
 
     def test_restored_regimes_are_not_charged_again(self):

@@ -46,7 +46,6 @@ from repro.core.controller import (
     ResourceController,
     _diagnostics_state,
 )
-from repro.core.deadline import DecisionBudget
 from repro.core.dds import DDSParams, DDSSearch
 from repro.core.matrices import (
     MATRIX,
@@ -1224,7 +1223,7 @@ class TestReconstructionMemo:
     ):
         params = SGDParams(log_space=log_space)
         reconstructor = PQReconstructor(params)
-        reconstructor.budget = DecisionBudget()
+        budget = reconstructor.meter.budget
         for mutator, seed in mutations:
             before = (bits(matrix), matrix.revision)
             matrix = mutate(matrix, mutator, seed)
@@ -1234,15 +1233,12 @@ class TestReconstructionMemo:
                 continue
             want, diagnostics = reconstruct_cold(params, matrix)
             for _ in range(2):  # the second is a hit
-                spent = reconstructor.budget.total_spent
+                spent = budget.total_spent
                 got = reconstructor.reconstruct(matrix)
                 assert got.tobytes() == want.tobytes()
                 assert got.flags.writeable
                 assert reconstructor.last_diagnostics == diagnostics
-                assert (
-                    reconstructor.budget.total_spent - spent
-                    == diagnostics.iterations
-                )
+                assert budget.total_spent - spent == diagnostics.iterations
 
     def test_revision_counts_changes_to_values_and_mask(self):
         matrix = ObservedMatrix(6, 5)
@@ -1273,13 +1269,12 @@ class TestReconstructionMemo:
             matrix.observe(5, 3, 1.5)
         tracer = Tracer()
         reconstructor = PQReconstructor()
-        reconstructor.tracer = tracer
-        reconstructor.budget = DecisionBudget()
+        reconstructor.meter.tracer = tracer
         cold = reconstructor.reconstruct(first)
         diagnostics = reconstructor.last_diagnostics
         reconstructor.reconstruct(second)
         assert reconstructor.last_diagnostics != diagnostics
-        charged = reconstructor.budget.spent_by_phase["sgd.reconstruct"]
+        charged = reconstructor.meter.budget.spent_by_phase["sgd.reconstruct"]
         cold[:] = 0.0  # a caller's copy; the memo is not touched
         hit = reconstructor.reconstruct(first)
         assert hit.tobytes() == reconstruct_cold(
@@ -1287,7 +1282,8 @@ class TestReconstructionMemo:
         )[0].tobytes()
         assert reconstructor.last_diagnostics == diagnostics
         assert (
-            reconstructor.budget.spent_by_phase["sgd.reconstruct"] - charged
+            reconstructor.meter.budget.spent_by_phase["sgd.reconstruct"]
+            - charged
             == diagnostics.iterations
         )
         spans = [s for s in tracer.spans if s.name == "sgd.reconstruct"]

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.core.controller import ControllerConfig
 from repro.core.runtime import CuttleSysPolicy
 from repro.experiments.harness import build_machine_for_mix, run_policy
 from repro.telemetry import Telemetry, merge_jsonl, read_jsonl, write_jsonl
@@ -26,6 +27,7 @@ from repro.telemetry.profiler import (
     write_folded,
     write_profile_chrome_trace,
 )
+from repro.telemetry.tracer import METERED_PHASES, REGIME_BUILD_COST
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
 
@@ -59,6 +61,31 @@ def session(seed=7, n_slices=2):
         power_cap_fraction=0.7, n_slices=n_slices, telemetry=telemetry,
     )
     return telemetry
+
+
+@pytest.fixture(scope="module")
+def metered_runs():
+    """(explorer, audit) -> (phase rows, profile root, decision budget)
+    of a 3-quantum run of mix 0 at load 0.8."""
+    runs = {}
+    for explorer in ("dds", "ga"):
+        for audit in (False, True):
+            machine = build_machine_for_mix(paper_mixes()[0], seed=7)
+            policy = CuttleSysPolicy.for_machine(
+                machine, seed=7,
+                config=ControllerConfig(seed=7, explorer=explorer),
+            )
+            telemetry = Telemetry()
+            if audit:
+                telemetry.enable_accuracy_audit()
+            run_policy(
+                machine, policy, LoadTrace.constant(0.8),
+                power_cap_fraction=0.7, n_slices=3, telemetry=telemetry,
+            )
+            root = profile_telemetry(telemetry)
+            rows = {entry["phase"]: entry for entry in phase_summary(root)}
+            runs[explorer, audit] = (rows, root, policy.controller.budget)
+    return runs
 
 
 def records_of(telemetry):
@@ -176,6 +203,46 @@ class TestPhaseSummary:
         assert rows["sgd.reconstruct"]["ops"]["iterations"] > 0
         # Controller overhead is pure bookkeeping: no metered ops.
         assert rows["controller.overhead"]["ops"] == {}
+
+    def test_ga_search_is_a_phase_row(self, metered_runs):
+        rows, root, budget = metered_runs["ga", False]
+        ga = rows["ga.search"]
+        assert ga["count"] == 3
+        assert ga["ops"] == {"evaluations": budget.spent_by_phase["ga.search"]}
+        # The search's time is its own row, not controller bookkeeping.
+        paths = {path for path, _ in iter_nodes(root)}
+        assert ("quantum", "decide", "search", "ga.search") in paths
+        assert rows["controller.overhead"]["exclusive_us"] < ga["exclusive_us"]
+
+    @pytest.mark.parametrize("explorer", ["dds", "ga"])
+    def test_oracle_spans_leave_the_regime_build_row(
+        self, metered_runs, explorer
+    ):
+        plain = metered_runs[explorer, False][0]["mgk.latency"]
+        rows, root, _ = metered_runs[explorer, True]
+        assert (rows["mgk.latency"]["count"], rows["mgk.latency"]["ops"]) == (
+            plain["count"], plain["ops"],
+        )
+        # The auditor's ground-truth fills stay in the call tree.
+        assert any(
+            node.name == "mgk.latency" and node.category == "oracle"
+            for _, node in iter_nodes(root)
+        )
+
+    @pytest.mark.parametrize("explorer", ["dds", "ga"])
+    @pytest.mark.parametrize("audit", [False, True])
+    def test_profile_prices_to_the_meter(self, metered_runs, explorer, audit):
+        rows, _, budget = metered_runs[explorer, audit]
+        priced = {
+            phase.name: phase.call_price * rows[phase.name]["count"]
+            + phase.unit_price * rows[phase.name]["ops"][phase.unit]
+            for phase in METERED_PHASES if phase.name in rows
+        }
+        assert priced == budget.spent_by_phase
+        assert priced["mgk.latency"] == (
+            rows["mgk.latency"]["count"] * REGIME_BUILD_COST
+        )
+        assert sum(priced.values()) == budget.total_spent
 
     def test_render_phase_table(self):
         table = render_phase_table(profile_telemetry(session()))
